@@ -17,7 +17,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +44,7 @@ from .pipeline import (
     same_speaker_prompts,
     split_manifest,
     text_to_token_from_checkpoint,
+    text_to_token_snapshot,
     tokenizer_from_checkpoint,
     toy_model_config,
     toy_tokenizer_config,
@@ -53,6 +54,7 @@ from .pipeline import (
     train_text_to_token_stage,
     train_tokenizer_stage,
     train_vocoder_stage,
+    vocoder_snapshot,
 )
 from .tokenizer import TokenizerConfig, token_symbol_alignment
 from .training import (
@@ -63,7 +65,6 @@ from .training import (
     load_checkpoint,
     save_checkpoint,
 )
-from .vocoder import VocoderConfig
 
 
 class UsageError(Exception):
@@ -122,9 +123,9 @@ def _layer(defaults: dict, args) -> dict:
     return eff
 
 
-def _add_layered(sp, defaults: dict, skip=()):
-    for key, value in defaults.items():
-        if key in skip:
+def _add_layered(sp, command: str, skip=()):
+    for key, value in _DEFAULTS[command]().items():
+        if key == "seed" or key in skip:  # every subcommand has its own --seed
             continue
         flag = "--" + key.replace("_", "-")
         if isinstance(value, bool):
@@ -140,11 +141,20 @@ def _pick(eff: dict, cls):
     return {f.name: eff[f.name] for f in fields(cls) if f.name in eff}
 
 
-_TRAIN_DEFAULTS_SKIP = ("seed",)  # added once per subcommand
-
-
-def _train_defaults(stage: str) -> dict:
-    return asdict(toy_train_config(stage))
+# The layered defaults of each subcommand, read by both its flags and its
+# command; commands may then override some from manifest metadata.
+_DEFAULTS = {
+    "gen-corpus": lambda: {**asdict(ToyCorpusConfig()), "seed": 0, "val_pairs": 0},
+    "filter": lambda: {"threshold": 0.9, "inclusive": False},
+    "train-tokenizer": lambda: {**asdict(toy_tokenizer_config()),
+                                **asdict(toy_train_config("tokenizer")),
+                                "max_steps": 0, "with_text_to_token": False},
+    "train-model": lambda: {**asdict(toy_model_config()), **asdict(toy_train_config("model")),
+                            "max_steps": 0, "token_source": "speech", "with_vocoder": True},
+    "translate": lambda: {"decode_max_steps": 64, "repetition_penalty": 1.2},
+    "eval": lambda: {"system": "system"},
+    "ablate": lambda: {**asdict(toy_train_config("model")), "max_steps": 0},
+}
 
 
 # -------------------------------------------------------------- run manifests
@@ -200,8 +210,7 @@ def read_token_file(path):
 
 def cmd_gen_corpus(args) -> int:
     t0 = time.perf_counter()
-    defaults = {**asdict(ToyCorpusConfig()), "seed": 0, "val_pairs": 0}
-    eff = _layer(defaults, args)
+    eff = _layer(_DEFAULTS["gen-corpus"](), args)
     cfg = ToyCorpusConfig(**_pick(eff, ToyCorpusConfig))
     m = generate_toy_corpus(cfg, eff["seed"])
     out = Path(args.out)
@@ -226,8 +235,7 @@ def cmd_gen_corpus(args) -> int:
 
 def cmd_filter(args) -> int:
     t0 = time.perf_counter()
-    defaults = {"threshold": 0.9, "inclusive": False}
-    eff = _layer(defaults, args)
+    eff = _layer(_DEFAULTS["filter"](), args)
     m = read_manifest(args.infile)
     kept = filter_by_similarity(m, threshold=eff["threshold"], inclusive=eff["inclusive"])
     write_manifest(kept, args.out)
@@ -243,8 +251,7 @@ def cmd_train_tokenizer(args) -> int:
     train_m = read_manifest(args.train)
     val_m = read_manifest(args.val)
     meta = train_m.metadata
-    defaults = {**asdict(toy_tokenizer_config()), **_train_defaults("tokenizer"),
-                "max_steps": 0, "with_text_to_token": False}
+    defaults = _DEFAULTS["train-tokenizer"]()
     defaults["feat_dim"] = int(meta.get("feat_dim", defaults["feat_dim"]))
     defaults["text_vocab"] = int(meta.get("tgt_vocab", defaults["text_vocab"]))
     eff = _layer(defaults, args)
@@ -260,15 +267,11 @@ def cmd_train_tokenizer(args) -> int:
           f"at step {result.best_step}")
     outputs = [args.out, log_path]
     if eff["with_text_to_token"]:
-        tmp = str(args.out) + ".t2t.tmp"
-        t2t, t2t_result = train_text_to_token_stage(
-            train_m, val_m, tok, seed=eff["seed"], checkpoint_path=tmp,
-            max_steps=eff["max_steps"] or None,
+        t2t, t2t_result, embedder = train_text_to_token_stage(
+            train_m, val_m, tok, seed=eff["seed"], max_steps=eff["max_steps"] or None,
         )
-        t2t_snapshot = load_checkpoint(tmp).config
-        save_checkpoint(args.out,
-                        bundle_text_to_token(load_checkpoint(args.out), t2t, t2t_snapshot))
-        Path(tmp).unlink()
+        save_checkpoint(args.out, bundle_text_to_token(load_checkpoint(args.out), t2t,
+                                                       text_to_token_snapshot(t2t, embedder)))
         print(f"text-to-token: {t2t_result.steps} steps, "
               f"best val {t2t_result.best_val:.4f}")
     _write_run_manifest(str(args.out) + ".run.json", command="train-tokenizer",
@@ -299,8 +302,7 @@ def cmd_train_model(args) -> int:
     tok_st = load_checkpoint(args.tokenizer)
     tok = tokenizer_from_checkpoint(tok_st)
     meta = train_m.metadata
-    defaults = {**asdict(toy_model_config()), **_train_defaults("model"),
-                "max_steps": 0, "token_source": "speech", "with_vocoder": True}
+    defaults = _DEFAULTS["train-model"]()
     defaults["feat_dim"] = int(meta.get("feat_dim", defaults["feat_dim"]))
     defaults["text_vocab"] = tok.cfg.text_vocab
     defaults["audio_vocab"] = tok.cfg.codebook_size
@@ -323,20 +325,14 @@ def cmd_train_model(args) -> int:
           f"at step {result.best_step}")
 
     if eff["with_vocoder"]:
-        base = toy_vocoder_config()
-        voc_cfg = VocoderConfig(
-            feat_dim=tok.cfg.feat_dim, audio_vocab=tok.cfg.codebook_size,
-            token_dim=base.token_dim, d_model=base.d_model, blocks=base.blocks,
-            heads=base.heads, frame_rate=int(meta.get("frame_rate", 50)),
+        voc_cfg = replace(toy_vocoder_config(), feat_dim=tok.cfg.feat_dim,
+                          audio_vocab=tok.cfg.codebook_size,
+                          frame_rate=int(meta.get("frame_rate", 50)))
+        voc, voc_result, embedder = train_vocoder_stage(
+            train_m, val_m, tok, voc_cfg, seed=eff["seed"], max_steps=max_steps,
         )
-        tmp = str(args.out) + ".voc.tmp"
-        voc, voc_result, _ = train_vocoder_stage(
-            train_m, val_m, tok, voc_cfg, seed=eff["seed"], checkpoint_path=tmp,
-            max_steps=max_steps,
-        )
-        voc_st = load_checkpoint(tmp)
-        save_checkpoint(args.out, bundle_vocoder(load_checkpoint(args.out), voc, voc_st.config))
-        Path(tmp).unlink()
+        save_checkpoint(args.out, bundle_vocoder(load_checkpoint(args.out), voc,
+                                                 vocoder_snapshot(voc, embedder, eff["seed"])))
         print(f"vocoder: {voc_result.steps} steps, best val {voc_result.best_val:.6f}")
     _write_run_manifest(str(args.out) + ".run.json", command="train-model",
                         config=eff, seed=eff["seed"],
@@ -347,8 +343,7 @@ def cmd_train_model(args) -> int:
 
 def cmd_translate(args) -> int:
     t0 = time.perf_counter()
-    defaults = {"decode_max_steps": 64, "repetition_penalty": 1.2}
-    eff = _layer(defaults, args)
+    eff = _layer(_DEFAULTS["translate"](), args)
     st = load_checkpoint(args.ckpt)
     model = model_from_checkpoint(st)
     m = read_manifest(args.infile)
@@ -416,8 +411,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_eval(args) -> int:
     t0 = time.perf_counter()
-    defaults = {"system": "system"}
-    eff = _layer(defaults, args)
+    eff = _layer(_DEFAULTS["eval"](), args)
     hyp_rows = read_token_file(args.hyp)
     if args.ref_manifest:
         refs_by_id = {r.id: list(r.tgt_text) for r in read_manifest(args.ref_manifest)}
@@ -463,8 +457,7 @@ def cmd_ablate(args) -> int:
     train_m = read_manifest(args.train)
     val_m = read_manifest(args.val)
     eval_m = read_manifest(args.eval) if args.eval else val_m
-    defaults = {**_train_defaults("model"), "max_steps": 0}
-    eff = _layer(defaults, args)
+    eff = _layer(_DEFAULTS["ablate"](), args)
     tcfg = TrainConfig(**_pick(eff, TrainConfig))
     tok = tokenizer_from_checkpoint(load_checkpoint(args.tokenizer))
     voc, embedder = resolve_vocoder(load_checkpoint(args.vocoder))
@@ -511,21 +504,19 @@ def build_parser() -> _Parser:
     sp = new("gen-corpus", cmd_gen_corpus, "generate the synthetic parallel corpus")
     sp.add_argument("--out", required=True, help="manifest path to write")
     sp.add_argument("--val-out", default=None, help="held-out manifest path")
-    _add_layered(sp, {**asdict(ToyCorpusConfig()), "val_pairs": 0}, skip=("name", "language_pair"))
+    _add_layered(sp, "gen-corpus", skip=("name", "language_pair"))
 
     sp = new("filter", cmd_filter, "drop records below the similarity threshold")
     sp.add_argument("--in", dest="infile", required=True, help="input manifest")
     sp.add_argument("--out", required=True, help="output manifest")
-    _add_layered(sp, {"threshold": 0.9, "inclusive": False})
+    _add_layered(sp, "filter")
 
     sp = new("train-tokenizer", cmd_train_tokenizer, "train the semantic tokenizer")
     sp.add_argument("--train", required=True, help="training manifest")
     sp.add_argument("--val", required=True, help="validation manifest")
     sp.add_argument("--out", required=True, help="checkpoint path to write")
     sp.add_argument("--log", default=None, help="loss log path (default <out>.log.jsonl)")
-    _add_layered(sp, {**asdict(toy_tokenizer_config()), **_train_defaults("tokenizer"),
-                      "max_steps": 0, "with_text_to_token": False},
-                 skip=_TRAIN_DEFAULTS_SKIP)
+    _add_layered(sp, "train-tokenizer")
 
     sp = new("tokenize", cmd_tokenize, "emit semantic tokens for a manifest")
     sp.add_argument("--ckpt", required=True, help="tokenizer checkpoint")
@@ -538,15 +529,13 @@ def build_parser() -> _Parser:
     sp.add_argument("--tokenizer", required=True, help="tokenizer checkpoint")
     sp.add_argument("--out", required=True, help="checkpoint path to write")
     sp.add_argument("--log", default=None)
-    _add_layered(sp, {**asdict(toy_model_config()), **_train_defaults("model"),
-                      "max_steps": 0, "token_source": "speech", "with_vocoder": True},
-                 skip=_TRAIN_DEFAULTS_SKIP)
+    _add_layered(sp, "train-model")
 
     sp = new("translate", cmd_translate, "speech in, text / tokens / speech out")
     sp.add_argument("--ckpt", required=True, help="model checkpoint")
     sp.add_argument("--in", dest="infile", required=True, help="input manifest")
     sp.add_argument("--out-dir", required=True)
-    _add_layered(sp, {"decode_max_steps": 64, "repetition_penalty": 1.2})
+    _add_layered(sp, "translate")
 
     sp = new("synthesize", cmd_synthesize, "vocode token sequences with a prompt")
     sp.add_argument("--ckpt", required=True, help="vocoder or model checkpoint")
@@ -563,7 +552,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--prompt-frames", default=None, help="dir of prompt frame files")
     sp.add_argument("--embedder-from", default=None, help="checkpoint supplying the embedder")
     sp.add_argument("--out-dir", required=True)
-    _add_layered(sp, {"system": "system"})
+    _add_layered(sp, "eval")
 
     sp = new("ablate", cmd_ablate, "run a comparison suite under one seed")
     sp.add_argument("suite", choices=["projectors", "token_source"])
@@ -573,8 +562,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--tokenizer", required=True)
     sp.add_argument("--vocoder", required=True, help="vocoder or model checkpoint")
     sp.add_argument("--out-dir", required=True)
-    _add_layered(sp, {**_train_defaults("model"), "max_steps": 0},
-                 skip=_TRAIN_DEFAULTS_SKIP)
+    _add_layered(sp, "ablate")
 
     return p
 

@@ -63,19 +63,6 @@ class UtterancePair:
     speaker: str
     similarity: float
 
-    def __eq__(self, other):
-        if not isinstance(other, UtterancePair):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and self.src_text == other.src_text
-            and self.tgt_text == other.tgt_text
-            and self.src_frames == other.src_frames
-            and self.tgt_frames == other.tgt_frames
-            and self.speaker == other.speaker
-            and self.similarity == other.similarity
-        )
-
 
 @dataclass
 class Manifest:
@@ -88,13 +75,11 @@ class Manifest:
     def __iter__(self):
         return iter(self.records)
 
-    def __eq__(self, other):
-        if not isinstance(other, Manifest):
-            return NotImplemented
-        return self.metadata == other.metadata and self.records == other.records
-
-    def ids(self):
-        return [r.id for r in self.records]
+    def subset(self, records) -> Manifest:
+        """A manifest of `records` with this one's metadata, frame count redone."""
+        meta = dict(self.metadata)
+        meta["frame_count"] = int(sum(r.src_frames.length for r in records))
+        return Manifest(records=records, metadata=meta)
 
 
 # ------------------------------------------------------------------ metrics
@@ -124,12 +109,8 @@ def filter_by_similarity(m: Manifest, threshold: float = 0.9, inclusive: bool = 
     Order-preserving, never mutates records, idempotent at a fixed threshold.
     """
     if inclusive:
-        kept = [r for r in m.records if r.similarity >= threshold]
-    else:
-        kept = [r for r in m.records if r.similarity > threshold]
-    meta = dict(m.metadata)
-    meta["frame_count"] = int(sum(r.src_frames.length for r in kept))
-    return Manifest(records=kept, metadata=meta)
+        return m.subset([r for r in m.records if r.similarity >= threshold])
+    return m.subset([r for r in m.records if r.similarity > threshold])
 
 
 # ------------------------------------------------------------- toy corpus

@@ -98,20 +98,6 @@ def speaker_similarity(gen, prompt, embedder) -> float:
     return cosine_similarity(embedder.embed(gen), embedder.embed(prompt))
 
 
-# ----------------------------------------------------------- external scorers
-
-
-class ExternalScorer:
-    """Adapter seam for learned metrics (BLEURT/COMET class).
-
-    Implementations provide score(hyps, refs) -> list of floats, one per pair.
-    Nothing learned ships here; reports add a column per registered scorer.
-    """
-
-    def score(self, hyps, refs):  # pragma: no cover - interface only
-        raise NotImplementedError
-
-
 # -------------------------------------------------------------------- reports
 
 
@@ -207,8 +193,7 @@ def transcribe_frames(frames, tokenizer, alignment: np.ndarray, frames_per_symbo
 
 def evaluate_translation(*, model, tokenizer, vocoder, embedder, alignment,
                          records, prompts, frames_per_symbol: int,
-                         decode_cfg=None, system: str = "s2st",
-                         external_scorers: dict | None = None):
+                         decode_cfg=None, system: str = "s2st"):
     """Full-chain scoring: translate, synthesize, transcribe, then metrics.
 
     prompts maps record id -> same-speaker reference record whose target
@@ -239,8 +224,6 @@ def evaluate_translation(*, model, tokenizer, vocoder, embedder, alignment,
         speaker_sim=float(np.mean(sims)),
         extras={"text_bleu": corpus_bleu(texts, refs)},
     )
-    for name, scorer in (external_scorers or {}).items():
-        row.extras[name] = float(np.mean(scorer.score(hyps, refs)))
     row.validate()
     return row, {"hyps": hyps, "refs": refs, "sims": sims, "texts": texts}
 
@@ -279,20 +262,6 @@ def steps_to_half_loss(trace, window: int = 10):
     return None
 
 
-def _ablation_row(name: str, *, model, tokenizer, vocoder, embedder, alignment,
-                  eval_records, prompts, frames_per_symbol, trace) -> EvalRow:
-    row, _ = evaluate_translation(
-        model=model, tokenizer=tokenizer, vocoder=vocoder, embedder=embedder,
-        alignment=alignment, records=eval_records, prompts=prompts,
-        frames_per_symbol=frames_per_symbol, system=name,
-    )
-    row.extras["final_train_loss"] = float(trace[-1]) if trace else None
-    half = steps_to_half_loss(trace)
-    if half is not None:
-        row.extras["steps_to_half_loss"] = half
-    return row
-
-
 def run_ablation(suite: str, *, train_m: Manifest, val_m: Manifest, eval_m: Manifest,
                  tokenizer, vocoder, embedder, alignment, seed: int = 0,
                  model_cfg=None, train_cfg=None, max_steps=None, val_limit=None):
@@ -310,6 +279,29 @@ def run_ablation(suite: str, *, train_m: Manifest, val_m: Manifest, eval_m: Mani
     base_cfg = model_cfg if model_cfg is not None else pipeline.toy_model_config()
     rows, curves, notes = [], {}, []
 
+    def variant(name: str, stage_kw):
+        """Train and score one variant; stage_kw() gives its model-stage
+        arguments.  A variant that raises is reported failed, the rest go on."""
+        trace: list = []
+        try:
+            model, _ = pipeline.train_model_stage(
+                train_m, val_m, tokenizer, tcfg=train_cfg, seed=seed, max_steps=max_steps,
+                val_limit=val_limit, loss_trace=trace, **stage_kw(),
+            )
+            row, _ = evaluate_translation(
+                model=model, tokenizer=tokenizer, vocoder=vocoder, embedder=embedder,
+                alignment=alignment, records=eval_m, prompts=eval_prompts,
+                frames_per_symbol=fps, system=name,
+            )
+            row.extras["final_train_loss"] = float(trace[-1]) if trace else None
+            half = steps_to_half_loss(trace)
+            if half is not None:
+                row.extras["steps_to_half_loss"] = half
+        except Exception as exc:  # isolate the failing variant
+            row = EvalRow(system=name, count=0, error=str(exc))
+        rows.append(row)
+        curves[name] = trace
+
     if suite == "projectors":
         variants = [
             ("linear", {"projector": "linear"}),
@@ -318,20 +310,7 @@ def run_ablation(suite: str, *, train_m: Manifest, val_m: Manifest, eval_m: Mani
             ("qformer-4", {"projector": "qformer", "qformer_blocks": 4}),
         ]
         for name, over in variants:
-            trace: list = []
-            try:
-                model, _ = pipeline.train_model_stage(
-                    train_m, val_m, tokenizer,
-                    cfg=replace(base_cfg, **over), tcfg=train_cfg, seed=seed,
-                    max_steps=max_steps, val_limit=val_limit, loss_trace=trace,
-                )
-                rows.append(_ablation_row(
-                    name, model=model, tokenizer=tokenizer, vocoder=vocoder,
-                    embedder=embedder, alignment=alignment, eval_records=eval_m,
-                    prompts=eval_prompts, frames_per_symbol=fps, trace=trace))
-            except Exception as exc:  # isolate the failing variant
-                rows.append(EvalRow(system=name, count=0, error=str(exc)))
-            curves[name] = trace
+            variant(name, lambda: {"cfg": replace(base_cfg, **over)})
         halves = {r.system: r.extras.get("steps_to_half_loss") for r in rows if not r.error}
         lin = halves.get("linear")
         qf = [halves.get(k) for k in ("qformer-2", "qformer-4")]
@@ -341,28 +320,14 @@ def run_ablation(suite: str, *, train_m: Manifest, val_m: Manifest, eval_m: Mani
             verdict = "observed" if min(qf) < lin else "not observed"
             notes.append(f"faster convergence for higher-capacity projectors: {verdict}")
     elif suite == "token_source":
-        t2t = None
-        for name, source in (("speech-tokens", "speech"), ("text-tokens", "text")):
-            trace = []
-            try:
-                if source == "text" and t2t is None:
-                    t2t, _ = pipeline.train_text_to_token_stage(
-                        train_m, val_m, tokenizer, seed=seed, embedder=embedder,
-                        max_steps=max_steps, val_limit=val_limit,
-                    )
-                model, _ = pipeline.train_model_stage(
-                    train_m, val_m, tokenizer,
-                    cfg=base_cfg, tcfg=train_cfg, seed=seed,
-                    token_source=source, text_to_token=t2t, embedder=embedder,
-                    max_steps=max_steps, val_limit=val_limit, loss_trace=trace,
-                )
-                rows.append(_ablation_row(
-                    name, model=model, tokenizer=tokenizer, vocoder=vocoder,
-                    embedder=embedder, alignment=alignment, eval_records=eval_m,
-                    prompts=eval_prompts, frames_per_symbol=fps, trace=trace))
-            except Exception as exc:
-                rows.append(EvalRow(system=name, count=0, error=str(exc)))
-            curves[name] = trace
+        variant("speech-tokens", lambda: {"cfg": base_cfg, "token_source": "speech"})
+        variant("text-tokens", lambda: {
+            "cfg": base_cfg, "token_source": "text", "embedder": embedder,
+            "text_to_token": pipeline.train_text_to_token_stage(
+                train_m, val_m, tokenizer, seed=seed, embedder=embedder,
+                max_steps=max_steps, val_limit=val_limit,
+            )[0],
+        })
         by_name = {r.system: r for r in rows}
         sp, tx = by_name.get("speech-tokens"), by_name.get("text-tokens")
         if sp and tx and not sp.error and not tx.error and sp.bleu and sp.bleu > 0:

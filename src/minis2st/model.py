@@ -18,6 +18,7 @@ from .corpus import SpeechFrames
 from .tensor import (
     Tensor,
     add,
+    concat,
     embedding_lookup,
     mul,
     no_grad,
@@ -199,6 +200,16 @@ class FrozenSpeechEncoder(nn.Module):
 # -------------------------------------------------------------- projectors
 
 
+def _frame_windows(a_f: Tensor, k: int) -> Tensor:
+    """(T, d) -> (T // k, k * d): k consecutive frames per row, the tail dropped."""
+    te, d = a_f.shape
+    if te < k:
+        raise ValueError(f"projector needs at least k={k} frames, got {te}")
+    tp = te // k
+    x = a_f if tp * k == te else embedding_lookup(a_f, list(range(tp * k)))
+    return reshape(x, (tp, k * d))
+
+
 class LinearProjector(nn.Module):
     """Concatenate k consecutive frames, then a two-layer MLP to d_model."""
 
@@ -208,13 +219,7 @@ class LinearProjector(nn.Module):
         self.w2 = nn.Linear(cfg.proj_hidden, cfg.d_model, rng)
 
     def project(self, a_f: Tensor) -> Tensor:
-        te, d = a_f.shape
-        if te < self.k:
-            raise ValueError(f"projector needs at least k={self.k} frames, got {te}")
-        tp = te // self.k
-        x = a_f if tp * self.k == te else embedding_lookup(a_f, list(range(tp * self.k)))
-        x = reshape(x, (tp, self.k * d))
-        return self.w2(relu(self.w1(x)))
+        return self.w2(relu(self.w1(_frame_windows(a_f, self.k))))
 
 
 class Conv1dLinearProjector(nn.Module):
@@ -227,25 +232,20 @@ class Conv1dLinearProjector(nn.Module):
         self.w2 = nn.Linear(cfg.proj_hidden, cfg.d_model, rng)
 
     def project(self, a_f: Tensor) -> Tensor:
-        te, d = a_f.shape
-        if te < self.k:
-            raise ValueError(f"projector needs at least k={self.k} frames, got {te}")
-        tp = te // self.k
-        x = a_f if tp * self.k == te else embedding_lookup(a_f, list(range(tp * self.k)))
         # kernel==stride makes the conv an independent linear map per window
-        x = self.conv(reshape(x, (tp, self.k * d)))
+        x = self.conv(_frame_windows(a_f, self.k))
         return self.w2(relu(self.w1(x)))
 
 
 class QFormerProjector(nn.Module):
     """Learned queries cross-attend to the encoding; output length is always N_q."""
 
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator, n_blocks: int | None = None):
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         dq = cfg.qformer_dim
         self.queries = nn.param(rng, (cfg.qformer_queries, dq), scale=0.02)
         self.mem_proj = nn.Linear(cfg.enc_dim, dq, rng)
-        depth = cfg.qformer_blocks if n_blocks is None else n_blocks
-        self.blocks = [nn.TransformerBlock(dq, cfg.heads, rng, cross=True) for _ in range(depth)]
+        self.blocks = [nn.TransformerBlock(dq, cfg.heads, rng, cross=True)
+                       for _ in range(cfg.qformer_blocks)]
         self.ln = nn.LayerNorm(dq)
         self.out = nn.Linear(dq, cfg.d_model, rng)
 
@@ -259,14 +259,14 @@ class QFormerProjector(nn.Module):
         return self.out(self.ln(x))
 
 
-def make_projector(cfg: ModelConfig, seed: int, qformer_blocks: int | None = None):
+def make_projector(cfg: ModelConfig, seed: int):
     rng = rng_for(seed, f"projector.{cfg.projector}")
     if cfg.projector == "linear":
         return LinearProjector(cfg, rng)
     if cfg.projector == "conv1d":
         return Conv1dLinearProjector(cfg, rng)
     if cfg.projector == "qformer":
-        return QFormerProjector(cfg, rng, n_blocks=qformer_blocks)
+        return QFormerProjector(cfg, rng)
     raise ValueError(f"unknown projector kind {cfg.projector!r}")
 
 
@@ -354,8 +354,8 @@ class DecoderLM(nn.Module):
                 reshape(self.embed_global(flat), (s, g * self.cfg.d_model))
             )  # (S, d)
             # interleave rows: (S, 2d) -> (2S, d) gives t_0, g_0, t_1, g_1, ...
-            parts.append(reshape(nn.concat_features(text_rows, group_rows), (2 * s, self.cfg.d_model)))
-        seq = nn.concat_rows(parts)
+            parts.append(reshape(concat([text_rows, group_rows], axis=1), (2 * s, self.cfg.d_model)))
+        seq = concat(parts, axis=0)
         if seq.shape[0] > self.cfg.context:
             raise ValueError(
                 f"sequence length {seq.shape[0]} exceeds context {self.cfg.context}"
@@ -510,10 +510,10 @@ def compute_loss(audio_logits: Tensor, text_logits: Tensor, audio_targets, text_
 class TranslationModel(nn.Module):
     """Frozen encoder + projector + decoder, trained and decoded as one unit."""
 
-    def __init__(self, cfg: ModelConfig, seed: int, qformer_blocks: int | None = None):
+    def __init__(self, cfg: ModelConfig, seed: int):
         cfg.validate()
         self.encoder = FrozenSpeechEncoder(cfg, seed)
-        self.projector = make_projector(cfg, seed, qformer_blocks=qformer_blocks)
+        self.projector = make_projector(cfg, seed)
         self.decoder = DecoderLM(cfg, seed)
         self.cfg = cfg
 

@@ -12,7 +12,6 @@ import numpy as np
 from .tensor import (
     Tensor,
     add,
-    concat,
     layernorm,
     matmul,
     relu,
@@ -39,9 +38,6 @@ class Module:
                     elif isinstance(item, Tensor):
                         yield f"{key}.{i}", item
 
-    def tensors(self) -> dict:
-        return dict(self.named_tensors())
-
     def trainable(self) -> dict:
         return {k: t for k, t in self.named_tensors() if t.requires_grad}
 
@@ -49,20 +45,6 @@ class Module:
         for _, t in self.named_tensors():
             t.requires_grad = False
         return self
-
-    def load_state(self, state: dict, prefix: str = ""):
-        """Copy arrays from a name->ndarray dict into this module's tensors."""
-        for name, t in self.named_tensors():
-            key = prefix + name
-            if key not in state:
-                raise KeyError(f"missing tensor {key!r} in state")
-            src = np.asarray(state[key], dtype=np.float64)
-            if src.shape != t.data.shape:
-                raise ValueError(
-                    f"tensor {key!r}: checkpoint shape {src.shape} != model shape {t.data.shape}"
-                )
-            t.data = src.copy()
-
 
 def param(rng: np.random.Generator, shape, scale=None) -> Tensor:
     if scale is None:
@@ -172,12 +154,3 @@ class TransformerBlock(Module):
         x = add(x, self.ff(self.ln2(x)))
         return x
 
-
-def concat_features(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate along the last (feature) axis."""
-    return concat([a, b], axis=1)
-
-
-def concat_rows(parts) -> Tensor:
-    """Stack (T_i, d) pieces along the time axis."""
-    return concat(list(parts), axis=0)

@@ -1,11 +1,11 @@
 """Staged training glue and the end-to-end toy run.
 
-Each stage wraps the generic training engine with the stage's loss, validation
-set, and checkpoint snapshot, and reloads the best checkpoint before handing
-the trained object back.  Checkpoints store only trainable tensors plus a
-config snapshot; frozen parts (speech encoder, frozen text rows, the speaker
-embedder) are regenerated from the recorded seed, which reproduces them bit
-for bit.
+Each stage hands one runner its per-example loss, validation set, and
+checkpoint snapshot; the training engine leaves the best validated weights in
+the trained object, whether or not checkpoints are written.  Checkpoints store
+only trainable tensors plus a config snapshot; frozen parts (speech encoder,
+frozen text rows, the speaker embedder) are regenerated from the recorded
+seed, which reproduces them bit for bit.
 """
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ from .training import (
     TrainResult,
     VersionError,
     expect_kind,
-    load_checkpoint,
     train,
 )
 from .vocoder import SpeakerEmbedder, TimbreVocoder, VocoderConfig
@@ -55,10 +54,6 @@ def load_trainable(module: nn.Module, tensors: dict, prefix: str = ""):
                 f"tensor {key!r}: checkpoint shape {src.shape} != model shape {t.data.shape}"
             )
         t.data = src.copy()
-
-
-def make_embedder(feat_dim: int, seed: int, spk_dim: int = 16, hidden: int = 32) -> SpeakerEmbedder:
-    return SpeakerEmbedder(feat_dim, spk_dim=spk_dim, hidden=hidden, seed=seed)
 
 
 def embedder_snapshot(e: SpeakerEmbedder, seed: int) -> dict:
@@ -85,33 +80,33 @@ def model_from_checkpoint(st: CheckpointState) -> TranslationModel:
     return model
 
 
-def vocoder_from_checkpoint(st: CheckpointState):
-    expect_kind(st, "vocoder")
-    voc = TimbreVocoder(VocoderConfig(**st.config["cfg"]), int(st.config["seed"]))
-    load_trainable(voc, st.tensors)
-    return voc, embedder_from_snapshot(st.config["embedder"])
+def _vocoder_from(snapshot: dict, tensors: dict, prefix: str = ""):
+    voc = TimbreVocoder(VocoderConfig(**snapshot["cfg"]), int(snapshot["seed"]))
+    load_trainable(voc, tensors, prefix=prefix)
+    return voc, embedder_from_snapshot(snapshot["embedder"])
 
 
-def has_text_to_token(st: CheckpointState) -> bool:
-    return "text_to_token" in st.config
+def _bundle(st: CheckpointState, prefix: str, module: nn.Module, key: str,
+            snapshot: dict) -> CheckpointState:
+    tensors = dict(st.tensors)
+    for name, t in module.trainable().items():
+        tensors[prefix + name] = t.data.copy()
+    config = dict(st.config)
+    config[key] = snapshot
+    return CheckpointState(kind=st.kind, config=config, step=st.step,
+                           tensors=tensors, rng_state=st.rng_state, meta=st.meta)
 
 
 def bundle_text_to_token(tok_st: CheckpointState, t2t: TextToTokenModel,
                          t2t_config: dict) -> CheckpointState:
     """Fold a trained text-to-token model into a tokenizer checkpoint under
     the tt. tensor prefix so one file carries both."""
-    tensors = dict(tok_st.tensors)
-    for name, t in t2t.trainable().items():
-        tensors[f"tt.{name}"] = t.data.copy()
-    config = dict(tok_st.config)
-    config["text_to_token"] = t2t_config
-    return CheckpointState(kind=tok_st.kind, config=config, step=tok_st.step,
-                           tensors=tensors, rng_state=tok_st.rng_state, meta=tok_st.meta)
+    return _bundle(tok_st, "tt.", t2t, "text_to_token", t2t_config)
 
 
 def text_to_token_from_checkpoint(st: CheckpointState) -> TextToTokenModel:
     expect_kind(st, "tokenizer")
-    if not has_text_to_token(st):
+    if "text_to_token" not in st.config:
         raise VersionError("checkpoint has no bundled text-to-token model")
     c = st.config["text_to_token"]
     t2t = TextToTokenModel(int(c["text_vocab"]), int(c["codebook_size"]),
@@ -121,32 +116,19 @@ def text_to_token_from_checkpoint(st: CheckpointState) -> TextToTokenModel:
     return t2t
 
 
-def has_vocoder(st: CheckpointState) -> bool:
-    return "vocoder" in st.config
-
-
 def bundle_vocoder(model_st: CheckpointState, voc: TimbreVocoder,
                    voc_config: dict) -> CheckpointState:
     """Fold a trained vocoder into a model checkpoint under the voc. prefix."""
-    tensors = dict(model_st.tensors)
-    for name, t in voc.trainable().items():
-        tensors[f"voc.{name}"] = t.data.copy()
-    config = dict(model_st.config)
-    config["vocoder"] = voc_config
-    return CheckpointState(kind=model_st.kind, config=config, step=model_st.step,
-                           tensors=tensors, rng_state=model_st.rng_state, meta=model_st.meta)
+    return _bundle(model_st, "voc.", voc, "vocoder", voc_config)
 
 
 def resolve_vocoder(st: CheckpointState):
     """(vocoder, embedder) from either a standalone vocoder checkpoint or a
     model checkpoint carrying a bundled one."""
     if st.kind == "vocoder":
-        return vocoder_from_checkpoint(st)
-    if st.kind == "model" and has_vocoder(st):
-        c = st.config["vocoder"]
-        voc = TimbreVocoder(VocoderConfig(**c["cfg"]), int(c["seed"]))
-        load_trainable(voc, st.tensors, prefix="voc.")
-        return voc, embedder_from_snapshot(c["embedder"])
+        return _vocoder_from(st.config, st.tensors)
+    if st.kind == "model" and "vocoder" in st.config:
+        return _vocoder_from(st.config["vocoder"], st.tensors, prefix="voc.")
     raise VersionError(f"checkpoint of kind {st.kind!r} carries no vocoder")
 
 
@@ -203,13 +185,7 @@ def split_manifest(m: Manifest, n_train: int):
     records = list(m)
     if not (0 < n_train < len(records)):
         raise ValueError(f"split point {n_train} outside (0, {len(records)})")
-
-    def part(recs):
-        meta = dict(m.metadata)
-        meta["frame_count"] = int(sum(r.src_frames.length for r in recs))
-        return Manifest(records=recs, metadata=meta)
-
-    return part(records[:n_train]), part(records[n_train:])
+    return m.subset(records[:n_train]), m.subset(records[n_train:])
 
 
 def same_speaker_prompts(m: Manifest, pool: Manifest | None = None) -> dict:
@@ -244,11 +220,49 @@ def mismatched_prompts(m: Manifest, pool: Manifest | None = None) -> dict:
     return out
 
 
-def _mean_scalars(losses):
-    total = losses[0]
-    for l in losses[1:]:
-        total = add(total, l)
-    return mul(total, 1.0 / len(losses))
+# -------------------------------------------------------------- stage runner
+
+
+def _run_stage(kind: str, module: nn.Module, train_ex, val_ex, example_loss,
+               tcfg: TrainConfig, *, loss_trace, **train_kw) -> TrainResult:
+    """Train `module` on the batch mean of per-example losses.
+
+    example_loss(example, rng) returns (scalar loss Tensor, {name: float}
+    parts); rng is None while validating, so training-only work (augmentation,
+    usage counts) keys on it.  Parts are averaged over the batch into the
+    training log.  train() leaves the best validated weights in `module`.
+    """
+    if not val_ex:
+        raise ConfigError(f"{kind} stage needs a non-empty validation set")
+
+    def loss_fn(batch, rng):
+        losses, sums = [], {}
+        for ex in batch:
+            loss, parts = example_loss(ex, rng)
+            losses.append(loss)
+            for k, v in parts.items():
+                sums[k] = sums.get(k, 0.0) + v
+        total = losses[0]
+        for l in losses[1:]:
+            total = add(total, l)
+        total = mul(total, 1.0 / len(losses))
+        if loss_trace is not None:
+            loss_trace.append(float(total.data))
+        return total, {k: v / len(batch) for k, v in sums.items()}
+
+    def val_fn():
+        return sum(float(example_loss(ex, None)[0].data) for ex in val_ex) / len(val_ex)
+
+    return train(params=dict(module.trainable()), examples=train_ex, loss_fn=loss_fn,
+                 val_fn=val_fn, cfg=tcfg, kind=kind, **train_kw)
+
+
+def _prompted_examples(m: Manifest, tokenizer: SpeechTokenizer,
+                       embedder: SpeakerEmbedder, limit=None) -> list:
+    """(record, semantic tokens, same-speaker prompt embedding) per record."""
+    prompts = same_speaker_prompts(m)
+    return [(r, tokenizer.tokenize(r.tgt_frames), embedder.embed(prompts[r.id].tgt_frames))
+            for r in list(m)[:limit or None]]
 
 
 # ------------------------------------------------------------ tokenizer stage
@@ -258,37 +272,18 @@ def train_tokenizer_stage(train_m: Manifest, val_m: Manifest,
                           cfg: TokenizerConfig | None = None,
                           tcfg: TrainConfig | None = None, *, seed: int = 0,
                           checkpoint_path=None, log_path=None,
-                          resume_from: CheckpointState | None = None,
                           max_steps=None, val_limit=None, loss_trace=None):
     cfg = cfg if cfg is not None else toy_tokenizer_config()
     tcfg = tcfg if tcfg is not None else toy_train_config("tokenizer", seed)
     tok = SpeechTokenizer(cfg, seed)
     records = list(train_m)
-    vrecords = list(val_m)[:val_limit] if val_limit else list(val_m)
-    if not vrecords:
-        raise ConfigError("tokenizer stage needs a non-empty validation set")
     usage = np.zeros(cfg.codebook_size)
 
-    def loss_fn(batch, rng):
-        losses = []
-        parts_sum = {"loss_asr": 0.0, "loss_codebook": 0.0, "loss_commit": 0.0}
-        for r in batch:
-            total, parts, tokens = tok.training_losses(r.tgt_frames, r.tgt_text)
-            losses.append(total)
-            for k in parts_sum:
-                parts_sum[k] += parts[k]
+    def example_loss(r, rng):
+        total, parts, tokens = tok.training_losses(r.tgt_frames, r.tgt_text)
+        if rng is not None:
             np.add.at(usage, tokens, 1.0)
-        loss = _mean_scalars(losses)
-        if loss_trace is not None:
-            loss_trace.append(float(loss.data))
-        return loss, {k: v / len(batch) for k, v in parts_sum.items()}
-
-    def val_fn():
-        tot = 0.0
-        for r in vrecords:
-            t, _, _ = tok.training_losses(r.tgt_frames, r.tgt_text)
-            tot += float(t.data)
-        return tot / len(vrecords)
+        return total, parts
 
     def on_epoch_end(epoch, rng):
         # codes unused for a whole epoch are re-seeded onto fresh encodings
@@ -301,20 +296,22 @@ def train_tokenizer_stage(train_m: Manifest, val_m: Manifest,
             tok.codebook.entries.data[dead] = h[rows]
         usage[:] = 0.0
 
-    result = train(
-        params=dict(tok.trainable()), examples=records, loss_fn=loss_fn,
-        val_fn=val_fn, cfg=tcfg, lengths=[r.tgt_frames.length for r in records],
+    result = _run_stage(
+        "tokenizer", tok, records, list(val_m)[:val_limit or None], example_loss, tcfg,
+        loss_trace=loss_trace, lengths=[r.tgt_frames.length for r in records],
         state_arrays={"codebook_usage": usage}, on_epoch_end=on_epoch_end,
-        checkpoint_path=checkpoint_path, log_path=log_path, resume_from=resume_from,
-        kind="tokenizer", config_snapshot={"cfg": asdict(cfg), "seed": seed},
-        max_steps=max_steps,
+        checkpoint_path=checkpoint_path, log_path=log_path,
+        config_snapshot={"cfg": asdict(cfg), "seed": seed}, max_steps=max_steps,
     )
-    if checkpoint_path:
-        load_trainable(tok, load_checkpoint(checkpoint_path).tensors)
     return tok, result
 
 
 # -------------------------------------------------------- text-to-token stage
+
+
+def text_to_token_snapshot(t2t: TextToTokenModel, embedder: SpeakerEmbedder) -> dict:
+    """The config a checkpoint records for a text-to-token model."""
+    return {**t2t.config, "embedder": embedder_snapshot(embedder, t2t.config["seed"])}
 
 
 def train_text_to_token_stage(train_m: Manifest, val_m: Manifest,
@@ -324,52 +321,28 @@ def train_text_to_token_stage(train_m: Manifest, val_m: Manifest,
                               tcfg: TrainConfig | None = None,
                               checkpoint_path=None, log_path=None,
                               max_steps=None, val_limit=None, loss_trace=None):
-    """Train the text-conditioned token generator against speech-derived tokens."""
+    """Train the text-conditioned token generator against speech-derived tokens.
+
+    Returns (model, TrainResult, the embedder that conditioned it)."""
     tcfg = tcfg if tcfg is not None else toy_train_config("text_to_token", seed)
     cfg = tokenizer.cfg
-    feat_dim = cfg.feat_dim
-    embedder = embedder if embedder is not None else make_embedder(feat_dim, seed)
+    embedder = embedder if embedder is not None else SpeakerEmbedder(cfg.feat_dim, seed=seed)
     t2t = TextToTokenModel(cfg.text_vocab, cfg.codebook_size, embedder.spk_dim,
                            dim=dim, blocks=blocks, heads=heads, seed=seed)
+    train_ex = _prompted_examples(train_m, tokenizer, embedder)
 
-    def examples_for(m: Manifest, limit=None):
-        prompts = same_speaker_prompts(m)
-        recs = list(m)[:limit] if limit else list(m)
-        out = []
-        for r in recs:
-            spk = embedder.embed(prompts[r.id].tgt_frames)
-            out.append((r.tgt_text, tokenizer.tokenize(r.tgt_frames), spk))
-        return out
+    def example_loss(ex, rng):
+        r, tokens, spk = ex
+        return t2t.loss(r.tgt_text, tokens, spk), {}
 
-    train_ex = examples_for(train_m)
-    val_ex = examples_for(val_m, val_limit)
-    if not val_ex:
-        raise ConfigError("text-to-token stage needs a non-empty validation set")
-
-    def loss_fn(batch, rng):
-        loss = _mean_scalars([t2t.loss(text, toks, spk) for text, toks, spk in batch])
-        if loss_trace is not None:
-            loss_trace.append(float(loss.data))
-        return loss, {}
-
-    def val_fn():
-        return sum(float(t2t.loss(text, toks, spk).data)
-                   for text, toks, spk in val_ex) / len(val_ex)
-
-    snapshot = {
-        "text_vocab": cfg.text_vocab, "codebook_size": cfg.codebook_size,
-        "spk_dim": embedder.spk_dim, "dim": dim, "blocks": blocks, "heads": heads,
-        "seed": seed, "embedder": embedder_snapshot(embedder, seed),
-    }
-    result = train(
-        params=dict(t2t.trainable()), examples=train_ex, loss_fn=loss_fn,
-        val_fn=val_fn, cfg=tcfg, lengths=[len(t) + len(k) for t, k, _ in train_ex],
+    result = _run_stage(
+        "text_to_token", t2t, train_ex, _prompted_examples(val_m, tokenizer, embedder, val_limit),
+        example_loss, tcfg, loss_trace=loss_trace,
+        lengths=[len(r.tgt_text) + len(tokens) for r, tokens, _ in train_ex],
         checkpoint_path=checkpoint_path, log_path=log_path,
-        kind="text_to_token", config_snapshot=snapshot, max_steps=max_steps,
+        config_snapshot=text_to_token_snapshot(t2t, embedder), max_steps=max_steps,
     )
-    if checkpoint_path:
-        load_trainable(t2t, load_checkpoint(checkpoint_path).tensors)
-    return t2t, result
+    return t2t, result, embedder
 
 
 # ---------------------------------------------------------------- model stage
@@ -406,7 +379,6 @@ def train_model_stage(train_m: Manifest, val_m: Manifest, tokenizer: SpeechToken
                       text_to_token: TextToTokenModel | None = None,
                       embedder: SpeakerEmbedder | None = None,
                       checkpoint_path=None, log_path=None,
-                      resume_from: CheckpointState | None = None,
                       max_steps=None, val_limit=None, loss_trace=None,
                       src_noise: float = 0.1):
     cfg = cfg if cfg is not None else toy_model_config()
@@ -419,61 +391,44 @@ def train_model_stage(train_m: Manifest, val_m: Manifest, tokenizer: SpeechToken
     kw = dict(text_to_token=text_to_token, embedder=embedder)
     train_ex = build_token_targets(train_m, tokenizer, token_source, **kw)
     val_ex = build_token_targets(val_m, tokenizer, token_source, **kw)
-    if val_limit:
-        val_ex = val_ex[:val_limit]
-    if not val_ex:
-        raise ConfigError("model stage needs a non-empty validation set")
 
-    def loss_fn(batch, rng):
-        totals, la, lt = [], 0.0, 0.0
-        for r, tokens in batch:
-            src = r.src_frames
-            if src_noise > 0:
-                # fresh jitter per visit: cheap augmentation against memorizing
-                # the fixed training renderings (validation stays clean)
-                src = SpeechFrames(src.frames + rng.normal(0.0, src_noise, src.frames.shape),
-                                   src.frame_rate)
-            total, loss_a, loss_t = model.loss_for(
-                src, r.tgt_text, tokens,
-                lambda_audio=tcfg.lambda_audio, lambda_text=tcfg.lambda_text,
-            )
-            totals.append(total)
-            la += float(loss_a.data)
-            lt += float(loss_t.data)
-        loss = _mean_scalars(totals)
-        if loss_trace is not None:
-            loss_trace.append(float(loss.data))
-        return loss, {"loss_audio": la / len(batch), "loss_text": lt / len(batch)}
+    def example_loss(ex, rng):
+        r, tokens = ex
+        src = r.src_frames
+        if rng is not None and src_noise > 0:
+            # fresh jitter per visit: cheap augmentation against memorizing
+            # the fixed training renderings (validation stays clean)
+            src = SpeechFrames(src.frames + rng.normal(0.0, src_noise, src.frames.shape),
+                               src.frame_rate)
+        total, loss_a, loss_t = model.loss_for(
+            src, r.tgt_text, tokens,
+            lambda_audio=tcfg.lambda_audio, lambda_text=tcfg.lambda_text,
+        )
+        return total, {"loss_audio": float(loss_a.data), "loss_text": float(loss_t.data)}
 
-    def val_fn():
-        tot = 0.0
-        for r, tokens in val_ex:
-            total, _, _ = model.loss_for(r.src_frames, r.tgt_text, tokens,
-                                         lambda_audio=tcfg.lambda_audio,
-                                         lambda_text=tcfg.lambda_text)
-            tot += float(total.data)
-        return tot / len(val_ex)
-
-    snapshot = {"cfg": asdict(cfg), "seed": seed, "token_source": token_source}
-    result = train(
-        params=dict(model.trainable()), examples=train_ex, loss_fn=loss_fn,
-        val_fn=val_fn, cfg=tcfg, lengths=[len(tokens) for _, tokens in train_ex],
-        checkpoint_path=checkpoint_path, log_path=log_path, resume_from=resume_from,
-        kind="model", config_snapshot=snapshot, max_steps=max_steps,
+    result = _run_stage(
+        "model", model, train_ex, val_ex[:val_limit or None], example_loss, tcfg,
+        loss_trace=loss_trace, lengths=[len(tokens) for _, tokens in train_ex],
+        checkpoint_path=checkpoint_path, log_path=log_path,
+        config_snapshot={"cfg": asdict(cfg), "seed": seed, "token_source": token_source},
+        max_steps=max_steps,
     )
-    if checkpoint_path:
-        load_trainable(model, load_checkpoint(checkpoint_path).tensors)
     return model, result
 
 
 # -------------------------------------------------------------- vocoder stage
 
 
+def vocoder_snapshot(voc: TimbreVocoder, embedder: SpeakerEmbedder, seed: int) -> dict:
+    """The config a checkpoint records for a vocoder and its speaker embedder."""
+    return {"cfg": asdict(voc.cfg), "seed": seed,
+            "embedder": embedder_snapshot(embedder, seed)}
+
+
 def train_vocoder_stage(train_m: Manifest, val_m: Manifest, tokenizer: SpeechTokenizer,
                         cfg: VocoderConfig | None = None, tcfg: TrainConfig | None = None,
                         *, seed: int = 0, embedder: SpeakerEmbedder | None = None,
                         checkpoint_path=None, log_path=None,
-                        resume_from: CheckpointState | None = None,
                         max_steps=None, val_limit=None, loss_trace=None):
     cfg = cfg if cfg is not None else toy_vocoder_config()
     tcfg = tcfg if tcfg is not None else toy_train_config("vocoder", seed)
@@ -486,50 +441,23 @@ def train_vocoder_stage(train_m: Manifest, val_m: Manifest, tokenizer: SpeechTok
         raise ConfigError(
             f"vocoder audio vocab {cfg.audio_vocab} != codebook size {tokenizer.cfg.codebook_size}"
         )
-    embedder = embedder if embedder is not None else make_embedder(cfg.feat_dim, seed)
+    embedder = embedder if embedder is not None else SpeakerEmbedder(cfg.feat_dim, seed=seed)
     voc = TimbreVocoder(cfg, seed)
+    train_ex = _prompted_examples(train_m, tokenizer, embedder)
 
-    def examples_for(m: Manifest, limit=None):
-        prompts = same_speaker_prompts(m)
-        recs = list(m)[:limit] if limit else list(m)
-        return [(r, tokenizer.tokenize(r.tgt_frames),
-                 embedder.embed(prompts[r.id].tgt_frames)) for r in recs]
-
-    train_ex = examples_for(train_m)
-    val_ex = examples_for(val_m, val_limit)
-    if not val_ex:
-        raise ConfigError("vocoder stage needs a non-empty validation set")
-
-    def mse(r, tokens, spk):
+    def example_loss(ex, rng):
+        r, tokens, spk = ex
         d = sub(voc.forward_frames(tokens, spk), Tensor(r.tgt_frames.frames))
-        return mean(mul(d, d))
+        return mean(mul(d, d)), {}
 
-    def loss_fn(batch, rng):
-        loss = _mean_scalars([mse(r, tokens, spk) for r, tokens, spk in batch])
-        if loss_trace is not None:
-            loss_trace.append(float(loss.data))
-        return loss, {}
-
-    def val_fn():
-        return sum(float(mse(r, tokens, spk).data)
-                   for r, tokens, spk in val_ex) / len(val_ex)
-
-    snapshot = {"cfg": asdict(cfg), "seed": seed,
-                "embedder": embedder_snapshot(embedder, seed)}
-    result = train(
-        params=dict(voc.trainable()), examples=train_ex, loss_fn=loss_fn,
-        val_fn=val_fn, cfg=tcfg, lengths=[len(tokens) for _, tokens, _ in train_ex],
-        checkpoint_path=checkpoint_path, log_path=log_path, resume_from=resume_from,
-        kind="vocoder", config_snapshot=snapshot, max_steps=max_steps,
+    result = _run_stage(
+        "vocoder", voc, train_ex, _prompted_examples(val_m, tokenizer, embedder, val_limit),
+        example_loss, tcfg, loss_trace=loss_trace,
+        lengths=[len(tokens) for _, tokens, _ in train_ex],
+        checkpoint_path=checkpoint_path, log_path=log_path,
+        config_snapshot=vocoder_snapshot(voc, embedder, seed), max_steps=max_steps,
     )
-    if checkpoint_path:
-        load_trainable(voc, load_checkpoint(checkpoint_path).tensors)
     return voc, result, embedder
-
-
-def synthesize_tokens(voc: TimbreVocoder, embedder: SpeakerEmbedder, tokens,
-                      prompt: SpeechFrames) -> SpeechFrames:
-    return voc.synthesize(tokens, embedder.embed(prompt))
 
 
 # ------------------------------------------------------------ end-to-end run
@@ -559,7 +487,9 @@ def run_toy_pipeline(out_dir=None, *, seed: int = 0, corpus_cfg: ToyCorpusConfig
     """Corpus -> tokenizer -> model -> vocoder -> evaluation, one seed throughout.
 
     With out_dir set, writes the stage checkpoints, loss logs, and the report
-    files there; otherwise everything stays in memory.
+    files there; otherwise everything stays in memory.  out_dir only decides
+    whether files are written, not what is learned: each stage hands on its
+    best validated weights either way.
     """
     from pathlib import Path
 
@@ -617,7 +547,6 @@ def run_toy_pipeline(out_dir=None, *, seed: int = 0, corpus_cfg: ToyCorpusConfig
     timings["total"] = sum(timings.values())
 
     if out_dir is not None:
-        out = Path(out_dir)
         (out / "report.txt").write_text(report.render_text())
         (out / "report.kv").write_text(report.to_kv())
 

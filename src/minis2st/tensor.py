@@ -30,28 +30,24 @@ class Tape:
         self.nodes = []  # list of (out Tensor, pullback fn)
 
     def __enter__(self):
-        if not hasattr(_state, "stack"):
-            _state.stack = []
-        _state.stack.append(getattr(_state, "tape", None))
+        self._outer = _active_tape()
         _state.tape = self
         return self
 
     def __exit__(self, *exc):
-        _state.tape = _state.stack.pop()
+        _state.tape = self._outer
         return False
 
 
 @contextmanager
 def no_grad():
     """Suspend recording; ops inside produce constant tensors."""
-    if not hasattr(_state, "stack"):
-        _state.stack = []
-    _state.stack.append(getattr(_state, "tape", None))
+    outer = _active_tape()
     _state.tape = None
     try:
         yield
     finally:
-        _state.tape = _state.stack.pop()
+        _state.tape = outer
 
 
 class Tensor:

@@ -17,6 +17,7 @@ from .corpus import Manifest, SpeechFrames
 from .tensor import (
     Tensor,
     add,
+    concat,
     embedding_lookup,
     mean,
     mul,
@@ -241,6 +242,10 @@ class TextToTokenModel(nn.Module):
     def __init__(self, text_vocab: int, codebook_size: int, spk_dim: int,
                  dim: int = 64, blocks: int = 2, heads: int = 4, seed: int = 0):
         rng = rng_for(seed, "text_to_token")
+        # the constructor arguments, as checkpoints record them
+        self.config = {"text_vocab": text_vocab, "codebook_size": codebook_size,
+                       "spk_dim": spk_dim, "dim": dim, "blocks": blocks,
+                       "heads": heads, "seed": seed}
         self.text_vocab = text_vocab
         self.codebook_size = codebook_size
         self.bos = text_vocab + codebook_size
@@ -255,7 +260,7 @@ class TextToTokenModel(nn.Module):
     def _forward(self, ids, spk_emb) -> Tensor:
         spk = self.spk_proj(Tensor(np.asarray(spk_emb, dtype=np.float64)[None, :]))
         toks = embedding_lookup(self.embed, list(ids))
-        x = nn.add_positions(nn.concat_rows([spk, toks]))
+        x = nn.add_positions(concat([spk, toks], axis=0))
         mask = nn.causal_mask(x.shape[0])
         for blk in self.blocks:
             x = blk(x, mask=mask)
@@ -275,7 +280,7 @@ class TextToTokenModel(nn.Module):
 
     def generate(self, text, spk_emb, max_len: int = 256) -> TokenGenResult:
         if len(text) == 0:
-            raise ValueError("text_to_tokens needs non-empty text")
+            raise ValueError("text_to_token generation needs non-empty text")
         banned = np.zeros(self.text_vocab + self.codebook_size + 2)
         banned[: self.text_vocab] = -1e30  # only codebook ids and EOS may be emitted
         banned[self.bos] = -1e30
@@ -289,7 +294,3 @@ class TextToTokenModel(nn.Module):
                     return TokenGenResult(out, truncated=False)
                 out.append(nxt - self.text_vocab)
         return TokenGenResult(out, truncated=True)
-
-
-def text_to_tokens(model: TextToTokenModel, text, spk_emb, max_len: int = 256) -> TokenGenResult:
-    return model.generate(text, spk_emb, max_len=max_len)

@@ -141,12 +141,18 @@ def load_checkpoint(path) -> CheckpointState:
         magic = fh.read(4)
         if magic != CKPT_MAGIC:
             raise ParseError(f"{path}: not a checkpoint file (magic {magic!r})")
-        version, hlen = struct.unpack("<IQ", fh.read(12))
+        fixed = fh.read(12)
+        if len(fixed) != 12:
+            raise ParseError(f"{path}: truncated checkpoint header")
+        version, hlen = struct.unpack("<IQ", fixed)
         if version != CKPT_VERSION:
             raise VersionError(
                 f"{path}: checkpoint version {version}, this build reads {CKPT_VERSION}"
             )
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8 or bad JSON
+            raise ParseError(f"{path}: corrupt checkpoint header ({exc})") from None
         tensors = {}
         for entry in header["tensors"]:
             shape = tuple(entry["shape"])
@@ -203,8 +209,11 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
 
     loss_fn(batch, rng) returns (scalar loss Tensor, {name: float} extras);
     val_fn() returns a float.  Improvements (by >= min_delta) refresh the best
-    checkpoint; `patience` flat validations stop the run; a non-finite loss
-    aborts with NumericError after the best checkpoint is already on disk.
+    weights (and the best checkpoint, when a path is given); `patience` flat
+    validations stop the run; a non-finite loss aborts with NumericError after
+    the best checkpoint is already on disk.  On return `params` hold the best
+    weights (the resumed ones count as best so far), or the last weights if no
+    validation improved.
     """
     n = len(examples)
     if n == 0:
@@ -219,6 +228,7 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
     bad = 0
     val_history = []
     epochs_done = 0  # completed on_epoch_end callbacks
+    best_params = None  # trainable arrays at best_step
 
     if resume_from is not None:
         st = resume_from
@@ -242,6 +252,7 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
         epochs_done = int(st.meta.get("epochs_done", step // bpe))
         if st.rng_state is not None:
             rng.bit_generator.state = st.rng_state
+        best_params = {name: p.data.copy() for name, p in params.items()}
 
     def snapshot() -> CheckpointState:
         tensors = {name: p.data.copy() for name, p in params.items()}
@@ -276,7 +287,6 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
         return lr_schedule(step, max(0, units), cfg)
 
     log_fh = open(log_path, "a" if resume_from is not None else "w") if log_path else None
-    saved_any = False
     early = False
     capped = False
     try:
@@ -323,9 +333,9 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
                         best_val = val
                         best_step = step
                         bad = 0
+                        best_params = {name: p.data.copy() for name, p in params.items()}
                         if checkpoint_path:
                             save_checkpoint(checkpoint_path, snapshot())
-                            saved_any = True
                     else:
                         bad += 1
                         if bad >= cfg.patience:
@@ -339,8 +349,12 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
     finally:
         if log_fh:
             log_fh.close()
-    if checkpoint_path and not saved_any and resume_from is None:
-        save_checkpoint(checkpoint_path, snapshot())
+    if best_params is None:
+        if checkpoint_path:
+            save_checkpoint(checkpoint_path, snapshot())
+    else:
+        for name, p in params.items():
+            p.data = best_params[name]
     return TrainResult(
         steps=step,
         best_val=best_val,

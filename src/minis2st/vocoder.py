@@ -14,7 +14,7 @@ import numpy as np
 
 from . import nn
 from .corpus import SpeechFrames
-from .tensor import Tensor, embedding_lookup, no_grad, reshape, rng_for
+from .tensor import Tensor, concat, embedding_lookup, no_grad, reshape, rng_for
 
 
 @dataclass
@@ -88,7 +88,7 @@ class TimbreVocoder(nn.Module):
             return Tensor(np.zeros((0, cfg.feat_dim)))
         emb = embedding_lookup(self.token_embed, toks)
         cond = Tensor(np.broadcast_to(spk, (len(toks), cfg.spk_dim)).copy())
-        x = nn.add_positions(self.in_proj(nn.concat_features(emb, cond)))
+        x = nn.add_positions(self.in_proj(concat([emb, cond], axis=1)))
         for blk in self.blocks:
             x = blk(x)
         out = self.head(self.ln(x))  # (T, U*F)

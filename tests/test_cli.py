@@ -1,11 +1,18 @@
 import json
+import shlex
+import struct
+from pathlib import Path
 
 import pytest
+
+import minis2st.cli
+import minis2st.training
 
 from minis2st.cli import (
     UsageError,
     _coerce,
     _read_config_file,
+    build_parser,
     main,
     read_token_file,
     write_token_file,
@@ -42,11 +49,17 @@ def test_missing_input_file_exits_two(tmp_path, capsys):
 
 def test_garbage_checkpoint_exits_two(tmp_path, capsys):
     junk = tmp_path / "junk.ckpt"
-    junk.write_bytes(b"not a checkpoint at all")
-    code = main(["tokenize", "--ckpt", str(junk),
-                 "--in", str(tmp_path / "m.jsonl"), "--out", str(tmp_path / "t")])
-    assert code == 2
-    capsys.readouterr()
+    for content in (
+        b"not a checkpoint at all",
+        b"DS2C\x01\x00",  # ends inside the version/length header
+        b"DS2C" + struct.pack("<IQ", 1, 9) + b"{corrupt}",  # header is not JSON
+        b"DS2C" + struct.pack("<IQ", 1, 2) + b"\xff\xfe",  # header is not UTF-8
+    ):
+        junk.write_bytes(content)
+        code = main(["tokenize", "--ckpt", str(junk),
+                     "--in", str(tmp_path / "m.jsonl"), "--out", str(tmp_path / "t")])
+        assert code == 2, content
+        assert "parse error" in capsys.readouterr().err
 
 
 def test_wrong_checkpoint_kind_exits_four(tmp_path, capsys):
@@ -185,3 +198,49 @@ def test_run_manifest_describes_the_run(tmp_path, capsys):
     assert set(doc) == {"command", "argv", "effective_config", "seed",
                         "inputs", "outputs", "wall_time_s"}
     capsys.readouterr()
+
+
+# -------------------------------------------------------- training commands
+
+
+def test_text_token_chain_writes_no_temp_checkpoints(tmp_path, monkeypatch, capsys):
+    written = []
+
+    def recording(save):
+        def wrapper(path, st):
+            written.append(str(path))
+            return save(path, st)
+        return wrapper
+
+    monkeypatch.setattr(minis2st.cli, "save_checkpoint", recording(minis2st.cli.save_checkpoint))
+    monkeypatch.setattr(minis2st.training, "save_checkpoint",
+                        recording(minis2st.training.save_checkpoint))
+    m, val = tmp_path / "m.jsonl", tmp_path / "val.jsonl"
+    tok, model = tmp_path / "tok.ckpt", tmp_path / "model.ckpt"
+    assert main(["gen-corpus", "--out", str(m), "--val-out", str(val),
+                 "--pairs", "12", "--val-pairs", "4", "--seed", "7"]) == 0
+    assert main(["train-tokenizer", "--train", str(m), "--val", str(val), "--out", str(tok),
+                 "--max-steps", "5", "--with-text-to-token", "true"]) == 0
+    assert main(["train-model", "--train", str(m), "--val", str(val), "--tokenizer", str(tok),
+                 "--out", str(model), "--max-steps", "5", "--token-source", "text"]) == 0
+    capsys.readouterr()
+    assert set(written) == {str(tok), str(model)}
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+# -------------------------------------------------------------------- docs
+
+
+def _readme_cli_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Quick start (CLI)", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("minis2st ")]
+
+
+def test_readme_cli_quick_start_parses():
+    lines = _readme_cli_lines()
+    assert len(lines) >= 5
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        assert args.command == shlex.split(line)[1]

@@ -340,6 +340,49 @@ def test_fallback_checkpoint_written_when_no_validation_ran(tmp_path):
     assert st.step == 2
 
 
+def test_train_returns_best_weights_without_a_checkpoint():
+    params, examples, loss_fn, _ = _make_problem()
+    scripted = iter([3.0, 1.0, 2.0, 2.5])  # best at the second of four validations
+    seen = {}
+
+    def val_fn():
+        seen[len(seen) + 1] = params["w"].data.copy()
+        return next(scripted)
+
+    cfg = TrainConfig(lr=0.05, batch_size=4, warmup_steps=1, max_epochs=50,
+                      validate_every=2, patience=10, seed=4)
+    res = train(params=params, examples=examples, loss_fn=loss_fn, val_fn=val_fn,
+                cfg=cfg, max_steps=8)
+    assert res.steps == 8 and res.best_step == 4
+    np.testing.assert_array_equal(params["w"].data, seen[2])
+    assert not np.array_equal(params["w"].data, seen[4])
+
+
+def test_resumed_weights_count_as_best_so_far(tmp_path):
+    params, examples, loss_fn, _ = _make_problem()
+    cfg = TrainConfig(lr=0.05, batch_size=4, warmup_steps=1, max_epochs=50,
+                      validate_every=2, patience=10, seed=4)
+    ckpt = tmp_path / "best.ckpt"
+    scripted = iter([1.0, 0.5])
+    train(params=params, examples=examples, loss_fn=loss_fn,
+          val_fn=lambda: next(scripted), cfg=cfg, checkpoint_path=str(ckpt), max_steps=4)
+    st = load_checkpoint(ckpt)
+    assert st.step == 4
+    scripted = iter([0.9, 0.8])  # no improvement on the resumed best of 0.5
+    train(params=params, examples=examples, loss_fn=loss_fn,
+          val_fn=lambda: next(scripted), cfg=cfg, resume_from=st, max_steps=8)
+    np.testing.assert_array_equal(params["w"].data, st.tensors["w"])
+
+
+def test_train_keeps_last_weights_when_no_validation_ran():
+    params, examples, loss_fn, val_fn = _make_problem()
+    cfg = TrainConfig(lr=0.05, batch_size=4, warmup_steps=1, max_epochs=1,
+                      validate_every=100, patience=3)
+    before = params["w"].data.copy()
+    train(params=params, examples=examples, loss_fn=loss_fn, val_fn=val_fn, cfg=cfg)
+    assert not np.array_equal(params["w"].data, before)
+
+
 def test_resume_missing_parameter_or_state_is_version_error(tmp_path):
     params, examples, loss_fn, val_fn = _make_problem()
     cfg = TrainConfig(lr=1e-2, batch_size=4, warmup_steps=1, max_epochs=4,

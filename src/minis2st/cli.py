@@ -36,16 +36,11 @@ from .corpus import (
 from .evaluation import EvalReport, EvalRow, corpus_bleu, meteor_lite, run_ablation, speaker_similarity
 from .model import DecodeConfig, ModelConfig
 from .pipeline import (
-    bundle_text_to_token,
-    bundle_vocoder,
-    embedder_from_snapshot,
-    model_from_checkpoint,
+    bundle,
+    rebuild,
     resolve_vocoder,
     same_speaker_prompts,
     split_manifest,
-    text_to_token_from_checkpoint,
-    text_to_token_snapshot,
-    tokenizer_from_checkpoint,
     toy_model_config,
     toy_tokenizer_config,
     toy_train_config,
@@ -54,7 +49,6 @@ from .pipeline import (
     train_text_to_token_stage,
     train_tokenizer_stage,
     train_vocoder_stage,
-    vocoder_snapshot,
 )
 from .tokenizer import TokenizerConfig, token_symbol_alignment
 from .training import (
@@ -270,8 +264,8 @@ def cmd_train_tokenizer(args) -> int:
         t2t, t2t_result, embedder = train_text_to_token_stage(
             train_m, val_m, tok, seed=eff["seed"], max_steps=eff["max_steps"] or None,
         )
-        save_checkpoint(args.out, bundle_text_to_token(load_checkpoint(args.out), t2t,
-                                                       text_to_token_snapshot(t2t, embedder)))
+        save_checkpoint(args.out, bundle(load_checkpoint(args.out), "text_to_token",
+                                         t2t, embedder))
         print(f"text-to-token: {t2t_result.steps} steps, "
               f"best val {t2t_result.best_val:.4f}")
     _write_run_manifest(str(args.out) + ".run.json", command="train-tokenizer",
@@ -283,7 +277,7 @@ def cmd_train_tokenizer(args) -> int:
 
 def cmd_tokenize(args) -> int:
     t0 = time.perf_counter()
-    tok = tokenizer_from_checkpoint(load_checkpoint(args.ckpt))
+    tok, _ = rebuild(load_checkpoint(args.ckpt), "tokenizer")
     m = read_manifest(args.infile)
     rows = [(r.id, tok.tokenize(r.tgt_frames)) for r in m]
     write_token_file(args.out, rows)
@@ -300,7 +294,7 @@ def cmd_train_model(args) -> int:
     train_m = read_manifest(args.train)
     val_m = read_manifest(args.val)
     tok_st = load_checkpoint(args.tokenizer)
-    tok = tokenizer_from_checkpoint(tok_st)
+    tok, _ = rebuild(tok_st, "tokenizer")
     meta = train_m.metadata
     defaults = _DEFAULTS["train-model"]()
     defaults["feat_dim"] = int(meta.get("feat_dim", defaults["feat_dim"]))
@@ -313,8 +307,7 @@ def cmd_train_model(args) -> int:
 
     t2t = embedder = None
     if eff["token_source"] == "text":
-        t2t = text_to_token_from_checkpoint(tok_st)
-        embedder = embedder_from_snapshot(tok_st.config["text_to_token"]["embedder"])
+        t2t, embedder = rebuild(tok_st, "tokenizer", "text_to_token")
     log_path = args.log or str(args.out) + ".log.jsonl"
     model, result = train_model_stage(
         train_m, val_m, tok, cfg, tcfg, seed=eff["seed"],
@@ -331,8 +324,7 @@ def cmd_train_model(args) -> int:
         voc, voc_result, embedder = train_vocoder_stage(
             train_m, val_m, tok, voc_cfg, seed=eff["seed"], max_steps=max_steps,
         )
-        save_checkpoint(args.out, bundle_vocoder(load_checkpoint(args.out), voc,
-                                                 vocoder_snapshot(voc, embedder, eff["seed"])))
+        save_checkpoint(args.out, bundle(load_checkpoint(args.out), "vocoder", voc, embedder))
         print(f"vocoder: {voc_result.steps} steps, best val {voc_result.best_val:.6f}")
     _write_run_manifest(str(args.out) + ".run.json", command="train-model",
                         config=eff, seed=eff["seed"],
@@ -345,7 +337,7 @@ def cmd_translate(args) -> int:
     t0 = time.perf_counter()
     eff = _layer(_DEFAULTS["translate"](), args)
     st = load_checkpoint(args.ckpt)
-    model = model_from_checkpoint(st)
+    model, _ = rebuild(st, "model")
     m = read_manifest(args.infile)
     dcfg = DecodeConfig(max_steps=eff["decode_max_steps"],
                         repetition_penalty=eff["repetition_penalty"])
@@ -353,13 +345,11 @@ def cmd_translate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     voc = embedder = prompts = None
-    try:
+    if "vocoder" in st.config:  # otherwise text and tokens only
         voc, embedder = resolve_vocoder(st)
         prompts = same_speaker_prompts(m)
         (out_dir / "frames").mkdir(exist_ok=True)
         (out_dir / "prompts").mkdir(exist_ok=True)
-    except VersionError:
-        pass  # text and tokens only
 
     text_rows, token_rows = [], []
     truncated = 0
@@ -459,7 +449,7 @@ def cmd_ablate(args) -> int:
     eval_m = read_manifest(args.eval) if args.eval else val_m
     eff = _layer(_DEFAULTS["ablate"](), args)
     tcfg = TrainConfig(**_pick(eff, TrainConfig))
-    tok = tokenizer_from_checkpoint(load_checkpoint(args.tokenizer))
+    tok, _ = rebuild(load_checkpoint(args.tokenizer), "tokenizer")
     voc, embedder = resolve_vocoder(load_checkpoint(args.vocoder))
     meta = train_m.metadata
     fps = int(meta.get("frames_per_symbol", 4))

@@ -7,6 +7,7 @@ Frame files hold raw float64 little-endian data so round-trips are bit-exact.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -237,15 +238,20 @@ def write_frames(path, sf: SpeechFrames):
 def read_frames(path, frame_rate: int = 50) -> SpeechFrames:
     path = Path(path)
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != FRAME_MAGIC:
             raise ParseError(f"{path}: bad magic {magic!r}, expected {FRAME_MAGIC!r}")
-        version, t, f = struct.unpack("<III", fh.read(12))
+        fixed = fh.read(12)
+        if len(fixed) != 12:
+            raise ParseError(f"{path}: truncated frame-file header")
+        version, t, f = struct.unpack("<III", fixed)
         if version != FRAME_VERSION:
             raise ParseError(f"{path}: unsupported frame-file version {version}")
+        if size - 16 != 8 * t * f:
+            what = "truncated payload" if size - 16 < 8 * t * f else "bytes trail the payload"
+            raise ParseError(f"{path}: {what} ({size - 16} bytes, {8 * t * f} declared)")
         payload = fh.read(8 * t * f)
-        if len(payload) != 8 * t * f:
-            raise ParseError(f"{path}: truncated payload ({len(payload)} of {8 * t * f} bytes)")
     frames = np.frombuffer(payload, dtype="<f8").reshape(t, f).astype(np.float64)
     return SpeechFrames(frames, frame_rate)
 
@@ -297,8 +303,12 @@ def read_manifest(path) -> Manifest:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ParseError(f"{path}:{lineno}: invalid record: {e}") from e
+            if not isinstance(obj, dict):
+                raise ParseError(f"{path}:{lineno}: record is not a JSON object")
             if lineno == 1 and "manifest" in obj:
                 metadata = obj["manifest"]
+                if not isinstance(metadata, dict):
+                    raise ParseError(f"{path}:1: manifest metadata is not a JSON object")
                 continue
             try:
                 rate = int(metadata.get("frame_rate", 50))

@@ -264,7 +264,7 @@ def steps_to_half_loss(trace, window: int = 10):
 
 def run_ablation(suite: str, *, train_m: Manifest, val_m: Manifest, eval_m: Manifest,
                  tokenizer, vocoder, embedder, alignment, seed: int = 0,
-                 model_cfg=None, train_cfg=None, max_steps=None, val_limit=None):
+                 train_cfg=None, max_steps=None, val_limit=None):
     """Train and score the configured variants under one seed and data split.
 
     suite "projectors": linear / conv1d-linear / qformer-2 / qformer-4.
@@ -276,7 +276,7 @@ def run_ablation(suite: str, *, train_m: Manifest, val_m: Manifest, eval_m: Mani
 
     fps = int(train_m.metadata.get("frames_per_symbol", 4))
     eval_prompts = pipeline.same_speaker_prompts(eval_m)
-    base_cfg = model_cfg if model_cfg is not None else pipeline.toy_model_config()
+    base_cfg = pipeline.toy_model_config()
     rows, curves, notes = [], {}, []
 
     def variant(name: str, stage_kw):

@@ -9,7 +9,7 @@ audio position per step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -137,7 +137,6 @@ class GroupedTokenSeq:
     groups: list
     group_size: int
     pad: int
-    original_length: int
 
     def __len__(self):
         return len(self.groups)
@@ -151,8 +150,7 @@ def group_tokens(tokens, group_size: int, pad: int) -> GroupedTokenSeq:
     short = (-len(toks)) % group_size
     padded = toks + [pad] * short
     groups = [padded[i : i + group_size] for i in range(0, len(padded), group_size)]
-    return GroupedTokenSeq(groups=groups, group_size=group_size, pad=pad,
-                           original_length=len(toks))
+    return GroupedTokenSeq(groups=groups, group_size=group_size, pad=pad)
 
 
 def ungroup_tokens(grouped: GroupedTokenSeq) -> list:
@@ -277,7 +275,6 @@ def make_projector(cfg: ModelConfig, seed: int):
 class DecodeConfig:
     max_steps: int = 64
     repetition_penalty: float = 1.2
-    group_size: int | None = None  # must match the model's G when set
 
 
 @dataclass
@@ -405,8 +402,6 @@ class DecoderLM(nn.Module):
     def decode_greedy(self, a_p: Tensor, cfg: DecodeConfig) -> DecodeResult:
         v = self.vocab
         g = self.cfg.group_size
-        if cfg.group_size is not None and cfg.group_size != g:
-            raise ValueError(f"decode group_size {cfg.group_size} != model group size {g}")
         if cfg.repetition_penalty <= 0:
             raise ValueError("repetition_penalty must be positive")
         text_ban = np.zeros(v.text_head_size)
@@ -516,6 +511,7 @@ class TranslationModel(nn.Module):
         self.projector = make_projector(cfg, seed)
         self.decoder = DecoderLM(cfg, seed)
         self.cfg = cfg
+        self.recipe = {"cfg": asdict(cfg), "seed": seed}
 
     def project_source(self, frames) -> Tensor:
         return self.projector.project(self.encoder.encode(frames))

@@ -63,13 +63,12 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, d: int, eps: float = 1e-5):
+    def __init__(self, d: int):
         self.g = Tensor(np.ones(d), requires_grad=True)
         self.b = Tensor(np.zeros(d), requires_grad=True)
-        self._eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layernorm(x, self.g, self.b, eps=self._eps)
+        return layernorm(x, self.g, self.b)
 
 
 def sinusoidal_positions(n: int, d: int) -> np.ndarray:
@@ -133,8 +132,7 @@ class FeedForward(Module):
 class TransformerBlock(Module):
     """Pre-norm block: self-attention, optional cross-attention, feed-forward."""
 
-    def __init__(self, d: int, heads: int, rng: np.random.Generator,
-                 cross: bool = False, ff_mult: int = 2):
+    def __init__(self, d: int, heads: int, rng: np.random.Generator, cross: bool = False):
         self.ln1 = LayerNorm(d)
         self.attn = MultiHeadAttention(d, heads, rng)
         if cross:
@@ -143,7 +141,7 @@ class TransformerBlock(Module):
         else:
             self.cross = None
         self.ln2 = LayerNorm(d)
-        self.ff = FeedForward(d, ff_mult * d, rng)
+        self.ff = FeedForward(d, 2 * d, rng)
 
     def __call__(self, x: Tensor, memory: Tensor | None = None, mask: Tensor | None = None):
         x = add(x, self.attn(self.ln1(x), mask=mask))

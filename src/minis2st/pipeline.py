@@ -3,12 +3,14 @@
 Each stage hands one runner its per-example loss, validation set, and
 checkpoint snapshot; the training engine leaves the best validated weights in
 the trained object, whether or not checkpoints are written.  Checkpoints store
-only trainable tensors plus a config snapshot; frozen parts (speech encoder,
-frozen text rows, the speaker embedder) are regenerated from the recorded
-seed, which reproduces them bit for bit.
+only trainable tensors plus each module's recipe, the constructor arguments it
+records as `recipe`; frozen parts (speech encoder, frozen text rows, the
+speaker embedder) are regenerated from the recorded seed, which reproduces
+them bit for bit.
 """
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -56,80 +58,85 @@ def load_trainable(module: nn.Module, tensors: dict, prefix: str = ""):
         t.data = src.copy()
 
 
-def embedder_snapshot(e: SpeakerEmbedder, seed: int) -> dict:
-    return {"feat_dim": e.feat_dim, "spk_dim": e.spk_dim,
-            "hidden": e.w1.shape[1], "seed": seed}
+# checkpoint kind and bundle key -> (module class, its config class, tensor
+# prefix, whether the recipe of a speaker embedder sits beside the module's)
+_LAYOUT = {
+    ("tokenizer", None): (SpeechTokenizer, TokenizerConfig, "", False),
+    ("tokenizer", "text_to_token"): (TextToTokenModel, None, "tt.", True),
+    ("text_to_token", None): (TextToTokenModel, None, "", True),
+    ("model", None): (TranslationModel, ModelConfig, "", False),
+    ("model", "vocoder"): (TimbreVocoder, VocoderConfig, "voc.", True),
+    ("vocoder", None): (TimbreVocoder, VocoderConfig, "", True),
+}
+# keys a checkpoint config may hold beside a module's recipe
+_BESIDE = {"token_source", "embedder", "text_to_token", "vocoder"}
 
 
-def embedder_from_snapshot(snap: dict) -> SpeakerEmbedder:
-    return SpeakerEmbedder(int(snap["feat_dim"]), spk_dim=int(snap["spk_dim"]),
-                           hidden=int(snap["hidden"]), seed=int(snap["seed"]))
+def rebuild(st: CheckpointState, kind: str, key: str | None = None):
+    """(module, speaker embedder or None) from a checkpoint of `kind`, or from
+    the module bundled in it under `key`.
+
+    A recipe this build cannot construct -- an unknown or missing field, a
+    value of the wrong type, or one the module rejects -- raises VersionError.
+    """
+    expect_kind(st, kind)
+    cls, cfg_cls, prefix, with_embedder = _LAYOUT[(kind, key)]
+    where = key or kind
+
+    def build(recipe, cls, where: str, beside: set):
+        # a recipe holds the constructor's arguments, the config dataclass as
+        # a dict of its fields; a value has its default's type, or else is an int
+        if not isinstance(recipe, dict):
+            raise VersionError(f"checkpoint config {where} is missing or not an object")
+        params = inspect.signature(cls).parameters
+        unknown = sorted(recipe.keys() - params.keys() - beside)
+        missing = sorted(params.keys() - recipe.keys())
+        if unknown or missing:
+            raise VersionError(f"checkpoint config {where}: unknown fields {unknown}, "
+                               f"missing fields {missing}")
+        args = {}
+        for name, param in params.items():
+            value = recipe[name]
+            like = 0 if param.default is param.empty else param.default
+            if name == "cfg":
+                value = build(value, cfg_cls, f"{where}.cfg", set())
+            elif not (type(value) is type(like) or type(like) is float and type(value) is int):
+                raise VersionError(f"checkpoint config {where}.{name}: {value!r} "
+                                   f"is not of type {type(like).__name__}")
+            args[name] = value
+        return cls(**args)
+
+    recipe = st.config if key is None else st.config.get(key)
+    try:  # validate() and the constructors reject values out of range
+        module = build(recipe, cls, where, _BESIDE)
+        embedder = (build(recipe.get("embedder"), SpeakerEmbedder, f"{where}.embedder", set())
+                    if with_embedder else None)
+    except ValueError as exc:
+        raise VersionError(f"checkpoint config {where}: {exc}") from None
+    load_trainable(module, st.tensors, prefix)
+    return module, embedder
 
 
-def tokenizer_from_checkpoint(st: CheckpointState) -> SpeechTokenizer:
-    expect_kind(st, "tokenizer")
-    tok = SpeechTokenizer(TokenizerConfig(**st.config["cfg"]), int(st.config["seed"]))
-    load_trainable(tok, st.tensors)
-    return tok
-
-
-def model_from_checkpoint(st: CheckpointState) -> TranslationModel:
-    expect_kind(st, "model")
-    model = TranslationModel(ModelConfig(**st.config["cfg"]), int(st.config["seed"]))
-    load_trainable(model, st.tensors)
-    return model
-
-
-def _vocoder_from(snapshot: dict, tensors: dict, prefix: str = ""):
-    voc = TimbreVocoder(VocoderConfig(**snapshot["cfg"]), int(snapshot["seed"]))
-    load_trainable(voc, tensors, prefix=prefix)
-    return voc, embedder_from_snapshot(snapshot["embedder"])
-
-
-def _bundle(st: CheckpointState, prefix: str, module: nn.Module, key: str,
-            snapshot: dict) -> CheckpointState:
+def bundle(st: CheckpointState, key: str, module: nn.Module,
+           embedder: SpeakerEmbedder) -> CheckpointState:
+    """`st` with `module` and the embedder that conditioned it folded in under
+    `key` (text_to_token into a tokenizer checkpoint, vocoder into a model
+    checkpoint), so one file carries both."""
+    prefix = _LAYOUT[(st.kind, key)][2]
     tensors = dict(st.tensors)
     for name, t in module.trainable().items():
         tensors[prefix + name] = t.data.copy()
-    config = dict(st.config)
-    config[key] = snapshot
+    config = {**st.config, key: {**module.recipe, "embedder": embedder.recipe}}
     return CheckpointState(kind=st.kind, config=config, step=st.step,
                            tensors=tensors, rng_state=st.rng_state, meta=st.meta)
-
-
-def bundle_text_to_token(tok_st: CheckpointState, t2t: TextToTokenModel,
-                         t2t_config: dict) -> CheckpointState:
-    """Fold a trained text-to-token model into a tokenizer checkpoint under
-    the tt. tensor prefix so one file carries both."""
-    return _bundle(tok_st, "tt.", t2t, "text_to_token", t2t_config)
-
-
-def text_to_token_from_checkpoint(st: CheckpointState) -> TextToTokenModel:
-    expect_kind(st, "tokenizer")
-    if "text_to_token" not in st.config:
-        raise VersionError("checkpoint has no bundled text-to-token model")
-    c = st.config["text_to_token"]
-    t2t = TextToTokenModel(int(c["text_vocab"]), int(c["codebook_size"]),
-                           int(c["spk_dim"]), dim=int(c["dim"]), blocks=int(c["blocks"]),
-                           heads=int(c["heads"]), seed=int(c["seed"]))
-    load_trainable(t2t, st.tensors, prefix="tt.")
-    return t2t
-
-
-def bundle_vocoder(model_st: CheckpointState, voc: TimbreVocoder,
-                   voc_config: dict) -> CheckpointState:
-    """Fold a trained vocoder into a model checkpoint under the voc. prefix."""
-    return _bundle(model_st, "voc.", voc, "vocoder", voc_config)
 
 
 def resolve_vocoder(st: CheckpointState):
     """(vocoder, embedder) from either a standalone vocoder checkpoint or a
     model checkpoint carrying a bundled one."""
-    if st.kind == "vocoder":
-        return _vocoder_from(st.config, st.tensors)
-    if st.kind == "model" and "vocoder" in st.config:
-        return _vocoder_from(st.config["vocoder"], st.tensors, prefix="voc.")
-    raise VersionError(f"checkpoint of kind {st.kind!r} carries no vocoder")
+    if st.kind == "model":
+        return rebuild(st, "model", "vocoder")
+    return rebuild(st, "vocoder")
 
 
 # ------------------------------------------------------------------- presets
@@ -188,32 +195,25 @@ def split_manifest(m: Manifest, n_train: int):
     return m.subset(records[:n_train]), m.subset(records[n_train:])
 
 
-def same_speaker_prompts(m: Manifest, pool: Manifest | None = None) -> dict:
+def same_speaker_prompts(m: Manifest) -> dict:
     """id -> reference record of the same speaker (next one cyclically; a
     speaker with a single utterance prompts with itself)."""
-    pool_records = list(pool) if pool is not None else list(m)
     by_spk: dict = {}
-    for r in pool_records:
+    for r in m:
         by_spk.setdefault(r.speaker, []).append(r)
     out = {}
     for r in m:
-        group = by_spk.get(r.speaker)
-        if not group:
-            raise ValueError(f"no prompt candidates for speaker {r.speaker!r}")
+        group = by_spk[r.speaker]
         ids = [g.id for g in group]
-        if r.id in ids:
-            out[r.id] = group[(ids.index(r.id) + 1) % len(group)]
-        else:
-            out[r.id] = group[0]
+        out[r.id] = group[(ids.index(r.id) + 1) % len(group)]
     return out
 
 
-def mismatched_prompts(m: Manifest, pool: Manifest | None = None) -> dict:
+def mismatched_prompts(m: Manifest) -> dict:
     """id -> reference record of a different speaker, spread deterministically."""
-    pool_records = list(pool) if pool is not None else list(m)
     out = {}
     for i, r in enumerate(m):
-        others = [p for p in pool_records if p.speaker != r.speaker]
+        others = [p for p in m if p.speaker != r.speaker]
         if not others:
             raise ValueError("mismatched prompts need at least two speakers")
         out[r.id] = others[i % len(others)]
@@ -301,7 +301,7 @@ def train_tokenizer_stage(train_m: Manifest, val_m: Manifest,
         loss_trace=loss_trace, lengths=[r.tgt_frames.length for r in records],
         state_arrays={"codebook_usage": usage}, on_epoch_end=on_epoch_end,
         checkpoint_path=checkpoint_path, log_path=log_path,
-        config_snapshot={"cfg": asdict(cfg), "seed": seed}, max_steps=max_steps,
+        config_snapshot=tok.recipe, max_steps=max_steps,
     )
     return tok, result
 
@@ -309,15 +309,9 @@ def train_tokenizer_stage(train_m: Manifest, val_m: Manifest,
 # -------------------------------------------------------- text-to-token stage
 
 
-def text_to_token_snapshot(t2t: TextToTokenModel, embedder: SpeakerEmbedder) -> dict:
-    """The config a checkpoint records for a text-to-token model."""
-    return {**t2t.config, "embedder": embedder_snapshot(embedder, t2t.config["seed"])}
-
-
 def train_text_to_token_stage(train_m: Manifest, val_m: Manifest,
                               tokenizer: SpeechTokenizer, *, seed: int = 0,
                               embedder: SpeakerEmbedder | None = None,
-                              dim: int = 64, blocks: int = 2, heads: int = 4,
                               tcfg: TrainConfig | None = None,
                               checkpoint_path=None, log_path=None,
                               max_steps=None, val_limit=None, loss_trace=None):
@@ -327,8 +321,7 @@ def train_text_to_token_stage(train_m: Manifest, val_m: Manifest,
     tcfg = tcfg if tcfg is not None else toy_train_config("text_to_token", seed)
     cfg = tokenizer.cfg
     embedder = embedder if embedder is not None else SpeakerEmbedder(cfg.feat_dim, seed=seed)
-    t2t = TextToTokenModel(cfg.text_vocab, cfg.codebook_size, embedder.spk_dim,
-                           dim=dim, blocks=blocks, heads=heads, seed=seed)
+    t2t = TextToTokenModel(cfg.text_vocab, cfg.codebook_size, embedder.spk_dim, seed=seed)
     train_ex = _prompted_examples(train_m, tokenizer, embedder)
 
     def example_loss(ex, rng):
@@ -340,7 +333,7 @@ def train_text_to_token_stage(train_m: Manifest, val_m: Manifest,
         example_loss, tcfg, loss_trace=loss_trace,
         lengths=[len(r.tgt_text) + len(tokens) for r, tokens, _ in train_ex],
         checkpoint_path=checkpoint_path, log_path=log_path,
-        config_snapshot=text_to_token_snapshot(t2t, embedder), max_steps=max_steps,
+        config_snapshot={**t2t.recipe, "embedder": embedder.recipe}, max_steps=max_steps,
     )
     return t2t, result, embedder
 
@@ -351,8 +344,7 @@ def train_text_to_token_stage(train_m: Manifest, val_m: Manifest,
 def build_token_targets(m: Manifest, tokenizer: SpeechTokenizer,
                         token_source: str = "speech", *,
                         text_to_token: TextToTokenModel | None = None,
-                        embedder: SpeakerEmbedder | None = None,
-                        max_len: int = 64) -> list:
+                        embedder: SpeakerEmbedder | None = None) -> list:
     """(record, semantic tokens) pairs for decoder training.
 
     speech: tokens come from re-quantizing the target frames.
@@ -368,7 +360,7 @@ def build_token_targets(m: Manifest, tokenizer: SpeechTokenizer,
         out = []
         for r in m:
             spk = embedder.embed(prompts[r.id].tgt_frames)
-            out.append((r, text_to_token.generate(r.tgt_text, spk, max_len=max_len).tokens))
+            out.append((r, text_to_token.generate(r.tgt_text, spk, max_len=64).tokens))
         return out
     raise ValueError(f"unknown token source {token_source!r}")
 
@@ -379,8 +371,7 @@ def train_model_stage(train_m: Manifest, val_m: Manifest, tokenizer: SpeechToken
                       text_to_token: TextToTokenModel | None = None,
                       embedder: SpeakerEmbedder | None = None,
                       checkpoint_path=None, log_path=None,
-                      max_steps=None, val_limit=None, loss_trace=None,
-                      src_noise: float = 0.1):
+                      max_steps=None, val_limit=None, loss_trace=None):
     cfg = cfg if cfg is not None else toy_model_config()
     tcfg = tcfg if tcfg is not None else toy_train_config("model", seed)
     if cfg.audio_vocab != tokenizer.cfg.codebook_size:
@@ -395,10 +386,10 @@ def train_model_stage(train_m: Manifest, val_m: Manifest, tokenizer: SpeechToken
     def example_loss(ex, rng):
         r, tokens = ex
         src = r.src_frames
-        if rng is not None and src_noise > 0:
+        if rng is not None:
             # fresh jitter per visit: cheap augmentation against memorizing
             # the fixed training renderings (validation stays clean)
-            src = SpeechFrames(src.frames + rng.normal(0.0, src_noise, src.frames.shape),
+            src = SpeechFrames(src.frames + rng.normal(0.0, 0.1, src.frames.shape),
                                src.frame_rate)
         total, loss_a, loss_t = model.loss_for(
             src, r.tgt_text, tokens,
@@ -410,19 +401,13 @@ def train_model_stage(train_m: Manifest, val_m: Manifest, tokenizer: SpeechToken
         "model", model, train_ex, val_ex[:val_limit or None], example_loss, tcfg,
         loss_trace=loss_trace, lengths=[len(tokens) for _, tokens in train_ex],
         checkpoint_path=checkpoint_path, log_path=log_path,
-        config_snapshot={"cfg": asdict(cfg), "seed": seed, "token_source": token_source},
+        config_snapshot={**model.recipe, "token_source": token_source},
         max_steps=max_steps,
     )
     return model, result
 
 
 # -------------------------------------------------------------- vocoder stage
-
-
-def vocoder_snapshot(voc: TimbreVocoder, embedder: SpeakerEmbedder, seed: int) -> dict:
-    """The config a checkpoint records for a vocoder and its speaker embedder."""
-    return {"cfg": asdict(voc.cfg), "seed": seed,
-            "embedder": embedder_snapshot(embedder, seed)}
 
 
 def train_vocoder_stage(train_m: Manifest, val_m: Manifest, tokenizer: SpeechTokenizer,
@@ -455,7 +440,7 @@ def train_vocoder_stage(train_m: Manifest, val_m: Manifest, tokenizer: SpeechTok
         example_loss, tcfg, loss_trace=loss_trace,
         lengths=[len(tokens) for _, tokens, _ in train_ex],
         checkpoint_path=checkpoint_path, log_path=log_path,
-        config_snapshot=vocoder_snapshot(voc, embedder, seed), max_steps=max_steps,
+        config_snapshot={**voc.recipe, "embedder": embedder.recipe}, max_steps=max_steps,
     )
     return voc, result, embedder
 

@@ -8,7 +8,7 @@ length-preserving: one token per input frame, no temporal downsampling.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -149,6 +149,7 @@ class SpeechTokenizer(nn.Module):
         self.codebook = Codebook(cfg.codebook_size, cfg.dim, rng_for(seed, "tokenizer.codebook"))
         self.asr = AsrDecoder(cfg, rng_for(seed, "tokenizer.asr"))
         self.cfg = cfg
+        self.recipe = {"cfg": asdict(cfg), "seed": seed}
 
     def tokenize(self, frames) -> list:
         """Frames -> semantic token indices (one per frame)."""
@@ -188,9 +189,9 @@ class SpeechTokenizer(nn.Module):
 # --------------------------------------------------- token/symbol alignment
 
 
-def token_symbol_alignment(tok: SpeechTokenizer, manifest: Manifest, frames_per_symbol: int,
-                           n_symbols: int) -> np.ndarray:
-    """Majority-vote table token -> symbol (-1 where a token never occurs).
+def _alignment_counts(tok: SpeechTokenizer, manifest: Manifest, frames_per_symbol: int,
+                      n_symbols: int) -> np.ndarray:
+    """counts[token, symbol]: frames carrying `symbol` that quantize to `token`.
 
     Each target symbol spans frames_per_symbol frames, and the tokenizer is
     length-preserving, so frame i carries symbol text[i // frames_per_symbol].
@@ -201,6 +202,13 @@ def token_symbol_alignment(tok: SpeechTokenizer, manifest: Manifest, frames_per_
         for i, t in enumerate(mu):
             s = r.tgt_text[min(i // frames_per_symbol, len(r.tgt_text) - 1)]
             counts[t, s] += 1
+    return counts
+
+
+def token_symbol_alignment(tok: SpeechTokenizer, manifest: Manifest, frames_per_symbol: int,
+                           n_symbols: int) -> np.ndarray:
+    """Majority-vote table token -> symbol (-1 where a token never occurs)."""
+    counts = _alignment_counts(tok, manifest, frames_per_symbol, n_symbols)
     table = np.full(tok.codebook.size, -1, dtype=np.int64)
     used = counts.sum(axis=1) > 0
     table[used] = counts[used].argmax(axis=1)
@@ -209,16 +217,11 @@ def token_symbol_alignment(tok: SpeechTokenizer, manifest: Manifest, frames_per_
 
 def token_purity(tok: SpeechTokenizer, manifest: Manifest, frames_per_symbol: int,
                  n_symbols: int) -> float:
-    """Fraction of frames whose token maps back to the true symbol."""
-    table = token_symbol_alignment(tok, manifest, frames_per_symbol, n_symbols)
-    hit = total = 0
-    for r in manifest:
-        mu = tok.tokenize(r.tgt_frames)
-        for i, t in enumerate(mu):
-            s = r.tgt_text[min(i // frames_per_symbol, len(r.tgt_text) - 1)]
-            hit += int(table[t] == s)
-            total += 1
-    return hit / total if total else 0.0
+    """Fraction of frames whose token maps back to the true symbol: each token
+    votes for its majority symbol, so its hits are its largest count."""
+    counts = _alignment_counts(tok, manifest, frames_per_symbol, n_symbols)
+    total = int(counts.sum())
+    return int(counts.max(axis=1).sum()) / total if total else 0.0
 
 
 # ------------------------------------------------------ text-to-token model
@@ -242,8 +245,7 @@ class TextToTokenModel(nn.Module):
     def __init__(self, text_vocab: int, codebook_size: int, spk_dim: int,
                  dim: int = 64, blocks: int = 2, heads: int = 4, seed: int = 0):
         rng = rng_for(seed, "text_to_token")
-        # the constructor arguments, as checkpoints record them
-        self.config = {"text_vocab": text_vocab, "codebook_size": codebook_size,
+        self.recipe = {"text_vocab": text_vocab, "codebook_size": codebook_size,
                        "spk_dim": spk_dim, "dim": dim, "blocks": blocks,
                        "heads": heads, "seed": seed}
         self.text_vocab = text_vocab

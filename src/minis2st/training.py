@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -43,7 +44,6 @@ class TrainConfig:
     lambda_text: float = 1.0
     patience: int = 3
     min_delta: float = 1e-4
-    decay_granularity: str = "epoch"  # or "validation"
     seed: int = 0
 
     def __post_init__(self):
@@ -57,16 +57,14 @@ class TrainConfig:
             raise ConfigError("loss weights must be >= 0")
         if self.min_delta < 0:
             raise ConfigError("min_delta must be >= 0")
-        if self.decay_granularity not in ("epoch", "validation"):
-            raise ConfigError(f"unknown decay granularity {self.decay_granularity!r}")
 
 
 def lr_schedule(step: int, post_warmup_units: int, cfg: TrainConfig) -> float:
     """Linear warmup to base lr, then stepwise gamma decay.
 
-    `post_warmup_units` counts completed decay units (epochs by default) since
-    the unit in which warmup finished; the boundary is continuous because unit
-    zero applies gamma^0.
+    `post_warmup_units` counts completed decay units (epochs) since the unit in
+    which warmup finished; the boundary is continuous because unit zero
+    applies gamma^0.
     """
     if step <= cfg.warmup_steps:
         return cfg.lr * step / cfg.warmup_steps
@@ -76,10 +74,10 @@ def lr_schedule(step: int, post_warmup_units: int, cfg: TrainConfig) -> float:
 class Adam:
     """Bias-corrected Adam over a named parameter dict."""
 
-    def __init__(self, params: dict, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict):
         self.params = dict(sorted(params.items()))
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.t = 0
@@ -137,7 +135,10 @@ def save_checkpoint(path, st: CheckpointState):
 
 
 def load_checkpoint(path) -> CheckpointState:
+    """Read a checkpoint; a file that does not hold exactly what its header
+    declares raises ParseError, before any tensor is allocated."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != CKPT_MAGIC:
             raise ParseError(f"{path}: not a checkpoint file (magic {magic!r})")
@@ -149,18 +150,34 @@ def load_checkpoint(path) -> CheckpointState:
             raise VersionError(
                 f"{path}: checkpoint version {version}, this build reads {CKPT_VERSION}"
             )
+        if hlen > size - 16:
+            raise ParseError(f"{path}: truncated checkpoint header "
+                             f"({size - 16} of {hlen} bytes)")
         try:
             header = json.loads(fh.read(hlen).decode("utf-8"))
         except ValueError as exc:  # bad UTF-8 or bad JSON
             raise ParseError(f"{path}: corrupt checkpoint header ({exc})") from None
+        if not isinstance(header, dict):
+            raise ParseError(f"{path}: checkpoint header is not an object")
+        for key, typ in (("kind", str), ("config", dict), ("step", int), ("tensors", list)):
+            if type(header.get(key)) is not typ:
+                raise ParseError(f"{path}: checkpoint header {key!r} is missing "
+                                 f"or not of type {typ.__name__}")
+        entries = header["tensors"]
+        for entry in entries:
+            if not (isinstance(entry, dict) and type(entry.get("name")) is str
+                    and type(entry.get("shape")) is list
+                    and all(type(n) is int and n >= 0 for n in entry["shape"])):
+                raise ParseError(f"{path}: bad tensor entry {entry!r:.80}")
+        counts = [math.prod(entry["shape"]) for entry in entries]
+        have, need = size - 16 - hlen, 8 * sum(counts)
+        if have != need:
+            what = "truncated tensors" if have < need else "bytes trail the last tensor"
+            raise ParseError(f"{path}: {what} ({have} bytes of tensor data, {need} declared)")
         tensors = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            payload = fh.read(8 * count)
-            if len(payload) != 8 * count:
-                raise ParseError(f"{path}: truncated tensor {entry['name']!r}")
-            tensors[entry["name"]] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        for entry, count in zip(entries, counts):
+            data = np.frombuffer(fh.read(8 * count), dtype="<f8")
+            tensors[entry["name"]] = data.reshape(entry["shape"]).copy()
     return CheckpointState(
         kind=header["kind"],
         config=header["config"],
@@ -280,11 +297,7 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
     def current_lr() -> float:
         if step <= cfg.warmup_steps:
             return lr_schedule(step, 0, cfg)
-        if cfg.decay_granularity == "epoch":
-            units = (step - 1) // bpe - cfg.warmup_steps // bpe
-        else:
-            units = (step - 1) // cfg.validate_every - cfg.warmup_steps // cfg.validate_every
-        return lr_schedule(step, max(0, units), cfg)
+        return lr_schedule(step, max(0, (step - 1) // bpe - cfg.warmup_steps // bpe), cfg)
 
     log_fh = open(log_path, "a" if resume_from is not None else "w") if log_path else None
     early = False

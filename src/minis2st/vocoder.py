@@ -8,7 +8,7 @@ and an output head paints `upsample` frames per token.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,6 +45,7 @@ class SpeakerEmbedder:
         self.w2 = rng.normal(0.0, 1.0 / np.sqrt(2 * hidden), size=(2 * hidden, spk_dim))
         self.spk_dim = spk_dim
         self.feat_dim = feat_dim
+        self.recipe = {"feat_dim": feat_dim, "spk_dim": spk_dim, "hidden": hidden, "seed": seed}
 
     def embed(self, frames) -> np.ndarray:
         f = frames.frames if isinstance(frames, SpeechFrames) else np.asarray(frames, dtype=np.float64)
@@ -71,6 +72,7 @@ class TimbreVocoder(nn.Module):
         self.ln = nn.LayerNorm(cfg.d_model)
         self.head = nn.Linear(cfg.d_model, cfg.upsample * cfg.feat_dim, rng)
         self.cfg = cfg
+        self.recipe = {"cfg": asdict(cfg), "seed": seed}
 
     def forward_frames(self, tokens, spk: np.ndarray) -> Tensor:
         """Differentiable synthesis; output shape (upsample * len(tokens), feat_dim)."""

@@ -1,6 +1,7 @@
 import json
 import shlex
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,15 @@ from minis2st.cli import (
     read_token_file,
     write_token_file,
 )
-from minis2st.corpus import ParseError, read_manifest
+from minis2st.corpus import (
+    ParseError,
+    ToyCorpusConfig,
+    generate_toy_corpus,
+    read_manifest,
+    write_manifest,
+)
+from minis2st.model import ModelConfig, TranslationModel
+from minis2st.tokenizer import TokenizerConfig
 from minis2st.training import CheckpointState, save_checkpoint
 
 
@@ -47,13 +56,27 @@ def test_missing_input_file_exits_two(tmp_path, capsys):
     assert "missing file" in capsys.readouterr().err
 
 
+def _ckpt_bytes(header) -> bytes:
+    blob = json.dumps(header).encode()
+    return b"DS2C" + struct.pack("<IQ", 1, len(blob)) + blob
+
+
 def test_garbage_checkpoint_exits_two(tmp_path, capsys):
     junk = tmp_path / "junk.ckpt"
+    empty = {"kind": "tokenizer", "config": {}, "step": 0, "tensors": []}
     for content in (
         b"not a checkpoint at all",
         b"DS2C\x01\x00",  # ends inside the version/length header
         b"DS2C" + struct.pack("<IQ", 1, 9) + b"{corrupt}",  # header is not JSON
         b"DS2C" + struct.pack("<IQ", 1, 2) + b"\xff\xfe",  # header is not UTF-8
+        b"DS2C" + struct.pack("<IQ", 1, 1 << 60) + b"{}",  # header longer than the file
+        _ckpt_bytes([]),  # header is not an object
+        _ckpt_bytes({"kind": "tokenizer"}),  # no config, step or tensors
+        _ckpt_bytes({**empty, "tensors": [{"name": "w", "shape": [-1]}]}),
+        _ckpt_bytes({**empty, "tensors": [{"name": "w", "shape": "x"}]}),
+        _ckpt_bytes({**empty, "tensors": [{"shape": [1]}]}) + bytes(8),  # no name
+        _ckpt_bytes({**empty, "tensors": [{"name": "w", "shape": [1 << 40]}]}),  # short payload
+        _ckpt_bytes(empty) + b"\x00",  # bytes trail the last tensor
     ):
         junk.write_bytes(content)
         code = main(["tokenize", "--ckpt", str(junk),
@@ -68,6 +91,42 @@ def test_wrong_checkpoint_kind_exits_four(tmp_path, capsys):
     code = main(["tokenize", "--ckpt", str(ckpt),
                  "--in", str(tmp_path / "m.jsonl"), "--out", str(tmp_path / "t")])
     assert code == 4
+    assert "version mismatch" in capsys.readouterr().err
+
+
+def test_unbuildable_checkpoint_config_exits_four(tmp_path, capsys):
+    tok_cfg = asdict(TokenizerConfig(codebook_size=8, dim=8, heads=2))
+    no_dim = {k: v for k, v in tok_cfg.items() if k != "dim"}
+    ckpt = tmp_path / "tok.ckpt"
+    for config in (
+        {"cfg": {"bogus": 1}},
+        {"seed": 0},  # no cfg
+        {"cfg": {**tok_cfg, "bogus": 1}, "seed": 0},  # unknown field
+        {"cfg": no_dim, "seed": 0},  # missing field
+        {"cfg": {**tok_cfg, "dim": "8"}, "seed": 0},  # wrong type
+        {"cfg": tok_cfg, "seed": 0.5},
+        {"cfg": {**tok_cfg, "codebook_size": 0}, "seed": 0},  # validate() rejects it
+    ):
+        save_checkpoint(ckpt, CheckpointState(kind="tokenizer", config=config, step=0, tensors={}))
+        code = main(["tokenize", "--ckpt", str(ckpt),
+                     "--in", str(tmp_path / "m.jsonl"), "--out", str(tmp_path / "t")])
+        assert code == 4, config
+        assert "version mismatch" in capsys.readouterr().err
+
+    # a model checkpoint whose bundled vocoder cannot be rebuilt is refused,
+    # not translated without speech
+    m = tmp_path / "m.jsonl"
+    write_manifest(generate_toy_corpus(ToyCorpusConfig(pairs=2), 0), m)
+    model_cfg = ModelConfig(audio_vocab=8, d_model=8, blocks=1, heads=2, context=64,
+                            prompt_len=1, proj_hidden=8, enc_dim=8, enc_blocks=1,
+                            enc_heads=2, fixed_input_len=8)
+    model = TranslationModel(model_cfg, 0)
+    tensors = {k: t.data for k, t in model.trainable().items()}
+    bad_vocoder = {"cfg": {"bogus": 1}, "seed": 0, "embedder": {}}
+    save_checkpoint(ckpt, CheckpointState(kind="model", step=0, tensors=tensors,
+                                          config={**model.recipe, "vocoder": bad_vocoder}))
+    assert main(["translate", "--ckpt", str(ckpt), "--in", str(m),
+                 "--out-dir", str(tmp_path / "out"), "--decode-max-steps", "1"]) == 4
     assert "version mismatch" in capsys.readouterr().err
 
 

@@ -120,9 +120,14 @@ def test_frames_reader_rejects_corruption(tmp_path):
     (tmp_path / "magic.ds2f").write_bytes(b"XXXX" + raw[4:])
     with pytest.raises(ParseError):
         read_frames(tmp_path / "magic.ds2f")
-    (tmp_path / "short.ds2f").write_bytes(raw[:-8])
-    with pytest.raises(ParseError):
-        read_frames(tmp_path / "short.ds2f")
+    for name, content in (
+        ("short.ds2f", raw[:-8]),
+        ("header.ds2f", raw[:10]),  # ends inside the 12-byte header
+        ("trailing.ds2f", raw + b"\x00"),
+    ):
+        (tmp_path / name).write_bytes(content)
+        with pytest.raises(ParseError):
+            read_frames(tmp_path / name)
 
 
 def test_manifest_roundtrip_preserves_everything(tmp_path):
@@ -141,10 +146,15 @@ def test_manifest_reader_errors(tmp_path):
     bad.write_text("{not json\n")
     with pytest.raises(ParseError):
         read_manifest(bad)
-    incomplete = tmp_path / "incomplete.jsonl"
-    incomplete.write_text('{"manifest": {}}\n{"id": "a", "speaker": "s"}\n')
-    with pytest.raises(ParseError):
-        read_manifest(incomplete)
+    for name, text in (
+        ("incomplete.jsonl", '{"manifest": {}}\n{"id": "a", "speaker": "s"}\n'),
+        ("list_first.jsonl", '[1, 2]\n'),  # valid JSON, not an object
+        ("list_later.jsonl", '{"manifest": {}}\n"record"\n'),
+        ("meta_list.jsonl", '{"manifest": []}\n'),
+    ):
+        (tmp_path / name).write_text(text)
+        with pytest.raises(ParseError):
+            read_manifest(tmp_path / name)
 
 
 def test_stats_report_counts_and_rendering():

@@ -243,8 +243,6 @@ def test_decode_respects_max_steps_and_penalty_validation():
     assert len(res.tokens) <= 4 * cfg.group_size
     with pytest.raises(ValueError):
         dec.decode_greedy(a_p, DecodeConfig(max_steps=4, repetition_penalty=0.0))
-    with pytest.raises(ValueError):
-        dec.decode_greedy(a_p, DecodeConfig(max_steps=4, group_size=cfg.group_size + 1))
 
 
 def test_decode_step_count_law_on_finished_streams():

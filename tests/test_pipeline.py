@@ -1,9 +1,11 @@
 import numpy as np
 
 from minis2st import pipeline
-from minis2st.corpus import generate_toy_corpus
-from minis2st.tokenizer import SpeechTokenizer
-from minis2st.training import TrainConfig
+from minis2st.corpus import ToyCorpusConfig, generate_toy_corpus
+from minis2st.model import ModelConfig
+from minis2st.tokenizer import SpeechTokenizer, TokenizerConfig
+from minis2st.training import TrainConfig, load_checkpoint, save_checkpoint
+from minis2st.vocoder import SpeakerEmbedder, VocoderConfig
 
 
 def test_stage_weights_do_not_depend_on_checkpoint_path(tmp_path):
@@ -23,3 +25,87 @@ def test_stage_weights_do_not_depend_on_checkpoint_path(tmp_path):
     assert in_memory.keys() == on_disk.keys()
     for name in in_memory:
         np.testing.assert_array_equal(in_memory[name].data, on_disk[name].data)
+
+
+# the exact config dicts the checkpoints of each kind record
+TOK = {"feat_dim": 8, "text_vocab": 20, "dim": 16, "codebook_size": 32, "enc1_blocks": 1,
+       "enc2_blocks": 1, "asr_blocks": 1, "heads": 2, "commitment_beta": 0.25}
+MODEL = {"feat_dim": 8, "text_vocab": 20, "audio_vocab": 32, "d_model": 16, "blocks": 1,
+         "heads": 2, "context": 64, "group_size": 4, "prompt_len": 2, "projector": "linear",
+         "group_frames": 4, "proj_hidden": 16, "qformer_queries": 4, "qformer_dim": 16,
+         "qformer_blocks": 1, "enc_dim": 16, "enc_blocks": 1, "enc_heads": 2,
+         "fixed_input_len": 16, "freeze_text_embed": True}
+VOC = {"feat_dim": 8, "audio_vocab": 32, "token_dim": 8, "d_model": 16, "blocks": 1,
+       "heads": 2, "upsample": 1, "spk_dim": 16, "frame_rate": 50}
+
+
+def _embedder(seed):
+    return {"feat_dim": 8, "spk_dim": 16, "hidden": 32, "seed": seed}
+
+
+def _assert_same_module(rebuilt, trained):
+    a, b = dict(rebuilt.named_tensors()), dict(trained.named_tensors())
+    assert a.keys() == b.keys()
+    for name in a:  # trainable and frozen tensors alike
+        assert a[name].requires_grad == b[name].requires_grad, name
+        np.testing.assert_array_equal(a[name].data, b[name].data, err_msg=name)
+
+
+def test_checkpoint_layout_and_rebuild(tmp_path):
+    full = generate_toy_corpus(ToyCorpusConfig(pairs=10), 0)
+    train_m, val_m = pipeline.split_manifest(full, 8)
+    path = {k: str(tmp_path / f"{k}.ckpt")
+            for k in ("tokenizer", "text_to_token", "model", "vocoder", "tok+t2t", "model+voc")}
+    run = dict(seed=3, max_steps=1)
+    tok, _ = pipeline.train_tokenizer_stage(train_m, val_m, TokenizerConfig(**TOK),
+                                            checkpoint_path=path["tokenizer"], **run)
+    t2t, _, t2t_emb = pipeline.train_text_to_token_stage(
+        train_m, val_m, tok, checkpoint_path=path["text_to_token"], **run)
+    model, _ = pipeline.train_model_stage(train_m, val_m, tok, ModelConfig(**MODEL),
+                                          checkpoint_path=path["model"], **run)
+    # an embedder of another seed than the stage's: its own seed is recorded
+    voc, _, voc_emb = pipeline.train_vocoder_stage(
+        train_m, val_m, tok, VocoderConfig(**VOC), embedder=SpeakerEmbedder(8, seed=5),
+        checkpoint_path=path["vocoder"], **run)
+    save_checkpoint(path["tok+t2t"], pipeline.bundle(
+        load_checkpoint(path["tokenizer"]), "text_to_token", t2t, t2t_emb))
+    save_checkpoint(path["model+voc"], pipeline.bundle(
+        load_checkpoint(path["model"]), "vocoder", voc, voc_emb))
+
+    t2t_config = {"text_vocab": 20, "codebook_size": 32, "spk_dim": 16, "dim": 64,
+                  "blocks": 2, "heads": 4, "seed": 3, "embedder": _embedder(3)}
+    voc_config = {"cfg": VOC, "seed": 3, "embedder": _embedder(5)}
+    configs = {
+        "tokenizer": {"cfg": TOK, "seed": 3},
+        "text_to_token": t2t_config,
+        "model": {"cfg": MODEL, "seed": 3, "token_source": "speech"},
+        "vocoder": voc_config,
+        "tok+t2t": {"cfg": TOK, "seed": 3, "text_to_token": t2t_config},
+        "model+voc": {"cfg": MODEL, "seed": 3, "token_source": "speech", "vocoder": voc_config},
+    }
+    st = {k: load_checkpoint(p) for k, p in path.items()}
+    for k, config in configs.items():
+        assert st[k].config == config, k
+
+    cases = [  # (file, kind, bundle key, trained module, its embedder)
+        ("tokenizer", "tokenizer", None, tok, None),
+        ("text_to_token", "text_to_token", None, t2t, t2t_emb),
+        ("model", "model", None, model, None),
+        ("vocoder", "vocoder", None, voc, voc_emb),
+        ("tok+t2t", "tokenizer", None, tok, None),
+        ("tok+t2t", "tokenizer", "text_to_token", t2t, t2t_emb),
+        ("model+voc", "model", None, model, None),
+        ("model+voc", "model", "vocoder", voc, voc_emb),
+    ]
+    for name, kind, key, module, embedder in cases:
+        rebuilt, rebuilt_emb = pipeline.rebuild(st[name], kind, key)
+        _assert_same_module(rebuilt, module)
+        if embedder is None:
+            assert rebuilt_emb is None
+        else:
+            for attr in ("w1", "b1", "w2"):
+                np.testing.assert_array_equal(getattr(rebuilt_emb, attr), getattr(embedder, attr))
+    for name in ("vocoder", "model+voc"):
+        rebuilt, rebuilt_emb = pipeline.resolve_vocoder(st[name])
+        _assert_same_module(rebuilt, voc)
+        np.testing.assert_array_equal(rebuilt_emb.w1, voc_emb.w1)

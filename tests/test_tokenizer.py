@@ -191,8 +191,12 @@ def test_alignment_table_majority_votes():
         seen.update(tok.tokenize(r.tgt_frames))
     for t in range(8):
         assert (table[t] >= 0) == (t in seen)
-    purity = token_purity(tok, m, cfg.frames_per_symbol, cfg.tgt_vocab)
-    assert 0.0 <= purity <= 1.0
+    hits = frames = 0
+    for r in m:  # by hand: frame i carries symbol text[i // frames_per_symbol]
+        for i, t in enumerate(tok.tokenize(r.tgt_frames)):
+            hits += int(table[t] == r.tgt_text[i // cfg.frames_per_symbol])
+            frames += 1
+    assert token_purity(tok, m, cfg.frames_per_symbol, cfg.tgt_vocab) == hits / frames
 
 
 def test_text_to_token_loss_and_generation():

@@ -58,7 +58,6 @@ def test_schedule_is_continuous_at_warmup_boundary():
     {"lambda_audio": -0.5},
     {"lambda_text": -1.0},
     {"min_delta": -1e-9},
-    {"decay_granularity": "steps"},
 ])
 def test_config_rejects_bad_values(kw):
     with pytest.raises(ConfigError):

@@ -141,7 +141,8 @@ _DEFAULTS = {
     "gen-corpus": lambda: {**asdict(ToyCorpusConfig()), "seed": 0, "val_pairs": 0},
     "filter": lambda: {"threshold": 0.9, "inclusive": False},
     "train-tokenizer": lambda: {**asdict(toy_tokenizer_config()),
-                                **asdict(toy_train_config("tokenizer")),
+                                **{k: v for k, v in asdict(toy_train_config("tokenizer")).items()
+                                   if k not in ("lambda_audio", "lambda_text")},  # model-only
                                 "max_steps": 0, "with_text_to_token": False},
     "train-model": lambda: {**asdict(toy_model_config()), **asdict(toy_train_config("model")),
                             "max_steps": 0, "token_source": "speech", "with_vocoder": True},
@@ -162,18 +163,23 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_run_manifest(path, *, command, config, seed, inputs, outputs, t0):
+def _write_run_manifest(args, run: dict, wall_time_s: float):
+    """<out>.run.json, or run-manifest.json in --out-dir: what the command
+    returned (effective config, seed, inputs, outputs) plus its name, argv,
+    the content hashes of its inputs and --config, and its wall time."""
+    out_dir = getattr(args, "out_dir", None)
+    path = Path(out_dir) / "run-manifest.json" if out_dir else Path(f"{args.out}.run.json")
     doc = {
-        "command": command,
+        "command": args.command,
         "argv": sys.argv[1:] if sys.argv else [],
-        "effective_config": config,
-        "seed": seed,
-        "inputs": {str(p): _sha256(p) for p in inputs if p},
-        "outputs": [str(o) for o in outputs],
-        "wall_time_s": time.perf_counter() - t0,
+        "effective_config": run["config"],
+        "seed": run["seed"],
+        "inputs": {str(p): _sha256(p) for p in [args.config, *run["inputs"]] if p},
+        "outputs": [str(o) for o in run["outputs"]],
+        "wall_time_s": wall_time_s,
     }
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------- token files
@@ -200,10 +206,11 @@ def read_token_file(path):
 
 
 # ----------------------------------------------------------------- subcommands
+# Each command returns what its run manifest records: effective config, seed,
+# input paths (besides --config) and outputs; main() times it and writes it.
 
 
-def cmd_gen_corpus(args) -> int:
-    t0 = time.perf_counter()
+def cmd_gen_corpus(args) -> dict:
     eff = _layer(_DEFAULTS["gen-corpus"](), args)
     cfg = ToyCorpusConfig(**_pick(eff, ToyCorpusConfig))
     m = generate_toy_corpus(cfg, eff["seed"])
@@ -212,36 +219,29 @@ def cmd_gen_corpus(args) -> int:
     if eff["val_pairs"]:
         if not (0 < eff["val_pairs"] < len(m)):
             raise UsageError(f"--val-pairs must be in (0, {len(m)})")
-        train_m, val_m = split_manifest(m, len(m) - eff["val_pairs"])
-        write_manifest(train_m, out)
+        m, val_m = split_manifest(m, len(m) - eff["val_pairs"])
+        write_manifest(m, out)
         val_path = args.val_out or out.with_name(out.stem + ".val" + out.suffix)
         write_manifest(val_m, val_path)
         outputs.append(Path(val_path))
-        print(f"wrote {len(train_m)} train / {len(val_m)} val pairs")
+        print(f"wrote {len(m)} train / {len(val_m)} val pairs")
     else:
         write_manifest(m, out)
         print(f"wrote {len(m)} pairs")
-    print(corpus_stats(read_manifest(out)).render_text(), end="")
-    _write_run_manifest(str(out) + ".run.json", command="gen-corpus", config=eff,
-                        seed=eff["seed"], inputs=[args.config], outputs=outputs, t0=t0)
-    return 0
+    print(corpus_stats(m).render_text(), end="")
+    return dict(config=eff, seed=eff["seed"], inputs=[], outputs=outputs)
 
 
-def cmd_filter(args) -> int:
-    t0 = time.perf_counter()
+def cmd_filter(args) -> dict:
     eff = _layer(_DEFAULTS["filter"](), args)
     m = read_manifest(args.infile)
     kept = filter_by_similarity(m, threshold=eff["threshold"], inclusive=eff["inclusive"])
     write_manifest(kept, args.out)
     print(f"kept {len(kept)} of {len(m)} records")
-    _write_run_manifest(str(args.out) + ".run.json", command="filter", config=eff,
-                        seed=None, inputs=[args.config, args.infile],
-                        outputs=[args.out], t0=t0)
-    return 0
+    return dict(config=eff, seed=None, inputs=[args.infile], outputs=[args.out])
 
 
-def cmd_train_tokenizer(args) -> int:
-    t0 = time.perf_counter()
+def cmd_train_tokenizer(args) -> dict:
     train_m = read_manifest(args.train)
     val_m = read_manifest(args.val)
     meta = train_m.metadata
@@ -259,38 +259,27 @@ def cmd_train_tokenizer(args) -> int:
     )
     print(f"tokenizer: {result.steps} steps, best val {result.best_val:.4f} "
           f"at step {result.best_step}")
-    outputs = [args.out, log_path]
     if eff["with_text_to_token"]:
         t2t, t2t_result, embedder = train_text_to_token_stage(
             train_m, val_m, tok, seed=eff["seed"], max_steps=eff["max_steps"] or None,
         )
-        save_checkpoint(args.out, bundle(load_checkpoint(args.out), "text_to_token",
-                                         t2t, embedder))
+        save_checkpoint(args.out, bundle(result.state, "text_to_token", t2t, embedder))
         print(f"text-to-token: {t2t_result.steps} steps, "
               f"best val {t2t_result.best_val:.4f}")
-    _write_run_manifest(str(args.out) + ".run.json", command="train-tokenizer",
-                        config=eff, seed=eff["seed"],
-                        inputs=[args.config, args.train, args.val],
-                        outputs=outputs, t0=t0)
-    return 0
+    return dict(config=eff, seed=eff["seed"], inputs=[args.train, args.val],
+                outputs=[args.out, log_path])
 
 
-def cmd_tokenize(args) -> int:
-    t0 = time.perf_counter()
+def cmd_tokenize(args) -> dict:
     tok, _ = rebuild(load_checkpoint(args.ckpt), "tokenizer")
     m = read_manifest(args.infile)
     rows = [(r.id, tok.tokenize(r.tgt_frames)) for r in m]
     write_token_file(args.out, rows)
     print(f"tokenized {len(rows)} utterances")
-    _write_run_manifest(str(args.out) + ".run.json", command="tokenize",
-                        config={}, seed=None,
-                        inputs=[args.config, args.ckpt, args.infile],
-                        outputs=[args.out], t0=t0)
-    return 0
+    return dict(config={}, seed=None, inputs=[args.ckpt, args.infile], outputs=[args.out])
 
 
-def cmd_train_model(args) -> int:
-    t0 = time.perf_counter()
+def cmd_train_model(args) -> dict:
     train_m = read_manifest(args.train)
     val_m = read_manifest(args.val)
     tok_st = load_checkpoint(args.tokenizer)
@@ -324,17 +313,13 @@ def cmd_train_model(args) -> int:
         voc, voc_result, embedder = train_vocoder_stage(
             train_m, val_m, tok, voc_cfg, seed=eff["seed"], max_steps=max_steps,
         )
-        save_checkpoint(args.out, bundle(load_checkpoint(args.out), "vocoder", voc, embedder))
+        save_checkpoint(args.out, bundle(result.state, "vocoder", voc, embedder))
         print(f"vocoder: {voc_result.steps} steps, best val {voc_result.best_val:.6f}")
-    _write_run_manifest(str(args.out) + ".run.json", command="train-model",
-                        config=eff, seed=eff["seed"],
-                        inputs=[args.config, args.train, args.val, args.tokenizer],
-                        outputs=[args.out, log_path], t0=t0)
-    return 0
+    return dict(config=eff, seed=eff["seed"], inputs=[args.train, args.val, args.tokenizer],
+                outputs=[args.out, log_path])
 
 
-def cmd_translate(args) -> int:
-    t0 = time.perf_counter()
+def cmd_translate(args) -> dict:
     eff = _layer(_DEFAULTS["translate"](), args)
     st = load_checkpoint(args.ckpt)
     model, _ = rebuild(st, "model")
@@ -370,15 +355,10 @@ def cmd_translate(args) -> int:
         outputs += [out_dir / "frames", out_dir / "prompts"]
     note = " (no vocoder in checkpoint: frames skipped)" if voc is None else ""
     print(f"translated {len(m)} utterances, {truncated} truncated{note}")
-    _write_run_manifest(out_dir / "run-manifest.json", command="translate",
-                        config=eff, seed=None,
-                        inputs=[args.config, args.ckpt, args.infile],
-                        outputs=outputs, t0=t0)
-    return 0
+    return dict(config=eff, seed=None, inputs=[args.ckpt, args.infile], outputs=outputs)
 
 
-def cmd_synthesize(args) -> int:
-    t0 = time.perf_counter()
+def cmd_synthesize(args) -> dict:
     voc, embedder = resolve_vocoder(load_checkpoint(args.ckpt))
     rows = read_token_file(args.tokens)
     prompt = read_frames(args.prompt, frame_rate=voc.cfg.frame_rate)
@@ -392,15 +372,11 @@ def cmd_synthesize(args) -> int:
         write_frames(path, gen)
         outputs.append(path)
     print(f"synthesized {len(rows)} utterances")
-    _write_run_manifest(out_dir / "run-manifest.json", command="synthesize",
-                        config={}, seed=None,
-                        inputs=[args.config, args.ckpt, args.tokens, args.prompt],
-                        outputs=outputs, t0=t0)
-    return 0
+    return dict(config={}, seed=None, inputs=[args.ckpt, args.tokens, args.prompt],
+                outputs=outputs)
 
 
-def cmd_eval(args) -> int:
-    t0 = time.perf_counter()
+def cmd_eval(args) -> dict:
     eff = _layer(_DEFAULTS["eval"](), args)
     hyp_rows = read_token_file(args.hyp)
     if args.ref_manifest:
@@ -418,7 +394,7 @@ def cmd_eval(args) -> int:
         bleu=corpus_bleu(hyps, refs),
         meteor=float(np.mean([meteor_lite(h, r) for h, r in zip(hyps, refs)])),
     )
-    inputs = [args.config, args.hyp, args.ref, args.ref_manifest]
+    inputs = [args.hyp, args.ref, args.ref_manifest]
     if args.gen_frames and args.prompt_frames:
         if not args.embedder_from:
             raise UsageError("--gen-frames needs --embedder-from for the speaker embedder")
@@ -431,19 +407,12 @@ def cmd_eval(args) -> int:
         row.speaker_sim = float(np.mean(sims))
         inputs.append(args.embedder_from)
     report = EvalReport(rows=[row], metadata={"hyp": str(args.hyp)})
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.txt").write_text(report.render_text())
-    (out_dir / "report.kv").write_text(report.to_kv())
+    outputs = report.write(args.out_dir)
     print(report.render_text(), end="")
-    _write_run_manifest(out_dir / "run-manifest.json", command="eval", config=eff,
-                        seed=None, inputs=inputs,
-                        outputs=[out_dir / "report.txt", out_dir / "report.kv"], t0=t0)
-    return 0
+    return dict(config=eff, seed=None, inputs=inputs, outputs=outputs)
 
 
-def cmd_ablate(args) -> int:
-    t0 = time.perf_counter()
+def cmd_ablate(args) -> dict:
     train_m = read_manifest(args.train)
     val_m = read_manifest(args.val)
     eval_m = read_manifest(args.eval) if args.eval else val_m
@@ -459,22 +428,15 @@ def cmd_ablate(args) -> int:
         tokenizer=tok, vocoder=voc, embedder=embedder, alignment=alignment,
         seed=eff["seed"], train_cfg=tcfg, max_steps=eff["max_steps"] or None,
     )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.txt").write_text(report.render_text())
-    (out_dir / "report.kv").write_text(report.to_kv())
-    outputs = [out_dir / "report.txt", out_dir / "report.kv"]
+    outputs = report.write(args.out_dir)
     for name, trace in curves.items():
-        path = out_dir / f"{name}.curve"
+        path = Path(args.out_dir) / f"{name}.curve"
         path.write_text("".join(f"{i + 1} {v}\n" for i, v in enumerate(trace)))
         outputs.append(path)
     print(report.render_text(), end="")
-    _write_run_manifest(out_dir / "run-manifest.json", command="ablate", config=eff,
-                        seed=eff["seed"],
-                        inputs=[args.config, args.train, args.val, args.eval,
-                                args.tokenizer, args.vocoder],
-                        outputs=outputs, t0=t0)
-    return 0
+    return dict(config=eff, seed=eff["seed"],
+                inputs=[args.train, args.val, args.eval, args.tokenizer, args.vocoder],
+                outputs=outputs)
 
 
 # --------------------------------------------------------------------- parser
@@ -561,7 +523,10 @@ def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        return args.func(args)
+        t0 = time.perf_counter()
+        run = args.func(args)
+        _write_run_manifest(args, run, time.perf_counter() - t0)
+        return 0
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     except UsageError as exc:

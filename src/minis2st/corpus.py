@@ -288,6 +288,14 @@ def write_manifest(m: Manifest, path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# manifest record field -> (type check, what it wants), in constructor order
+_STR = (lambda v: type(v) is str, "a string")
+_SYMBOLS = (lambda v: type(v) is list and all(type(t) is int for t in v), "a list of ints")
+_RECORD_FIELDS = {"id": _STR, "src_text": _SYMBOLS, "tgt_text": _SYMBOLS, "src_frames": _STR,
+                  "tgt_frames": _STR, "speaker": _STR,
+                  "similarity": (lambda v: type(v) in (int, float), "a number")}
+
+
 def read_manifest(path) -> Manifest:
     path = Path(path)
     if not path.exists():
@@ -310,21 +318,23 @@ def read_manifest(path) -> Manifest:
                 if not isinstance(metadata, dict):
                     raise ParseError(f"{path}:1: manifest metadata is not a JSON object")
                 continue
-            try:
-                rate = int(metadata.get("frame_rate", 50))
-                records.append(
-                    UtterancePair(
-                        id=obj["id"],
-                        src_text=list(obj["src_text"]),
-                        tgt_text=list(obj["tgt_text"]),
-                        src_frames=read_frames(path.parent / obj["src_frames"], rate),
-                        tgt_frames=read_frames(path.parent / obj["tgt_frames"], rate),
-                        speaker=obj["speaker"],
-                        similarity=float(obj["similarity"]),
-                    )
+            for key, (ok, what) in _RECORD_FIELDS.items():
+                if key not in obj:
+                    raise ParseError(f"{path}:{lineno}: missing field {key!r}")
+                if not ok(obj[key]):
+                    raise ParseError(f"{path}:{lineno}: field {key!r} is not {what}")
+            rate = int(metadata.get("frame_rate", 50))
+            records.append(
+                UtterancePair(
+                    id=obj["id"],
+                    src_text=obj["src_text"],
+                    tgt_text=obj["tgt_text"],
+                    src_frames=read_frames(path.parent / obj["src_frames"], rate),
+                    tgt_frames=read_frames(path.parent / obj["tgt_frames"], rate),
+                    speaker=obj["speaker"],
+                    similarity=float(obj["similarity"]),
                 )
-            except KeyError as e:
-                raise ParseError(f"{path}:{lineno}: missing field {e}") from e
+            )
     return Manifest(records=records, metadata=metadata)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -169,6 +170,15 @@ class EvalReport:
         for i, note in enumerate(self.notes):
             lines.append(f"note.{i}={note}")
         return "\n".join(lines) + "\n"
+
+    def write(self, out_dir) -> list:
+        """report.txt and report.kv in `out_dir` (made if absent); their paths."""
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        txt, kv = out_dir / "report.txt", out_dir / "report.kv"
+        txt.write_text(self.render_text())
+        kv.write_text(self.to_kv())
+        return [txt, kv]
 
 
 # ------------------------------------------------- transcription stand-in

@@ -113,6 +113,12 @@ def rebuild(st: CheckpointState, kind: str, key: str | None = None):
                     if with_embedder else None)
     except ValueError as exc:
         raise VersionError(f"checkpoint config {where}: {exc}") from None
+    if embedder is not None:  # the module must take what its embedder emits
+        sizes = recipe.get("cfg", recipe)
+        for dim in ("spk_dim", "feat_dim"):
+            if dim in sizes and sizes[dim] != embedder.recipe[dim]:
+                raise VersionError(f"checkpoint config {where}: {dim} {sizes[dim]} != "
+                                   f"embedder {dim} {embedder.recipe[dim]}")
     load_trainable(module, st.tensors, prefix)
     return module, embedder
 
@@ -532,8 +538,7 @@ def run_toy_pipeline(out_dir=None, *, seed: int = 0, corpus_cfg: ToyCorpusConfig
     timings["total"] = sum(timings.values())
 
     if out_dir is not None:
-        (out / "report.txt").write_text(report.render_text())
-        (out / "report.kv").write_text(report.to_kv())
+        report.write(out)
 
     return PipelineRun(
         seed=seed, train_m=train_m, val_m=val_m, tokenizer=tok, model=model,

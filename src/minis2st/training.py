@@ -204,6 +204,7 @@ class TrainResult:
     val_history: list
     stopped_early: bool
     best_step: int
+    state: CheckpointState  # what the checkpoint holds: the best state, else the last
 
 
 def _epoch_batches(n: int, batch_size: int, epoch: int, seed: int, lengths=None):
@@ -230,7 +231,8 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
     validations stop the run; a non-finite loss aborts with NumericError after
     the best checkpoint is already on disk.  On return `params` hold the best
     weights (the resumed ones count as best so far), or the last weights if no
-    validation improved.
+    validation improved; the result's `state` is that checkpoint state, in
+    memory whether or not it was written.
     """
     n = len(examples)
     if n == 0:
@@ -245,7 +247,7 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
     bad = 0
     val_history = []
     epochs_done = 0  # completed on_epoch_end callbacks
-    best_params = None  # trainable arrays at best_step
+    best = resume_from  # checkpoint state at best_step
 
     if resume_from is not None:
         st = resume_from
@@ -269,7 +271,6 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
         epochs_done = int(st.meta.get("epochs_done", step // bpe))
         if st.rng_state is not None:
             rng.bit_generator.state = st.rng_state
-        best_params = {name: p.data.copy() for name, p in params.items()}
 
     def snapshot() -> CheckpointState:
         tensors = {name: p.data.copy() for name, p in params.items()}
@@ -318,7 +319,7 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
                     break
                 step += 1
                 lr = current_lr()
-                with Tape():
+                with Tape() as tape:
                     loss, extras = loss_fn([examples[i] for i in batch], rng)
                 lval = float(loss.data)
                 if not np.isfinite(lval):
@@ -327,6 +328,7 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
                         f"best checkpoint (step {best_step}) retained"
                     )
                 backward(loss)
+                tape.nodes.clear()  # op outputs point back at the tape: free the step now
                 adam.step(lr)
                 adam.zero_grad()
                 if log_fh:
@@ -346,9 +348,9 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
                         best_val = val
                         best_step = step
                         bad = 0
-                        best_params = {name: p.data.copy() for name, p in params.items()}
+                        best = snapshot()
                         if checkpoint_path:
-                            save_checkpoint(checkpoint_path, snapshot())
+                            save_checkpoint(checkpoint_path, best)
                     else:
                         bad += 1
                         if bad >= cfg.patience:
@@ -362,16 +364,18 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
     finally:
         if log_fh:
             log_fh.close()
-    if best_params is None:
+    if best is None:
+        best = snapshot()
         if checkpoint_path:
-            save_checkpoint(checkpoint_path, snapshot())
+            save_checkpoint(checkpoint_path, best)
     else:
         for name, p in params.items():
-            p.data = best_params[name]
+            p.data = best.tensors[name].copy()
     return TrainResult(
         steps=step,
         best_val=best_val,
         val_history=val_history,
         stopped_early=early,
         best_step=best_step,
+        state=best,
     )

@@ -26,8 +26,9 @@ from minis2st.corpus import (
     write_manifest,
 )
 from minis2st.model import ModelConfig, TranslationModel
-from minis2st.tokenizer import TokenizerConfig
+from minis2st.tokenizer import SpeechTokenizer, TextToTokenModel, TokenizerConfig
 from minis2st.training import CheckpointState, save_checkpoint
+from minis2st.vocoder import SpeakerEmbedder, TimbreVocoder, VocoderConfig
 
 
 # ------------------------------------------------------------- exit codes
@@ -128,6 +129,37 @@ def test_unbuildable_checkpoint_config_exits_four(tmp_path, capsys):
     assert main(["translate", "--ckpt", str(ckpt), "--in", str(m),
                  "--out-dir", str(tmp_path / "out"), "--decode-max-steps", "1"]) == 4
     assert "version mismatch" in capsys.readouterr().err
+
+    # recipes that build alone but not together: the module would not take
+    # what its embedder emits
+    embedder = SpeakerEmbedder(8).recipe
+    voc = TimbreVocoder(VocoderConfig(audio_vocab=8, token_dim=4, d_model=8, blocks=1,
+                                      heads=2), 0)
+    for emb in ({**embedder, "spk_dim": 8}, {**embedder, "feat_dim": 4}):
+        save_checkpoint(ckpt, CheckpointState(
+            kind="vocoder", step=0, tensors={k: t.data for k, t in voc.trainable().items()},
+            config={**voc.recipe, "embedder": emb}))
+        assert main(["synthesize", "--ckpt", str(ckpt), "--tokens", str(tmp_path / "t"),
+                     "--prompt", str(tmp_path / "p"), "--out-dir", str(tmp_path / "s")]) == 4
+        assert "version mismatch" in capsys.readouterr().err
+    tok = SpeechTokenizer(TokenizerConfig(codebook_size=8, dim=8, heads=2), 0)
+    t2t = TextToTokenModel(tok.cfg.text_vocab, 8, 16).recipe
+    save_checkpoint(ckpt, CheckpointState(
+        kind="tokenizer", step=0, tensors={k: t.data for k, t in tok.trainable().items()},
+        config={**tok.recipe, "text_to_token": {**t2t, "spk_dim": 8, "embedder": embedder}}))
+    assert main(["train-model", "--train", str(m), "--val", str(m), "--tokenizer", str(ckpt),
+                 "--out", str(tmp_path / "model.ckpt"), "--token-source", "text"]) == 4
+    assert "version mismatch" in capsys.readouterr().err
+
+
+def test_mistyped_manifest_field_exits_two(tmp_path, capsys):
+    m = tmp_path / "m.jsonl"
+    write_manifest(generate_toy_corpus(ToyCorpusConfig(pairs=2), 0), m)
+    lines = m.read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), "src_frames": 5})
+    m.write_text("\n".join(lines) + "\n")
+    assert main(["filter", "--in", str(m), "--out", str(tmp_path / "kept.jsonl")]) == 2
+    assert "m.jsonl:2: field 'src_frames' is not a string" in capsys.readouterr().err
 
 
 def test_eval_requires_exactly_one_reference_source(tmp_path, capsys):
@@ -285,6 +317,71 @@ def test_text_token_chain_writes_no_temp_checkpoints(tmp_path, monkeypatch, caps
     capsys.readouterr()
     assert set(written) == {str(tok), str(model)}
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def _cli_chain(d: Path) -> list:
+    """argv of every command on a 12-pair corpus, in an order that runs."""
+    m, val, tok, model = d / "m.jsonl", d / "m.val.jsonl", d / "tok.ckpt", d / "model.ckpt"
+    tr = d / "translate"
+    chain = [
+        ["gen-corpus", "--out", m, "--pairs", "12", "--val-pairs", "4"],
+        ["filter", "--in", m, "--out", d / "kept.jsonl"],
+        ["train-tokenizer", "--train", m, "--val", val, "--out", tok, "--max-steps", "2",
+         "--with-text-to-token", "true"],
+        ["tokenize", "--ckpt", tok, "--in", val, "--out", d / "val.tok"],
+        ["train-model", "--train", m, "--val", val, "--tokenizer", tok, "--out", model,
+         "--max-steps", "2"],
+        ["translate", "--ckpt", model, "--in", val, "--out-dir", tr, "--decode-max-steps", "2"],
+        ["synthesize", "--ckpt", model, "--tokens", tr / "translations.tokens",
+         "--prompt", tr / "prompts" / "utt00008.ds2f", "--out-dir", d / "synth"],
+        ["eval", "--hyp", tr / "translations.text", "--ref-manifest", val,
+         "--gen-frames", tr / "frames", "--prompt-frames", tr / "prompts",
+         "--embedder-from", model, "--out-dir", d / "eval"],
+        ["ablate", "token_source", "--train", m, "--val", val, "--tokenizer", tok,
+         "--vocoder", model, "--out-dir", d / "ablate", "--max-steps", "2"],
+    ]
+    return [[str(a) for a in argv] + ["--seed", "5"] for argv in chain]
+
+
+def _run_manifest_path(argv) -> Path:
+    if "--out-dir" in argv:
+        return Path(argv[argv.index("--out-dir") + 1]) / "run-manifest.json"
+    return Path(argv[argv.index("--out") + 1] + ".run.json")
+
+
+def test_every_command_writes_its_run_manifest(tmp_path, capsys):
+    chain = _cli_chain(tmp_path)
+    assert len({argv[0] for argv in chain}) == 9
+    for argv in chain:
+        assert main(argv) == 0, argv
+        doc = json.loads(_run_manifest_path(argv).read_text())
+        assert set(doc) == {"command", "argv", "effective_config", "seed",
+                            "inputs", "outputs", "wall_time_s"}
+        assert doc["command"] == argv[0]
+        seeded = argv[0] in ("gen-corpus", "train-tokenizer", "train-model", "ablate")
+        assert doc["seed"] == (5 if seeded else None), argv[0]
+        assert doc["outputs"] and all(Path(o).exists() for o in doc["outputs"])
+    capsys.readouterr()
+
+
+def test_commands_never_read_back_their_outputs(tmp_path, monkeypatch, capsys):
+    reads = []
+
+    def recording(read):
+        def wrapper(path, *args, **kwargs):
+            reads.append(Path(path))
+            return read(path, *args, **kwargs)
+        return wrapper
+
+    for name in ("load_checkpoint", "read_manifest"):
+        monkeypatch.setattr(minis2st.cli, name, recording(getattr(minis2st.cli, name)))
+    chain = _cli_chain(tmp_path)
+    for argv in (chain[0], chain[2], chain[4]):  # gen-corpus, train-tokenizer, train-model
+        reads.clear()
+        assert main(argv) == 0, argv
+        written = json.loads(_run_manifest_path(argv).read_text())["outputs"]
+        assert not set(reads) & {Path(o) for o in written}, argv[0]
+    capsys.readouterr()
 
 
 # -------------------------------------------------------------------- docs

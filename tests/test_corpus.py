@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,18 @@ def test_manifest_reader_errors(tmp_path):
         (tmp_path / name).write_text(text)
         with pytest.raises(ParseError):
             read_manifest(tmp_path / name)
+
+    # every field has one JSON type; the frame files need not exist to see that
+    record = {"id": "a", "speaker": "s", "similarity": 1.0, "src_text": [1],
+              "tgt_text": [2], "src_frames": "a.src.ds2f", "tgt_frames": "a.tgt.ds2f"}
+    typed = tmp_path / "typed.jsonl"
+    for key, value in (("id", 3), ("speaker", None), ("src_frames", 5),
+                       ("tgt_frames", ["a.tgt.ds2f"]), ("src_text", "12"),
+                       ("tgt_text", [2.0]), ("tgt_text", [True]),
+                       ("similarity", "high"), ("similarity", [1.0])):
+        typed.write_text('{"manifest": {}}\n' + json.dumps({**record, key: value}) + "\n")
+        with pytest.raises(ParseError, match=f"typed.jsonl:2: field '{key}'"):
+            read_manifest(typed)
 
 
 def test_stats_report_counts_and_rendering():

@@ -1,10 +1,12 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from minis2st.tensor import Tensor, mean, mul, sub
+from minis2st.tensor import Tensor, _active_tape, mean, mul, sub
 from minis2st.training import (
     Adam,
     CheckpointState,
@@ -380,6 +382,43 @@ def test_train_keeps_last_weights_when_no_validation_ran():
     before = params["w"].data.copy()
     train(params=params, examples=examples, loss_fn=loss_fn, val_fn=val_fn, cfg=cfg)
     assert not np.array_equal(params["w"].data, before)
+
+
+def test_result_state_is_the_checkpoint_written(tmp_path):
+    # with and without an improving validation (best state vs fallback)
+    for validate_every in (2, 100):
+        params, examples, loss_fn, val_fn = _make_problem()
+        cfg = TrainConfig(lr=0.05, batch_size=4, warmup_steps=1, max_epochs=50,
+                          validate_every=validate_every, patience=10, seed=4)
+        scripted = iter([3.0, 1.0, 2.0, 2.5])
+        ckpt, again = tmp_path / "run.ckpt", tmp_path / "again.ckpt"
+        res = train(params=params, examples=examples, loss_fn=loss_fn,
+                    val_fn=lambda: next(scripted), cfg=cfg, checkpoint_path=str(ckpt),
+                    max_steps=8, kind="tokenizer", config_snapshot={"note": 1})
+        save_checkpoint(again, res.state)
+        assert again.read_bytes() == ckpt.read_bytes()
+        assert res.state.step == (4 if validate_every == 2 else 8)
+
+
+def test_each_step_frees_its_tape_without_the_cyclic_collector():
+    params, examples, good_loss, val_fn = _make_problem()
+    tapes = []
+
+    def loss_fn(batch, rng):
+        tapes.append(weakref.ref(_active_tape()))
+        return good_loss(batch, rng)
+
+    cfg = TrainConfig(lr=0.05, batch_size=4, warmup_steps=1, max_epochs=50,
+                      validate_every=2, patience=10)
+    gc.collect()
+    gc.disable()
+    try:
+        train(params=params, examples=examples, loss_fn=loss_fn, val_fn=val_fn,
+              cfg=cfg, max_steps=6)
+        assert len(tapes) == 6
+        assert all(ref() is None for ref in tapes)
+    finally:
+        gc.enable()
 
 
 def test_resume_missing_parameter_or_state_is_version_error(tmp_path):

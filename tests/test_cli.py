@@ -9,6 +9,7 @@ import pytest
 import minis2st.cli
 import minis2st.training
 
+from goldens import cli_chain, run_manifest_path
 from minis2st.cli import (
     UsageError,
     _coerce,
@@ -319,42 +320,12 @@ def test_text_token_chain_writes_no_temp_checkpoints(tmp_path, monkeypatch, caps
     assert not list(tmp_path.rglob("*.tmp"))
 
 
-def _cli_chain(d: Path) -> list:
-    """argv of every command on a 12-pair corpus, in an order that runs."""
-    m, val, tok, model = d / "m.jsonl", d / "m.val.jsonl", d / "tok.ckpt", d / "model.ckpt"
-    tr = d / "translate"
-    chain = [
-        ["gen-corpus", "--out", m, "--pairs", "12", "--val-pairs", "4"],
-        ["filter", "--in", m, "--out", d / "kept.jsonl"],
-        ["train-tokenizer", "--train", m, "--val", val, "--out", tok, "--max-steps", "2",
-         "--with-text-to-token", "true"],
-        ["tokenize", "--ckpt", tok, "--in", val, "--out", d / "val.tok"],
-        ["train-model", "--train", m, "--val", val, "--tokenizer", tok, "--out", model,
-         "--max-steps", "2"],
-        ["translate", "--ckpt", model, "--in", val, "--out-dir", tr, "--decode-max-steps", "2"],
-        ["synthesize", "--ckpt", model, "--tokens", tr / "translations.tokens",
-         "--prompt", tr / "prompts" / "utt00008.ds2f", "--out-dir", d / "synth"],
-        ["eval", "--hyp", tr / "translations.text", "--ref-manifest", val,
-         "--gen-frames", tr / "frames", "--prompt-frames", tr / "prompts",
-         "--embedder-from", model, "--out-dir", d / "eval"],
-        ["ablate", "token_source", "--train", m, "--val", val, "--tokenizer", tok,
-         "--vocoder", model, "--out-dir", d / "ablate", "--max-steps", "2"],
-    ]
-    return [[str(a) for a in argv] + ["--seed", "5"] for argv in chain]
-
-
-def _run_manifest_path(argv) -> Path:
-    if "--out-dir" in argv:
-        return Path(argv[argv.index("--out-dir") + 1]) / "run-manifest.json"
-    return Path(argv[argv.index("--out") + 1] + ".run.json")
-
-
 def test_every_command_writes_its_run_manifest(tmp_path, capsys):
-    chain = _cli_chain(tmp_path)
+    chain = cli_chain(tmp_path)
     assert len({argv[0] for argv in chain}) == 9
     for argv in chain:
         assert main(argv) == 0, argv
-        doc = json.loads(_run_manifest_path(argv).read_text())
+        doc = json.loads(run_manifest_path(argv).read_text())
         assert set(doc) == {"command", "argv", "effective_config", "seed",
                             "inputs", "outputs", "wall_time_s"}
         assert doc["command"] == argv[0]
@@ -375,11 +346,11 @@ def test_commands_never_read_back_their_outputs(tmp_path, monkeypatch, capsys):
 
     for name in ("load_checkpoint", "read_manifest"):
         monkeypatch.setattr(minis2st.cli, name, recording(getattr(minis2st.cli, name)))
-    chain = _cli_chain(tmp_path)
+    chain = cli_chain(tmp_path)
     for argv in (chain[0], chain[2], chain[4]):  # gen-corpus, train-tokenizer, train-model
         reads.clear()
         assert main(argv) == 0, argv
-        written = json.loads(_run_manifest_path(argv).read_text())["outputs"]
+        written = json.loads(run_manifest_path(argv).read_text())["outputs"]
         assert not set(reads) & {Path(o) for o in written}, argv[0]
     capsys.readouterr()
 

@@ -163,7 +163,7 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_run_manifest(args, run: dict, wall_time_s: float):
+def _write_run_manifest(args, argv: list, run: dict, wall_time_s: float):
     """<out>.run.json, or run-manifest.json in --out-dir: what the command
     returned (effective config, seed, inputs, outputs) plus its name, argv,
     the content hashes of its inputs and --config, and its wall time."""
@@ -171,7 +171,7 @@ def _write_run_manifest(args, run: dict, wall_time_s: float):
     path = Path(out_dir) / "run-manifest.json" if out_dir else Path(f"{args.out}.run.json")
     doc = {
         "command": args.command,
-        "argv": sys.argv[1:] if sys.argv else [],
+        "argv": argv,
         "effective_config": run["config"],
         "seed": run["seed"],
         "inputs": {str(p): _sha256(p) for p in [args.config, *run["inputs"]] if p},
@@ -246,8 +246,8 @@ def cmd_train_tokenizer(args) -> dict:
     val_m = read_manifest(args.val)
     meta = train_m.metadata
     defaults = _DEFAULTS["train-tokenizer"]()
-    defaults["feat_dim"] = int(meta.get("feat_dim", defaults["feat_dim"]))
-    defaults["text_vocab"] = int(meta.get("tgt_vocab", defaults["text_vocab"]))
+    defaults["feat_dim"] = meta.get("feat_dim", defaults["feat_dim"])
+    defaults["text_vocab"] = meta.get("tgt_vocab", defaults["text_vocab"])
     eff = _layer(defaults, args)
     cfg = TokenizerConfig(**_pick(eff, TokenizerConfig))
     tcfg = TrainConfig(**_pick(eff, TrainConfig))
@@ -286,7 +286,7 @@ def cmd_train_model(args) -> dict:
     tok, _ = rebuild(tok_st, "tokenizer")
     meta = train_m.metadata
     defaults = _DEFAULTS["train-model"]()
-    defaults["feat_dim"] = int(meta.get("feat_dim", defaults["feat_dim"]))
+    defaults["feat_dim"] = meta.get("feat_dim", defaults["feat_dim"])
     defaults["text_vocab"] = tok.cfg.text_vocab
     defaults["audio_vocab"] = tok.cfg.codebook_size
     eff = _layer(defaults, args)
@@ -309,7 +309,7 @@ def cmd_train_model(args) -> dict:
     if eff["with_vocoder"]:
         voc_cfg = replace(toy_vocoder_config(), feat_dim=tok.cfg.feat_dim,
                           audio_vocab=tok.cfg.codebook_size,
-                          frame_rate=int(meta.get("frame_rate", 50)))
+                          frame_rate=meta.get("frame_rate", 50))
         voc, voc_result, embedder = train_vocoder_stage(
             train_m, val_m, tok, voc_cfg, seed=eff["seed"], max_steps=max_steps,
         )
@@ -421,8 +421,8 @@ def cmd_ablate(args) -> dict:
     tok, _ = rebuild(load_checkpoint(args.tokenizer), "tokenizer")
     voc, embedder = resolve_vocoder(load_checkpoint(args.vocoder))
     meta = train_m.metadata
-    fps = int(meta.get("frames_per_symbol", 4))
-    alignment = token_symbol_alignment(tok, train_m, fps, int(meta.get("tgt_vocab", 20)))
+    fps = meta.get("frames_per_symbol", 4)
+    alignment = token_symbol_alignment(tok, train_m, fps, meta.get("tgt_vocab", 20))
     report, curves = run_ablation(
         args.suite, train_m=train_m, val_m=val_m, eval_m=eval_m,
         tokenizer=tok, vocoder=voc, embedder=embedder, alignment=alignment,
@@ -520,12 +520,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
         t0 = time.perf_counter()
         run = args.func(args)
-        _write_run_manifest(args, run, time.perf_counter() - t0)
+        _write_run_manifest(args, argv, run, time.perf_counter() - t0)
         return 0
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)

@@ -294,6 +294,8 @@ _SYMBOLS = (lambda v: type(v) is list and all(type(t) is int for t in v), "a lis
 _RECORD_FIELDS = {"id": _STR, "src_text": _SYMBOLS, "tgt_text": _SYMBOLS, "src_frames": _STR,
                   "tgt_frames": _STR, "speaker": _STR,
                   "similarity": (lambda v: type(v) in (int, float), "a number")}
+# metadata values the readers use as sizes and rates
+_META_INTS = ("frame_rate", "feat_dim", "tgt_vocab", "frames_per_symbol")
 
 
 def read_manifest(path) -> Manifest:
@@ -317,13 +319,16 @@ def read_manifest(path) -> Manifest:
                 metadata = obj["manifest"]
                 if not isinstance(metadata, dict):
                     raise ParseError(f"{path}:1: manifest metadata is not a JSON object")
+                for key in _META_INTS:
+                    if key in metadata and not (type(metadata[key]) is int and metadata[key] >= 1):
+                        raise ParseError(f"{path}:1: metadata {key!r} is not an int >= 1")
                 continue
             for key, (ok, what) in _RECORD_FIELDS.items():
                 if key not in obj:
                     raise ParseError(f"{path}:{lineno}: missing field {key!r}")
                 if not ok(obj[key]):
                     raise ParseError(f"{path}:{lineno}: field {key!r} is not {what}")
-            rate = int(metadata.get("frame_rate", 50))
+            rate = metadata.get("frame_rate", 50)
             records.append(
                 UtterancePair(
                     id=obj["id"],
@@ -400,6 +405,6 @@ def corpus_stats(m: Manifest) -> StatsReport:
         records=len(m.records),
         src_frames=int(sum(r.src_frames.length for r in m.records)),
         tgt_frames=int(sum(r.tgt_frames.length for r in m.records)),
-        frame_rate=int(m.metadata.get("frame_rate", 50)),
+        frame_rate=m.metadata.get("frame_rate", 50),
         per_speaker=per_speaker,
     )

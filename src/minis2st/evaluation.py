@@ -284,7 +284,7 @@ def run_ablation(suite: str, *, train_m: Manifest, val_m: Manifest, eval_m: Mani
     """
     from . import pipeline  # late import: pipeline builds on this module
 
-    fps = int(train_m.metadata.get("frames_per_symbol", 4))
+    fps = train_m.metadata.get("frames_per_symbol", 4)
     eval_prompts = pipeline.same_speaker_prompts(eval_m)
     base_cfg = pipeline.toy_model_config()
     rows, curves, notes = [], {}, []

@@ -190,9 +190,7 @@ class FrozenSpeechEncoder(nn.Module):
             f = np.concatenate([np.zeros((t - f.shape[0], f.shape[1])), f], axis=0)
         with no_grad():
             x = nn.add_positions(self.in_proj(Tensor(f)))
-            for blk in self.blocks:
-                x = blk(x)
-            return self.ln(x)
+            return self.ln(nn.run_blocks(self.blocks, x))
 
 
 # -------------------------------------------------------------- projectors
@@ -250,10 +248,7 @@ class QFormerProjector(nn.Module):
     def project(self, a_f: Tensor) -> Tensor:
         if a_f.shape[0] < 1:
             raise ValueError("projector needs a non-empty encoding")
-        mem = self.mem_proj(a_f)
-        x = self.queries
-        for blk in self.blocks:
-            x = blk(x, memory=mem)
+        x = nn.run_blocks(self.blocks, self.queries, memory=self.mem_proj(a_f))
         return self.out(self.ln(x))
 
 
@@ -361,11 +356,7 @@ class DecoderLM(nn.Module):
 
     def _hidden_at_predictions(self, a_p: Tensor, text_in, groups_in, n_steps: int) -> Tensor:
         seq = self._sequence(a_p, text_in, groups_in)
-        mask = nn.causal_mask(seq.shape[0])
-        x = seq
-        for blk in self.blocks:
-            x = blk(x, mask=mask)
-        x = self.ln_f(x)
+        x = self.ln_f(nn.run_blocks(self.blocks, seq, causal=True))
         base = self.cfg.prompt_len + a_p.shape[0]
         # BOS position, then every grouped-audio position
         pos = [base] + [base + 2 + 2 * s for s in range(n_steps - 1)]

@@ -9,16 +9,7 @@ import math
 
 import numpy as np
 
-from .tensor import (
-    Tensor,
-    add,
-    layernorm,
-    matmul,
-    relu,
-    reshape,
-    softmax,
-    transpose,
-)
+from .tensor import Tensor, add, attention, layernorm, linear, relu
 
 
 class Module:
@@ -59,7 +50,7 @@ class Linear(Module):
         self.b = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add(matmul(x, self.w), self.b)
+        return linear(x, self.w, self.b)
 
 
 class LayerNorm(Module):
@@ -87,9 +78,18 @@ def add_positions(x: Tensor) -> Tensor:
     return add(x, Tensor(sinusoidal_positions(t, d)))
 
 
-def causal_mask(n: int) -> Tensor:
+def causal_mask(n: int) -> np.ndarray:
     # large negative instead of -inf keeps the arithmetic finite everywhere
-    return Tensor(np.triu(np.full((n, n), -1e9), k=1))
+    return np.triu(np.full((n, n), -1e9), k=1)
+
+
+def run_blocks(blocks, x: Tensor, *, causal: bool = False, memory: Tensor | None = None):
+    """Run x through a stack of TransformerBlocks, each cross-attending to
+    memory if it has cross-attention; causal masks every later position."""
+    mask = causal_mask(x.shape[0]) if causal else None
+    for blk in blocks:
+        x = blk(x, memory=memory, mask=mask)
+    return x
 
 
 class MultiHeadAttention(Module):
@@ -103,21 +103,10 @@ class MultiHeadAttention(Module):
         self.wv = Linear(d, d, rng)
         self.wo = Linear(d, d, rng)
         self._heads = heads
-        self._dh = d // heads
 
-    def __call__(self, x: Tensor, memory: Tensor | None = None, mask: Tensor | None = None):
-        src = x if memory is None else memory
-        t, d = x.shape
-        s = src.shape[0]
-        h, dh = self._heads, self._dh
-        q = transpose(reshape(self.wq(x), (t, h, dh)), (1, 0, 2))
-        k = transpose(reshape(self.wk(src), (s, h, dh)), (1, 2, 0))
-        v = transpose(reshape(self.wv(src), (s, h, dh)), (1, 0, 2))
-        scores = matmul(q, k) * (1.0 / math.sqrt(dh))
-        if mask is not None:
-            scores = add(scores, mask)
-        ctx = matmul(softmax(scores), v)  # (h, t, dh)
-        return self.wo(reshape(transpose(ctx, (1, 0, 2)), (t, d)))
+    def __call__(self, x: Tensor, memory: Tensor | None = None, mask: np.ndarray | None = None):
+        proj = [(lin.w, lin.b) for lin in (self.wq, self.wk, self.wv, self.wo)]
+        return attention(x, x if memory is None else memory, proj, self._heads, mask)
 
 
 class FeedForward(Module):
@@ -143,7 +132,7 @@ class TransformerBlock(Module):
         self.ln2 = LayerNorm(d)
         self.ff = FeedForward(d, 2 * d, rng)
 
-    def __call__(self, x: Tensor, memory: Tensor | None = None, mask: Tensor | None = None):
+    def __call__(self, x: Tensor, memory: Tensor | None = None, mask: np.ndarray | None = None):
         x = add(x, self.attn(self.ln1(x), mask=mask))
         if self.cross is not None:
             if memory is None:

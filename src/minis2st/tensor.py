@@ -11,6 +11,7 @@ is what inference paths use.
 """
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 
@@ -106,9 +107,6 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -198,23 +196,82 @@ def mul(a, b):
     return _make(out_data, (a, b), pull)
 
 
-def matmul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ValueError(f"matmul requires >=2-d operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ValueError(f"matmul: inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
-    out_data = a.data @ b.data
+# ------------------------------------------------------------- fused layers
+
+
+def _affine_pull(g, x, w, b, want_x):
+    """Pullback of x @ w + b (x an array): accumulate into b, then w, in the
+    order the separate matmul and add nodes did; return x's gradient."""
+    if b.requires_grad:
+        b._accumulate(_unbroadcast(g, b.data.shape))
+    if w.requires_grad:
+        w._accumulate(_unbroadcast(np.swapaxes(x, -1, -2) @ g, w.data.shape))
+    if want_x:
+        return _unbroadcast(g @ np.swapaxes(w.data, -1, -2), x.shape)
+    return None
+
+
+def linear(x, w, b):
+    """x @ w + b as one node."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    out_data = x.data @ w.data + b.data
 
     def pull(g):
-        if a.requires_grad:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            a._accumulate(_unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            b._accumulate(_unbroadcast(gb, b.data.shape))
+        gx = _affine_pull(g, x.data, w, b, want_x=x.requires_grad)
+        if gx is not None:
+            x._accumulate(gx)
 
-    return _make(out_data, (a, b), pull)
+    return _make(out_data, (x, w, b), pull)
+
+
+def attention(x, src, proj, heads, mask):
+    """Multi-head scaled dot-product attention of x (T, d) over src (S, d).
+
+    proj holds the (weight, bias) pairs of the query, key, value and output
+    projections; mask is an array added to the (heads, T, S) scores, or None.
+    Recorded as one node.  The forward makes the same NumPy calls as a graph
+    composed of matmul, reshape, transpose and softmax nodes would, and the
+    pullback accumulates in that graph's tape order, so results are
+    bit-identical to it.
+    """
+    (wq, bq), (wk, bk), (wv, bv), (wo, bo) = proj
+    t, d = x.data.shape
+    s = src.data.shape[0]
+    dh = d // heads
+    q = np.transpose((x.data @ wq.data + bq.data).reshape(t, heads, dh), (1, 0, 2))
+    k = np.transpose((src.data @ wk.data + bk.data).reshape(s, heads, dh), (1, 2, 0))
+    v = np.transpose((src.data @ wv.data + bv.data).reshape(s, heads, dh), (1, 0, 2))
+    scale = 1.0 / math.sqrt(dh)
+    scores = (q @ k) * scale
+    if mask is not None:
+        scores = scores + mask
+    z = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=-1, keepdims=True)
+    ctx = np.transpose(p @ v, (1, 0, 2)).reshape(t, d)
+    out_data = ctx @ wo.data + bo.data
+
+    # gradients are made C-ordered wherever the composed graph's were, so
+    # every matmul and reduction sees the same memory layout
+    def pull(g):
+        gctx = _affine_pull(g, ctx, wo, bo, want_x=True)
+        gctx = np.ascontiguousarray(np.transpose(gctx.reshape(t, heads, dh), (1, 0, 2)))
+        gp = gctx @ np.swapaxes(v, -1, -2)
+        gv = np.swapaxes(p, -1, -2) @ gctx
+        gs = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p * scale
+        gq = gs @ np.swapaxes(k, -1, -2)
+        gk = np.swapaxes(q, -1, -2) @ gs
+        # value, key, query: the reverse of the order they were recorded in,
+        # which is the order src and x took their shares
+        for gh, inv, inp, w, b in ((gv, (1, 0, 2), src, wv, bv),
+                                   (gk, (2, 0, 1), src, wk, bk),
+                                   (gq, (1, 0, 2), x, wq, bq)):
+            rows = np.ascontiguousarray(np.transpose(gh, inv)).reshape(-1, d)
+            gin = _affine_pull(rows, inp.data, w, b, want_x=inp.requires_grad)
+            if gin is not None:
+                inp._accumulate(gin)
+
+    return _make(out_data, (x, src, wq, bq, wk, bk, wv, bv, wo, bo), pull)
 
 
 def relu(x):
@@ -239,18 +296,6 @@ def reshape(x, shape):
     def pull(g):
         if x.requires_grad:
             x._accumulate(g.reshape(x.data.shape))
-
-    return _make(out_data, (x,), pull)
-
-
-def transpose(x, axes):
-    x = _as_tensor(x)
-    out_data = np.transpose(x.data, axes)
-    inv = np.argsort(axes)
-
-    def pull(g):
-        if x.requires_grad:
-            x._accumulate(np.transpose(g, inv))
 
     return _make(out_data, (x,), pull)
 
@@ -313,37 +358,7 @@ def mean(x, axis=None, keepdims=False):
     return _make(out_data, (x,), pull)
 
 
-def sum_(x, axis=None, keepdims=False):
-    x = _as_tensor(x)
-    out_data = x.data.sum(axis=axis, keepdims=keepdims)
-
-    def pull(g):
-        if x.requires_grad:
-            if axis is None:
-                x._accumulate(np.broadcast_to(g, x.data.shape).copy())
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                x._accumulate(np.broadcast_to(gg, x.data.shape).copy())
-
-    return _make(out_data, (x,), pull)
-
-
 # ------------------------------------------------------- normalizing layers
-
-
-def softmax(x):
-    """Numerically stable softmax over the last axis (max subtraction)."""
-    x = _as_tensor(x)
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def pull(g):
-        if x.requires_grad:
-            dot = (g * y).sum(axis=-1, keepdims=True)
-            x._accumulate((g - dot) * y)
-
-    return _make(y, (x,), pull)
 
 
 def layernorm(x, gain, bias, eps=1e-5):

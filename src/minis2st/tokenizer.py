@@ -106,15 +106,11 @@ class SplitEncoder(nn.Module):
         if f.ndim != 2 or f.shape[0] < 1:
             raise ValueError(f"encode_stage1 needs at least one frame, got shape {f.shape}")
         x = nn.add_positions(self.in_proj(Tensor(f)))
-        for blk in self.enc1:
-            x = blk(x)
-        return self.ln_mid(x)
+        return self.ln_mid(nn.run_blocks(self.enc1, x))
 
     def encode_stage2(self, h_bar: Tensor) -> Tensor:
         x = nn.add_positions(h_bar)
-        for blk in self.enc2:
-            x = blk(x)
-        return self.ln_out(x)
+        return self.ln_out(nn.run_blocks(self.enc2, x))
 
 
 class AsrDecoder(nn.Module):
@@ -136,9 +132,7 @@ class AsrDecoder(nn.Module):
         if len(y_in) == 0:
             raise ValueError("asr decoder needs a non-empty input sequence")
         x = nn.add_positions(embedding_lookup(self.embed, list(y_in)))
-        mask = nn.causal_mask(len(y_in))
-        for blk in self.blocks:
-            x = blk(x, memory=h_tilde, mask=mask)
+        x = nn.run_blocks(self.blocks, x, causal=True, memory=h_tilde)
         return self.head(self.ln_f(x))
 
 
@@ -263,10 +257,7 @@ class TextToTokenModel(nn.Module):
         spk = self.spk_proj(Tensor(np.asarray(spk_emb, dtype=np.float64)[None, :]))
         toks = embedding_lookup(self.embed, list(ids))
         x = nn.add_positions(concat([spk, toks], axis=0))
-        mask = nn.causal_mask(x.shape[0])
-        for blk in self.blocks:
-            x = blk(x, mask=mask)
-        return self.head(self.ln_f(x))
+        return self.head(self.ln_f(nn.run_blocks(self.blocks, x, causal=True)))
 
     def loss(self, text, tokens, spk_emb) -> Tensor:
         if len(text) == 0:

@@ -91,9 +91,7 @@ class TimbreVocoder(nn.Module):
         emb = embedding_lookup(self.token_embed, toks)
         cond = Tensor(np.broadcast_to(spk, (len(toks), cfg.spk_dim)).copy())
         x = nn.add_positions(self.in_proj(concat([emb, cond], axis=1)))
-        for blk in self.blocks:
-            x = blk(x)
-        out = self.head(self.ln(x))  # (T, U*F)
+        out = self.head(self.ln(nn.run_blocks(self.blocks, x)))  # (T, U*F)
         return reshape(out, (len(toks) * cfg.upsample, cfg.feat_dim))
 
     def synthesize(self, tokens, spk: np.ndarray) -> SpeechFrames:

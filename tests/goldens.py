@@ -28,8 +28,8 @@ from minis2st.pipeline import run_toy_pipeline, toy_corpus_config
 from minis2st.training import load_checkpoint
 
 GOLDEN_PATH = Path(__file__).with_name("goldens.json")
-# run-manifest keys that do not describe the outputs: the clock, and the
-# argv, which before it recorded what `main` was given held the host's flags
+# run-manifest keys left out of the digest: the clock, and argv, which
+# test_cli's test_every_command_writes_its_run_manifest checks as given
 VOLATILE_MANIFEST_KEYS = ("wall_time_s", "argv")
 
 

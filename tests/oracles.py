@@ -68,9 +68,9 @@ def _away_from_kink(x: np.ndarray, margin: float = 0.05) -> np.ndarray:
 def run_op_gradient_trials(trials: int, seed: int = 0):
     """Finite-difference every differentiable tensor op. Returns a list of
     (op name, worst relative error) pairs, one per op."""
-    from minis2st.tensor import (add, concat, embedding_lookup, layernorm, matmul,
-                                 relu, reshape, softmax, softmax_cross_entropy,
-                                 sum_, transpose)
+    from minis2st.nn import causal_mask
+    from minis2st.tensor import (add, attention, concat, embedding_lookup, layernorm,
+                                 linear, relu, reshape, softmax_cross_entropy)
     from minis2st.tensor import mean as t_mean
     from minis2st.tensor import mul as t_mul
     from minis2st.tensor import sub as t_sub
@@ -112,11 +112,26 @@ def run_op_gradient_trials(trials: int, seed: int = 0):
         return (lambda: t_mean(t_mul(a, s))), [a]
     run("mul_scalar", case_mul_scalar)
 
-    def case_matmul():
-        a, b = t(3, 4), t(4, 2)
-        w = Tensor(rng.normal(size=(3, 2)))
-        return (lambda: t_mean(t_mul(matmul(a, b), w))), [a, b]
-    run("matmul", case_matmul)
+    def case_linear():
+        a, w, b = t(3, 4), t(4, 2), t(2)
+        c = Tensor(rng.normal(size=(3, 2)))
+        return (lambda: t_mean(t_mul(linear(a, w, b), c))), [a, w, b]
+    run("linear", case_linear)
+
+    def case_attention(t_len, s_len, masked):
+        def make():
+            d, heads = 6, 2
+            x = t(t_len, d)
+            src = x if s_len is None else t(s_len, d)
+            proj = [(Tensor(rng.normal(0.0, 0.5, size=(d, d)), requires_grad=True), t(d))
+                    for _ in range(4)]
+            mask = causal_mask(t_len) if masked else None
+            c = Tensor(rng.normal(size=(t_len, d)))
+            tensors = [x] + ([] if s_len is None else [src]) + [p for wb in proj for p in wb]
+            return (lambda: t_mean(t_mul(attention(x, src, proj, heads, mask), c))), tensors
+        return make
+    run("attention_self_masked", case_attention(5, None, masked=True))
+    run("attention_cross", case_attention(3, 5, masked=False))
 
     def case_relu():
         a = Tensor(_away_from_kink(rng.normal(size=(4, 5))), requires_grad=True)
@@ -129,12 +144,6 @@ def run_op_gradient_trials(trials: int, seed: int = 0):
         w = Tensor(rng.normal(size=(2, 6)))
         return (lambda: t_mean(t_mul(reshape(a, (2, 6)), w))), [a]
     run("reshape", case_reshape)
-
-    def case_transpose():
-        a = t(3, 4)
-        w = Tensor(rng.normal(size=(4, 3)))
-        return (lambda: t_mean(t_mul(transpose(a, (1, 0)), w))), [a]
-    run("transpose", case_transpose)
 
     def case_concat():
         axis = int(rng.integers(0, 2))
@@ -161,22 +170,6 @@ def run_op_gradient_trials(trials: int, seed: int = 0):
         return (lambda: t_mean(t_mul(t_mean(a, axis=axis), w))), [a]
     run("mean", case_mean)
 
-    def case_sum():
-        a = t(4, 5)
-        axis = [None, 0, 1][int(rng.integers(0, 3))]
-        if axis is None:
-            return (lambda: sum_(a)), [a]
-        w_shape = (5,) if axis == 0 else (4,)
-        w = Tensor(rng.normal(size=w_shape))
-        return (lambda: t_mean(t_mul(sum_(a, axis=axis), w))), [a]
-    run("sum", case_sum)
-
-    def case_softmax():
-        a = t(3, 6)
-        w = Tensor(rng.normal(size=(3, 6)))
-        return (lambda: t_mean(t_mul(softmax(a), w))), [a]
-    run("softmax", case_softmax)
-
     def case_layernorm():
         a, gain, bias = t(4, 6), t(6), t(6)
         w = Tensor(rng.normal(size=(4, 6)))
@@ -190,6 +183,28 @@ def run_op_gradient_trials(trials: int, seed: int = 0):
     run("softmax_cross_entropy", case_ce)
 
     return results
+
+
+def attention_reference(x, src, proj, heads, mask=None):
+    """Multi-head attention from its definition, one head and one query row
+    at a time: softmax(q k^T / sqrt(d_h) + mask) v per head, heads side by
+    side, then the output projection.  Arrays in, array out."""
+    (wq, bq), (wk, bk), (wv, bv), (wo, bo) = proj
+    d = x.shape[1]
+    dh = d // heads
+    q, k, v = x @ wq + bq, src @ wk + bk, src @ wv + bv
+    ctx = np.zeros((x.shape[0], d))
+    for h in range(heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        for i in range(x.shape[0]):
+            scores = np.array([np.dot(q[i, cols], k[j, cols]) / math.sqrt(dh)
+                               for j in range(src.shape[0])])
+            if mask is not None:
+                scores = scores + mask[i]
+            weights = np.exp(scores - scores.max())
+            weights /= weights.sum()
+            ctx[i, cols] = sum(w * v[j, cols] for j, w in enumerate(weights))
+    return ctx @ wo + bo
 
 
 def _tiny_model_cfg(projector: str) -> ModelConfig:

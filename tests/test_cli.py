@@ -156,11 +156,18 @@ def test_unbuildable_checkpoint_config_exits_four(tmp_path, capsys):
 def test_mistyped_manifest_field_exits_two(tmp_path, capsys):
     m = tmp_path / "m.jsonl"
     write_manifest(generate_toy_corpus(ToyCorpusConfig(pairs=2), 0), m)
-    lines = m.read_text().splitlines()
-    lines[1] = json.dumps({**json.loads(lines[1]), "src_frames": 5})
-    m.write_text("\n".join(lines) + "\n")
-    assert main(["filter", "--in", str(m), "--out", str(tmp_path / "kept.jsonl")]) == 2
-    assert "m.jsonl:2: field 'src_frames' is not a string" in capsys.readouterr().err
+    good = m.read_text().splitlines()
+    meta = json.loads(good[0])
+    for lineno, line, message in (
+        (1, {**meta, "manifest": {**meta["manifest"], "frame_rate": None}},
+         "metadata 'frame_rate' is not an int >= 1"),
+        (2, {**json.loads(good[1]), "src_frames": 5}, "field 'src_frames' is not a string"),
+    ):
+        lines = list(good)
+        lines[lineno - 1] = json.dumps(line)
+        m.write_text("\n".join(lines) + "\n")
+        assert main(["filter", "--in", str(m), "--out", str(tmp_path / "kept.jsonl")]) == 2
+        assert f"m.jsonl:{lineno}: {message}" in capsys.readouterr().err
 
 
 def test_eval_requires_exactly_one_reference_source(tmp_path, capsys):
@@ -329,6 +336,7 @@ def test_every_command_writes_its_run_manifest(tmp_path, capsys):
         assert set(doc) == {"command", "argv", "effective_config", "seed",
                             "inputs", "outputs", "wall_time_s"}
         assert doc["command"] == argv[0]
+        assert doc["argv"] == argv
         seeded = argv[0] in ("gen-corpus", "train-tokenizer", "train-model", "ablate")
         assert doc["seed"] == (5 if seeded else None), argv[0]
         assert doc["outputs"] and all(Path(o).exists() for o in doc["outputs"])

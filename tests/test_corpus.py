@@ -170,6 +170,14 @@ def test_manifest_reader_errors(tmp_path):
         with pytest.raises(ParseError, match=f"typed.jsonl:2: field '{key}'"):
             read_manifest(typed)
 
+    # metadata the readers use as sizes and rates must be ints >= 1
+    for key, value in (("frame_rate", None), ("frame_rate", "50"), ("frame_rate", True),
+                       ("frame_rate", 0), ("feat_dim", 8.0), ("tgt_vocab", -1),
+                       ("frames_per_symbol", None)):
+        typed.write_text(json.dumps({"manifest": {key: value}}) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ParseError, match=f"typed.jsonl:1: metadata '{key}'"):
+            read_manifest(typed)
+
 
 def test_stats_report_counts_and_rendering():
     m = generate_toy_corpus(small_cfg(pairs=5), 2)

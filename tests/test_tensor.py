@@ -2,27 +2,32 @@ import numpy as np
 import pytest
 
 import oracles
+from minis2st.nn import TransformerBlock, causal_mask
 from minis2st.tensor import (
     Tape,
     Tensor,
     add,
+    attention,
     backward,
     concat,
     embedding_lookup,
-    matmul,
+    linear,
     mean,
     mul,
     no_grad,
     reshape,
     rng_for,
     seed_for,
-    softmax,
     softmax_cross_entropy,
     splitmix64,
     sub,
-    sum_,
     zero_grad,
 )
+
+
+def total(x):
+    """Sum of all entries, as the mean times the count: each entry's gradient is 1."""
+    return mul(mean(x), float(x.size))
 
 
 def test_every_op_gradient_matches_finite_differences():
@@ -33,7 +38,7 @@ def test_every_op_gradient_matches_finite_differences():
 def test_gradients_accumulate_across_uses():
     x = Tensor([2.0, -1.0], requires_grad=True)
     with Tape():
-        y = sum_(add(mul(x, x), x))  # d/dx (x^2 + x) = 2x + 1
+        y = total(add(mul(x, x), x))  # d/dx (x^2 + x) = 2x + 1
     backward(y)
     np.testing.assert_allclose(x.grad, [5.0, -1.0])
 
@@ -41,10 +46,10 @@ def test_gradients_accumulate_across_uses():
 def test_gradients_accumulate_across_backward_calls():
     x = Tensor([3.0], requires_grad=True)
     with Tape():
-        y = sum_(mul(x, 2.0))
+        y = total(mul(x, 2.0))
     backward(y)
     with Tape():
-        z = sum_(mul(x, 5.0))
+        z = total(mul(x, 5.0))
     backward(z)
     np.testing.assert_allclose(x.grad, [7.0])
     zero_grad([x])
@@ -57,7 +62,7 @@ def test_no_grad_suspends_recording():
         with no_grad():
             y = mul(x, 3.0)
         assert not y.requires_grad
-        z = sum_(mul(x, y))
+        z = total(mul(x, y))
     backward(z)
     # y acted as a constant: dz/dx = y = 3x
     np.testing.assert_allclose(x.grad, [3.0, 6.0])
@@ -65,7 +70,7 @@ def test_no_grad_suspends_recording():
 
 def test_backward_without_tape_raises():
     x = Tensor([1.0], requires_grad=True)
-    y = sum_(x)  # no tape active: nothing recorded
+    y = total(x)  # no tape active: nothing recorded
     assert not y.requires_grad
     with pytest.raises(ValueError):
         backward(y)
@@ -82,7 +87,7 @@ def test_backward_requires_scalar():
 def test_detach_blocks_gradient():
     x = Tensor([4.0], requires_grad=True)
     with Tape():
-        y = sum_(mul(x.detach(), x))  # only the second factor is live
+        y = total(mul(x.detach(), x))  # only the second factor is live
     backward(y)
     np.testing.assert_allclose(x.grad, [4.0])
 
@@ -91,7 +96,7 @@ def test_broadcast_gradient_reduces_correctly():
     a = Tensor(np.ones((3, 4)), requires_grad=True)
     b = Tensor(np.zeros(4), requires_grad=True)
     with Tape():
-        y = sum_(add(a, b))
+        y = total(add(a, b))
     backward(y)
     np.testing.assert_allclose(a.grad, np.ones((3, 4)))
     np.testing.assert_allclose(b.grad, np.full(4, 3.0))
@@ -100,7 +105,7 @@ def test_broadcast_gradient_reduces_correctly():
 def test_embedding_lookup_accumulates_repeated_rows():
     table = Tensor(np.zeros((4, 2)), requires_grad=True)
     with Tape():
-        y = sum_(embedding_lookup(table, [1, 1, 3]))
+        y = total(embedding_lookup(table, [1, 1, 3]))
     backward(y)
     expected = np.zeros((4, 2))
     expected[1] = 2.0
@@ -108,22 +113,58 @@ def test_embedding_lookup_accumulates_repeated_rows():
     np.testing.assert_allclose(table.grad, expected)
 
 
-def test_matmul_and_concat_values():
+def test_linear_and_concat_values():
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    b = Tensor([[1.0], [1.0]])
-    np.testing.assert_allclose(matmul(a, b).data, [[3.0], [7.0]])
+    w = Tensor([[1.0], [1.0]])
+    np.testing.assert_allclose(linear(a, w, Tensor([0.5])).data, [[3.5], [7.5]])
     np.testing.assert_allclose(
         concat([a, Tensor([[5.0, 6.0]])], axis=0).data,
         [[1, 2], [3, 4], [5, 6]],
     )
 
 
-def test_softmax_rows_are_distributions():
+def _attention_case(rng, t, s, d=8, heads=2):
+    x = rng.normal(size=(t, d))
+    src = x if s is None else rng.normal(size=(s, d))
+    proj = [(rng.normal(0.0, 0.5, size=(d, d)), rng.normal(size=d)) for _ in range(4)]
+    return x, src, proj, heads
+
+
+def test_attention_matches_the_reference_definition():
     rng = np.random.default_rng(0)
-    x = Tensor(rng.normal(size=(5, 7)))
-    p = softmax(x).data
-    assert np.all(p > 0)
-    np.testing.assert_allclose(p.sum(axis=1), np.ones(5), atol=1e-12)
+    for t, s, masked in [(5, None, True), (5, None, False), (3, 7, False), (4, 2, False)]:
+        x, src, proj, heads = _attention_case(rng, t, s)
+        mask = causal_mask(t) if masked else None
+        got = attention(Tensor(x), Tensor(src), [(Tensor(w), Tensor(b)) for w, b in proj],
+                        heads, mask).data
+        want = oracles.attention_reference(x, src, proj, heads, mask)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_attention_weights_are_distributions():
+    # with value weights zero and identity output, each head's output row is
+    # (sum of that row's attention weights) * the value bias
+    rng = np.random.default_rng(0)
+    for t, s, masked in [(6, None, True), (3, 5, False)]:
+        x, src, proj, heads = _attention_case(rng, t, s)
+        bias = rng.uniform(1.0, 2.0, size=x.shape[1])
+        proj[2] = (np.zeros_like(proj[2][0]), bias)
+        proj[3] = (np.eye(x.shape[1]), np.zeros(x.shape[1]))
+        mask = causal_mask(t) if masked else None
+        out = attention(Tensor(x), Tensor(src), [(Tensor(w), Tensor(b)) for w, b in proj],
+                        heads, mask).data
+        np.testing.assert_allclose(out / bias, np.ones_like(out), atol=1e-12)
+
+
+def test_transformer_block_records_few_tape_nodes():
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(30, 96)), requires_grad=True)
+    memory = Tensor(rng.normal(size=(20, 96)), requires_grad=True)
+    for cross, limit in [(False, 8), (True, 11)]:
+        blk = TransformerBlock(96, 4, rng, cross=cross)
+        with Tape() as tape:
+            blk(x, memory=memory if cross else None, mask=causal_mask(30))
+        assert len(tape.nodes) <= limit, (cross, len(tape.nodes))
 
 
 def test_softmax_cross_entropy_hand_value():

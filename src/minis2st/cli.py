@@ -260,10 +260,10 @@ def cmd_train_tokenizer(args) -> dict:
     print(f"tokenizer: {result.steps} steps, best val {result.best_val:.4f} "
           f"at step {result.best_step}")
     if eff["with_text_to_token"]:
-        t2t, t2t_result, embedder = train_text_to_token_stage(
+        t2t, t2t_result = train_text_to_token_stage(
             train_m, val_m, tok, seed=eff["seed"], max_steps=eff["max_steps"] or None,
         )
-        save_checkpoint(args.out, bundle(result.state, "text_to_token", t2t, embedder))
+        save_checkpoint(args.out, bundle(result.state, "text_to_token", t2t))
         print(f"text-to-token: {t2t_result.steps} steps, "
               f"best val {t2t_result.best_val:.4f}")
     return dict(config=eff, seed=eff["seed"], inputs=[args.train, args.val],
@@ -271,7 +271,7 @@ def cmd_train_tokenizer(args) -> dict:
 
 
 def cmd_tokenize(args) -> dict:
-    tok, _ = rebuild(load_checkpoint(args.ckpt), "tokenizer")
+    tok = rebuild(load_checkpoint(args.ckpt), "tokenizer")
     m = read_manifest(args.infile)
     rows = [(r.id, tok.tokenize(r.tgt_frames)) for r in m]
     write_token_file(args.out, rows)
@@ -283,7 +283,7 @@ def cmd_train_model(args) -> dict:
     train_m = read_manifest(args.train)
     val_m = read_manifest(args.val)
     tok_st = load_checkpoint(args.tokenizer)
-    tok, _ = rebuild(tok_st, "tokenizer")
+    tok = rebuild(tok_st, "tokenizer")
     meta = train_m.metadata
     defaults = _DEFAULTS["train-model"]()
     defaults["feat_dim"] = meta.get("feat_dim", defaults["feat_dim"])
@@ -294,13 +294,13 @@ def cmd_train_model(args) -> dict:
     tcfg = TrainConfig(**_pick(eff, TrainConfig))
     max_steps = eff["max_steps"] or None
 
-    t2t = embedder = None
+    t2t = None
     if eff["token_source"] == "text":
-        t2t, embedder = rebuild(tok_st, "tokenizer", "text_to_token")
+        t2t = rebuild(tok_st, "tokenizer", "text_to_token")
     log_path = args.log or str(args.out) + ".log.jsonl"
     model, result = train_model_stage(
         train_m, val_m, tok, cfg, tcfg, seed=eff["seed"],
-        token_source=eff["token_source"], text_to_token=t2t, embedder=embedder,
+        token_source=eff["token_source"], text_to_token=t2t,
         checkpoint_path=args.out, log_path=log_path, max_steps=max_steps,
     )
     print(f"model: {result.steps} steps, best val {result.best_val:.4f} "
@@ -310,10 +310,10 @@ def cmd_train_model(args) -> dict:
         voc_cfg = replace(toy_vocoder_config(), feat_dim=tok.cfg.feat_dim,
                           audio_vocab=tok.cfg.codebook_size,
                           frame_rate=meta.get("frame_rate", 50))
-        voc, voc_result, embedder = train_vocoder_stage(
+        voc, voc_result = train_vocoder_stage(
             train_m, val_m, tok, voc_cfg, seed=eff["seed"], max_steps=max_steps,
         )
-        save_checkpoint(args.out, bundle(result.state, "vocoder", voc, embedder))
+        save_checkpoint(args.out, bundle(result.state, "vocoder", voc))
         print(f"vocoder: {voc_result.steps} steps, best val {voc_result.best_val:.6f}")
     return dict(config=eff, seed=eff["seed"], inputs=[args.train, args.val, args.tokenizer],
                 outputs=[args.out, log_path])
@@ -322,16 +322,16 @@ def cmd_train_model(args) -> dict:
 def cmd_translate(args) -> dict:
     eff = _layer(_DEFAULTS["translate"](), args)
     st = load_checkpoint(args.ckpt)
-    model, _ = rebuild(st, "model")
+    model = rebuild(st, "model")
     m = read_manifest(args.infile)
     dcfg = DecodeConfig(max_steps=eff["decode_max_steps"],
                         repetition_penalty=eff["repetition_penalty"])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    voc = embedder = prompts = None
+    voc = prompts = None
     if "vocoder" in st.config:  # otherwise text and tokens only
-        voc, embedder = resolve_vocoder(st)
+        voc = resolve_vocoder(st)
         prompts = same_speaker_prompts(m)
         (out_dir / "frames").mkdir(exist_ok=True)
         (out_dir / "prompts").mkdir(exist_ok=True)
@@ -345,7 +345,7 @@ def cmd_translate(args) -> dict:
         truncated += int(res.truncated_text or res.truncated_audio)
         if voc is not None:
             prompt = prompts[r.id].tgt_frames
-            gen = voc.synthesize(res.tokens, embedder.embed(prompt))
+            gen = voc.synthesize(res.tokens, voc.embedder.embed(prompt))
             write_frames(out_dir / "frames" / f"{r.id}.ds2f", gen)
             write_frames(out_dir / "prompts" / f"{r.id}.ds2f", prompt)
     write_token_file(out_dir / "translations.text", text_rows)
@@ -359,10 +359,10 @@ def cmd_translate(args) -> dict:
 
 
 def cmd_synthesize(args) -> dict:
-    voc, embedder = resolve_vocoder(load_checkpoint(args.ckpt))
+    voc = resolve_vocoder(load_checkpoint(args.ckpt))
     rows = read_token_file(args.tokens)
     prompt = read_frames(args.prompt, frame_rate=voc.cfg.frame_rate)
-    spk = embedder.embed(prompt)
+    spk = voc.embedder.embed(prompt)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -398,7 +398,7 @@ def cmd_eval(args) -> dict:
     if args.gen_frames and args.prompt_frames:
         if not args.embedder_from:
             raise UsageError("--gen-frames needs --embedder-from for the speaker embedder")
-        _, embedder = resolve_vocoder(load_checkpoint(args.embedder_from))
+        embedder = resolve_vocoder(load_checkpoint(args.embedder_from)).embedder
         sims = []
         for rid, _ in hyp_rows:
             gen = read_frames(Path(args.gen_frames) / f"{rid}.ds2f")
@@ -418,14 +418,14 @@ def cmd_ablate(args) -> dict:
     eval_m = read_manifest(args.eval) if args.eval else val_m
     eff = _layer(_DEFAULTS["ablate"](), args)
     tcfg = TrainConfig(**_pick(eff, TrainConfig))
-    tok, _ = rebuild(load_checkpoint(args.tokenizer), "tokenizer")
-    voc, embedder = resolve_vocoder(load_checkpoint(args.vocoder))
+    tok = rebuild(load_checkpoint(args.tokenizer), "tokenizer")
+    voc = resolve_vocoder(load_checkpoint(args.vocoder))
     meta = train_m.metadata
     fps = meta.get("frames_per_symbol", 4)
     alignment = token_symbol_alignment(tok, train_m, fps, meta.get("tgt_vocab", 20))
     report, curves = run_ablation(
         args.suite, train_m=train_m, val_m=val_m, eval_m=eval_m,
-        tokenizer=tok, vocoder=voc, embedder=embedder, alignment=alignment,
+        tokenizer=tok, vocoder=voc, alignment=alignment,
         seed=eff["seed"], train_cfg=tcfg, max_steps=eff["max_steps"] or None,
     )
     outputs = report.write(args.out_dir)

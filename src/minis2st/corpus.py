@@ -328,16 +328,21 @@ def read_manifest(path) -> Manifest:
                     raise ParseError(f"{path}:{lineno}: missing field {key!r}")
                 if not ok(obj[key]):
                     raise ParseError(f"{path}:{lineno}: field {key!r} is not {what}")
-            rate = metadata.get("frame_rate", 50)
+            frames = {}
+            for key in ("src_frames", "tgt_frames"):
+                f = read_frames(path.parent / obj[key], metadata.get("frame_rate", 50))
+                if f.feat_dim != metadata.get("feat_dim", f.feat_dim):
+                    raise ParseError(f"{path}:{lineno}: {key} file has {f.feat_dim} features, "
+                                     f"metadata 'feat_dim' is {metadata['feat_dim']}")
+                frames[key] = f
             records.append(
                 UtterancePair(
                     id=obj["id"],
                     src_text=obj["src_text"],
                     tgt_text=obj["tgt_text"],
-                    src_frames=read_frames(path.parent / obj["src_frames"], rate),
-                    tgt_frames=read_frames(path.parent / obj["tgt_frames"], rate),
                     speaker=obj["speaker"],
                     similarity=float(obj["similarity"]),
+                    **frames,
                 )
             )
     return Manifest(records=records, metadata=metadata)

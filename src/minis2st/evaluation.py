@@ -201,7 +201,7 @@ def transcribe_frames(frames, tokenizer, alignment: np.ndarray, frames_per_symbo
     return out
 
 
-def evaluate_translation(*, model, tokenizer, vocoder, embedder, alignment,
+def evaluate_translation(*, model, tokenizer, vocoder, alignment,
                          records, prompts, frames_per_symbol: int,
                          decode_cfg=None, system: str = "s2st"):
     """Full-chain scoring: translate, synthesize, transcribe, then metrics.
@@ -217,10 +217,10 @@ def evaluate_translation(*, model, tokenizer, vocoder, embedder, alignment,
     for r in records:
         res = model.translate(r.src_frames, decode_cfg)
         prompt = prompts[r.id].tgt_frames
-        gen = vocoder.synthesize(res.tokens, embedder.embed(prompt))
+        gen = vocoder.synthesize(res.tokens, vocoder.embedder.embed(prompt))
         if gen.length:
             hyps.append(transcribe_frames(gen, tokenizer, alignment, frames_per_symbol))
-            sims.append(speaker_similarity(gen, prompt, embedder))
+            sims.append(speaker_similarity(gen, prompt, vocoder.embedder))
         else:
             hyps.append([])
             sims.append(0.0)
@@ -238,7 +238,7 @@ def evaluate_translation(*, model, tokenizer, vocoder, embedder, alignment,
     return row, {"hyps": hyps, "refs": refs, "sims": sims, "texts": texts}
 
 
-def timbre_separation(*, vocoder, embedder, tokenizer, records, matched, mismatched) -> float:
+def timbre_separation(*, vocoder, tokenizer, records, matched, mismatched) -> float:
     """Fraction of records where synthesis conditioned on the matched speaker
     lands closer (cosine) to that speaker's prompt than to a mismatched one."""
     records = list(records)
@@ -247,9 +247,9 @@ def timbre_separation(*, vocoder, embedder, tokenizer, records, matched, mismatc
     wins = 0
     for r in records:
         mu = tokenizer.tokenize(r.tgt_frames)
-        e_m = embedder.embed(matched[r.id].tgt_frames)
-        e_x = embedder.embed(mismatched[r.id].tgt_frames)
-        e_g = embedder.embed(vocoder.synthesize(mu, e_m))
+        e_m = vocoder.embedder.embed(matched[r.id].tgt_frames)
+        e_x = vocoder.embedder.embed(mismatched[r.id].tgt_frames)
+        e_g = vocoder.embedder.embed(vocoder.synthesize(mu, e_m))
         wins += int(cosine_similarity(e_g, e_m) > cosine_similarity(e_g, e_x))
     return wins / len(records)
 
@@ -273,8 +273,8 @@ def steps_to_half_loss(trace, window: int = 10):
 
 
 def run_ablation(suite: str, *, train_m: Manifest, val_m: Manifest, eval_m: Manifest,
-                 tokenizer, vocoder, embedder, alignment, seed: int = 0,
-                 train_cfg=None, max_steps=None, val_limit=None):
+                 tokenizer, vocoder, alignment, seed: int = 0,
+                 train_cfg=None, max_steps=None):
     """Train and score the configured variants under one seed and data split.
 
     suite "projectors": linear / conv1d-linear / qformer-2 / qformer-4.
@@ -296,12 +296,11 @@ def run_ablation(suite: str, *, train_m: Manifest, val_m: Manifest, eval_m: Mani
         try:
             model, _ = pipeline.train_model_stage(
                 train_m, val_m, tokenizer, tcfg=train_cfg, seed=seed, max_steps=max_steps,
-                val_limit=val_limit, loss_trace=trace, **stage_kw(),
+                loss_trace=trace, **stage_kw(),
             )
             row, _ = evaluate_translation(
-                model=model, tokenizer=tokenizer, vocoder=vocoder, embedder=embedder,
-                alignment=alignment, records=eval_m, prompts=eval_prompts,
-                frames_per_symbol=fps, system=name,
+                model=model, tokenizer=tokenizer, vocoder=vocoder, alignment=alignment,
+                records=eval_m, prompts=eval_prompts, frames_per_symbol=fps, system=name,
             )
             row.extras["final_train_loss"] = float(trace[-1]) if trace else None
             half = steps_to_half_loss(trace)
@@ -332,10 +331,10 @@ def run_ablation(suite: str, *, train_m: Manifest, val_m: Manifest, eval_m: Mani
     elif suite == "token_source":
         variant("speech-tokens", lambda: {"cfg": base_cfg, "token_source": "speech"})
         variant("text-tokens", lambda: {
-            "cfg": base_cfg, "token_source": "text", "embedder": embedder,
+            "cfg": base_cfg, "token_source": "text",
             "text_to_token": pipeline.train_text_to_token_stage(
-                train_m, val_m, tokenizer, seed=seed, embedder=embedder,
-                max_steps=max_steps, val_limit=val_limit,
+                train_m, val_m, tokenizer, seed=seed, embedder=vocoder.embedder,
+                max_steps=max_steps,
             )[0],
         })
         by_name = {r.system: r for r in rows}

@@ -1,18 +1,18 @@
 """Staged training glue and the end-to-end toy run.
 
 Each stage hands one runner its per-example loss, validation set, and
-checkpoint snapshot; the training engine leaves the best validated weights in
-the trained object, whether or not checkpoints are written.  Checkpoints store
-only trainable tensors plus each module's recipe, the constructor arguments it
-records as `recipe`; frozen parts (speech encoder, frozen text rows, the
-speaker embedder) are regenerated from the recorded seed, which reproduces
-them bit for bit.
+checkpoint snapshot, and returns (module, TrainResult) with the best validated
+weights in the module, whether or not checkpoints are written.  Checkpoints
+store only trainable tensors plus each module's recipe, the constructor
+arguments it records as `recipe`; frozen parts (speech encoder, frozen text
+rows, the speaker embedder that the vocoder and text-to-token model carry) are
+regenerated from the recorded seeds, so `rebuild` returns one whole module.
 """
 from __future__ import annotations
 
 import inspect
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .training import (
     TrainConfig,
     TrainResult,
     VersionError,
+    checkpoint_array,
     expect_kind,
     train,
 )
@@ -41,51 +42,34 @@ from .vocoder import SpeakerEmbedder, TimbreVocoder, VocoderConfig
 # ------------------------------------------------------------- checkpoint glue
 
 
-def load_trainable(module: nn.Module, tensors: dict, prefix: str = ""):
-    """Copy checkpoint arrays into the module's trainable tensors only; frozen
-    tensors are left as constructed (the config seed regenerates them)."""
-    for name, t in module.named_tensors():
-        if not t.requires_grad:
-            continue
-        key = prefix + name
-        if key not in tensors:
-            raise VersionError(f"checkpoint missing tensor {key!r}")
-        src = np.asarray(tensors[key], dtype=np.float64)
-        if src.shape != t.data.shape:
-            raise VersionError(
-                f"tensor {key!r}: checkpoint shape {src.shape} != model shape {t.data.shape}"
-            )
-        t.data = src.copy()
-
-
-# checkpoint kind and bundle key -> (module class, its config class, tensor
-# prefix, whether the recipe of a speaker embedder sits beside the module's)
+# checkpoint kind and bundle key -> (module class, its config class, tensor prefix)
 _LAYOUT = {
-    ("tokenizer", None): (SpeechTokenizer, TokenizerConfig, "", False),
-    ("tokenizer", "text_to_token"): (TextToTokenModel, None, "tt.", True),
-    ("text_to_token", None): (TextToTokenModel, None, "", True),
-    ("model", None): (TranslationModel, ModelConfig, "", False),
-    ("model", "vocoder"): (TimbreVocoder, VocoderConfig, "voc.", True),
-    ("vocoder", None): (TimbreVocoder, VocoderConfig, "", True),
+    ("tokenizer", None): (SpeechTokenizer, TokenizerConfig, ""),
+    ("tokenizer", "text_to_token"): (TextToTokenModel, None, "tt."),
+    ("text_to_token", None): (TextToTokenModel, None, ""),
+    ("model", None): (TranslationModel, ModelConfig, ""),
+    ("model", "vocoder"): (TimbreVocoder, VocoderConfig, "voc."),
+    ("vocoder", None): (TimbreVocoder, VocoderConfig, ""),
 }
 # keys a checkpoint config may hold beside a module's recipe
-_BESIDE = {"token_source", "embedder", "text_to_token", "vocoder"}
+_BESIDE = {"token_source", "text_to_token", "vocoder"}
 
 
-def rebuild(st: CheckpointState, kind: str, key: str | None = None):
-    """(module, speaker embedder or None) from a checkpoint of `kind`, or from
-    the module bundled in it under `key`.
+def rebuild(st: CheckpointState, kind: str, key: str | None = None) -> nn.Module:
+    """The module, trained tensors loaded, of a checkpoint of `kind` or bundled
+    in it under `key`; frozen tensors and speaker embedders come from seeds.
 
     A recipe this build cannot construct -- an unknown or missing field, a
     value of the wrong type, or one the module rejects -- raises VersionError.
     """
     expect_kind(st, kind)
-    cls, cfg_cls, prefix, with_embedder = _LAYOUT[(kind, key)]
+    cls, cfg_cls, prefix = _LAYOUT[(kind, key)]
     where = key or kind
+    nested = {"cfg": cfg_cls, "embedder": SpeakerEmbedder}
 
     def build(recipe, cls, where: str, beside: set):
-        # a recipe holds the constructor's arguments, the config dataclass as
-        # a dict of its fields; a value has its default's type, or else is an int
+        # a recipe holds the constructor's arguments, a config or an embedder as
+        # a nested recipe; a value has its default's type, or else is an int
         if not isinstance(recipe, dict):
             raise VersionError(f"checkpoint config {where} is missing or not an object")
         params = inspect.signature(cls).parameters
@@ -98,8 +82,8 @@ def rebuild(st: CheckpointState, kind: str, key: str | None = None):
         for name, param in params.items():
             value = recipe[name]
             like = 0 if param.default is param.empty else param.default
-            if name == "cfg":
-                value = build(value, cfg_cls, f"{where}.cfg", set())
+            if name in nested:
+                value = build(value, nested[name], f"{where}.{name}", set())
             elif not (type(value) is type(like) or type(like) is float and type(value) is int):
                 raise VersionError(f"checkpoint config {where}.{name}: {value!r} "
                                    f"is not of type {type(like).__name__}")
@@ -109,37 +93,27 @@ def rebuild(st: CheckpointState, kind: str, key: str | None = None):
     recipe = st.config if key is None else st.config.get(key)
     try:  # validate() and the constructors reject values out of range
         module = build(recipe, cls, where, _BESIDE)
-        embedder = (build(recipe.get("embedder"), SpeakerEmbedder, f"{where}.embedder", set())
-                    if with_embedder else None)
     except ValueError as exc:
         raise VersionError(f"checkpoint config {where}: {exc}") from None
-    if embedder is not None:  # the module must take what its embedder emits
-        sizes = recipe.get("cfg", recipe)
-        for dim in ("spk_dim", "feat_dim"):
-            if dim in sizes and sizes[dim] != embedder.recipe[dim]:
-                raise VersionError(f"checkpoint config {where}: {dim} {sizes[dim]} != "
-                                   f"embedder {dim} {embedder.recipe[dim]}")
-    load_trainable(module, st.tensors, prefix)
-    return module, embedder
+    for name, t in module.named_tensors():
+        if t.requires_grad:  # frozen tensors stay as constructed
+            t.data = checkpoint_array(st.tensors, prefix + name, t.data.shape)
+    return module
 
 
-def bundle(st: CheckpointState, key: str, module: nn.Module,
-           embedder: SpeakerEmbedder) -> CheckpointState:
-    """`st` with `module` and the embedder that conditioned it folded in under
-    `key` (text_to_token into a tokenizer checkpoint, vocoder into a model
-    checkpoint), so one file carries both."""
+def bundle(st: CheckpointState, key: str, module: nn.Module) -> CheckpointState:
+    """`st` with `module` folded in under `key` (text_to_token into a tokenizer
+    checkpoint, vocoder into a model checkpoint), so one file carries both."""
     prefix = _LAYOUT[(st.kind, key)][2]
     tensors = dict(st.tensors)
     for name, t in module.trainable().items():
         tensors[prefix + name] = t.data.copy()
-    config = {**st.config, key: {**module.recipe, "embedder": embedder.recipe}}
-    return CheckpointState(kind=st.kind, config=config, step=st.step,
-                           tensors=tensors, rng_state=st.rng_state, meta=st.meta)
+    return CheckpointState(kind=st.kind, config={**st.config, key: module.recipe},
+                           step=st.step, tensors=tensors, rng_state=st.rng_state, meta=st.meta)
 
 
-def resolve_vocoder(st: CheckpointState):
-    """(vocoder, embedder) from either a standalone vocoder checkpoint or a
-    model checkpoint carrying a bundled one."""
+def resolve_vocoder(st: CheckpointState) -> TimbreVocoder:
+    """The vocoder of a vocoder checkpoint, or the one bundled in a model checkpoint."""
     if st.kind == "model":
         return rebuild(st, "model", "vocoder")
     return rebuild(st, "vocoder")
@@ -263,12 +237,11 @@ def _run_stage(kind: str, module: nn.Module, train_ex, val_ex, example_loss,
                  val_fn=val_fn, cfg=tcfg, kind=kind, **train_kw)
 
 
-def _prompted_examples(m: Manifest, tokenizer: SpeechTokenizer,
-                       embedder: SpeakerEmbedder, limit=None) -> list:
-    """(record, semantic tokens, same-speaker prompt embedding) per record."""
+def _prompted_examples(m: Manifest, tokenizer: SpeechTokenizer, module: nn.Module) -> list:
+    """(record, semantic tokens, prompt embedding by `module.embedder`) per record."""
     prompts = same_speaker_prompts(m)
-    return [(r, tokenizer.tokenize(r.tgt_frames), embedder.embed(prompts[r.id].tgt_frames))
-            for r in list(m)[:limit or None]]
+    embed = module.embedder.embed
+    return [(r, tokenizer.tokenize(r.tgt_frames), embed(prompts[r.id].tgt_frames)) for r in m]
 
 
 # ------------------------------------------------------------ tokenizer stage
@@ -278,7 +251,7 @@ def train_tokenizer_stage(train_m: Manifest, val_m: Manifest,
                           cfg: TokenizerConfig | None = None,
                           tcfg: TrainConfig | None = None, *, seed: int = 0,
                           checkpoint_path=None, log_path=None,
-                          max_steps=None, val_limit=None, loss_trace=None):
+                          max_steps=None, loss_trace=None):
     cfg = cfg if cfg is not None else toy_tokenizer_config()
     tcfg = tcfg if tcfg is not None else toy_train_config("tokenizer", seed)
     tok = SpeechTokenizer(cfg, seed)
@@ -303,7 +276,7 @@ def train_tokenizer_stage(train_m: Manifest, val_m: Manifest,
         usage[:] = 0.0
 
     result = _run_stage(
-        "tokenizer", tok, records, list(val_m)[:val_limit or None], example_loss, tcfg,
+        "tokenizer", tok, records, list(val_m), example_loss, tcfg,
         loss_trace=loss_trace, lengths=[r.tgt_frames.length for r in records],
         state_arrays={"codebook_usage": usage}, on_epoch_end=on_epoch_end,
         checkpoint_path=checkpoint_path, log_path=log_path,
@@ -320,28 +293,27 @@ def train_text_to_token_stage(train_m: Manifest, val_m: Manifest,
                               embedder: SpeakerEmbedder | None = None,
                               tcfg: TrainConfig | None = None,
                               checkpoint_path=None, log_path=None,
-                              max_steps=None, val_limit=None, loss_trace=None):
-    """Train the text-conditioned token generator against speech-derived tokens.
-
-    Returns (model, TrainResult, the embedder that conditioned it)."""
+                              max_steps=None, loss_trace=None):
+    """Train the text-to-token model on speech-derived tokens, conditioned by `embedder`."""
     tcfg = tcfg if tcfg is not None else toy_train_config("text_to_token", seed)
     cfg = tokenizer.cfg
     embedder = embedder if embedder is not None else SpeakerEmbedder(cfg.feat_dim, seed=seed)
-    t2t = TextToTokenModel(cfg.text_vocab, cfg.codebook_size, embedder.spk_dim, seed=seed)
-    train_ex = _prompted_examples(train_m, tokenizer, embedder)
+    t2t = TextToTokenModel(cfg.text_vocab, cfg.codebook_size, embedder.spk_dim, seed=seed,
+                           embedder=embedder)
+    train_ex = _prompted_examples(train_m, tokenizer, t2t)
 
     def example_loss(ex, rng):
         r, tokens, spk = ex
         return t2t.loss(r.tgt_text, tokens, spk), {}
 
     result = _run_stage(
-        "text_to_token", t2t, train_ex, _prompted_examples(val_m, tokenizer, embedder, val_limit),
+        "text_to_token", t2t, train_ex, _prompted_examples(val_m, tokenizer, t2t),
         example_loss, tcfg, loss_trace=loss_trace,
         lengths=[len(r.tgt_text) + len(tokens) for r, tokens, _ in train_ex],
         checkpoint_path=checkpoint_path, log_path=log_path,
-        config_snapshot={**t2t.recipe, "embedder": embedder.recipe}, max_steps=max_steps,
+        config_snapshot=t2t.recipe, max_steps=max_steps,
     )
-    return t2t, result, embedder
+    return t2t, result
 
 
 # ---------------------------------------------------------------- model stage
@@ -349,23 +321,22 @@ def train_text_to_token_stage(train_m: Manifest, val_m: Manifest,
 
 def build_token_targets(m: Manifest, tokenizer: SpeechTokenizer,
                         token_source: str = "speech", *,
-                        text_to_token: TextToTokenModel | None = None,
-                        embedder: SpeakerEmbedder | None = None) -> list:
+                        text_to_token: TextToTokenModel | None = None) -> list:
     """(record, semantic tokens) pairs for decoder training.
 
     speech: tokens come from re-quantizing the target frames.
-    text: tokens are generated from the target text by the trained
-    text-to-token model, conditioned on a same-speaker prompt embedding.
+    text: the trained text-to-token model generates them from the target text
+    and a same-speaker prompt, embedded by the model's own embedder.
     """
     if token_source == "speech":
         return [(r, tokenizer.tokenize(r.tgt_frames)) for r in m]
     if token_source == "text":
-        if text_to_token is None or embedder is None:
-            raise ValueError("text token source needs text_to_token and embedder")
+        if text_to_token is None:
+            raise ValueError("text token source needs text_to_token")
         prompts = same_speaker_prompts(m)
         out = []
         for r in m:
-            spk = embedder.embed(prompts[r.id].tgt_frames)
+            spk = text_to_token.embedder.embed(prompts[r.id].tgt_frames)
             out.append((r, text_to_token.generate(r.tgt_text, spk, max_len=64).tokens))
         return out
     raise ValueError(f"unknown token source {token_source!r}")
@@ -375,9 +346,8 @@ def train_model_stage(train_m: Manifest, val_m: Manifest, tokenizer: SpeechToken
                       cfg: ModelConfig | None = None, tcfg: TrainConfig | None = None,
                       *, seed: int = 0, token_source: str = "speech",
                       text_to_token: TextToTokenModel | None = None,
-                      embedder: SpeakerEmbedder | None = None,
                       checkpoint_path=None, log_path=None,
-                      max_steps=None, val_limit=None, loss_trace=None):
+                      max_steps=None, loss_trace=None):
     cfg = cfg if cfg is not None else toy_model_config()
     tcfg = tcfg if tcfg is not None else toy_train_config("model", seed)
     if cfg.audio_vocab != tokenizer.cfg.codebook_size:
@@ -385,9 +355,8 @@ def train_model_stage(train_m: Manifest, val_m: Manifest, tokenizer: SpeechToken
             f"model audio vocab {cfg.audio_vocab} != codebook size {tokenizer.cfg.codebook_size}"
         )
     model = TranslationModel(cfg, seed)
-    kw = dict(text_to_token=text_to_token, embedder=embedder)
-    train_ex = build_token_targets(train_m, tokenizer, token_source, **kw)
-    val_ex = build_token_targets(val_m, tokenizer, token_source, **kw)
+    train_ex = build_token_targets(train_m, tokenizer, token_source, text_to_token=text_to_token)
+    val_ex = build_token_targets(val_m, tokenizer, token_source, text_to_token=text_to_token)
 
     def example_loss(ex, rng):
         r, tokens = ex
@@ -404,7 +373,7 @@ def train_model_stage(train_m: Manifest, val_m: Manifest, tokenizer: SpeechToken
         return total, {"loss_audio": float(loss_a.data), "loss_text": float(loss_t.data)}
 
     result = _run_stage(
-        "model", model, train_ex, val_ex[:val_limit or None], example_loss, tcfg,
+        "model", model, train_ex, val_ex, example_loss, tcfg,
         loss_trace=loss_trace, lengths=[len(tokens) for _, tokens in train_ex],
         checkpoint_path=checkpoint_path, log_path=log_path,
         config_snapshot={**model.recipe, "token_source": token_source},
@@ -418,9 +387,8 @@ def train_model_stage(train_m: Manifest, val_m: Manifest, tokenizer: SpeechToken
 
 def train_vocoder_stage(train_m: Manifest, val_m: Manifest, tokenizer: SpeechTokenizer,
                         cfg: VocoderConfig | None = None, tcfg: TrainConfig | None = None,
-                        *, seed: int = 0, embedder: SpeakerEmbedder | None = None,
-                        checkpoint_path=None, log_path=None,
-                        max_steps=None, val_limit=None, loss_trace=None):
+                        *, seed: int = 0, checkpoint_path=None, log_path=None,
+                        max_steps=None, loss_trace=None):
     cfg = cfg if cfg is not None else toy_vocoder_config()
     tcfg = tcfg if tcfg is not None else toy_train_config("vocoder", seed)
     if cfg.upsample != 1:
@@ -432,9 +400,8 @@ def train_vocoder_stage(train_m: Manifest, val_m: Manifest, tokenizer: SpeechTok
         raise ConfigError(
             f"vocoder audio vocab {cfg.audio_vocab} != codebook size {tokenizer.cfg.codebook_size}"
         )
-    embedder = embedder if embedder is not None else SpeakerEmbedder(cfg.feat_dim, seed=seed)
     voc = TimbreVocoder(cfg, seed)
-    train_ex = _prompted_examples(train_m, tokenizer, embedder)
+    train_ex = _prompted_examples(train_m, tokenizer, voc)
 
     def example_loss(ex, rng):
         r, tokens, spk = ex
@@ -442,13 +409,13 @@ def train_vocoder_stage(train_m: Manifest, val_m: Manifest, tokenizer: SpeechTok
         return mean(mul(d, d)), {}
 
     result = _run_stage(
-        "vocoder", voc, train_ex, _prompted_examples(val_m, tokenizer, embedder, val_limit),
+        "vocoder", voc, train_ex, _prompted_examples(val_m, tokenizer, voc),
         example_loss, tcfg, loss_trace=loss_trace,
         lengths=[len(tokens) for _, tokens, _ in train_ex],
         checkpoint_path=checkpoint_path, log_path=log_path,
-        config_snapshot={**voc.recipe, "embedder": embedder.recipe}, max_steps=max_steps,
+        config_snapshot=voc.recipe, max_steps=max_steps,
     )
-    return voc, result, embedder
+    return voc, result
 
 
 # ------------------------------------------------------------ end-to-end run
@@ -462,7 +429,6 @@ class PipelineRun:
     tokenizer: SpeechTokenizer
     model: TranslationModel
     vocoder: TimbreVocoder
-    embedder: SpeakerEmbedder
     alignment: np.ndarray
     tokenizer_result: TrainResult
     model_result: TrainResult
@@ -517,7 +483,7 @@ def run_toy_pipeline(out_dir=None, *, seed: int = 0, corpus_cfg: ToyCorpusConfig
     timings["model"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    voc, voc_res, embedder = train_vocoder_stage(
+    voc, voc_res = train_vocoder_stage(
         train_m, val_m, tok, seed=seed, max_steps=vocoder_steps,
         checkpoint_path=paths.get("vocoder"), log_path=paths.get("vocoder_log"),
     )
@@ -526,9 +492,8 @@ def run_toy_pipeline(out_dir=None, *, seed: int = 0, corpus_cfg: ToyCorpusConfig
     t0 = time.perf_counter()
     prompts = same_speaker_prompts(val_m)
     row, _ = evaluation.evaluate_translation(
-        model=model, tokenizer=tok, vocoder=voc, embedder=embedder,
-        alignment=alignment, records=val_m, prompts=prompts,
-        frames_per_symbol=fps, decode_cfg=decode_cfg,
+        model=model, tokenizer=tok, vocoder=voc, alignment=alignment, records=val_m,
+        prompts=prompts, frames_per_symbol=fps, decode_cfg=decode_cfg,
     )
     report = evaluation.EvalReport(
         rows=[row],
@@ -542,7 +507,7 @@ def run_toy_pipeline(out_dir=None, *, seed: int = 0, corpus_cfg: ToyCorpusConfig
 
     return PipelineRun(
         seed=seed, train_m=train_m, val_m=val_m, tokenizer=tok, model=model,
-        vocoder=voc, embedder=embedder, alignment=alignment,
+        vocoder=voc, alignment=alignment,
         tokenizer_result=tok_res, model_result=model_res, vocoder_result=voc_res,
         report=report, timings=timings,
     )

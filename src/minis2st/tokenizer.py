@@ -237,11 +237,13 @@ class TextToTokenModel(nn.Module):
     """
 
     def __init__(self, text_vocab: int, codebook_size: int, spk_dim: int,
-                 dim: int = 64, blocks: int = 2, heads: int = 4, seed: int = 0):
+                 dim: int = 64, blocks: int = 2, heads: int = 4, seed: int = 0, *, embedder):
+        embedder.expect(spk_dim=spk_dim)
         rng = rng_for(seed, "text_to_token")
         self.recipe = {"text_vocab": text_vocab, "codebook_size": codebook_size,
                        "spk_dim": spk_dim, "dim": dim, "blocks": blocks,
-                       "heads": heads, "seed": seed}
+                       "heads": heads, "seed": seed, "embedder": embedder.recipe}
+        self.embedder = embedder
         self.text_vocab = text_vocab
         self.codebook_size = codebook_size
         self.bos = text_vocab + codebook_size

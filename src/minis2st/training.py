@@ -116,6 +116,8 @@ class CheckpointState:
 
 
 def save_checkpoint(path, st: CheckpointState):
+    """Write a sibling temp file, sync it and rename it over `path`: a crash or
+    an error mid-write leaves any previous checkpoint at `path` as it was."""
     names = sorted(st.tensors)
     header = {
         "kind": st.kind,
@@ -126,12 +128,20 @@ def save_checkpoint(path, st: CheckpointState):
         "tensors": [{"name": n, "shape": list(np.asarray(st.tensors[n]).shape)} for n in names],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<IQ", CKPT_VERSION, len(blob)))
-        fh.write(blob)
-        for n in names:
-            fh.write(np.ascontiguousarray(st.tensors[n], dtype="<f8").tobytes())
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CKPT_MAGIC)
+            fh.write(struct.pack("<IQ", CKPT_VERSION, len(blob)))
+            fh.write(blob)
+            for n in names:
+                fh.write(np.ascontiguousarray(st.tensors[n], dtype="<f8").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write failed
+            os.remove(tmp)
 
 
 def load_checkpoint(path) -> CheckpointState:
@@ -186,6 +196,16 @@ def load_checkpoint(path) -> CheckpointState:
         rng_state=header.get("rng_state"),
         meta=header.get("meta", {}),
     )
+
+
+def checkpoint_array(tensors: dict, key: str, shape: tuple, what: str = "tensor") -> np.ndarray:
+    """A float copy of checkpoint array `key`; VersionError unless it has `shape`."""
+    if key not in tensors:
+        raise VersionError(f"checkpoint missing {what} {key!r}")
+    src = np.asarray(tensors[key], dtype=np.float64)
+    if src.shape != shape:
+        raise VersionError(f"{what} {key!r}: checkpoint shape {src.shape} != model shape {shape}")
+    return src.copy()
 
 
 def expect_kind(st: CheckpointState, kind: str) -> CheckpointState:
@@ -252,16 +272,14 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
     if resume_from is not None:
         st = resume_from
         for name, p in params.items():
-            if name not in st.tensors:
-                raise VersionError(f"checkpoint missing parameter {name!r}")
-            p.data = st.tensors[name].copy()
-            adam.m[name] = st.tensors[f"opt.m.{name}"].copy()
-            adam.v[name] = st.tensors[f"opt.v.{name}"].copy()
+            p.data = checkpoint_array(st.tensors, name, p.data.shape, "parameter")
+            adam.m[name] = checkpoint_array(st.tensors, f"opt.m.{name}", p.data.shape, "moment")
+            adam.v[name] = checkpoint_array(st.tensors, f"opt.v.{name}", p.data.shape, "moment")
         for key, arr in state_arrays.items():
-            skey = f"state.{key}"
-            if skey not in st.tensors:
-                raise VersionError(f"checkpoint missing state array {skey!r}")
-            arr[...] = st.tensors[skey]
+            arr[...] = checkpoint_array(st.tensors, f"state.{key}", arr.shape, "state array")
+        missing = [k for k in ("adam_t", "best_val", "bad", "val_history") if k not in st.meta]
+        if missing:
+            raise VersionError(f"checkpoint meta missing {missing}")
         adam.t = int(st.meta["adam_t"])
         step = st.step
         best_val = float(st.meta["best_val"])

@@ -4,7 +4,8 @@ The speaker embedder is a fixed seeded network (per-frame projection, mean+std
 pooling, unit-norm output) and is never trained.  The vocoder proper is a
 conditioned regression decoder: the speaker embedding is concatenated to every
 token embedding, a small non-causal transformer contextualizes the sequence,
-and an output head paints `upsample` frames per token.
+and an output head paints `upsample` frames per token.  A vocoder carries the
+embedder that conditions it (`vocoder.embedder`) and records it in its recipe.
 """
 from __future__ import annotations
 
@@ -47,6 +48,12 @@ class SpeakerEmbedder:
         self.feat_dim = feat_dim
         self.recipe = {"feat_dim": feat_dim, "spk_dim": spk_dim, "hidden": hidden, "seed": seed}
 
+    def expect(self, **sizes):
+        """ValueError unless this embedder has these sizes, e.g. spk_dim=16."""
+        for dim, size in sizes.items():
+            if size != self.recipe[dim]:
+                raise ValueError(f"{dim} {size} != embedder {dim} {self.recipe[dim]}")
+
     def embed(self, frames) -> np.ndarray:
         f = frames.frames if isinstance(frames, SpeechFrames) else np.asarray(frames, dtype=np.float64)
         if f.ndim != 2 or f.shape[0] < 1:
@@ -63,8 +70,12 @@ class SpeakerEmbedder:
 
 
 class TimbreVocoder(nn.Module):
-    def __init__(self, cfg: VocoderConfig, seed: int = 0):
+    def __init__(self, cfg: VocoderConfig, seed: int = 0, embedder: SpeakerEmbedder | None = None):
         cfg.validate()
+        if embedder is None:
+            embedder = SpeakerEmbedder(cfg.feat_dim, cfg.spk_dim, seed=seed)
+        embedder.expect(spk_dim=cfg.spk_dim, feat_dim=cfg.feat_dim)
+        self.embedder = embedder
         rng = rng_for(seed, "vocoder")
         self.token_embed = nn.param(rng, (cfg.audio_vocab, cfg.token_dim), scale=0.02)
         self.in_proj = nn.Linear(cfg.token_dim + cfg.spk_dim, cfg.d_model, rng)
@@ -72,7 +83,7 @@ class TimbreVocoder(nn.Module):
         self.ln = nn.LayerNorm(cfg.d_model)
         self.head = nn.Linear(cfg.d_model, cfg.upsample * cfg.feat_dim, rng)
         self.cfg = cfg
-        self.recipe = {"cfg": asdict(cfg), "seed": seed}
+        self.recipe = {"cfg": asdict(cfg), "seed": seed, "embedder": embedder.recipe}
 
     def forward_frames(self, tokens, spk: np.ndarray) -> Tensor:
         """Differentiable synthesis; output shape (upsample * len(tokens), feat_dim)."""

@@ -172,7 +172,7 @@ def test_06_toy_pipeline_learns(toy_run):
         untrained = TranslationModel(toy_run.model.cfg, seed=1234)
         urow, _ = evaluate_translation(
             model=untrained, tokenizer=toy_run.tokenizer, vocoder=toy_run.vocoder,
-            embedder=toy_run.embedder, alignment=toy_run.alignment,
+            alignment=toy_run.alignment,
             records=toy_run.val_m, prompts=same_speaker_prompts(toy_run.val_m),
             frames_per_symbol=fps)
         assert urow.bleu < 5.0, f"untrained corpus BLEU {urow.bleu:.2f}"
@@ -185,8 +185,7 @@ def test_07_projector_ablation_harness(toy_run):
         report, curves = run_ablation(
             "projectors", train_m=toy_run.train_m, val_m=toy_run.val_m,
             eval_m=eval_m, tokenizer=toy_run.tokenizer, vocoder=toy_run.vocoder,
-            embedder=toy_run.embedder, alignment=toy_run.alignment,
-            seed=0, max_steps=80, val_limit=8)
+            alignment=toy_run.alignment, seed=0, max_steps=80)
         assert [r.system for r in report.rows] == [
             "linear", "conv1d-linear", "qformer-2", "qformer-4"]
         for r in report.rows:
@@ -207,8 +206,7 @@ def test_08_token_source_ablation_harness(toy_run):
         report, curves = run_ablation(
             "token_source", train_m=toy_run.train_m, val_m=toy_run.val_m,
             eval_m=eval_m, tokenizer=toy_run.tokenizer, vocoder=toy_run.vocoder,
-            embedder=toy_run.embedder, alignment=toy_run.alignment,
-            seed=0, max_steps=150, val_limit=8)
+            alignment=toy_run.alignment, seed=0, max_steps=150)
         assert [r.system for r in report.rows] == ["speech-tokens", "text-tokens"]
         assert all(not r.error for r in report.rows)
         assert all(len(curves[r.system]) == 150 for r in report.rows)
@@ -223,8 +221,7 @@ def test_09_timbre_conditioning(toy_run):
         records = list(toy_run.val_m)
         assert len(records) == 50
         frac = timbre_separation(
-            vocoder=toy_run.vocoder, embedder=toy_run.embedder,
-            tokenizer=toy_run.tokenizer, records=records,
+            vocoder=toy_run.vocoder, tokenizer=toy_run.tokenizer, records=records,
             matched=same_speaker_prompts(toy_run.val_m),
             mismatched=mismatched_prompts(toy_run.val_m))
         assert frac >= 0.9, f"separation {frac:.2f}"

@@ -136,21 +136,35 @@ def test_unbuildable_checkpoint_config_exits_four(tmp_path, capsys):
     embedder = SpeakerEmbedder(8).recipe
     voc = TimbreVocoder(VocoderConfig(audio_vocab=8, token_dim=4, d_model=8, blocks=1,
                                       heads=2), 0)
-    for emb in ({**embedder, "spk_dim": 8}, {**embedder, "feat_dim": 4}):
+    for emb, message in (({**embedder, "spk_dim": 8}, "spk_dim 16 != embedder spk_dim 8"),
+                         ({**embedder, "feat_dim": 4}, "feat_dim 8 != embedder feat_dim 4")):
         save_checkpoint(ckpt, CheckpointState(
             kind="vocoder", step=0, tensors={k: t.data for k, t in voc.trainable().items()},
             config={**voc.recipe, "embedder": emb}))
         assert main(["synthesize", "--ckpt", str(ckpt), "--tokens", str(tmp_path / "t"),
                      "--prompt", str(tmp_path / "p"), "--out-dir", str(tmp_path / "s")]) == 4
-        assert "version mismatch" in capsys.readouterr().err
+        assert f"version mismatch: checkpoint config vocoder: {message}" in capsys.readouterr().err
     tok = SpeechTokenizer(TokenizerConfig(codebook_size=8, dim=8, heads=2), 0)
-    t2t = TextToTokenModel(tok.cfg.text_vocab, 8, 16).recipe
+    t2t = TextToTokenModel(tok.cfg.text_vocab, 8, 16, embedder=SpeakerEmbedder(8)).recipe
     save_checkpoint(ckpt, CheckpointState(
         kind="tokenizer", step=0, tensors={k: t.data for k, t in tok.trainable().items()},
         config={**tok.recipe, "text_to_token": {**t2t, "spk_dim": 8, "embedder": embedder}}))
     assert main(["train-model", "--train", str(m), "--val", str(m), "--tokenizer", str(ckpt),
                  "--out", str(tmp_path / "model.ckpt"), "--token-source", "text"]) == 4
-    assert "version mismatch" in capsys.readouterr().err
+    assert ("version mismatch: checkpoint config text_to_token: spk_dim 8 != embedder spk_dim 16"
+            in capsys.readouterr().err)
+
+
+def test_manifest_feat_dim_unlike_its_frames_exits_two(tmp_path, capsys):
+    m = tmp_path / "m.jsonl"
+    write_manifest(generate_toy_corpus(ToyCorpusConfig(pairs=4), 0), m)
+    lines = m.read_text().splitlines()
+    meta = json.loads(lines[0])
+    lines[0] = json.dumps({**meta, "manifest": {**meta["manifest"], "feat_dim": 5}})
+    m.write_text("\n".join(lines) + "\n")
+    assert main(["train-tokenizer", "--train", str(m), "--val", str(m),
+                 "--out", str(tmp_path / "tok.ckpt"), "--max-steps", "1"]) == 2
+    assert "m.jsonl:2: src_frames file has 8 features" in capsys.readouterr().err
 
 
 def test_mistyped_manifest_field_exits_two(tmp_path, capsys):

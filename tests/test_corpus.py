@@ -178,6 +178,15 @@ def test_manifest_reader_errors(tmp_path):
         with pytest.raises(ParseError, match=f"typed.jsonl:1: metadata '{key}'"):
             read_manifest(typed)
 
+    # a frame file must be as wide as the metadata's feat_dim says
+    write_frames(tmp_path / "a.src.ds2f", SpeechFrames(np.zeros((3, 4)), 50))
+    write_frames(tmp_path / "a.tgt.ds2f", SpeechFrames(np.zeros((3, 5)), 50))
+    for feat_dim, key, width in ((5, "src_frames", 4), (4, "tgt_frames", 5)):
+        typed.write_text(json.dumps({"manifest": {"feat_dim": feat_dim}}) + "\n"
+                         + json.dumps(record) + "\n")
+        with pytest.raises(ParseError, match=f"typed.jsonl:2: {key} file has {width} features"):
+            read_manifest(typed)
+
 
 def test_stats_report_counts_and_rendering():
     m = generate_toy_corpus(small_cfg(pairs=5), 2)

@@ -216,13 +216,13 @@ def test_transcribe_rejects_bad_block_size():
 def test_evaluate_translation_rejects_empty_records():
     with pytest.raises(ValueError, match="at least one record"):
         evaluate_translation(model=None, tokenizer=None, vocoder=None,
-                             embedder=None, alignment=None, records=[],
+                             alignment=None, records=[],
                              prompts={}, frames_per_symbol=4)
 
 
 def test_timbre_separation_rejects_empty_records():
     with pytest.raises(ValueError, match="at least one record"):
-        timbre_separation(vocoder=None, embedder=None, tokenizer=None,
+        timbre_separation(vocoder=None, tokenizer=None,
                           records=[], matched={}, mismatched={})
 
 
@@ -234,6 +234,9 @@ class _Rec:
 
 class _EchoVocoder:
     """Synthesis that hands back the conditioning vector as a single frame."""
+
+    def __init__(self, embedder):
+        self.embedder = embedder
 
     def synthesize(self, tokens, spk):
         return SpeechFrames(frames=np.asarray(spk, dtype=np.float64)[None, :],
@@ -258,7 +261,7 @@ def test_timbre_separation_counts_matched_wins(rng):
         mismatched[f"u{i}"] = _Rec(None, SpeechFrames(
             frames=rng.standard_normal((4, 6)) - 3.0, frame_rate=50))
     frac = timbre_separation(
-        vocoder=_EchoVocoder(), embedder=_MeanEmbedder(),
+        vocoder=_EchoVocoder(_MeanEmbedder()),
         tokenizer=_FixedTokenizer([0, 1]), records=recs,
         matched=matched, mismatched=mismatched)
     assert frac == 1.0

@@ -17,8 +17,8 @@ def test_stage_weights_do_not_depend_on_checkpoint_path(tmp_path):
                        validate_every=5, patience=50, min_delta=0.1)
     runs = []
     for ckpt in (None, str(tmp_path / "voc.ckpt")):
-        voc, res, _ = pipeline.train_vocoder_stage(train_m, val_m, tok, tcfg=tcfg,
-                                                   max_steps=60, checkpoint_path=ckpt)
+        voc, res = pipeline.train_vocoder_stage(train_m, val_m, tok, tcfg=tcfg,
+                                                max_steps=60, checkpoint_path=ckpt)
         runs.append((voc.trainable(), res))
     (in_memory, res), (on_disk, _) = runs
     assert res.best_step < res.steps
@@ -59,22 +59,22 @@ def test_checkpoint_layout_and_rebuild(tmp_path):
     run = dict(seed=3, max_steps=1)
     tok, _ = pipeline.train_tokenizer_stage(train_m, val_m, TokenizerConfig(**TOK),
                                             checkpoint_path=path["tokenizer"], **run)
-    t2t, _, t2t_emb = pipeline.train_text_to_token_stage(
-        train_m, val_m, tok, checkpoint_path=path["text_to_token"], **run)
+    # an embedder of another seed than the stage's: its own seed is recorded
+    t2t, _ = pipeline.train_text_to_token_stage(
+        train_m, val_m, tok, embedder=SpeakerEmbedder(8, seed=5),
+        checkpoint_path=path["text_to_token"], **run)
     model, _ = pipeline.train_model_stage(train_m, val_m, tok, ModelConfig(**MODEL),
                                           checkpoint_path=path["model"], **run)
-    # an embedder of another seed than the stage's: its own seed is recorded
-    voc, _, voc_emb = pipeline.train_vocoder_stage(
-        train_m, val_m, tok, VocoderConfig(**VOC), embedder=SpeakerEmbedder(8, seed=5),
-        checkpoint_path=path["vocoder"], **run)
+    voc, _ = pipeline.train_vocoder_stage(train_m, val_m, tok, VocoderConfig(**VOC),
+                                          checkpoint_path=path["vocoder"], **run)
     save_checkpoint(path["tok+t2t"], pipeline.bundle(
-        load_checkpoint(path["tokenizer"]), "text_to_token", t2t, t2t_emb))
+        load_checkpoint(path["tokenizer"]), "text_to_token", t2t))
     save_checkpoint(path["model+voc"], pipeline.bundle(
-        load_checkpoint(path["model"]), "vocoder", voc, voc_emb))
+        load_checkpoint(path["model"]), "vocoder", voc))
 
     t2t_config = {"text_vocab": 20, "codebook_size": 32, "spk_dim": 16, "dim": 64,
-                  "blocks": 2, "heads": 4, "seed": 3, "embedder": _embedder(3)}
-    voc_config = {"cfg": VOC, "seed": 3, "embedder": _embedder(5)}
+                  "blocks": 2, "heads": 4, "seed": 3, "embedder": _embedder(5)}
+    voc_config = {"cfg": VOC, "seed": 3, "embedder": _embedder(3)}
     configs = {
         "tokenizer": {"cfg": TOK, "seed": 3},
         "text_to_token": t2t_config,
@@ -87,25 +87,24 @@ def test_checkpoint_layout_and_rebuild(tmp_path):
     for k, config in configs.items():
         assert st[k].config == config, k
 
-    cases = [  # (file, kind, bundle key, trained module, its embedder)
-        ("tokenizer", "tokenizer", None, tok, None),
-        ("text_to_token", "text_to_token", None, t2t, t2t_emb),
-        ("model", "model", None, model, None),
-        ("vocoder", "vocoder", None, voc, voc_emb),
-        ("tok+t2t", "tokenizer", None, tok, None),
-        ("tok+t2t", "tokenizer", "text_to_token", t2t, t2t_emb),
-        ("model+voc", "model", None, model, None),
-        ("model+voc", "model", "vocoder", voc, voc_emb),
+    cases = [  # (file, kind, bundle key, trained module)
+        ("tokenizer", "tokenizer", None, tok),
+        ("text_to_token", "text_to_token", None, t2t),
+        ("model", "model", None, model),
+        ("vocoder", "vocoder", None, voc),
+        ("tok+t2t", "tokenizer", None, tok),
+        ("tok+t2t", "tokenizer", "text_to_token", t2t),
+        ("model+voc", "model", None, model),
+        ("model+voc", "model", "vocoder", voc),
     ]
-    for name, kind, key, module, embedder in cases:
-        rebuilt, rebuilt_emb = pipeline.rebuild(st[name], kind, key)
+    for name, kind, key, module in cases:
+        rebuilt = pipeline.rebuild(st[name], kind, key)
         _assert_same_module(rebuilt, module)
-        if embedder is None:
-            assert rebuilt_emb is None
-        else:
+        if hasattr(module, "embedder"):
             for attr in ("w1", "b1", "w2"):
-                np.testing.assert_array_equal(getattr(rebuilt_emb, attr), getattr(embedder, attr))
+                np.testing.assert_array_equal(getattr(rebuilt.embedder, attr),
+                                              getattr(module.embedder, attr))
     for name in ("vocoder", "model+voc"):
-        rebuilt, rebuilt_emb = pipeline.resolve_vocoder(st[name])
+        rebuilt = pipeline.resolve_vocoder(st[name])
         _assert_same_module(rebuilt, voc)
-        np.testing.assert_array_equal(rebuilt_emb.w1, voc_emb.w1)
+        np.testing.assert_array_equal(rebuilt.embedder.w1, voc.embedder.w1)

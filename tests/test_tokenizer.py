@@ -14,6 +14,7 @@ from minis2st.tokenizer import (
     token_purity,
     token_symbol_alignment,
 )
+from minis2st.vocoder import SpeakerEmbedder
 
 
 def tiny_cfg(**kw):
@@ -202,7 +203,8 @@ def test_alignment_table_majority_votes():
 def test_text_to_token_loss_and_generation():
     cfg = tiny_cfg()
     t2t = TextToTokenModel(cfg.text_vocab, cfg.codebook_size, spk_dim=3,
-                           dim=8, blocks=1, heads=2, seed=0)
+                           dim=8, blocks=1, heads=2, seed=0,
+                           embedder=SpeakerEmbedder(cfg.feat_dim, spk_dim=3))
     rng = np.random.default_rng(9)
     spk = rng.normal(size=3)
     spk = spk / np.linalg.norm(spk)
@@ -213,6 +215,9 @@ def test_text_to_token_loss_and_generation():
     assert all(0 <= t < cfg.codebook_size for t in res.tokens)
     again = t2t.generate([0, 2, 1], spk, max_len=6)
     assert res.tokens == again.tokens and res.truncated == again.truncated
+    with pytest.raises(ValueError, match="spk_dim 3 != embedder spk_dim 16"):
+        TextToTokenModel(cfg.text_vocab, cfg.codebook_size, spk_dim=3,
+                         embedder=SpeakerEmbedder(cfg.feat_dim))
 
 
 def test_tokenizer_same_seed_same_weights():

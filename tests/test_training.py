@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,6 +162,18 @@ def test_checkpoint_resave_is_byte_identical(tmp_path):
     save_checkpoint(p1, st)
     save_checkpoint(p2, load_checkpoint(p1))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, _sample_state())
+    before = path.read_bytes()
+    bad = _sample_state()
+    bad.tensors["z.bad"] = "not a number"  # sorts last: fails after the others are written
+    with pytest.raises(ValueError):
+        save_checkpoint(path, bad)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_load_rejects_bad_magic(tmp_path):
@@ -438,6 +451,38 @@ def test_resume_missing_parameter_or_state_is_version_error(tmp_path):
     with pytest.raises(VersionError, match="state array"):
         train(params=params, examples=examples, loss_fn=loss_fn, val_fn=val_fn,
               cfg=cfg, resume_from=st, state_arrays={"ctr": np.zeros(1)})
+    for key in ("opt.m.w", "opt.v.w"):
+        tensors = {k: v for k, v in st.tensors.items() if k != key}
+        with pytest.raises(VersionError, match=f"checkpoint missing moment '{key}'"):
+            train(params=params, examples=examples, loss_fn=loss_fn, val_fn=val_fn,
+                  cfg=cfg, resume_from=replace(st, tensors=tensors))
+    for key in ("adam_t", "best_val", "bad", "val_history"):
+        meta = {k: v for k, v in st.meta.items() if k != key}
+        with pytest.raises(VersionError, match=f"checkpoint meta missing .*'{key}'"):
+            train(params=params, examples=examples, loss_fn=loss_fn, val_fn=val_fn,
+                  cfg=cfg, resume_from=replace(st, meta=meta))
+
+
+def test_resume_refuses_a_mis_shaped_array(tmp_path):
+    params, examples, loss_fn, val_fn = _make_problem()  # w has shape (4,)
+    cfg = TrainConfig(lr=1e-2, batch_size=4, warmup_steps=1, max_epochs=4,
+                      validate_every=2, patience=10, seed=4)
+    ckpt = tmp_path / "run.ckpt"
+    train(params=params, examples=examples, loss_fn=loss_fn, val_fn=val_fn, cfg=cfg,
+          checkpoint_path=str(ckpt), max_steps=2, state_arrays={"ctr": np.zeros(2)})
+    st = load_checkpoint(ckpt)
+
+    def resume(st, ctr):
+        train(params=params, examples=examples, loss_fn=loss_fn, val_fn=val_fn, cfg=cfg,
+              resume_from=st, state_arrays={"ctr": ctr})
+
+    for key in ("w", "opt.m.w", "opt.v.w"):
+        with pytest.raises(VersionError, match=rf"'{key}': checkpoint shape \(3,\) "
+                                               rf"!= model shape \(4,\)"):
+            resume(replace(st, tensors={**st.tensors, key: np.zeros(3)}), np.zeros(2))
+    with pytest.raises(VersionError, match=r"'state.ctr': checkpoint shape \(2,\) "
+                                           r"!= model shape \(3,\)"):
+        resume(st, np.zeros(3))
 
 
 def test_resume_reproduces_uninterrupted_run_bit_for_bit(tmp_path):

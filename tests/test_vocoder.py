@@ -124,6 +124,10 @@ def test_same_seed_same_vocoder():
     for (na, ta), (nb, tb) in zip(sorted(a.named_tensors()), sorted(b.named_tensors())):
         assert na == nb
         np.testing.assert_array_equal(ta.data, tb.data)
+    # the embedder it carries by default is the one of its sizes and seed
+    own = SpeakerEmbedder(feat_dim=4, spk_dim=3, seed=7)
+    np.testing.assert_array_equal(a.embedder.w1, own.w1)
+    assert a.recipe["embedder"] == own.recipe
 
 
 def test_config_validation():
@@ -131,3 +135,7 @@ def test_config_validation():
         TimbreVocoder(tiny_cfg(blocks=0), seed=0)
     with pytest.raises(ValueError):
         TimbreVocoder(tiny_cfg(upsample=0), seed=0)
+    for emb, message in ((SpeakerEmbedder(4, spk_dim=8), "spk_dim 3 != embedder spk_dim 8"),
+                         (SpeakerEmbedder(6, spk_dim=3), "feat_dim 4 != embedder feat_dim 6")):
+        with pytest.raises(ValueError, match=message):
+            TimbreVocoder(tiny_cfg(), seed=0, embedder=emb)

@@ -39,8 +39,6 @@ from .model import (
     ModelConfig,
     TranslationModel,
     compute_loss,
-    group_tokens,
-    ungroup_tokens,
 )
 from .pipeline import (
     PipelineRun,
@@ -108,7 +106,6 @@ __all__ = [
     "evaluate_translation",
     "filter_by_similarity",
     "generate_toy_corpus",
-    "group_tokens",
     "load_checkpoint",
     "meteor_lite",
     "no_grad",
@@ -130,7 +127,6 @@ __all__ = [
     "train_tokenizer_stage",
     "train_vocoder_stage",
     "transcribe_frames",
-    "ungroup_tokens",
     "write_frames",
     "write_manifest",
 ]

@@ -146,7 +146,8 @@ _DEFAULTS = {
                                 "max_steps": 0, "with_text_to_token": False},
     "train-model": lambda: {**asdict(toy_model_config()), **asdict(toy_train_config("model")),
                             "max_steps": 0, "token_source": "speech", "with_vocoder": True},
-    "translate": lambda: {"decode_max_steps": 64, "repetition_penalty": 1.2},
+    "translate": lambda: {"decode_max_steps": DecodeConfig().max_steps,
+                          "repetition_penalty": DecodeConfig().repetition_penalty},
     "eval": lambda: {"system": "system"},
     "ablate": lambda: {**asdict(toy_train_config("model")), "max_steps": 0},
 }
@@ -395,7 +396,9 @@ def cmd_eval(args) -> dict:
         meteor=float(np.mean([meteor_lite(h, r) for h, r in zip(hyps, refs)])),
     )
     inputs = [args.hyp, args.ref, args.ref_manifest]
-    if args.gen_frames and args.prompt_frames:
+    if bool(args.gen_frames) != bool(args.prompt_frames):
+        raise UsageError("--gen-frames and --prompt-frames go together")
+    if args.gen_frames:
         if not args.embedder_from:
             raise UsageError("--gen-frames needs --embedder-from for the speaker embedder")
         embedder = resolve_vocoder(load_checkpoint(args.embedder_from)).embedder

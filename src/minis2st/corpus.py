@@ -54,6 +54,19 @@ class SpeechFrames:
         return self.frame_rate == other.frame_rate and np.array_equal(self.frames, other.frames)
 
 
+def frame_matrix(frames, width: int, what: str) -> np.ndarray:
+    """`frames` (SpeechFrames or an array) as a 2-d float64 matrix `width` wide.
+
+    ValueError naming `what` and both widths when the frames are not (T, width).
+    """
+    f = frames.frames if isinstance(frames, SpeechFrames) else np.asarray(frames, dtype=np.float64)
+    if f.ndim != 2:
+        raise ValueError(f"{what} expects (T, F) frames, got shape {f.shape}")
+    if f.shape[1] != width:
+        raise ValueError(f"{what} expects {width}-wide frames, got {f.shape[1]}-wide")
+    return f
+
+
 @dataclass
 class UtterancePair:
     id: str

@@ -5,7 +5,10 @@ encoding into the decoder's width and length budget, and a decoder LM with an
 augmented text+audio vocabulary emits the target text stream and the semantic
 token stream jointly.  Audio tokens are predicted G at a time from a single
 hidden state; the input stream interleaves one text position with one grouped
-audio position per step.
+audio position per step.  The decoder works in head-local ids throughout:
+`DecoderLM.make_targets` lays out the (S,) text and (S, G) audio step arrays
+that teacher forcing and the loss read, and greedy decoding feeds its picks
+back in that same layout.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import nn
-from .corpus import SpeechFrames
+from .corpus import frame_matrix
 from .tensor import (
     Tensor,
     add,
@@ -63,11 +66,14 @@ class ModelConfig:
 
 
 class AugmentedVocab:
-    """Joint id space: text ids, then audio ids, then four control ids.
+    """Ids of the decoder's joint vocabulary and of its two prediction heads.
 
-    Layout is [0, text) text symbols, [text, text+audio) audio tokens, then
-    BOS, EOS_text, EOS_audio, PAD.  Each prediction head works in its own
-    compact local alphabet; the maps below are bijections onto the global ids.
+    Embedding ids: [0, text) text symbols, [text, text+audio) audio tokens,
+    then BOS, EOS_text, EOS_audio, PAD.  Each head predicts in its own compact
+    local alphabet: the text head over the text symbols then the four controls,
+    the audio head over the codebook ids then EOS and PAD.  The decoder works in
+    these head-local ids end to end; `text_in` and `audio_in` map a local id to
+    its embedding id, so targets and decoded picks enter the input unconverted.
     """
 
     def __init__(self, text_size: int, audio_size: int):
@@ -86,79 +92,9 @@ class AugmentedVocab:
         self.text_eos_local = text_size + 1
         self.text_pad_local = text_size + 3
         self.text_head_size = text_size + 4
-
-    def kind(self, gid: int) -> str:
-        if 0 <= gid < self.text_size:
-            return "text"
-        if self.text_size <= gid < self.text_size + self.audio_size:
-            return "audio"
-        if self.text_size + self.audio_size <= gid < self.total:
-            return "control"
-        raise IndexError(f"id {gid} outside augmented vocabulary of size {self.total}")
-
-    def audio_to_global(self, local: int) -> int:
-        if 0 <= local < self.audio_size:
-            return self.text_size + local
-        if local == self.audio_eos_local:
-            return self.eos_audio
-        if local == self.audio_pad_local:
-            return self.pad
-        raise IndexError(f"audio-local id {local} outside [0, {self.audio_head_size})")
-
-    def audio_from_global(self, gid: int) -> int:
-        if self.text_size <= gid < self.text_size + self.audio_size:
-            return gid - self.text_size
-        if gid == self.eos_audio:
-            return self.audio_eos_local
-        if gid == self.pad:
-            return self.audio_pad_local
-        raise IndexError(f"global id {gid} has no audio-local counterpart")
-
-    def text_to_global(self, local: int) -> int:
-        if 0 <= local < self.text_size:
-            return local
-        if self.text_size <= local < self.text_head_size:
-            return local + self.audio_size
-        raise IndexError(f"text-local id {local} outside [0, {self.text_head_size})")
-
-    def text_from_global(self, gid: int) -> int:
-        if 0 <= gid < self.text_size:
-            return gid
-        if self.text_size + self.audio_size <= gid < self.total:
-            return gid - self.audio_size
-        raise IndexError(f"global id {gid} has no text-local counterpart")
-
-
-# ------------------------------------------------------------------ grouping
-
-
-@dataclass
-class GroupedTokenSeq:
-    groups: list
-    group_size: int
-    pad: int
-
-    def __len__(self):
-        return len(self.groups)
-
-
-def group_tokens(tokens, group_size: int, pad: int) -> GroupedTokenSeq:
-    """Pad to a multiple of group_size with `pad`, then cut into groups."""
-    if group_size < 1:
-        raise ValueError(f"group_size must be >= 1, got {group_size}")
-    toks = list(tokens)
-    short = (-len(toks)) % group_size
-    padded = toks + [pad] * short
-    groups = [padded[i : i + group_size] for i in range(0, len(padded), group_size)]
-    return GroupedTokenSeq(groups=groups, group_size=group_size, pad=pad)
-
-
-def ungroup_tokens(grouped: GroupedTokenSeq) -> list:
-    """Flatten groups and strip the trailing padding."""
-    flat = [t for g in grouped.groups for t in g]
-    while flat and flat[-1] == grouped.pad:
-        flat.pop()
-    return flat
+        self.text_in = np.concatenate([np.arange(text_size), self.bos + np.arange(4)])
+        self.audio_in = np.concatenate([text_size + np.arange(audio_size),
+                                        [self.eos_audio, self.pad]])
 
 
 # --------------------------------------------------------- frozen encoder
@@ -174,13 +110,12 @@ class FrozenSpeechEncoder(nn.Module):
             nn.TransformerBlock(cfg.enc_dim, cfg.enc_heads, rng) for _ in range(cfg.enc_blocks)
         ]
         self.ln = nn.LayerNorm(cfg.enc_dim)
+        self.feat_dim = cfg.feat_dim
         self.fixed_input_len = cfg.fixed_input_len
         self.freeze()
 
     def encode(self, frames) -> Tensor:
-        f = frames.frames if isinstance(frames, SpeechFrames) else np.asarray(frames, dtype=np.float64)
-        if f.ndim != 2:
-            raise ValueError(f"encode expects (T, F) frames, got shape {f.shape}")
+        f = frame_matrix(frames, self.feat_dim, "speech encoder")
         t = self.fixed_input_len
         if f.shape[0] >= t:
             f = f[:t]
@@ -297,7 +232,8 @@ class DecoderLM(nn.Module):
     The hidden state at BOS predicts step 0; the one at g_{s-1} predicts step s.
     Each prediction feeds two heads: text logits, and G x (audio+2) grouped
     audio logits.  A group enters the input as its G token embeddings
-    concatenated and linearly projected to one position.
+    concatenated and linearly projected to one position.  Teacher forcing, the
+    loss and greedy decoding all read the step arrays `make_targets` lays out.
     """
 
     def __init__(self, cfg: ModelConfig, seed: int):
@@ -318,13 +254,35 @@ class DecoderLM(nn.Module):
         self.audio_head = nn.Linear(d, g * self.vocab.audio_head_size, rng)
         self.cfg = cfg
 
-    # -- embedding helpers ------------------------------------------------
+    def make_targets(self, text, tokens):
+        """Step arrays in head-local ids: text (S,) and audio (S, G).
 
-    def embed_global(self, ids) -> Tensor:
-        """Look up global ids across the split text/aux tables."""
-        idx = np.asarray(list(ids), dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.vocab.total):
-            raise IndexError(f"global id outside vocabulary of size {self.vocab.total}")
+        EOS ends each stream, the audio stream is cut into rows of G, and PAD
+        fills both to S = max(len(text) + 1, ceil((len(tokens) + 1) / G))
+        steps.  These arrays are the teacher-forcing input and the loss target
+        alike; loss masking hides PAD everywhere.
+        """
+        v = self.vocab
+        g = self.cfg.group_size
+        text = np.asarray(text, dtype=np.int64)
+        tokens = np.asarray(tokens, dtype=np.int64)
+        for what, ids, size in (("text symbol", text, v.text_size),
+                                ("audio token", tokens, v.audio_size)):
+            bad = ids[(ids < 0) | (ids >= size)]
+            if bad.size:
+                raise IndexError(f"{what} {bad[0]} outside [0, {size})")
+        s = max(len(text) + 1, len(tokens) // g + 1)
+        text_targets = np.full(s, v.text_pad_local)
+        text_targets[: len(text)] = text
+        text_targets[len(text)] = v.text_eos_local
+        audio_targets = np.full(s * g, v.audio_pad_local)
+        audio_targets[: len(tokens)] = tokens
+        audio_targets[len(tokens)] = v.audio_eos_local
+        return text_targets, audio_targets.reshape(s, g)
+
+    def _embed(self, ids) -> Tensor:
+        """Look up embedding ids across the split text/aux tables."""
+        idx = np.asarray(ids, dtype=np.int64)
         is_text = idx < self.vocab.text_size
         t_idx = np.where(is_text, idx, 0)
         a_idx = np.where(is_text, 0, idx - self.vocab.text_size)
@@ -334,56 +292,46 @@ class DecoderLM(nn.Module):
         ae = mul(embedding_lookup(self.aux_embed, a_idx), a_mask)
         return add(te, ae)
 
-    def _sequence(self, a_p: Tensor, text_in, groups_in) -> Tensor:
-        """Assemble input embeddings: prompt, source, BOS, interleaved steps."""
-        s = len(text_in)
-        g = self.cfg.group_size
-        parts = [self.soft_prompt, a_p, self.embed_global([self.vocab.bos])]
+    def _hidden_at_predictions(self, a_p: Tensor, text_local, audio_local,
+                               n_steps: int) -> Tensor:
+        """Final hidden states at the first n_steps prediction positions, with
+        the (S,) text and (S, G) audio head-local ids as the interleaved steps."""
+        v = self.vocab
+        d = self.cfg.d_model
+        s = len(text_local)
+        parts = [self.soft_prompt, a_p, self._embed([v.bos])]
         if s:
-            text_rows = self.embed_global(text_in)  # (S, d)
-            flat = [gid for grp in groups_in for gid in grp]
-            group_rows = self.group_proj(
-                reshape(self.embed_global(flat), (s, g * self.cfg.d_model))
-            )  # (S, d)
+            text_rows = self._embed(v.text_in[text_local])  # (S, d)
+            audio_rows = self._embed(v.audio_in[audio_local].reshape(-1))  # (S * G, d)
+            group_rows = self.group_proj(reshape(audio_rows, (s, self.cfg.group_size * d)))
             # interleave rows: (S, 2d) -> (2S, d) gives t_0, g_0, t_1, g_1, ...
-            parts.append(reshape(concat([text_rows, group_rows], axis=1), (2 * s, self.cfg.d_model)))
+            parts.append(reshape(concat([text_rows, group_rows], axis=1), (2 * s, d)))
         seq = concat(parts, axis=0)
         if seq.shape[0] > self.cfg.context:
             raise ValueError(
                 f"sequence length {seq.shape[0]} exceeds context {self.cfg.context}"
             )
-        return seq
-
-    def _hidden_at_predictions(self, a_p: Tensor, text_in, groups_in, n_steps: int) -> Tensor:
-        seq = self._sequence(a_p, text_in, groups_in)
         x = self.ln_f(nn.run_blocks(self.blocks, seq, causal=True))
-        base = self.cfg.prompt_len + a_p.shape[0]
-        # BOS position, then every grouped-audio position
-        pos = [base] + [base + 2 + 2 * s for s in range(n_steps - 1)]
-        return embedding_lookup(x, pos)
+        # BOS, then every grouped-audio position
+        bos = self.cfg.prompt_len + a_p.shape[0]
+        return embedding_lookup(x, bos + 2 * np.arange(n_steps))
 
     # -- training ----------------------------------------------------------
 
-    def forward_teacher_forced(self, a_p: Tensor, text_targets, grouped: GroupedTokenSeq):
-        """Logits for every step under teacher forcing.
+    def forward_teacher_forced(self, a_p: Tensor, text_targets, audio_targets):
+        """Logits for every step of `make_targets`' arrays under teacher forcing.
 
-        text_targets: text-local ids (symbols/EOS/PAD) per step.
-        grouped: audio-local groups; missing steps on either stream are padded.
         Returns (audio_logits (S, G, audio_head), text_logits (S, text_head)).
         """
         v = self.vocab
         g = self.cfg.group_size
-        if grouped.group_size != g:
-            raise ValueError(f"grouped size {grouped.group_size} != model group size {g}")
-        s = max(len(text_targets), len(grouped.groups))
+        s = len(text_targets)
         if s == 0:
             raise ValueError("teacher forcing needs at least one step")
-        text_local = list(text_targets) + [v.text_pad_local] * (s - len(text_targets))
-        groups_local = [list(grp) for grp in grouped.groups]
-        groups_local += [[v.audio_pad_local] * g] * (s - len(groups_local))
-        text_in = [v.text_to_global(t) for t in text_local]
-        groups_in = [[v.audio_to_global(t) for t in grp] for grp in groups_local]
-        h = self._hidden_at_predictions(a_p, text_in, groups_in, s)
+        if np.shape(audio_targets) != (s, g):
+            raise ValueError(f"audio targets shape {np.shape(audio_targets)} != steps {(s, g)}")
+        h = self._hidden_at_predictions(a_p, np.asarray(text_targets),
+                                        np.asarray(audio_targets), s)
         text_logits = self.text_head(h)
         audio_logits = reshape(self.audio_head(h), (s, g, v.audio_head_size))
         return audio_logits, text_logits
@@ -401,50 +349,38 @@ class DecoderLM(nn.Module):
                 text_ban[lid] = -1e30
         audio_ban = np.zeros(v.audio_head_size)
         audio_ban[v.audio_pad_local] = -1e30
+        # the picks fed back as input: what make_targets would build from the
+        # output, PAD after each stream's EOS
+        n = max(cfg.max_steps, 0)
+        text_local = np.full(n, v.text_pad_local)
+        audio_local = np.full((n, g), v.audio_pad_local)
         text_out, tokens_out = [], []
-        text_in, groups_in = [], []
         text_done = audio_done = False
         steps = token_steps = 0
         with no_grad():
-            for _ in range(cfg.max_steps):
-                if text_done and audio_done:
-                    break
-                h = self._hidden_at_predictions(a_p, text_in, groups_in, len(text_in) + 1)
-                last = embedding_lookup(h, [h.shape[0] - 1])
-                steps += 1
+            while steps < n and not (text_done and audio_done):
+                h = self._hidden_at_predictions(a_p, text_local[:steps],
+                                                audio_local[:steps], steps + 1)
+                last = embedding_lookup(h, [steps])
                 if not text_done:
                     tl = self.text_head(last).data[0] + text_ban
                     tl = apply_repetition_penalty(tl, text_out, cfg.repetition_penalty)
                     pick = int(np.argmax(tl))
+                    text_local[steps] = pick
                     if pick == v.text_eos_local:
                         text_done = True
-                        text_in.append(v.eos_text)
                     else:
                         text_out.append(pick)
-                        text_in.append(v.text_to_global(pick))
-                else:
-                    text_in.append(v.pad)
                 if not audio_done:
                     al = reshape(self.audio_head(last), (g, v.audio_head_size)).data + audio_ban
-                    grp_in = []
-                    emitted = False
-                    for row in al:
-                        if audio_done:
-                            grp_in.append(v.pad)
-                            continue
-                        pick = int(np.argmax(row))
-                        if pick == v.audio_eos_local:
-                            audio_done = True
-                            grp_in.append(v.eos_audio)
-                        else:
-                            tokens_out.append(pick)
-                            grp_in.append(v.audio_to_global(pick))
-                            emitted = True
-                    if emitted:
-                        token_steps += 1
-                    groups_in.append(grp_in)
-                else:
-                    groups_in.append([v.pad] * g)
+                    picks = np.argmax(al, axis=1)
+                    ends = np.flatnonzero(picks == v.audio_eos_local)
+                    k = int(ends[0]) if ends.size else g
+                    audio_local[steps, : k + 1] = picks[: k + 1]
+                    tokens_out += picks[:k].tolist()
+                    token_steps += int(k > 0)
+                    audio_done = bool(ends.size)
+                steps += 1
         return DecodeResult(
             tokens=tokens_out,
             text=text_out,
@@ -462,6 +398,7 @@ def compute_loss(audio_logits: Tensor, text_logits: Tensor, audio_targets, text_
                  vocab: AugmentedVocab, lambda_audio: float = 1.0, lambda_text: float = 1.0):
     """Joint objective: lambda_a * mean audio CE + lambda_t * mean text CE.
 
+    The targets are the (S, G) audio and (S,) text arrays of `make_targets`.
     PAD positions are excluded from both the sums and the denominators.
     Raises if a stream has no unmasked position at all.
     """
@@ -507,37 +444,16 @@ class TranslationModel(nn.Module):
     def project_source(self, frames) -> Tensor:
         return self.projector.project(self.encoder.encode(frames))
 
-    def make_targets(self, text, tokens):
-        """Text/audio target streams in head-local alphabets.
-
-        EOS is appended to both streams; the audio stream is then grouped with
-        PAD fill, and loss masking hides PAD everywhere.
-        """
-        v = self.decoder.vocab
-        for t in text:
-            if not (0 <= t < v.text_size):
-                raise IndexError(f"text symbol {t} outside [0, {v.text_size})")
-        for t in tokens:
-            if not (0 <= t < v.audio_size):
-                raise IndexError(f"audio token {t} outside [0, {v.audio_size})")
-        text_targets = list(text) + [v.text_eos_local]
-        grouped = group_tokens(list(tokens) + [v.audio_eos_local],
-                               self.cfg.group_size, v.audio_pad_local)
-        return text_targets, grouped
-
     def loss_for(self, frames, text, tokens, lambda_audio: float = 1.0,
                  lambda_text: float = 1.0):
-        text_targets, grouped = self.make_targets(text, tokens)
+        text_targets, audio_targets = self.decoder.make_targets(text, tokens)
         a_p = self.project_source(frames)
         audio_logits, text_logits = self.decoder.forward_teacher_forced(
-            a_p, text_targets, grouped
+            a_p, text_targets, audio_targets
         )
-        s = audio_logits.shape[0]
-        at = [list(grp) for grp in grouped.groups]
-        at += [[self.decoder.vocab.audio_pad_local] * self.cfg.group_size] * (s - len(at))
-        tt = text_targets + [self.decoder.vocab.text_pad_local] * (s - len(text_targets))
-        return compute_loss(audio_logits, text_logits, at, tt, self.decoder.vocab,
-                            lambda_audio=lambda_audio, lambda_text=lambda_text)
+        return compute_loss(audio_logits, text_logits, audio_targets, text_targets,
+                            self.decoder.vocab, lambda_audio=lambda_audio,
+                            lambda_text=lambda_text)
 
     def translate(self, frames, decode_cfg: DecodeConfig | None = None) -> DecodeResult:
         a_p = self.project_source(frames)

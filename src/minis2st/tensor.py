@@ -64,48 +64,14 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
-    def item(self):
-        return float(self.data)
-
     def detach(self):
         t = Tensor(self.data)
         return t
-
-    def backward(self):
-        backward(self)
 
     def _accumulate(self, g):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
-
-    # operator sugar; heavy lifting lives in the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -342,18 +308,15 @@ def embedding_lookup(table, indices):
 # --------------------------------------------------------------- reductions
 
 
-def mean(x, axis=None, keepdims=False):
+def mean(x):
+    """Mean over every entry."""
     x = _as_tensor(x)
-    out_data = x.data.mean(axis=axis, keepdims=keepdims)
-    count = x.data.size if axis is None else x.data.shape[axis]
+    out_data = x.data.mean()
+    count = x.data.size
 
     def pull(g):
         if x.requires_grad:
-            if axis is None:
-                x._accumulate(np.full_like(x.data, 1.0 / count) * g)
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                x._accumulate(np.broadcast_to(gg, x.data.shape) / count)
+            x._accumulate(np.full_like(x.data, 1.0 / count) * g)
 
     return _make(out_data, (x,), pull)
 

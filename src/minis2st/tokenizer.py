@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import nn
-from .corpus import Manifest, SpeechFrames
+from .corpus import Manifest, frame_matrix
 from .tensor import (
     Tensor,
     add,
@@ -95,6 +95,7 @@ class SplitEncoder(nn.Module):
 
     def __init__(self, cfg: TokenizerConfig, rng: np.random.Generator):
         d = cfg.dim
+        self.feat_dim = cfg.feat_dim
         self.in_proj = nn.Linear(cfg.feat_dim, d, rng)
         self.enc1 = [nn.TransformerBlock(d, cfg.heads, rng) for _ in range(cfg.enc1_blocks)]
         self.ln_mid = nn.LayerNorm(d)
@@ -102,8 +103,8 @@ class SplitEncoder(nn.Module):
         self.ln_out = nn.LayerNorm(d)
 
     def encode_stage1(self, frames) -> Tensor:
-        f = frames.frames if isinstance(frames, SpeechFrames) else np.asarray(frames, dtype=np.float64)
-        if f.ndim != 2 or f.shape[0] < 1:
+        f = frame_matrix(frames, self.feat_dim, "tokenizer encoder")
+        if f.shape[0] < 1:
             raise ValueError(f"encode_stage1 needs at least one frame, got shape {f.shape}")
         x = nn.add_positions(self.in_proj(Tensor(f)))
         return self.ln_mid(nn.run_blocks(self.enc1, x))

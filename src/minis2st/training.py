@@ -277,16 +277,17 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
             adam.v[name] = checkpoint_array(st.tensors, f"opt.v.{name}", p.data.shape, "moment")
         for key, arr in state_arrays.items():
             arr[...] = checkpoint_array(st.tensors, f"state.{key}", arr.shape, "state array")
-        missing = [k for k in ("adam_t", "best_val", "bad", "val_history") if k not in st.meta]
+        missing = [k for k in ("adam_t", "best_val", "best_step", "bad", "val_history",
+                               "epochs_done") if k not in st.meta]
         if missing:
             raise VersionError(f"checkpoint meta missing {missing}")
         adam.t = int(st.meta["adam_t"])
         step = st.step
         best_val = float(st.meta["best_val"])
-        best_step = int(st.meta.get("best_step", 0))
+        best_step = int(st.meta["best_step"])
         bad = int(st.meta["bad"])
         val_history = [tuple(v) for v in st.meta["val_history"]]
-        epochs_done = int(st.meta.get("epochs_done", step // bpe))
+        epochs_done = int(st.meta["epochs_done"])
         if st.rng_state is not None:
             rng.bit_generator.state = st.rng_state
 

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import nn
-from .corpus import SpeechFrames
+from .corpus import SpeechFrames, frame_matrix
 from .tensor import Tensor, concat, embedding_lookup, no_grad, reshape, rng_for
 
 
@@ -55,11 +55,9 @@ class SpeakerEmbedder:
                 raise ValueError(f"{dim} {size} != embedder {dim} {self.recipe[dim]}")
 
     def embed(self, frames) -> np.ndarray:
-        f = frames.frames if isinstance(frames, SpeechFrames) else np.asarray(frames, dtype=np.float64)
-        if f.ndim != 2 or f.shape[0] < 1:
+        f = frame_matrix(frames, self.feat_dim, "speaker embedder")
+        if f.shape[0] < 1:
             raise ValueError(f"speaker embedding needs at least one frame, got shape {f.shape}")
-        if f.shape[1] != self.feat_dim:
-            raise ValueError(f"feature dim {f.shape[1]} != embedder dim {self.feat_dim}")
         a = np.tanh(f @ self.w1 + self.b1)
         pooled = np.concatenate([a.mean(axis=0), a.std(axis=0)])
         v = pooled @ self.w2

@@ -162,12 +162,7 @@ def run_op_gradient_trials(trials: int, seed: int = 0):
 
     def case_mean():
         a = t(4, 5)
-        axis = [None, 0, 1][int(rng.integers(0, 3))]
-        if axis is None:
-            return (lambda: t_mean(a)), [a]
-        w_shape = (5,) if axis == 0 else (4,)
-        w = Tensor(rng.normal(size=w_shape))
-        return (lambda: t_mean(t_mul(t_mean(a, axis=axis), w))), [a]
+        return (lambda: t_mean(a)), [a]
     run("mean", case_mean)
 
     def case_layernorm():
@@ -218,8 +213,7 @@ def _tiny_model_cfg(projector: str) -> ModelConfig:
 def run_module_gradient_trials(trials: int, seed: int = 0):
     """Finite-difference whole modules end to end: each projector variant, the
     teacher-forced decoder with its joint loss, and the vocoder regression."""
-    from minis2st.model import (DecoderLM, compute_loss, group_tokens,
-                                make_projector)
+    from minis2st.model import DecoderLM, compute_loss, make_projector
     from minis2st.vocoder import TimbreVocoder, VocoderConfig
 
     rng = np.random.default_rng(seed)
@@ -253,18 +247,12 @@ def run_module_gradient_trials(trials: int, seed: int = 0):
         a_p = Tensor(rng.normal(0.0, 0.3, size=(3, cfg.d_model)), requires_grad=True)
         n_text = int(rng.integers(1, 4))
         n_audio = int(rng.integers(1, 6))
-        text_targets = [int(x) for x in rng.integers(0, v.text_size, size=n_text)]
-        text_targets.append(v.text_eos_local)
-        tokens = [int(x) for x in rng.integers(0, v.audio_size, size=n_audio)]
-        grouped = group_tokens(tokens + [v.audio_eos_local], cfg.group_size,
-                               v.audio_pad_local)
-        s = max(len(text_targets), len(grouped.groups))
-        at = [list(g) for g in grouped.groups]
-        at += [[v.audio_pad_local] * cfg.group_size] * (s - len(at))
-        tt = text_targets + [v.text_pad_local] * (s - len(text_targets))
+        text = rng.integers(0, v.text_size, size=n_text)
+        tokens = rng.integers(0, v.audio_size, size=n_audio)
+        tt, at = dec.make_targets(text, tokens)
 
         def build():
-            al, tl = dec.forward_teacher_forced(a_p, text_targets, grouped)
+            al, tl = dec.forward_teacher_forced(a_p, tt, at)
             total, _, _ = compute_loss(al, tl, at, tt, v,
                                        lambda_audio=1.0, lambda_text=1.0)
             return total

@@ -30,9 +30,7 @@ from minis2st.model import (
     TranslationModel,
     apply_repetition_penalty,
     compute_loss,
-    group_tokens,
     make_projector,
-    ungroup_tokens,
 )
 from minis2st.pipeline import mismatched_prompts, same_speaker_prompts, split_manifest
 from minis2st.tensor import Tensor, mean, mul, sub
@@ -124,14 +122,19 @@ def test_03_loss_identities():
 
 
 def test_04_group_modeling_contract():
-    with criterion(4, "group/ungroup round-trips lengths 0-50 for G 1-8 and "
+    with criterion(4, "decoder targets round-trip lengths 0-50 for G 1-8 and "
                       "finished G=3 decodes take ceil(T/3) emitting steps"):
         for g in range(1, 9):
+            dec = DecoderLM(_tiny_cfg(group_size=g, audio_vocab=50), seed=0)
+            eos = dec.vocab.audio_eos_local
             for n in range(0, 51):
+                text = [i % 5 for i in range(n % 7)]
                 tokens = list(range(n))
-                grouped = group_tokens(tokens, g, 999)
-                assert all(len(grp) == g for grp in grouped.groups)
-                assert ungroup_tokens(grouped) == tokens
+                tt, at = dec.make_targets(text, tokens)
+                assert at.shape == (len(tt), g)
+                assert len(tt) == max(len(text) + 1, math.ceil((n + 1) / g))
+                flat = at.reshape(-1).tolist()
+                assert flat[: flat.index(eos)] == tokens
 
         rng = np.random.default_rng(40)
         finished = 0

@@ -167,6 +167,26 @@ def test_manifest_feat_dim_unlike_its_frames_exits_two(tmp_path, capsys):
     assert "m.jsonl:2: src_frames file has 8 features" in capsys.readouterr().err
 
 
+def test_frames_narrower_than_the_checkpoint_exit_one_naming_both_widths(tmp_path, capsys):
+    m = tmp_path / "m.jsonl"
+    write_manifest(generate_toy_corpus(ToyCorpusConfig(pairs=2, feat_dim=5), 0), m)
+    tok = SpeechTokenizer(TokenizerConfig(codebook_size=8, dim=8, heads=2), 0)
+    model = TranslationModel(ModelConfig(audio_vocab=8, d_model=8, blocks=1, heads=2,
+                                         context=64, prompt_len=1, proj_hidden=8, enc_dim=8,
+                                         enc_blocks=1, enc_heads=2, fixed_input_len=8), 0)
+    for kind, module, argv in (
+        ("tokenizer", tok, ["tokenize", "--out", str(tmp_path / "t")]),
+        ("model", model, ["translate", "--out-dir", str(tmp_path / "out")]),
+    ):
+        ckpt = tmp_path / f"{kind}.ckpt"
+        save_checkpoint(ckpt, CheckpointState(
+            kind=kind, config=module.recipe, step=0,
+            tensors={k: t.data for k, t in module.trainable().items()}))
+        assert main([*argv, "--ckpt", str(ckpt), "--in", str(m)]) == 1, kind
+        err = capsys.readouterr().err
+        assert "expects 8-wide frames, got 5-wide" in err, err
+
+
 def test_mistyped_manifest_field_exits_two(tmp_path, capsys):
     m = tmp_path / "m.jsonl"
     write_manifest(generate_toy_corpus(ToyCorpusConfig(pairs=2), 0), m)
@@ -191,6 +211,15 @@ def test_eval_requires_exactly_one_reference_source(tmp_path, capsys):
     assert main(["eval", "--hyp", str(hyp), "--ref", "a", "--ref-manifest", "b",
                  "--out-dir", str(tmp_path)]) == 1
     capsys.readouterr()
+
+
+def test_eval_refuses_half_of_the_frame_pair(tmp_path, capsys):
+    hyp = tmp_path / "h.tok"
+    write_token_file(hyp, [("u0", [1, 2])])
+    for flag in ("--gen-frames", "--prompt-frames"):
+        assert main(["eval", "--hyp", str(hyp), "--ref", str(hyp), flag, str(tmp_path),
+                     "--out-dir", str(tmp_path / "report")]) == 1, flag
+        assert "--gen-frames and --prompt-frames go together" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ coerce

@@ -12,9 +12,7 @@ from minis2st.model import (
     TranslationModel,
     apply_repetition_penalty,
     compute_loss,
-    group_tokens,
     make_projector,
-    ungroup_tokens,
 )
 from minis2st.tensor import Tensor
 
@@ -37,37 +35,40 @@ def test_vocab_layout_and_bijections():
     assert (v.bos, v.eos_text, v.eos_audio, v.pad) == (12, 13, 14, 15)
     assert v.total == 16
     assert v.audio_head_size == 9 and v.text_head_size == 9
-    for local in range(v.audio_head_size):
-        assert v.audio_from_global(v.audio_to_global(local)) == local
-    for local in range(v.text_head_size):
-        assert v.text_from_global(v.text_to_global(local)) == local
-    kinds = [v.kind(g) for g in range(v.total)]
-    assert kinds == ["text"] * 5 + ["audio"] * 7 + ["control"] * 4
-    with pytest.raises(IndexError):
-        v.kind(16)
-    with pytest.raises(IndexError):
-        v.audio_to_global(9)
-    with pytest.raises(IndexError):
-        v.text_from_global(5)  # an audio id has no text-local counterpart
+    # text head: symbols, then BOS, EOS_text, EOS_audio, PAD
+    assert v.text_in.tolist() == [0, 1, 2, 3, 4, 12, 13, 14, 15]
+    assert v.text_in[v.text_eos_local] == v.eos_text
+    assert v.text_in[v.text_pad_local] == v.pad
+    # audio head: codebook ids, then EOS, then PAD
+    assert v.audio_in.tolist() == [5, 6, 7, 8, 9, 10, 11, 14, 15]
+    assert v.audio_in[v.audio_eos_local] == v.eos_audio
+    assert v.audio_in[v.audio_pad_local] == v.pad
+    for table in (v.text_in, v.audio_in):
+        assert len(set(table.tolist())) == len(table)  # injective
+        assert table.min() >= 0 and table.max() < v.total
 
 
-# ---------------------------------------------------------------- grouping
+# ---------------------------------------------------------------- targets
 
 
-def test_group_ungroup_roundtrip_all_lengths_and_sizes():
-    pad = 99
+def test_make_targets_roundtrip_all_lengths_and_sizes():
     for g in range(1, 9):
+        dec = DecoderLM(tiny_cfg(group_size=g), seed=0)
+        v = dec.vocab
         for n in range(0, 51):
-            tokens = list(range(n))
-            grouped = group_tokens(tokens, g, pad)
-            assert len(grouped) == math.ceil(n / g) if n else len(grouped) == 0
-            assert all(len(grp) == g for grp in grouped.groups)
-            assert ungroup_tokens(grouped) == tokens
+            text = [i % v.text_size for i in range(n % 6)]
+            tokens = [i % v.audio_size for i in range(n)]
+            tt, at = dec.make_targets(text, tokens)
+            s = max(len(text) + 1, math.ceil((n + 1) / g))
+            assert tt.shape == (s,) and at.shape == (s, g)
+            assert tt.tolist() == text + [v.text_eos_local] + [v.text_pad_local] * (s - len(text) - 1)
+            flat = at.reshape(-1).tolist()
+            assert flat == tokens + [v.audio_eos_local] + [v.audio_pad_local] * (s * g - n - 1)
 
 
-def test_group_tokens_rejects_bad_size():
+def test_group_size_below_one_is_rejected():
     with pytest.raises(ValueError):
-        group_tokens([1, 2], 0, 9)
+        DecoderLM(tiny_cfg(group_size=0), seed=0)
 
 
 # ------------------------------------------------------------- projectors
@@ -225,13 +226,13 @@ def test_teacher_forced_logit_shapes():
     dec = DecoderLM(cfg, seed=0)
     v = dec.vocab
     a_p = Tensor(np.random.default_rng(0).normal(size=(3, cfg.d_model)))
-    text_targets = [1, 4, v.text_eos_local]
-    grouped = group_tokens([0, 1, 2, 3, v.audio_eos_local], cfg.group_size,
-                           v.audio_pad_local)
-    al, tl = dec.forward_teacher_forced(a_p, text_targets, grouped)
-    s = max(len(text_targets), len(grouped))
+    text_targets, audio_targets = dec.make_targets([1, 4], [0, 1, 2, 3])
+    al, tl = dec.forward_teacher_forced(a_p, text_targets, audio_targets)
+    s = len(text_targets)
     assert al.shape == (s, cfg.group_size, v.audio_head_size)
     assert tl.shape == (s, v.text_head_size)
+    with pytest.raises(ValueError):
+        dec.forward_teacher_forced(a_p, text_targets, audio_targets[:, :2])
 
 
 def test_decode_respects_max_steps_and_penalty_validation():
@@ -277,17 +278,18 @@ def test_decode_never_emits_pad_or_out_of_range():
 
 def test_make_targets_validates_and_groups():
     cfg = tiny_cfg()
-    model = TranslationModel(cfg, seed=0)
-    v = model.decoder.vocab
-    text_targets, grouped = model.make_targets([0, 2], [1, 5, 6, 0])
-    assert text_targets == [0, 2, v.text_eos_local]
-    assert ungroup_tokens(grouped)[:-1] == [1, 5, 6, 0]
-    assert ungroup_tokens(grouped)[-1] == v.audio_eos_local
-    assert len(grouped) == math.ceil(5 / cfg.group_size)
+    dec = DecoderLM(cfg, seed=0)
+    v = dec.vocab
+    text_targets, audio_targets = dec.make_targets([0, 2], [1, 5, 6, 0])
+    assert text_targets.tolist() == [0, 2, v.text_eos_local]
+    assert audio_targets.tolist() == [[1, 5, 6], [0, v.audio_eos_local, v.audio_pad_local],
+                                      [v.audio_pad_local] * 3]
     with pytest.raises(IndexError):
-        model.make_targets([cfg.text_vocab], [0])
+        dec.make_targets([cfg.text_vocab], [0])
     with pytest.raises(IndexError):
-        model.make_targets([0], [cfg.audio_vocab])
+        dec.make_targets([0], [cfg.audio_vocab])
+    with pytest.raises(IndexError):
+        dec.make_targets([0], [-1])
 
 
 def test_translation_model_loss_and_translate_run():
@@ -313,9 +315,9 @@ def test_context_overflow_raises():
     cfg = tiny_cfg(context=10)
     dec = DecoderLM(cfg, seed=0)
     a_p = Tensor(np.zeros((4, cfg.d_model)))  # prompt 2 + 4 + BOS + 2S > 10
-    grouped = group_tokens([0, 1, 2, 3, 4, 5], cfg.group_size, dec.vocab.audio_pad_local)
+    text_targets, audio_targets = dec.make_targets([1], [0, 1, 2, 3, 4])
     with pytest.raises(ValueError):
-        dec.forward_teacher_forced(a_p, [1, 2], grouped)
+        dec.forward_teacher_forced(a_p, text_targets, audio_targets)
 
 
 def test_frozen_encoder_pads_and_truncates_to_fixed_length():

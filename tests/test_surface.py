@@ -9,7 +9,7 @@ from pathlib import Path
 
 import minis2st
 
-SETTABLE = 162
+SETTABLE = 160
 
 
 def settable_count() -> int:

@@ -456,7 +456,7 @@ def test_resume_missing_parameter_or_state_is_version_error(tmp_path):
         with pytest.raises(VersionError, match=f"checkpoint missing moment '{key}'"):
             train(params=params, examples=examples, loss_fn=loss_fn, val_fn=val_fn,
                   cfg=cfg, resume_from=replace(st, tensors=tensors))
-    for key in ("adam_t", "best_val", "bad", "val_history"):
+    for key in ("adam_t", "best_val", "best_step", "bad", "val_history", "epochs_done"):
         meta = {k: v for k, v in st.meta.items() if k != key}
         with pytest.raises(VersionError, match=f"checkpoint meta missing .*'{key}'"):
             train(params=params, examples=examples, loss_fn=loss_fn, val_fn=val_fn,

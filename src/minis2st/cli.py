@@ -25,6 +25,7 @@ import numpy as np
 from .corpus import (
     ParseError,
     ToyCorpusConfig,
+    check_record_id,
     corpus_stats,
     filter_by_similarity,
     generate_toy_corpus,
@@ -199,6 +200,7 @@ def read_token_file(path):
         if not line:
             continue
         parts = line.split()
+        check_record_id(parts[0], f"{path}:{lineno}")
         try:
             rows.append((parts[0], [int(p) for p in parts[1:]]))
         except ValueError:
@@ -322,11 +324,11 @@ def cmd_train_model(args) -> dict:
 
 def cmd_translate(args) -> dict:
     eff = _layer(_DEFAULTS["translate"](), args)
+    dcfg = DecodeConfig(max_steps=eff["decode_max_steps"],
+                        repetition_penalty=eff["repetition_penalty"])
     st = load_checkpoint(args.ckpt)
     model = rebuild(st, "model")
     m = read_manifest(args.infile)
-    dcfg = DecodeConfig(max_steps=eff["decode_max_steps"],
-                        repetition_penalty=eff["repetition_penalty"])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

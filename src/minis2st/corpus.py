@@ -311,6 +311,14 @@ _RECORD_FIELDS = {"id": _STR, "src_text": _SYMBOLS, "tgt_text": _SYMBOLS, "src_f
 _META_INTS = ("frame_rate", "feat_dim", "tgt_vocab", "frames_per_symbol")
 
 
+def check_record_id(rid: str, where: str):
+    """ParseError at `where` (file:line) unless `rid` can name a file inside an
+    output directory: commands write one file per record, named by its id."""
+    if rid in ("", ".", "..") or any(c.isspace() or c in "/\\" for c in rid):
+        raise ParseError(f"{where}: record id {rid!r} cannot name a file: it is empty, "
+                         "'.' or '..', or holds whitespace, '/' or '\\'")
+
+
 def read_manifest(path) -> Manifest:
     path = Path(path)
     if not path.exists():
@@ -341,6 +349,7 @@ def read_manifest(path) -> Manifest:
                     raise ParseError(f"{path}:{lineno}: missing field {key!r}")
                 if not ok(obj[key]):
                     raise ParseError(f"{path}:{lineno}: field {key!r} is not {what}")
+            check_record_id(obj["id"], f"{path}:{lineno}")
             frames = {}
             for key in ("src_frames", "tgt_frames"):
                 f = read_frames(path.parent / obj[key], metadata.get("frame_rate", 50))
@@ -400,19 +409,6 @@ class StatsReport:
             rows.append((f"speaker {spk}", str(self.per_speaker[spk])))
         width = max(len(k) for k, _ in rows)
         return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows) + "\n"
-
-    def to_kv(self) -> str:
-        lines = [
-            f"records={self.records}",
-            f"src_frames={self.src_frames}",
-            f"tgt_frames={self.tgt_frames}",
-            f"frame_rate={self.frame_rate}",
-            f"duration_s={self.duration_s!r}",
-            f"duration_h={self.duration_h!r}",
-        ]
-        for spk in sorted(self.per_speaker):
-            lines.append(f"speaker.{spk}={self.per_speaker[spk]}")
-        return "\n".join(lines) + "\n"
 
 
 def corpus_stats(m: Manifest) -> StatsReport:

@@ -206,6 +206,12 @@ class DecodeConfig:
     max_steps: int = 64
     repetition_penalty: float = 1.2
 
+    def __post_init__(self):
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        if not self.repetition_penalty > 0:
+            raise ValueError(f"repetition_penalty must be positive, got {self.repetition_penalty}")
+
 
 @dataclass
 class DecodeResult:
@@ -341,8 +347,6 @@ class DecoderLM(nn.Module):
     def decode_greedy(self, a_p: Tensor, cfg: DecodeConfig) -> DecodeResult:
         v = self.vocab
         g = self.cfg.group_size
-        if cfg.repetition_penalty <= 0:
-            raise ValueError("repetition_penalty must be positive")
         text_ban = np.zeros(v.text_head_size)
         for lid in range(v.text_size, v.text_head_size):  # controls
             if lid != v.text_eos_local:
@@ -351,14 +355,13 @@ class DecoderLM(nn.Module):
         audio_ban[v.audio_pad_local] = -1e30
         # the picks fed back as input: what make_targets would build from the
         # output, PAD after each stream's EOS
-        n = max(cfg.max_steps, 0)
-        text_local = np.full(n, v.text_pad_local)
-        audio_local = np.full((n, g), v.audio_pad_local)
+        text_local = np.full(cfg.max_steps, v.text_pad_local)
+        audio_local = np.full((cfg.max_steps, g), v.audio_pad_local)
         text_out, tokens_out = [], []
         text_done = audio_done = False
         steps = token_steps = 0
         with no_grad():
-            while steps < n and not (text_done and audio_done):
+            while steps < cfg.max_steps and not (text_done and audio_done):
                 h = self._hidden_at_predictions(a_p, text_local[:steps],
                                                 audio_local[:steps], steps + 1)
                 last = embedding_lookup(h, [steps])

@@ -46,7 +46,6 @@ from .vocoder import SpeakerEmbedder, TimbreVocoder, VocoderConfig
 _LAYOUT = {
     ("tokenizer", None): (SpeechTokenizer, TokenizerConfig, ""),
     ("tokenizer", "text_to_token"): (TextToTokenModel, None, "tt."),
-    ("text_to_token", None): (TextToTokenModel, None, ""),
     ("model", None): (TranslationModel, ModelConfig, ""),
     ("model", "vocoder"): (TimbreVocoder, VocoderConfig, "voc."),
     ("vocoder", None): (TimbreVocoder, VocoderConfig, ""),
@@ -291,10 +290,9 @@ def train_tokenizer_stage(train_m: Manifest, val_m: Manifest,
 def train_text_to_token_stage(train_m: Manifest, val_m: Manifest,
                               tokenizer: SpeechTokenizer, *, seed: int = 0,
                               embedder: SpeakerEmbedder | None = None,
-                              tcfg: TrainConfig | None = None,
-                              checkpoint_path=None, log_path=None,
-                              max_steps=None, loss_trace=None):
-    """Train the text-to-token model on speech-derived tokens, conditioned by `embedder`."""
+                              tcfg: TrainConfig | None = None, max_steps=None):
+    """Train the text-to-token model on speech-derived tokens, conditioned by `embedder`;
+    it is kept in memory or bundled into a tokenizer checkpoint, never saved alone."""
     tcfg = tcfg if tcfg is not None else toy_train_config("text_to_token", seed)
     cfg = tokenizer.cfg
     embedder = embedder if embedder is not None else SpeakerEmbedder(cfg.feat_dim, seed=seed)
@@ -308,9 +306,8 @@ def train_text_to_token_stage(train_m: Manifest, val_m: Manifest,
 
     result = _run_stage(
         "text_to_token", t2t, train_ex, _prompted_examples(val_m, tokenizer, t2t),
-        example_loss, tcfg, loss_trace=loss_trace,
+        example_loss, tcfg, loss_trace=None,
         lengths=[len(r.tgt_text) + len(tokens) for r, tokens, _ in train_ex],
-        checkpoint_path=checkpoint_path, log_path=log_path,
         config_snapshot=t2t.recipe, max_steps=max_steps,
     )
     return t2t, result

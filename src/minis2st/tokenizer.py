@@ -83,13 +83,6 @@ def quantize(h, codebook: Codebook) -> list:
     return out
 
 
-def dequantize(tokens, codebook: Codebook) -> Tensor:
-    """Token indices back to their code vectors, shape (len(tokens), d)."""
-    if len(tokens) == 0:
-        return Tensor(np.zeros((0, codebook.dim)))
-    return embedding_lookup(codebook.entries, list(tokens))
-
-
 class SplitEncoder(nn.Module):
     """Two encoder stacks with the quantizer sitting between them."""
 

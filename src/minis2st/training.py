@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import ParseError
-from .tensor import Tape, backward, rng_for, seed_for
+from .tensor import Tape, backward, rng_for, seed_for, zero_grad
 
 
 class NumericError(RuntimeError):
@@ -59,16 +59,14 @@ class TrainConfig:
             raise ConfigError("min_delta must be >= 0")
 
 
-def lr_schedule(step: int, post_warmup_units: int, cfg: TrainConfig) -> float:
-    """Linear warmup to base lr, then stepwise gamma decay.
-
-    `post_warmup_units` counts completed decay units (epochs) since the unit in
-    which warmup finished; the boundary is continuous because unit zero
-    applies gamma^0.
-    """
+def lr_schedule(step: int, steps_per_epoch: int, cfg: TrainConfig) -> float:
+    """Linear warmup to base lr, then one gamma decay per epoch: the epoch
+    holding the first step after warmup applies gamma^0, so the rate is
+    continuous at the boundary."""
     if step <= cfg.warmup_steps:
         return cfg.lr * step / cfg.warmup_steps
-    return cfg.lr * cfg.decay_gamma ** post_warmup_units
+    epochs_decayed = (step - 1) // steps_per_epoch - cfg.warmup_steps // steps_per_epoch
+    return cfg.lr * cfg.decay_gamma ** epochs_decayed
 
 
 class Adam:
@@ -93,10 +91,6 @@ class Adam:
             mhat = self.m[name] / c1
             vhat = self.v[name] / c2
             p.data = p.data - lr * mhat / (np.sqrt(vhat) + self.eps)
-
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
 
 
 # -------------------------------------------------------------- checkpoints
@@ -246,13 +240,14 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
     """Generic loop: batches -> loss_fn -> backward -> Adam, validating on schedule.
 
     loss_fn(batch, rng) returns (scalar loss Tensor, {name: float} extras);
-    val_fn() returns a float.  Improvements (by >= min_delta) refresh the best
-    weights (and the best checkpoint, when a path is given); `patience` flat
-    validations stop the run; a non-finite loss aborts with NumericError after
-    the best checkpoint is already on disk.  On return `params` hold the best
-    weights (the resumed ones count as best so far), or the last weights if no
-    validation improved; the result's `state` is that checkpoint state, in
-    memory whether or not it was written.
+    val_fn() returns a float; on_epoch_end(epoch, rng) runs once per finished
+    epoch, unless an early stop ends the run at its last step.  Improvements
+    (by >= min_delta) refresh the best weights (and the best checkpoint, when
+    a path is given); `patience` flat validations stop the run; a non-finite
+    loss aborts with NumericError after the best checkpoint is already on disk.
+    On return `params` hold the best weights (the resumed ones count as best
+    so far), or the last weights if no validation improved; the result's
+    `state` is that checkpoint state, in memory whether or not it was written.
     """
     n = len(examples)
     if n == 0:
@@ -314,72 +309,59 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
             },
         )
 
-    def current_lr() -> float:
-        if step <= cfg.warmup_steps:
-            return lr_schedule(step, 0, cfg)
-        return lr_schedule(step, max(0, (step - 1) // bpe - cfg.warmup_steps // bpe), cfg)
-
     log_fh = open(log_path, "a" if resume_from is not None else "w") if log_path else None
     early = False
-    capped = False
+    batches = None
     try:
-        start_epoch = step // bpe
-        # a checkpoint written at an epoch's last step predates that epoch's
-        # callback; replay it so resumed and uninterrupted runs agree
-        if (on_epoch_end is not None and step == start_epoch * bpe
-                and 0 < start_epoch and epochs_done < start_epoch):
-            on_epoch_end(start_epoch - 1, rng)
-            epochs_done = start_epoch
-        for epoch in range(start_epoch, cfg.max_epochs):
-            batches = _epoch_batches(n, cfg.batch_size, epoch, cfg.seed, lengths)
-            for batch in batches[step - epoch * bpe :]:
-                if max_steps is not None and step >= max_steps:
-                    capped = True
-                    break
-                step += 1
-                lr = current_lr()
-                with Tape() as tape:
-                    loss, extras = loss_fn([examples[i] for i in batch], rng)
-                lval = float(loss.data)
-                if not np.isfinite(lval):
+        while not early:
+            # every finished epoch's callback runs before the next step or the
+            # end of the run; a checkpoint written at an epoch's last step
+            # predates that callback, so a resume from it runs it here too
+            while on_epoch_end is not None and epochs_done < step // bpe:
+                on_epoch_end(epochs_done, rng)
+                epochs_done += 1
+            if step >= cfg.max_epochs * bpe or (max_steps is not None and step >= max_steps):
+                break
+            if batches is None or step % bpe == 0:
+                batches = _epoch_batches(n, cfg.batch_size, step // bpe, cfg.seed, lengths)
+            batch = batches[step % bpe]
+            step += 1
+            lr = lr_schedule(step, bpe, cfg)
+            with Tape() as tape:
+                loss, extras = loss_fn([examples[i] for i in batch], rng)
+            lval = float(loss.data)
+            if not np.isfinite(lval):
+                raise NumericError(
+                    f"non-finite training loss at step {step}; "
+                    f"best checkpoint (step {best_step}) retained"
+                )
+            backward(loss)
+            tape.nodes.clear()  # op outputs point back at the tape: free the step now
+            adam.step(lr)
+            zero_grad(params.values())
+            if log_fh:
+                rec = {"step": step, "loss": lval}
+                rec.update({k: float(v) for k, v in sorted(extras.items())})
+                rec["lr"] = lr
+                log_fh.write(json.dumps(rec) + "\n")
+            if step % cfg.validate_every == 0:
+                val = float(val_fn())
+                if not np.isfinite(val):
                     raise NumericError(
-                        f"non-finite training loss at step {step}; "
+                        f"non-finite validation loss at step {step}; "
                         f"best checkpoint (step {best_step}) retained"
                     )
-                backward(loss)
-                tape.nodes.clear()  # op outputs point back at the tape: free the step now
-                adam.step(lr)
-                adam.zero_grad()
-                if log_fh:
-                    rec = {"step": step, "loss": lval}
-                    rec.update({k: float(v) for k, v in sorted(extras.items())})
-                    rec["lr"] = lr
-                    log_fh.write(json.dumps(rec) + "\n")
-                if step % cfg.validate_every == 0:
-                    val = float(val_fn())
-                    if not np.isfinite(val):
-                        raise NumericError(
-                            f"non-finite validation loss at step {step}; "
-                            f"best checkpoint (step {best_step}) retained"
-                        )
-                    val_history.append((step, val))
-                    if val <= best_val - cfg.min_delta:
-                        best_val = val
-                        best_step = step
-                        bad = 0
-                        best = snapshot()
-                        if checkpoint_path:
-                            save_checkpoint(checkpoint_path, best)
-                    else:
-                        bad += 1
-                        if bad >= cfg.patience:
-                            early = True
-                            break
-            if early or capped:
-                break
-            if on_epoch_end is not None and step == (epoch + 1) * bpe:
-                on_epoch_end(epoch, rng)
-                epochs_done = epoch + 1
+                val_history.append((step, val))
+                if val <= best_val - cfg.min_delta:
+                    best_val = val
+                    best_step = step
+                    bad = 0
+                    best = snapshot()
+                    if checkpoint_path:
+                        save_checkpoint(checkpoint_path, best)
+                else:
+                    bad += 1
+                    early = bad >= cfg.patience
     finally:
         if log_fh:
             log_fh.close()

@@ -4,6 +4,7 @@ import struct
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import minis2st.cli
@@ -21,15 +22,33 @@ from minis2st.cli import (
 )
 from minis2st.corpus import (
     ParseError,
+    SpeechFrames,
     ToyCorpusConfig,
     generate_toy_corpus,
     read_manifest,
+    write_frames,
     write_manifest,
 )
 from minis2st.model import ModelConfig, TranslationModel
+from minis2st.pipeline import bundle
 from minis2st.tokenizer import SpeechTokenizer, TextToTokenModel, TokenizerConfig
 from minis2st.training import CheckpointState, save_checkpoint
 from minis2st.vocoder import SpeakerEmbedder, TimbreVocoder, VocoderConfig
+
+
+def _tiny_model() -> TranslationModel:
+    return TranslationModel(ModelConfig(audio_vocab=8, d_model=8, blocks=1, heads=2,
+                                        context=64, prompt_len=1, proj_hidden=8, enc_dim=8,
+                                        enc_blocks=1, enc_heads=2, fixed_input_len=8), 0)
+
+
+def _tiny_vocoder() -> TimbreVocoder:
+    return TimbreVocoder(VocoderConfig(audio_vocab=8, token_dim=4, d_model=8, blocks=1,
+                                       heads=2), 0)
+
+
+def _trainable(module) -> dict:
+    return {k: t.data for k, t in module.trainable().items()}
 
 
 # ------------------------------------------------------------- exit codes
@@ -119,11 +138,8 @@ def test_unbuildable_checkpoint_config_exits_four(tmp_path, capsys):
     # not translated without speech
     m = tmp_path / "m.jsonl"
     write_manifest(generate_toy_corpus(ToyCorpusConfig(pairs=2), 0), m)
-    model_cfg = ModelConfig(audio_vocab=8, d_model=8, blocks=1, heads=2, context=64,
-                            prompt_len=1, proj_hidden=8, enc_dim=8, enc_blocks=1,
-                            enc_heads=2, fixed_input_len=8)
-    model = TranslationModel(model_cfg, 0)
-    tensors = {k: t.data for k, t in model.trainable().items()}
+    model = _tiny_model()
+    tensors = _trainable(model)
     bad_vocoder = {"cfg": {"bogus": 1}, "seed": 0, "embedder": {}}
     save_checkpoint(ckpt, CheckpointState(kind="model", step=0, tensors=tensors,
                                           config={**model.recipe, "vocoder": bad_vocoder}))
@@ -134,12 +150,11 @@ def test_unbuildable_checkpoint_config_exits_four(tmp_path, capsys):
     # recipes that build alone but not together: the module would not take
     # what its embedder emits
     embedder = SpeakerEmbedder(8).recipe
-    voc = TimbreVocoder(VocoderConfig(audio_vocab=8, token_dim=4, d_model=8, blocks=1,
-                                      heads=2), 0)
+    voc = _tiny_vocoder()
     for emb, message in (({**embedder, "spk_dim": 8}, "spk_dim 16 != embedder spk_dim 8"),
                          ({**embedder, "feat_dim": 4}, "feat_dim 8 != embedder feat_dim 4")):
         save_checkpoint(ckpt, CheckpointState(
-            kind="vocoder", step=0, tensors={k: t.data for k, t in voc.trainable().items()},
+            kind="vocoder", step=0, tensors=_trainable(voc),
             config={**voc.recipe, "embedder": emb}))
         assert main(["synthesize", "--ckpt", str(ckpt), "--tokens", str(tmp_path / "t"),
                      "--prompt", str(tmp_path / "p"), "--out-dir", str(tmp_path / "s")]) == 4
@@ -147,7 +162,7 @@ def test_unbuildable_checkpoint_config_exits_four(tmp_path, capsys):
     tok = SpeechTokenizer(TokenizerConfig(codebook_size=8, dim=8, heads=2), 0)
     t2t = TextToTokenModel(tok.cfg.text_vocab, 8, 16, embedder=SpeakerEmbedder(8)).recipe
     save_checkpoint(ckpt, CheckpointState(
-        kind="tokenizer", step=0, tensors={k: t.data for k, t in tok.trainable().items()},
+        kind="tokenizer", step=0, tensors=_trainable(tok),
         config={**tok.recipe, "text_to_token": {**t2t, "spk_dim": 8, "embedder": embedder}}))
     assert main(["train-model", "--train", str(m), "--val", str(m), "--tokenizer", str(ckpt),
                  "--out", str(tmp_path / "model.ckpt"), "--token-source", "text"]) == 4
@@ -171,17 +186,14 @@ def test_frames_narrower_than_the_checkpoint_exit_one_naming_both_widths(tmp_pat
     m = tmp_path / "m.jsonl"
     write_manifest(generate_toy_corpus(ToyCorpusConfig(pairs=2, feat_dim=5), 0), m)
     tok = SpeechTokenizer(TokenizerConfig(codebook_size=8, dim=8, heads=2), 0)
-    model = TranslationModel(ModelConfig(audio_vocab=8, d_model=8, blocks=1, heads=2,
-                                         context=64, prompt_len=1, proj_hidden=8, enc_dim=8,
-                                         enc_blocks=1, enc_heads=2, fixed_input_len=8), 0)
+    model = _tiny_model()
     for kind, module, argv in (
         ("tokenizer", tok, ["tokenize", "--out", str(tmp_path / "t")]),
         ("model", model, ["translate", "--out-dir", str(tmp_path / "out")]),
     ):
         ckpt = tmp_path / f"{kind}.ckpt"
         save_checkpoint(ckpt, CheckpointState(
-            kind=kind, config=module.recipe, step=0,
-            tensors={k: t.data for k, t in module.trainable().items()}))
+            kind=kind, config=module.recipe, step=0, tensors=_trainable(module)))
         assert main([*argv, "--ckpt", str(ckpt), "--in", str(m)]) == 1, kind
         err = capsys.readouterr().err
         assert "expects 8-wide frames, got 5-wide" in err, err
@@ -220,6 +232,51 @@ def test_eval_refuses_half_of_the_frame_pair(tmp_path, capsys):
         assert main(["eval", "--hyp", str(hyp), "--ref", str(hyp), flag, str(tmp_path),
                      "--out-dir", str(tmp_path / "report")]) == 1, flag
         assert "--gen-frames and --prompt-frames go together" in capsys.readouterr().err
+
+
+def _model_with_vocoder(path):
+    model = _tiny_model()
+    st = CheckpointState(kind="model", config=model.recipe, step=0, tensors=_trainable(model))
+    save_checkpoint(path, bundle(st, "vocoder", _tiny_vocoder()))
+
+
+def test_translate_refuses_fewer_than_one_decode_step(tmp_path, capsys):
+    ckpt, m, out = tmp_path / "model.ckpt", tmp_path / "m.jsonl", tmp_path / "out"
+    _model_with_vocoder(ckpt)
+    write_manifest(generate_toy_corpus(ToyCorpusConfig(pairs=2), 0), m)
+    assert main(["translate", "--ckpt", str(ckpt), "--in", str(m), "--out-dir", str(out),
+                 "--decode-max-steps", "0"]) == 1
+    assert "max_steps must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rid", ["../../escaped", "has space"])
+def test_translate_refuses_a_record_id_that_cannot_name_a_file(tmp_path, capsys, rid):
+    ckpt, m = tmp_path / "model.ckpt", tmp_path / "m.jsonl"
+    _model_with_vocoder(ckpt)
+    write_manifest(generate_toy_corpus(ToyCorpusConfig(pairs=2), 0), m)
+    lines = m.read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), "id": rid})
+    m.write_text("\n".join(lines) + "\n")
+    before = set(tmp_path.rglob("*"))
+    assert main(["translate", "--ckpt", str(ckpt), "--in", str(m),
+                 "--out-dir", str(tmp_path / "out" / "hyp"), "--decode-max-steps", "2"]) == 2
+    assert f"m.jsonl:2: record id {rid!r} cannot name a file" in capsys.readouterr().err
+    assert set(tmp_path.rglob("*")) == before
+
+
+def test_synthesize_refuses_a_token_file_id_that_cannot_name_a_file(tmp_path, capsys):
+    voc = _tiny_vocoder()
+    ckpt, tokens, prompt = tmp_path / "voc.ckpt", tmp_path / "t.tok", tmp_path / "p.ds2f"
+    save_checkpoint(ckpt, CheckpointState(kind="vocoder", config=voc.recipe, step=0,
+                                          tensors=_trainable(voc)))
+    write_token_file(tokens, [("../x", [1, 2])])
+    write_frames(prompt, SpeechFrames(np.zeros((5, 8)), 50))
+    before = set(tmp_path.rglob("*"))
+    assert main(["synthesize", "--ckpt", str(ckpt), "--tokens", str(tokens),
+                 "--prompt", str(prompt), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "t.tok:1: record id '../x' cannot name a file" in capsys.readouterr().err
+    assert set(tmp_path.rglob("*")) == before
 
 
 # ------------------------------------------------------------------ coerce

@@ -246,6 +246,12 @@ def test_decode_respects_max_steps_and_penalty_validation():
         dec.decode_greedy(a_p, DecodeConfig(max_steps=4, repetition_penalty=0.0))
 
 
+@pytest.mark.parametrize("max_steps", [0, -3])
+def test_decode_config_rejects_fewer_than_one_step(max_steps):
+    with pytest.raises(ValueError, match="max_steps must be >= 1"):
+        DecodeConfig(max_steps=max_steps)
+
+
 def test_decode_step_count_law_on_finished_streams():
     # every pre-EOS step emits exactly G audio tokens, so a T-token output
     # that terminated naturally took ceil(T/G) emitting steps

@@ -55,14 +55,13 @@ def test_checkpoint_layout_and_rebuild(tmp_path):
     full = generate_toy_corpus(ToyCorpusConfig(pairs=10), 0)
     train_m, val_m = pipeline.split_manifest(full, 8)
     path = {k: str(tmp_path / f"{k}.ckpt")
-            for k in ("tokenizer", "text_to_token", "model", "vocoder", "tok+t2t", "model+voc")}
+            for k in ("tokenizer", "model", "vocoder", "tok+t2t", "model+voc")}
     run = dict(seed=3, max_steps=1)
     tok, _ = pipeline.train_tokenizer_stage(train_m, val_m, TokenizerConfig(**TOK),
                                             checkpoint_path=path["tokenizer"], **run)
     # an embedder of another seed than the stage's: its own seed is recorded
     t2t, _ = pipeline.train_text_to_token_stage(
-        train_m, val_m, tok, embedder=SpeakerEmbedder(8, seed=5),
-        checkpoint_path=path["text_to_token"], **run)
+        train_m, val_m, tok, embedder=SpeakerEmbedder(8, seed=5), **run)
     model, _ = pipeline.train_model_stage(train_m, val_m, tok, ModelConfig(**MODEL),
                                           checkpoint_path=path["model"], **run)
     voc, _ = pipeline.train_vocoder_stage(train_m, val_m, tok, VocoderConfig(**VOC),
@@ -77,7 +76,6 @@ def test_checkpoint_layout_and_rebuild(tmp_path):
     voc_config = {"cfg": VOC, "seed": 3, "embedder": _embedder(3)}
     configs = {
         "tokenizer": {"cfg": TOK, "seed": 3},
-        "text_to_token": t2t_config,
         "model": {"cfg": MODEL, "seed": 3, "token_source": "speech"},
         "vocoder": voc_config,
         "tok+t2t": {"cfg": TOK, "seed": 3, "text_to_token": t2t_config},
@@ -89,7 +87,6 @@ def test_checkpoint_layout_and_rebuild(tmp_path):
 
     cases = [  # (file, kind, bundle key, trained module)
         ("tokenizer", "tokenizer", None, tok),
-        ("text_to_token", "text_to_token", None, t2t),
         ("model", "model", None, model),
         ("vocoder", "vocoder", None, voc),
         ("tok+t2t", "tokenizer", None, tok),

@@ -3,13 +3,12 @@ import pytest
 
 import oracles
 from minis2st.corpus import SpeechFrames, generate_toy_corpus, ToyCorpusConfig
-from minis2st.tensor import Tape, Tensor, backward, mean, rng_for
+from minis2st.tensor import Tape, Tensor, backward, embedding_lookup, mean
 from minis2st.tokenizer import (
     Codebook,
     SpeechTokenizer,
     TextToTokenModel,
     TokenizerConfig,
-    dequantize,
     quantize,
     token_purity,
     token_symbol_alignment,
@@ -72,14 +71,6 @@ def test_quantize_input_validation():
         quantize(np.zeros((2, 5)), cb)
 
 
-def test_dequantize_returns_code_rows():
-    rng = np.random.default_rng(1)
-    cb = make_codebook(rng, 5, 3)
-    out = dequantize([2, 0, 2], cb)
-    np.testing.assert_array_equal(out.data, cb.entries.data[[2, 0, 2]])
-    assert dequantize([], cb).shape == (0, 3)
-
-
 def test_straight_through_gradient_is_identity():
     # the quantization bypass h + const(q - h) must push dL/dh_bar straight
     # into h: gradients of sum(h_bar) w.r.t. an upstream scale of h are as if
@@ -93,7 +84,7 @@ def test_straight_through_gradient_is_identity():
     with Tape():
         h = mul(Tensor(base), scale)
         tokens = quantize(h, cb)
-        q = dequantize(tokens, cb)
+        q = embedding_lookup(cb.entries, tokens)
         h_bar = add(h, Tensor(q.data - h.data))
         loss = mean(h_bar)
     backward(loss)

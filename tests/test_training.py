@@ -30,22 +30,24 @@ from minis2st.training import (
 
 def test_warmup_is_linear_in_step():
     cfg = TrainConfig(lr=1e-4, warmup_steps=50)
-    assert lr_schedule(1, 0, cfg) == pytest.approx(2e-6)
-    assert lr_schedule(25, 0, cfg) == pytest.approx(5e-5)
-    assert lr_schedule(50, 0, cfg) == pytest.approx(1e-4)
+    assert lr_schedule(1, 10, cfg) == pytest.approx(2e-6)
+    assert lr_schedule(25, 10, cfg) == pytest.approx(5e-5)
+    assert lr_schedule(50, 10, cfg) == pytest.approx(1e-4)
 
 
 def test_decay_applies_gamma_per_unit():
+    # 300-step epochs: warmup ends in epoch 0, steps 400 and 900 sit in epochs 1 and 2
     cfg = TrainConfig(lr=1e-4, warmup_steps=50, decay_gamma=0.85)
-    assert lr_schedule(51, 0, cfg) == pytest.approx(1e-4)
-    assert lr_schedule(400, 1, cfg) == pytest.approx(8.5e-5)
-    assert lr_schedule(900, 2, cfg) == pytest.approx(7.225e-5)
+    assert lr_schedule(51, 300, cfg) == pytest.approx(1e-4)
+    assert lr_schedule(400, 300, cfg) == pytest.approx(8.5e-5)
+    assert lr_schedule(900, 300, cfg) == pytest.approx(7.225e-5)
 
 
 def test_schedule_is_continuous_at_warmup_boundary():
     cfg = TrainConfig(lr=3e-3, warmup_steps=7)
-    # unit zero applies gamma^0, so the first post-warmup lr equals the peak
-    assert lr_schedule(7, 0, cfg) == lr_schedule(8, 0, cfg) == 3e-3
+    # warmup ends mid-epoch (5-step epochs); that epoch applies gamma^0, so
+    # the first post-warmup lr equals the peak
+    assert lr_schedule(7, 5, cfg) == lr_schedule(8, 5, cfg) == 3e-3
 
 
 @pytest.mark.parametrize("kw", [
@@ -111,14 +113,6 @@ def test_adam_treats_missing_grad_as_zero():
     w.grad = None
     adam.step(0.1)
     np.testing.assert_array_equal(w.data, before)
-
-
-def test_zero_grad_clears_all_params():
-    w = Tensor(np.ones(2), requires_grad=True)
-    adam = Adam({"w": w})
-    w.grad = np.ones(2)
-    adam.zero_grad()
-    assert w.grad is None
 
 
 # ------------------------------------------------------------- checkpoints
@@ -277,6 +271,50 @@ def test_train_happy_path_logs_and_converges(tmp_path):
     assert all(set(r) == {"step", "loss", "batch_n", "lr"} for r in rows)
     assert rows[0]["lr"] == pytest.approx(0.05 / 2)
     assert rows[-1]["loss"] < rows[0]["loss"]
+
+
+def test_logged_lr_follows_warmup_then_per_epoch_decay(tmp_path):
+    # 9 examples in batches of 3: 3-step epochs; warmup ends inside epoch 1,
+    # which keeps the peak rate, and each later epoch halves it
+    params, examples, loss_fn, val_fn = _make_problem(n=9)
+    cfg = TrainConfig(lr=0.5, batch_size=3, warmup_steps=4, decay_gamma=0.5, max_epochs=4,
+                      validate_every=100, patience=3)
+    log = tmp_path / "train.log.jsonl"
+    res = train(params=params, examples=examples, loss_fn=loss_fn, val_fn=val_fn,
+                cfg=cfg, log_path=str(log))
+    assert res.steps == 12
+    rows = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [r["lr"] for r in rows] == [0.125, 0.25, 0.375, 0.5,  # warmup
+                                       0.5, 0.5,  # rest of epoch 1
+                                       0.25, 0.25, 0.25,  # epoch 2
+                                       0.125, 0.125, 0.125]  # epoch 3
+
+
+def test_epoch_callbacks_around_a_validation_at_an_epoch_end():
+    # 2-step epochs validated at their last step; a constant validation loss
+    # improves once (step 2), then is flat at steps 4 and 6
+    def run(max_steps=None, **kw):
+        params, examples, loss_fn, _ = _make_problem()
+        cfg = replace(TrainConfig(lr=1e-3, batch_size=4, warmup_steps=1, max_epochs=50,
+                                  validate_every=2, patience=50), **kw)
+        seen = []
+        res = train(params=params, examples=examples, loss_fn=loss_fn, val_fn=lambda: 1.0,
+                    cfg=cfg, on_epoch_end=lambda epoch, rng: seen.append(epoch),
+                    max_steps=max_steps)
+        return res, seen
+
+    # an early stop at step 6 ends the run before epoch 2's callback
+    res, seen = run(patience=2)
+    assert res.stopped_early and res.steps == 6
+    assert seen == [0, 1]
+    # a cap at the same step lets it run
+    res, seen = run(max_steps=6)
+    assert not res.stopped_early and res.steps == 6
+    assert seen == [0, 1, 2]
+    # a run that ends after max_epochs runs every epoch's callback
+    res, seen = run(max_epochs=3)
+    assert not res.stopped_early and res.steps == 6
+    assert seen == [0, 1, 2]
 
 
 def test_train_rejects_empty_example_list():

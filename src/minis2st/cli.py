@@ -195,12 +195,13 @@ def write_token_file(path, rows):
 
 def read_token_file(path):
     rows = []
+    seen = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         parts = line.split()
-        check_record_id(parts[0], f"{path}:{lineno}")
+        check_record_id(parts[0], path, lineno, seen)
         try:
             rows.append((parts[0], [int(p) for p in parts[1:]]))
         except ValueError:
@@ -329,17 +330,14 @@ def cmd_translate(args) -> dict:
     st = load_checkpoint(args.ckpt)
     model = rebuild(st, "model")
     m = read_manifest(args.infile)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     voc = prompts = None
     if "vocoder" in st.config:  # otherwise text and tokens only
         voc = resolve_vocoder(st)
         prompts = same_speaker_prompts(m)
-        (out_dir / "frames").mkdir(exist_ok=True)
-        (out_dir / "prompts").mkdir(exist_ok=True)
 
-    text_rows, token_rows = [], []
+    # every utterance is translated before anything is written, so a run that
+    # fails (a decode budget beyond the context, say) leaves no output behind
+    text_rows, token_rows, synthesized = [], [], []
     truncated = 0
     for r in m:
         res = model.translate(r.src_frames, dcfg)
@@ -348,9 +346,17 @@ def cmd_translate(args) -> dict:
         truncated += int(res.truncated_text or res.truncated_audio)
         if voc is not None:
             prompt = prompts[r.id].tgt_frames
-            gen = voc.synthesize(res.tokens, voc.embedder.embed(prompt))
-            write_frames(out_dir / "frames" / f"{r.id}.ds2f", gen)
-            write_frames(out_dir / "prompts" / f"{r.id}.ds2f", prompt)
+            synthesized.append((r.id, voc.synthesize(res.tokens, voc.embedder.embed(prompt)),
+                                prompt))
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if voc is not None:
+        (out_dir / "frames").mkdir(exist_ok=True)
+        (out_dir / "prompts").mkdir(exist_ok=True)
+    for rid, gen, prompt in synthesized:
+        write_frames(out_dir / "frames" / f"{rid}.ds2f", gen)
+        write_frames(out_dir / "prompts" / f"{rid}.ds2f", prompt)
     write_token_file(out_dir / "translations.text", text_rows)
     write_token_file(out_dir / "translations.tokens", token_rows)
     outputs = [out_dir / "translations.text", out_dir / "translations.tokens"]

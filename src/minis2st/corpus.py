@@ -311,12 +311,17 @@ _RECORD_FIELDS = {"id": _STR, "src_text": _SYMBOLS, "tgt_text": _SYMBOLS, "src_f
 _META_INTS = ("frame_rate", "feat_dim", "tgt_vocab", "frames_per_symbol")
 
 
-def check_record_id(rid: str, where: str):
-    """ParseError at `where` (file:line) unless `rid` can name a file inside an
-    output directory: commands write one file per record, named by its id."""
+def check_record_id(rid: str, path, lineno: int, seen: dict):
+    """ParseError at path:lineno unless `rid` can name a file inside an output
+    directory and is not in `seen` (id -> line of its first occurrence), which
+    it then joins: commands write one file per record, named by its id."""
     if rid in ("", ".", "..") or any(c.isspace() or c in "/\\" for c in rid):
-        raise ParseError(f"{where}: record id {rid!r} cannot name a file: it is empty, "
-                         "'.' or '..', or holds whitespace, '/' or '\\'")
+        raise ParseError(f"{path}:{lineno}: record id {rid!r} cannot name a file: it is "
+                         "empty, '.' or '..', or holds whitespace, '/' or '\\'")
+    if rid in seen:
+        raise ParseError(f"{path}:{lineno}: duplicate record id {rid!r} "
+                         f"(first on line {seen[rid]})")
+    seen[rid] = lineno
 
 
 def read_manifest(path) -> Manifest:
@@ -325,6 +330,7 @@ def read_manifest(path) -> Manifest:
         raise FileNotFoundError(f"manifest not found: {path}")
     records = []
     metadata = {}
+    seen = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -349,7 +355,7 @@ def read_manifest(path) -> Manifest:
                     raise ParseError(f"{path}:{lineno}: missing field {key!r}")
                 if not ok(obj[key]):
                     raise ParseError(f"{path}:{lineno}: field {key!r} is not {what}")
-            check_record_id(obj["id"], f"{path}:{lineno}")
+            check_record_id(obj["id"], path, lineno, seen)
             frames = {}
             for key in ("src_frames", "tgt_frames"):
                 f = read_frames(path.parent / obj[key], metadata.get("frame_rate", 50))

@@ -8,7 +8,7 @@ hidden state; the input stream interleaves one text position with one grouped
 audio position per step.  The decoder works in head-local ids throughout:
 `DecoderLM.make_targets` lays out the (S,) text and (S, G) audio step arrays
 that teacher forcing and the loss read, and greedy decoding feeds its picks
-back in that same layout.
+back in that same layout, one step's rows at a time through a KV cache.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ import numpy as np
 from . import nn
 from .corpus import frame_matrix
 from .tensor import (
+    KVCache,
     Tensor,
     add,
     concat,
@@ -239,7 +240,13 @@ class DecoderLM(nn.Module):
     Each prediction feeds two heads: text logits, and G x (audio+2) grouped
     audio logits.  A group enters the input as its G token embeddings
     concatenated and linearly projected to one position.  Teacher forcing, the
-    loss and greedy decoding all read the step arrays `make_targets` lays out.
+    loss and greedy decoding all read the step arrays `make_targets` lays out,
+    and `_step_rows` alone turns them into input rows.
+
+    Teacher forcing runs the whole sequence through the blocks at once.  Greedy
+    decoding keeps a KV cache: it runs the prefix once, then feeds each step
+    only the two rows the previous step's picks make, and reads the final
+    LayerNorm and the heads off the last row alone.
     """
 
     def __init__(self, cfg: ModelConfig, seed: int):
@@ -298,29 +305,21 @@ class DecoderLM(nn.Module):
         ae = mul(embedding_lookup(self.aux_embed, a_idx), a_mask)
         return add(te, ae)
 
-    def _hidden_at_predictions(self, a_p: Tensor, text_local, audio_local,
-                               n_steps: int) -> Tensor:
-        """Final hidden states at the first n_steps prediction positions, with
-        the (S,) text and (S, G) audio head-local ids as the interleaved steps."""
+    def _prefix(self, a_p: Tensor) -> list:
+        """The input rows before the first step: soft prompt, source, BOS."""
+        return [self.soft_prompt, a_p, self._embed([self.vocab.bos])]
+
+    def _step_rows(self, text_local, audio_local) -> Tensor:
+        """Input rows t_0, g_0, t_1, g_1, ... of the (S,) text and (S, G)
+        audio head-local step arrays, (2S, d)."""
         v = self.vocab
         d = self.cfg.d_model
         s = len(text_local)
-        parts = [self.soft_prompt, a_p, self._embed([v.bos])]
-        if s:
-            text_rows = self._embed(v.text_in[text_local])  # (S, d)
-            audio_rows = self._embed(v.audio_in[audio_local].reshape(-1))  # (S * G, d)
-            group_rows = self.group_proj(reshape(audio_rows, (s, self.cfg.group_size * d)))
-            # interleave rows: (S, 2d) -> (2S, d) gives t_0, g_0, t_1, g_1, ...
-            parts.append(reshape(concat([text_rows, group_rows], axis=1), (2 * s, d)))
-        seq = concat(parts, axis=0)
-        if seq.shape[0] > self.cfg.context:
-            raise ValueError(
-                f"sequence length {seq.shape[0]} exceeds context {self.cfg.context}"
-            )
-        x = self.ln_f(nn.run_blocks(self.blocks, seq, causal=True))
-        # BOS, then every grouped-audio position
-        bos = self.cfg.prompt_len + a_p.shape[0]
-        return embedding_lookup(x, bos + 2 * np.arange(n_steps))
+        text_rows = self._embed(v.text_in[text_local])  # (S, d)
+        audio_rows = self._embed(v.audio_in[audio_local].reshape(-1))  # (S * G, d)
+        group_rows = self.group_proj(reshape(audio_rows, (s, self.cfg.group_size * d)))
+        # interleave rows: (S, 2d) -> (2S, d) gives t_0, g_0, t_1, g_1, ...
+        return reshape(concat([text_rows, group_rows], axis=1), (2 * s, d))
 
     # -- training ----------------------------------------------------------
 
@@ -336,8 +335,16 @@ class DecoderLM(nn.Module):
             raise ValueError("teacher forcing needs at least one step")
         if np.shape(audio_targets) != (s, g):
             raise ValueError(f"audio targets shape {np.shape(audio_targets)} != steps {(s, g)}")
-        h = self._hidden_at_predictions(a_p, np.asarray(text_targets),
-                                        np.asarray(audio_targets), s)
+        seq = concat(self._prefix(a_p) + [self._step_rows(np.asarray(text_targets),
+                                                          np.asarray(audio_targets))], axis=0)
+        if seq.shape[0] > self.cfg.context:
+            raise ValueError(
+                f"sequence length {seq.shape[0]} exceeds context {self.cfg.context}"
+            )
+        x = self.ln_f(nn.run_blocks(self.blocks, seq, causal=True))
+        # BOS, then every grouped-audio position
+        bos = self.cfg.prompt_len + a_p.shape[0]
+        h = embedding_lookup(x, bos + 2 * np.arange(s))
         text_logits = self.text_head(h)
         audio_logits = reshape(self.audio_head(h), (s, g, v.audio_head_size))
         return audio_logits, text_logits
@@ -345,8 +352,16 @@ class DecoderLM(nn.Module):
     # -- inference ---------------------------------------------------------
 
     def decode_greedy(self, a_p: Tensor, cfg: DecodeConfig) -> DecodeResult:
+        """Greedy decoding of up to cfg.max_steps steps, checked against the
+        context before the first one.  Step 0 runs the prefix through the
+        blocks; step s feeds only t_{s-1} and g_{s-1} and attends to the
+        cached keys and values of everything before them."""
         v = self.vocab
         g = self.cfg.group_size
+        longest = self.cfg.prompt_len + a_p.shape[0] + 1 + 2 * (cfg.max_steps - 1)
+        if longest > self.cfg.context:
+            raise ValueError(f"decoding {cfg.max_steps} steps needs {longest} positions, "
+                             f"more than context {self.cfg.context}")
         text_ban = np.zeros(v.text_head_size)
         for lid in range(v.text_size, v.text_head_size):  # controls
             if lid != v.text_eos_local:
@@ -360,11 +375,15 @@ class DecoderLM(nn.Module):
         text_out, tokens_out = [], []
         text_done = audio_done = False
         steps = token_steps = 0
+        cache = [KVCache() for _ in self.blocks]
         with no_grad():
+            rows = concat(self._prefix(a_p), axis=0)
             while steps < cfg.max_steps and not (text_done and audio_done):
-                h = self._hidden_at_predictions(a_p, text_local[:steps],
-                                                audio_local[:steps], steps + 1)
-                last = embedding_lookup(h, [steps])
+                if steps:
+                    rows = self._step_rows(text_local[steps - 1: steps],
+                                           audio_local[steps - 1: steps])
+                x = nn.run_blocks(self.blocks, rows, causal=True, cache=cache)
+                last = self.ln_f(embedding_lookup(x, [x.shape[0] - 1]))
                 if not text_done:
                     tl = self.text_head(last).data[0] + text_ban
                     tl = apply_repetition_penalty(tl, text_out, cfg.repetition_penalty)

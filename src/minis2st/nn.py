@@ -78,17 +78,26 @@ def add_positions(x: Tensor) -> Tensor:
     return add(x, Tensor(sinusoidal_positions(t, d)))
 
 
-def causal_mask(n: int) -> np.ndarray:
+def causal_mask(n: int, past: int) -> np.ndarray:
+    """(n, past + n) additive mask for n rows that follow `past` earlier ones:
+    row i sees columns up to past + i."""
     # large negative instead of -inf keeps the arithmetic finite everywhere
-    return np.triu(np.full((n, n), -1e9), k=1)
+    return np.triu(np.full((n, past + n), -1e9), k=past + 1)
 
 
-def run_blocks(blocks, x: Tensor, *, causal: bool = False, memory: Tensor | None = None):
+def run_blocks(blocks, x: Tensor, *, causal: bool = False, memory: Tensor | None = None,
+               cache=None):
     """Run x through a stack of TransformerBlocks, each cross-attending to
-    memory if it has cross-attention; causal masks every later position."""
-    mask = causal_mask(x.shape[0]) if causal else None
-    for blk in blocks:
-        x = blk(x, memory=memory, mask=mask)
+    memory if it has cross-attention; causal masks every later position.
+
+    cache, for inference only, holds one KVCache per block: x is then the
+    rows that follow the ones already cached, and each block's
+    self-attention appends their keys and values and attends over all rows.
+    """
+    past = 0 if cache is None else len(cache[0])
+    mask = causal_mask(x.shape[0], past) if causal else None
+    for i, blk in enumerate(blocks):
+        x = blk(x, memory=memory, mask=mask, cache=None if cache is None else cache[i])
     return x
 
 
@@ -104,9 +113,10 @@ class MultiHeadAttention(Module):
         self.wo = Linear(d, d, rng)
         self._heads = heads
 
-    def __call__(self, x: Tensor, memory: Tensor | None = None, mask: np.ndarray | None = None):
+    def __call__(self, x: Tensor, memory: Tensor | None = None, mask: np.ndarray | None = None,
+                 cache=None):
         proj = [(lin.w, lin.b) for lin in (self.wq, self.wk, self.wv, self.wo)]
-        return attention(x, x if memory is None else memory, proj, self._heads, mask)
+        return attention(x, x if memory is None else memory, proj, self._heads, mask, cache)
 
 
 class FeedForward(Module):
@@ -119,7 +129,8 @@ class FeedForward(Module):
 
 
 class TransformerBlock(Module):
-    """Pre-norm block: self-attention, optional cross-attention, feed-forward."""
+    """Pre-norm block: self-attention, optional cross-attention, feed-forward.
+    A KVCache, if given, serves the self-attention only."""
 
     def __init__(self, d: int, heads: int, rng: np.random.Generator, cross: bool = False):
         self.ln1 = LayerNorm(d)
@@ -132,8 +143,9 @@ class TransformerBlock(Module):
         self.ln2 = LayerNorm(d)
         self.ff = FeedForward(d, 2 * d, rng)
 
-    def __call__(self, x: Tensor, memory: Tensor | None = None, mask: np.ndarray | None = None):
-        x = add(x, self.attn(self.ln1(x), mask=mask))
+    def __call__(self, x: Tensor, memory: Tensor | None = None, mask: np.ndarray | None = None,
+                 cache=None):
+        x = add(x, self.attn(self.ln1(x), mask=mask, cache=cache))
         if self.cross is not None:
             if memory is None:
                 raise ValueError("cross-attention block called without memory")

@@ -190,7 +190,29 @@ def linear(x, w, b):
     return _make(out_data, (x, w, b), pull)
 
 
-def attention(x, src, proj, heads, mask):
+class KVCache:
+    """Projected keys and values of every row one self-attention layer has
+    seen so far, for incremental inference: each `attention` call given the
+    cache appends its new rows' keys and values and attends over all of them.
+    The cached rows are plain arrays, beyond the reach of any pullback."""
+
+    __slots__ = ("k", "v")
+
+    def __init__(self):
+        self.k = self.v = None
+
+    def __len__(self):
+        return 0 if self.k is None else self.k.shape[0]
+
+    def extend(self, k, v):
+        """Append (n, d) key and value rows; return every row held."""
+        if self.k is not None:
+            k, v = np.concatenate([self.k, k]), np.concatenate([self.v, v])
+        self.k, self.v = k, v
+        return k, v
+
+
+def attention(x, src, proj, heads, mask, cache=None):
     """Multi-head scaled dot-product attention of x (T, d) over src (S, d).
 
     proj holds the (weight, bias) pairs of the query, key, value and output
@@ -199,14 +221,24 @@ def attention(x, src, proj, heads, mask):
     composed of matmul, reshape, transpose and softmax nodes would, and the
     pullback accumulates in that graph's tape order, so results are
     bit-identical to it.
+
+    With a KVCache, src's keys and values are appended to it and x attends
+    over every cached row (S is then the cache length); inference only, so a
+    recording tape raises ValueError.
     """
+    if cache is not None and _active_tape() is not None:
+        raise ValueError("a KV cache is for inference only: backward cannot reach its rows")
     (wq, bq), (wk, bk), (wv, bv), (wo, bo) = proj
     t, d = x.data.shape
-    s = src.data.shape[0]
     dh = d // heads
     q = np.transpose((x.data @ wq.data + bq.data).reshape(t, heads, dh), (1, 0, 2))
-    k = np.transpose((src.data @ wk.data + bk.data).reshape(s, heads, dh), (1, 2, 0))
-    v = np.transpose((src.data @ wv.data + bv.data).reshape(s, heads, dh), (1, 0, 2))
+    k_rows = src.data @ wk.data + bk.data
+    v_rows = src.data @ wv.data + bv.data
+    if cache is not None:
+        k_rows, v_rows = cache.extend(k_rows, v_rows)
+    s = k_rows.shape[0]
+    k = np.transpose(k_rows.reshape(s, heads, dh), (1, 2, 0))
+    v = np.transpose(v_rows.reshape(s, heads, dh), (1, 0, 2))
     scale = 1.0 / math.sqrt(dh)
     scores = (q @ k) * scale
     if mask is not None:

@@ -15,6 +15,7 @@ import numpy as np
 from . import nn
 from .corpus import Manifest, frame_matrix
 from .tensor import (
+    KVCache,
     Tensor,
     add,
     concat,
@@ -226,8 +227,9 @@ class TextToTokenModel(nn.Module):
 
     Vocabulary: text symbols, then codebook indices, then BOS/EOS.  The speaker
     embedding enters as a projected soft position at the sequence head.
-    Generation is greedy and recomputes the full forward pass every step (no
-    attention caching).
+    Generation is greedy and keeps a KV cache: the speaker slot, BOS and the
+    text run through the blocks once, then each step feeds only the row of
+    the previous pick, and the final LayerNorm and head read that row alone.
     """
 
     def __init__(self, text_vocab: int, codebook_size: int, spk_dim: int,
@@ -249,10 +251,13 @@ class TextToTokenModel(nn.Module):
         self.ln_f = nn.LayerNorm(dim)
         self.head = nn.Linear(dim, total, rng)
 
-    def _forward(self, ids, spk_emb) -> Tensor:
+    def _inputs(self, ids, spk_emb) -> Tensor:
+        """The speaker slot, then the rows of ids; no positions yet."""
         spk = self.spk_proj(Tensor(np.asarray(spk_emb, dtype=np.float64)[None, :]))
-        toks = embedding_lookup(self.embed, list(ids))
-        x = nn.add_positions(concat([spk, toks], axis=0))
+        return concat([spk, embedding_lookup(self.embed, list(ids))], axis=0)
+
+    def _forward(self, ids, spk_emb) -> Tensor:
+        x = nn.add_positions(self._inputs(ids, spk_emb))
         return self.head(self.ln_f(nn.run_blocks(self.blocks, x, causal=True)))
 
     def loss(self, text, tokens, spk_emb) -> Tensor:
@@ -273,13 +278,21 @@ class TextToTokenModel(nn.Module):
         banned = np.zeros(self.text_vocab + self.codebook_size + 2)
         banned[: self.text_vocab] = -1e30  # only codebook ids and EOS may be emitted
         banned[self.bos] = -1e30
+        ids = [self.bos] + list(text)
+        # the longest input: speaker slot, ids, then max_len - 1 fed-back picks
+        positions = nn.sinusoidal_positions(len(ids) + max_len, self.embed.shape[1])
+        cache = [KVCache() for _ in self.blocks]
         out = []
         with no_grad():
+            rows = self._inputs(ids, spk_emb)
             for _ in range(max_len):
-                ids = [self.bos] + list(text) + [t + self.text_vocab for t in out]
-                logits = self._forward(ids, spk_emb).data[-1] + banned
-                nxt = int(np.argmax(logits))
+                past = len(cache[0])
+                x = add(rows, Tensor(positions[past: past + rows.shape[0]]))
+                h = nn.run_blocks(self.blocks, x, causal=True, cache=cache)
+                last = self.ln_f(embedding_lookup(h, [h.shape[0] - 1]))
+                nxt = int(np.argmax(self.head(last).data[0] + banned))
                 if nxt == self.eos:
                     return TokenGenResult(out, truncated=False)
                 out.append(nxt - self.text_vocab)
+                rows = embedding_lookup(self.embed, [nxt])
         return TokenGenResult(out, truncated=True)

@@ -125,7 +125,7 @@ def run_op_gradient_trials(trials: int, seed: int = 0):
             src = x if s_len is None else t(s_len, d)
             proj = [(Tensor(rng.normal(0.0, 0.5, size=(d, d)), requires_grad=True), t(d))
                     for _ in range(4)]
-            mask = causal_mask(t_len) if masked else None
+            mask = causal_mask(t_len, 0) if masked else None
             c = Tensor(rng.normal(size=(t_len, d)))
             tensors = [x] + ([] if s_len is None else [src]) + [p for wb in proj for p in wb]
             return (lambda: t_mean(t_mul(attention(x, src, proj, heads, mask), c))), tensors
@@ -279,6 +279,83 @@ def run_module_gradient_trials(trials: int, seed: int = 0):
     results.append(("vocoder", worst))
 
     return results
+
+
+# ------------------------------------------------------ recompute decoders
+# Greedy decoding as it ran before the library kept a KV cache: every step
+# runs the whole input so far through the blocks and reads the last position.
+# They reuse the model's layers and its input-row functions, since what they
+# check is the cache, not the layers.
+
+
+def decode_greedy_recompute(dec, a_p, cfg):
+    """`DecoderLM.decode_greedy` with every step a full causal pass over the
+    soft prompt, source, BOS and all fed-back step rows."""
+    from minis2st.model import DecodeResult
+    from minis2st.nn import run_blocks
+    from minis2st.tensor import concat, embedding_lookup, reshape
+
+    v = dec.vocab
+    g = dec.cfg.group_size
+    text_ban = np.zeros(v.text_head_size)
+    text_ban[v.text_size:] = -1e30  # controls, except EOS
+    text_ban[v.text_eos_local] = 0.0
+    audio_ban = np.zeros(v.audio_head_size)
+    audio_ban[v.audio_pad_local] = -1e30
+    text_local = np.full(cfg.max_steps, v.text_pad_local)
+    audio_local = np.full((cfg.max_steps, g), v.audio_pad_local)
+    text, tokens = [], []
+    text_done = audio_done = False
+    steps = token_steps = 0
+    with no_grad():
+        while steps < cfg.max_steps and not (text_done and audio_done):
+            parts = dec._prefix(a_p)
+            if steps:
+                parts.append(dec._step_rows(text_local[:steps], audio_local[:steps]))
+            x = dec.ln_f(run_blocks(dec.blocks, concat(parts, axis=0), causal=True))
+            last = embedding_lookup(x, [x.shape[0] - 1])
+            if not text_done:
+                logits = dec.text_head(last).data[0] + text_ban
+                for i in set(text):  # repetition penalty
+                    logits[i] = (logits[i] / cfg.repetition_penalty if logits[i] > 0
+                                 else logits[i] * cfg.repetition_penalty)
+                pick = int(np.argmax(logits))
+                text_local[steps] = pick
+                if pick == v.text_eos_local:
+                    text_done = True
+                else:
+                    text.append(pick)
+            if not audio_done:
+                logits = reshape(dec.audio_head(last), (g, v.audio_head_size)).data + audio_ban
+                for j, pick in enumerate(int(p) for p in np.argmax(logits, axis=1)):
+                    audio_local[steps, j] = pick
+                    if pick == v.audio_eos_local:
+                        audio_done = True
+                        break
+                    tokens.append(pick)
+                    token_steps += int(j == 0)
+            steps += 1
+    return DecodeResult(tokens=tokens, text=text, steps=steps, token_steps=token_steps,
+                        truncated_text=not text_done, truncated_audio=not audio_done)
+
+
+def generate_recompute(t2t, text, spk_emb, max_len):
+    """`TextToTokenModel.generate` with every step a full forward pass over
+    the speaker slot, BOS, the text and the tokens so far."""
+    from minis2st.tokenizer import TokenGenResult
+
+    banned = np.zeros(t2t.text_vocab + t2t.codebook_size + 2)
+    banned[: t2t.text_vocab] = -1e30
+    banned[t2t.bos] = -1e30
+    out = []
+    with no_grad():
+        for _ in range(max_len):
+            ids = [t2t.bos] + list(text) + [t + t2t.text_vocab for t in out]
+            nxt = int(np.argmax(t2t._forward(ids, spk_emb).data[-1] + banned))
+            if nxt == t2t.eos:
+                return TokenGenResult(out, truncated=False)
+            out.append(nxt - t2t.text_vocab)
+    return TokenGenResult(out, truncated=True)
 
 
 # ------------------------------------------------------------- VQ brute force

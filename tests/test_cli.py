@@ -225,6 +225,16 @@ def test_eval_requires_exactly_one_reference_source(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_eval_refuses_a_duplicate_reference_id(tmp_path, capsys):
+    hyp, ref = tmp_path / "h.tok", tmp_path / "r.tok"
+    write_token_file(hyp, [("u0", [1, 2]), ("u1", [3])])
+    write_token_file(ref, [("u0", [1, 2]), ("u1", [3]), ("u0", [4])])
+    assert main(["eval", "--hyp", str(hyp), "--ref", str(ref),
+                 "--out-dir", str(tmp_path / "report")]) == 2
+    assert "r.tok:3: duplicate record id 'u0' (first on line 1)" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+
+
 def test_eval_refuses_half_of_the_frame_pair(tmp_path, capsys):
     hyp = tmp_path / "h.tok"
     write_token_file(hyp, [("u0", [1, 2])])
@@ -263,6 +273,38 @@ def test_translate_refuses_a_record_id_that_cannot_name_a_file(tmp_path, capsys,
                  "--out-dir", str(tmp_path / "out" / "hyp"), "--decode-max-steps", "2"]) == 2
     assert f"m.jsonl:2: record id {rid!r} cannot name a file" in capsys.readouterr().err
     assert set(tmp_path.rglob("*")) == before
+
+
+def test_translate_refuses_a_duplicate_record_id(tmp_path, capsys):
+    ckpt, m = tmp_path / "model.ckpt", tmp_path / "m.jsonl"
+    _model_with_vocoder(ckpt)
+    write_manifest(generate_toy_corpus(ToyCorpusConfig(pairs=3), 0), m)
+    lines = m.read_text().splitlines()
+    first = json.loads(lines[1])["id"]
+    lines[2] = json.dumps({**json.loads(lines[2]), "id": first})
+    m.write_text("\n".join(lines) + "\n")
+    before = set(tmp_path.rglob("*"))
+    assert main(["translate", "--ckpt", str(ckpt), "--in", str(m),
+                 "--out-dir", str(tmp_path / "out"), "--decode-max-steps", "2"]) == 2
+    assert (f"m.jsonl:3: duplicate record id {first!r} (first on line 2)"
+            in capsys.readouterr().err)
+    assert set(tmp_path.rglob("*")) == before
+
+
+def test_translate_refuses_a_decode_budget_beyond_the_context(tmp_path, capsys):
+    # the tiny model's context of 64 holds prompt 1 + source 2 + BOS + 2 rows
+    # for each step after the first: 31 steps fit, 32 do not
+    ckpt, m = tmp_path / "model.ckpt", tmp_path / "m.jsonl"
+    _model_with_vocoder(ckpt)
+    write_manifest(generate_toy_corpus(ToyCorpusConfig(pairs=2), 0), m)
+    before = set(tmp_path.rglob("*"))
+    argv = ["translate", "--ckpt", str(ckpt), "--in", str(m), "--out-dir", str(tmp_path / "out")]
+    assert main([*argv, "--decode-max-steps", "32"]) == 1
+    assert ("decoding 32 steps needs 66 positions, more than context 64"
+            in capsys.readouterr().err)
+    assert set(tmp_path.rglob("*")) == before
+    assert main([*argv, "--decode-max-steps", "31"]) == 0
+    capsys.readouterr()
 
 
 def test_synthesize_refuses_a_token_file_id_that_cannot_name_a_file(tmp_path, capsys):

@@ -190,11 +190,16 @@ def test_manifest_reader_errors(tmp_path):
 
 
 def test_record_ids_must_name_a_file_inside_a_directory():
-    for rid in ("utt00000", "a.b", "...", "x-1_y"):
-        check_record_id(rid, "m.jsonl:2")
+    seen = {}
+    for lineno, rid in enumerate(("utt00000", "a.b", "...", "x-1_y"), start=2):
+        check_record_id(rid, "m.jsonl", lineno, seen)
+    assert seen == {"utt00000": 2, "a.b": 3, "...": 4, "x-1_y": 5}
     for rid in ("", ".", "..", "a b", "a\tb", "a/b", "../x", "a\\b"):
         with pytest.raises(ParseError, match="m.jsonl:2: record id"):
-            check_record_id(rid, "m.jsonl:2")
+            check_record_id(rid, "m.jsonl", 2, {})
+    with pytest.raises(ParseError,
+                       match=r"m.jsonl:7: duplicate record id 'a.b' \(first on line 3\)"):
+        check_record_id("a.b", "m.jsonl", 7, seen)
 
 
 def test_stats_report_counts_and_rendering():

@@ -252,6 +252,58 @@ def test_decode_config_rejects_fewer_than_one_step(max_steps):
         DecodeConfig(max_steps=max_steps)
 
 
+def _record_heads(dec):
+    """Make dec's heads append (head name, logits) to the returned list."""
+    seen = []
+    for name in ("text_head", "audio_head"):
+        def call(x, head=getattr(dec, name), name=name):
+            out = head(x)
+            seen.append((name, out.data.copy()))
+            return out
+        setattr(dec, name, call)
+    return seen
+
+
+def test_cached_decoding_matches_the_recompute_oracle():
+    # the cached rows skip masked key columns, whose softmax weight is exactly
+    # 0, so sums group their terms differently: logits agree to 1e-9, not bitwise
+    rng = np.random.default_rng(10)
+    kinds = ("linear", "conv1d", "qformer")
+    ended = truncated = 0
+    for trial in range(200):
+        cfg = tiny_cfg(projector=kinds[trial % 3], group_size=int(rng.integers(1, 5)),
+                       blocks=int(rng.integers(1, 3)))
+        model = TranslationModel(cfg, seed=trial)
+        a_p = model.project_source(rng.normal(size=(int(rng.integers(3, 12)), cfg.feat_dim)))
+        dcfg = DecodeConfig(max_steps=int(rng.integers(1, 13)),
+                            repetition_penalty=float(rng.uniform(1.0, 2.0)))
+        seen = _record_heads(model.decoder)
+        got = model.decoder.decode_greedy(a_p, dcfg)
+        cached = list(seen)
+        seen.clear()
+        want = oracles.decode_greedy_recompute(model.decoder, a_p, dcfg)
+        assert got == want, trial
+        assert [n for n, _ in cached] == [n for n, _ in seen], trial
+        for (_, a), (_, b) in zip(cached, seen):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
+        ended += int(not (got.truncated_text and got.truncated_audio))
+        truncated += int(got.truncated_text or got.truncated_audio)
+    assert ended >= 20 and truncated >= 20, (ended, truncated)
+
+
+def test_decode_checks_the_context_before_the_first_step():
+    cfg = tiny_cfg(context=20)
+    dec = DecoderLM(cfg, seed=0)
+    a_p = Tensor(np.random.default_rng(2).normal(size=(3, cfg.d_model)))
+    # prompt 2 + source 3 + BOS + 2 * (max_steps - 1) rows at the last step
+    dec.decode_greedy(a_p, DecodeConfig(max_steps=8))
+    seen = _record_heads(dec)
+    with pytest.raises(ValueError, match="decoding 9 steps needs 22 positions, more than "
+                                         "context 20"):
+        dec.decode_greedy(a_p, DecodeConfig(max_steps=9))
+    assert not seen
+
+
 def test_decode_step_count_law_on_finished_streams():
     # every pre-EOS step emits exactly G audio tokens, so a T-token output
     # that terminated naturally took ceil(T/G) emitting steps

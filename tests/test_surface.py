@@ -9,7 +9,7 @@ from pathlib import Path
 
 import minis2st
 
-SETTABLE = 157
+SETTABLE = 161
 
 
 def settable_count() -> int:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import oracles
-from minis2st.nn import TransformerBlock, causal_mask
+from minis2st.nn import TransformerBlock, causal_mask, run_blocks
 from minis2st.tensor import (
+    KVCache,
     Tape,
     Tensor,
     add,
@@ -134,7 +135,7 @@ def test_attention_matches_the_reference_definition():
     rng = np.random.default_rng(0)
     for t, s, masked in [(5, None, True), (5, None, False), (3, 7, False), (4, 2, False)]:
         x, src, proj, heads = _attention_case(rng, t, s)
-        mask = causal_mask(t) if masked else None
+        mask = causal_mask(t, 0) if masked else None
         got = attention(Tensor(x), Tensor(src), [(Tensor(w), Tensor(b)) for w, b in proj],
                         heads, mask).data
         want = oracles.attention_reference(x, src, proj, heads, mask)
@@ -150,7 +151,7 @@ def test_attention_weights_are_distributions():
         bias = rng.uniform(1.0, 2.0, size=x.shape[1])
         proj[2] = (np.zeros_like(proj[2][0]), bias)
         proj[3] = (np.eye(x.shape[1]), np.zeros(x.shape[1]))
-        mask = causal_mask(t) if masked else None
+        mask = causal_mask(t, 0) if masked else None
         out = attention(Tensor(x), Tensor(src), [(Tensor(w), Tensor(b)) for w, b in proj],
                         heads, mask).data
         np.testing.assert_allclose(out / bias, np.ones_like(out), atol=1e-12)
@@ -163,8 +164,42 @@ def test_transformer_block_records_few_tape_nodes():
     for cross, limit in [(False, 8), (True, 11)]:
         blk = TransformerBlock(96, 4, rng, cross=cross)
         with Tape() as tape:
-            blk(x, memory=memory if cross else None, mask=causal_mask(30))
+            blk(x, memory=memory if cross else None, mask=causal_mask(30, 0))
         assert len(tape.nodes) <= limit, (cross, len(tape.nodes))
+
+
+def test_causal_mask_after_cached_rows():
+    big = -1e9
+    assert causal_mask(2, 3).tolist() == [[0, 0, 0, 0, big], [0, 0, 0, 0, 0]]
+    np.testing.assert_array_equal(causal_mask(4, 0), np.triu(np.full((4, 4), big), k=1))
+
+
+def test_cached_blocks_match_a_full_pass():
+    # rows fed in chunks through a KV cache come out as a full causal pass
+    # gives them, also when cross-attention (never cached) reads a memory;
+    # the cached rows skip masked key columns, so sums group differently
+    rng = np.random.default_rng(3)
+    for cross in (False, True):
+        blocks = [TransformerBlock(8, 2, rng, cross=cross) for _ in range(2)]
+        x = rng.normal(size=(11, 8))
+        memory = Tensor(rng.normal(size=(5, 8))) if cross else None
+        cache = [KVCache() for _ in blocks]
+        with no_grad():
+            full = run_blocks(blocks, Tensor(x), causal=True, memory=memory).data
+            parts = [run_blocks(blocks, Tensor(x[lo:hi]), causal=True, memory=memory,
+                                cache=cache).data
+                     for lo, hi in ((0, 1), (1, 4), (4, 6), (6, 11))]
+        assert [len(c) for c in cache] == [11, 11]
+        np.testing.assert_allclose(np.concatenate(parts), full, rtol=0, atol=1e-12)
+
+
+def test_a_cache_under_a_recording_tape_raises():
+    rng = np.random.default_rng(4)
+    blk = TransformerBlock(8, 2, rng)
+    cache = [KVCache()]
+    with Tape(), pytest.raises(ValueError, match="inference only"):
+        run_blocks([blk], Tensor(rng.normal(size=(3, 8))), causal=True, cache=cache)
+    assert len(cache[0]) == 0
 
 
 def test_softmax_cross_entropy_hand_value():

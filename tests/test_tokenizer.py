@@ -211,6 +211,33 @@ def test_text_to_token_loss_and_generation():
                          embedder=SpeakerEmbedder(cfg.feat_dim))
 
 
+def test_cached_generation_matches_the_recompute_oracle():
+    rng = np.random.default_rng(12)
+    for trial in range(200):
+        spk_dim = 3
+        t2t = TextToTokenModel(5, 12, spk_dim=spk_dim, dim=8, blocks=int(rng.integers(1, 3)),
+                               heads=2, seed=trial,
+                               embedder=SpeakerEmbedder(4, spk_dim=spk_dim))
+        text = rng.integers(0, 5, size=int(rng.integers(1, 6))).tolist()
+        spk = rng.normal(size=spk_dim)
+        last_rows = []
+
+        def head(x, linear=t2t.head):
+            out = linear(x)
+            last_rows.append(out.data[-1].copy())
+            return out
+
+        t2t.head = head
+        max_len = int(rng.integers(1, 16))
+        got = t2t.generate(text, spk, max_len=max_len)
+        cached = list(last_rows)
+        last_rows.clear()
+        want = oracles.generate_recompute(t2t, text, spk, max_len)
+        assert (got.tokens, got.truncated) == (want.tokens, want.truncated), trial
+        assert len(cached) == len(last_rows)
+        np.testing.assert_allclose(cached, last_rows, rtol=0, atol=1e-9)
+
+
 def test_tokenizer_same_seed_same_weights():
     a = SpeechTokenizer(tiny_cfg(), seed=5)
     b = SpeechTokenizer(tiny_cfg(), seed=5)

@@ -9,6 +9,13 @@ audio position per step.  The decoder works in head-local ids throughout:
 `DecoderLM.make_targets` lays out the (S,) text and (S, G) audio step arrays
 that teacher forcing and the loss read, and greedy decoding feeds its picks
 back in that same layout, one step's rows at a time through a KV cache.
+
+Training runs a batch as one graph: every source is cut or padded to the
+encoder's fixed length, so the encoder and projector take (B, T, d) with no
+padding, and `batch_targets` pads the step arrays on the right with PAD to
+the longest utterance.  The causal mask keeps every real row from seeing a
+pad row, and the loss skips PAD targets, so what a pad step holds reaches
+neither the loss nor any gradient.
 """
 from __future__ import annotations
 
@@ -115,15 +122,16 @@ class FrozenSpeechEncoder(nn.Module):
         self.fixed_input_len = cfg.fixed_input_len
         self.freeze()
 
-    def encode(self, frames) -> Tensor:
-        f = frame_matrix(frames, self.feat_dim, "speech encoder")
+    def encode(self, batch) -> Tensor:
+        """(B, fixed_input_len, enc_dim) encodings of a batch of utterances."""
         t = self.fixed_input_len
-        if f.shape[0] >= t:
-            f = f[:t]
-        else:
-            # left-pad: content stays right-aligned, so each utterance ends at
-            # the same slot regardless of length and decoding sees stable offsets
-            f = np.concatenate([np.zeros((t - f.shape[0], f.shape[1])), f], axis=0)
+        f = np.zeros((len(batch), t, self.feat_dim))
+        for i, frames in enumerate(batch):
+            # truncate or left-pad: content stays right-aligned, so each
+            # utterance ends at the same slot regardless of length and
+            # decoding sees stable offsets
+            rows = frame_matrix(frames, self.feat_dim, "speech encoder")[:t]
+            f[i, t - len(rows):] = rows
         with no_grad():
             x = nn.add_positions(self.in_proj(Tensor(f)))
             return self.ln(nn.run_blocks(self.blocks, x))
@@ -133,13 +141,18 @@ class FrozenSpeechEncoder(nn.Module):
 
 
 def _frame_windows(a_f: Tensor, k: int) -> Tensor:
-    """(T, d) -> (T // k, k * d): k consecutive frames per row, the tail dropped."""
-    te, d = a_f.shape
+    """(..., T, d) -> (..., T // k, k * d): k consecutive frames per row, the
+    tail dropped."""
+    *lead, te, d = a_f.shape
     if te < k:
         raise ValueError(f"projector needs at least k={k} frames, got {te}")
     tp = te // k
-    x = a_f if tp * k == te else embedding_lookup(a_f, list(range(tp * k)))
-    return reshape(x, (tp, k * d))
+    x = a_f
+    if tp * k != te:  # keep the first tp * k rows of every utterance
+        b = int(np.prod(lead))
+        rows = (te * np.arange(b)[:, None] + np.arange(tp * k)).reshape(-1)
+        x = embedding_lookup(reshape(a_f, (b * te, d)), rows)
+    return reshape(x, (*lead, tp, k * d))
 
 
 class LinearProjector(nn.Module):
@@ -170,7 +183,8 @@ class Conv1dLinearProjector(nn.Module):
 
 
 class QFormerProjector(nn.Module):
-    """Learned queries cross-attend to the encoding; output length is always N_q."""
+    """Learned queries cross-attend to the encoding; output length is always
+    N_q.  Each utterance of a batch starts from the same queries."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         dq = cfg.qformer_dim
@@ -182,9 +196,10 @@ class QFormerProjector(nn.Module):
         self.out = nn.Linear(dq, cfg.d_model, rng)
 
     def project(self, a_f: Tensor) -> Tensor:
-        if a_f.shape[0] < 1:
+        if a_f.shape[-2] < 1:
             raise ValueError("projector needs a non-empty encoding")
-        x = nn.run_blocks(self.blocks, self.queries, memory=self.mem_proj(a_f))
+        x = nn.run_blocks(self.blocks, nn.expand(self.queries, a_f.shape[:-2]),
+                          memory=self.mem_proj(a_f))
         return self.out(self.ln(x))
 
 
@@ -243,10 +258,11 @@ class DecoderLM(nn.Module):
     loss and greedy decoding all read the step arrays `make_targets` lays out,
     and `_step_rows` alone turns them into input rows.
 
-    Teacher forcing runs the whole sequence through the blocks at once.  Greedy
-    decoding keeps a KV cache: it runs the prefix once, then feeds each step
-    only the two rows the previous step's picks make, and reads the final
-    LayerNorm and the heads off the last row alone.
+    Teacher forcing runs a batch's whole sequences through the blocks at
+    once, right-padded to a common length.  Greedy decoding keeps a KV cache:
+    it runs the prefix once, then feeds each step only the two rows the
+    previous step's picks make, and reads the final LayerNorm and the heads
+    off the last row alone.
     """
 
     def __init__(self, cfg: ModelConfig, seed: int):
@@ -293,60 +309,85 @@ class DecoderLM(nn.Module):
         audio_targets[len(tokens)] = v.audio_eos_local
         return text_targets, audio_targets.reshape(s, g)
 
+    def batch_targets(self, texts, tokens):
+        """`make_targets` of each utterance, filled with PAD on the right to
+        the longest one's L steps: text (B, L) and audio (B, L, G)."""
+        v = self.vocab
+        steps = [self.make_targets(text, toks) for text, toks in zip(texts, tokens)]
+        n = max(len(text) for text, _ in steps)
+        text_targets = np.full((len(steps), n), v.text_pad_local)
+        audio_targets = np.full((len(steps), n, self.cfg.group_size), v.audio_pad_local)
+        for i, (text, audio) in enumerate(steps):
+            text_targets[i, : len(text)] = text
+            audio_targets[i, : len(text)] = audio
+        return text_targets, audio_targets
+
     def _embed(self, ids) -> Tensor:
-        """Look up embedding ids across the split text/aux tables."""
+        """Rows of embedding ids, any shape, each gathered from its own table
+        of the split text/aux pair."""
         idx = np.asarray(ids, dtype=np.int64)
-        is_text = idx < self.vocab.text_size
-        t_idx = np.where(is_text, idx, 0)
-        a_idx = np.where(is_text, 0, idx - self.vocab.text_size)
-        t_mask = Tensor(is_text.astype(np.float64)[:, None])
-        a_mask = Tensor((~is_text).astype(np.float64)[:, None])
-        te = mul(embedding_lookup(self.text_embed, t_idx), t_mask)
-        ae = mul(embedding_lookup(self.aux_embed, a_idx), a_mask)
-        return add(te, ae)
+        aux = idx - self.vocab.text_size
+        is_text = aux < 0
+        if is_text.all():
+            return embedding_lookup(self.text_embed, idx)
+        if not is_text.any():
+            return embedding_lookup(self.aux_embed, aux)
+        # the text rows, then the aux rows, put back in id order
+        rows = concat([embedding_lookup(self.text_embed, idx[is_text]),
+                       embedding_lookup(self.aux_embed, aux[~is_text])])
+        order = np.empty(idx.size, dtype=np.int64)
+        order[np.argsort(~is_text.reshape(-1), kind="stable")] = np.arange(idx.size)
+        return embedding_lookup(rows, order.reshape(idx.shape))
 
     def _prefix(self, a_p: Tensor) -> list:
-        """The input rows before the first step: soft prompt, source, BOS."""
-        return [self.soft_prompt, a_p, self._embed([self.vocab.bos])]
+        """The input rows before the first step: soft prompt, source, BOS,
+        with a_p's leading axes."""
+        lead = a_p.shape[:-2]
+        return [nn.expand(self.soft_prompt, lead), a_p,
+                self._embed(np.full(lead + (1,), self.vocab.bos))]
 
     def _step_rows(self, text_local, audio_local) -> Tensor:
-        """Input rows t_0, g_0, t_1, g_1, ... of the (S,) text and (S, G)
-        audio head-local step arrays, (2S, d)."""
+        """Input rows t_0, g_0, t_1, g_1, ... of the (..., S) text and
+        (..., S, G) audio head-local step arrays, (..., 2S, d)."""
         v = self.vocab
         d = self.cfg.d_model
-        s = len(text_local)
-        text_rows = self._embed(v.text_in[text_local])  # (S, d)
-        audio_rows = self._embed(v.audio_in[audio_local].reshape(-1))  # (S * G, d)
-        group_rows = self.group_proj(reshape(audio_rows, (s, self.cfg.group_size * d)))
-        # interleave rows: (S, 2d) -> (2S, d) gives t_0, g_0, t_1, g_1, ...
-        return reshape(concat([text_rows, group_rows], axis=1), (2 * s, d))
+        *lead, s = np.shape(text_local)
+        text_rows = self._embed(v.text_in[text_local])  # (..., S, d)
+        audio_rows = self._embed(v.audio_in[audio_local])  # (..., S, G, d)
+        group_rows = self.group_proj(reshape(audio_rows, (*lead, s, self.cfg.group_size * d)))
+        # interleave rows: (..., S, 2d) -> (..., 2S, d) gives t_0, g_0, t_1, g_1, ...
+        return reshape(concat([text_rows, group_rows], axis=-1), (*lead, 2 * s, d))
 
     # -- training ----------------------------------------------------------
 
     def forward_teacher_forced(self, a_p: Tensor, text_targets, audio_targets):
-        """Logits for every step of `make_targets`' arrays under teacher forcing.
+        """Logits for every step of `batch_targets`' (B, L) text and (B, L, G)
+        audio arrays under teacher forcing, a_p being the (B, T', d) projected
+        sources; a lone utterance may drop the batch axis throughout.
 
-        Returns (audio_logits (S, G, audio_head), text_logits (S, text_head)).
+        Returns (audio_logits (B, L, G, audio_head), text_logits (B, L, text_head)).
         """
         v = self.vocab
         g = self.cfg.group_size
-        s = len(text_targets)
+        text_targets = np.asarray(text_targets)
+        audio_targets = np.asarray(audio_targets)
+        *lead, s = text_targets.shape
         if s == 0:
             raise ValueError("teacher forcing needs at least one step")
-        if np.shape(audio_targets) != (s, g):
-            raise ValueError(f"audio targets shape {np.shape(audio_targets)} != steps {(s, g)}")
-        seq = concat(self._prefix(a_p) + [self._step_rows(np.asarray(text_targets),
-                                                          np.asarray(audio_targets))], axis=0)
-        if seq.shape[0] > self.cfg.context:
-            raise ValueError(
-                f"sequence length {seq.shape[0]} exceeds context {self.cfg.context}"
-            )
+        if audio_targets.shape != (*lead, s, g):
+            raise ValueError(f"audio targets shape {audio_targets.shape} != steps {(*lead, s, g)}")
+        seq = concat(self._prefix(a_p) + [self._step_rows(text_targets, audio_targets)], axis=-2)
+        n, d = seq.shape[-2:]
+        if n > self.cfg.context:
+            raise ValueError(f"sequence length {n} exceeds context {self.cfg.context}")
         x = self.ln_f(nn.run_blocks(self.blocks, seq, causal=True))
-        # BOS, then every grouped-audio position
-        bos = self.cfg.prompt_len + a_p.shape[0]
-        h = embedding_lookup(x, bos + 2 * np.arange(s))
-        text_logits = self.text_head(h)
-        audio_logits = reshape(self.audio_head(h), (s, g, v.audio_head_size))
+        # BOS, then every grouped-audio position, of every utterance
+        bos = self.cfg.prompt_len + a_p.shape[-2]
+        b = int(np.prod(lead))
+        rows = (n * np.arange(b)[:, None] + bos + 2 * np.arange(s)).reshape(-1)
+        h = embedding_lookup(reshape(x, (b * n, d)), rows)
+        text_logits = reshape(self.text_head(h), (*lead, s, v.text_head_size))
+        audio_logits = reshape(self.audio_head(h), (*lead, s, g, v.audio_head_size))
         return audio_logits, text_logits
 
     # -- inference ---------------------------------------------------------
@@ -416,34 +457,48 @@ class DecoderLM(nn.Module):
 # ------------------------------------------------------------------- loss
 
 
+def _utterance_mean(targets, pad):
+    """Rows of (B, M) targets that are not PAD, flattened, and each one's
+    weight 1 / (B * kept rows of its utterance): the weighted sum of their
+    losses is the mean over utterances of each utterance's mean loss."""
+    keep = targets != pad
+    counts = keep.sum(axis=1)
+    if not counts.all():
+        raise ValueError("compute_loss: a stream is entirely PAD-masked")
+    weights = np.broadcast_to((1.0 / (len(counts) * counts))[:, None], keep.shape)
+    return np.flatnonzero(keep), weights[keep]
+
+
 def compute_loss(audio_logits: Tensor, text_logits: Tensor, audio_targets, text_targets,
                  vocab: AugmentedVocab, lambda_audio: float = 1.0, lambda_text: float = 1.0):
     """Joint objective: lambda_a * mean audio CE + lambda_t * mean text CE.
 
-    The targets are the (S, G) audio and (S,) text arrays of `make_targets`.
-    PAD positions are excluded from both the sums and the denominators.
-    Raises if a stream has no unmasked position at all.
+    The targets are the (B, L, G) audio and (B, L) text arrays of
+    `batch_targets` (a lone utterance may drop the batch axis), the logits
+    those of `forward_teacher_forced`.  Each mean CE is the mean over
+    utterances of that utterance's mean; PAD positions are excluded from both
+    the sums and the denominators.  Raises if a stream of some utterance has
+    no unmasked position at all.
     """
     at = np.asarray(audio_targets, dtype=np.int64)
     tt = np.asarray(text_targets, dtype=np.int64)
-    s, g, wa = audio_logits.shape
-    if at.shape != (s, g):
-        raise ValueError(f"audio targets shape {at.shape} != logits steps {(s, g)}")
-    if tt.shape != (text_logits.shape[0],):
+    *lead, s, g, wa = audio_logits.shape
+    if at.shape != (*lead, s, g):
+        raise ValueError(f"audio targets shape {at.shape} != logits steps {(*lead, s, g)}")
+    if tt.shape != text_logits.shape[:-1]:
         raise ValueError(
-            f"text targets shape {tt.shape} != logits rows {text_logits.shape[0]}"
+            f"text targets shape {tt.shape} != logits rows {text_logits.shape[:-1]}"
         )
-    flat_logits = reshape(audio_logits, (s * g, wa))
-    flat_t = at.reshape(-1)
-    keep_a = np.nonzero(flat_t != vocab.audio_pad_local)[0]
-    keep_t = np.nonzero(tt != vocab.text_pad_local)[0]
-    if keep_a.size == 0 or keep_t.size == 0:
-        raise ValueError("compute_loss: a stream is entirely PAD-masked")
+    b = int(np.prod(lead))
+    keep_a, w_a = _utterance_mean(at.reshape(b, s * g), vocab.audio_pad_local)
+    keep_t, w_t = _utterance_mean(tt.reshape(b, -1), vocab.text_pad_local)
     loss_audio = softmax_cross_entropy(
-        embedding_lookup(flat_logits, keep_a), flat_t[keep_a]
+        embedding_lookup(reshape(audio_logits, (b * s * g, wa)), keep_a),
+        at.reshape(-1)[keep_a], w_a,
     )
     loss_text = softmax_cross_entropy(
-        embedding_lookup(text_logits, keep_t), tt[keep_t]
+        embedding_lookup(reshape(text_logits, (tt.size, text_logits.shape[-1])), keep_t),
+        tt.reshape(-1)[keep_t], w_t,
     )
     total = add(mul(loss_audio, lambda_audio), mul(loss_text, lambda_text))
     return total, loss_audio, loss_text
@@ -463,20 +518,24 @@ class TranslationModel(nn.Module):
         self.cfg = cfg
         self.recipe = {"cfg": asdict(cfg), "seed": seed}
 
-    def project_source(self, frames) -> Tensor:
-        return self.projector.project(self.encoder.encode(frames))
+    def project_source(self, batch) -> Tensor:
+        """(B, T', d_model) projected sources of a batch of utterances."""
+        return self.projector.project(self.encoder.encode(batch))
 
-    def loss_for(self, frames, text, tokens, lambda_audio: float = 1.0,
-                 lambda_text: float = 1.0):
-        text_targets, audio_targets = self.decoder.make_targets(text, tokens)
-        a_p = self.project_source(frames)
+    def loss_for(self, frames, texts, tokens, lambda_audio: float, lambda_text: float):
+        """Joint loss of a batch: per-utterance source frames, target symbols
+        and target semantic tokens, each a sequence of B, with the loss
+        weights of the training config.  Returns (total, audio CE, text CE),
+        each the mean over utterances of that utterance's own loss."""
+        text_targets, audio_targets = self.decoder.batch_targets(texts, tokens)
         audio_logits, text_logits = self.decoder.forward_teacher_forced(
-            a_p, text_targets, audio_targets
+            self.project_source(frames), text_targets, audio_targets
         )
         return compute_loss(audio_logits, text_logits, audio_targets, text_targets,
                             self.decoder.vocab, lambda_audio=lambda_audio,
                             lambda_text=lambda_text)
 
     def translate(self, frames, decode_cfg: DecodeConfig | None = None) -> DecodeResult:
-        a_p = self.project_source(frames)
-        return self.decoder.decode_greedy(a_p, decode_cfg or DecodeConfig())
+        a_p = self.project_source([frames])
+        return self.decoder.decode_greedy(reshape(a_p, a_p.shape[1:]),
+                                          decode_cfg or DecodeConfig())

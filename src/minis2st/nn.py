@@ -73,9 +73,26 @@ def sinusoidal_positions(n: int, d: int) -> np.ndarray:
     return table
 
 
+# (n, d) -> read-only position table; n is bounded by the longest input
+_POSITIONS: dict = {}
+
+
 def add_positions(x: Tensor) -> Tensor:
-    t, d = x.shape
-    return add(x, Tensor(sinusoidal_positions(t, d)))
+    """x plus the position table of its last two axes, shared by any leading ones."""
+    key = x.shape[-2:]
+    table = _POSITIONS.get(key)
+    if table is None:
+        table = sinusoidal_positions(*key)
+        table.flags.writeable = False
+        _POSITIONS[key] = table
+    return add(x, Tensor(table))
+
+
+def expand(x: Tensor, lead: tuple) -> Tensor:
+    """x repeated over the leading axes `lead`, e.g. one learned prefix per
+    utterance of a batch; the gradient sums over them.  x itself when `lead`
+    is empty."""
+    return add(Tensor(np.zeros(lead + x.shape)), x) if lead else x
 
 
 def causal_mask(n: int, past: int) -> np.ndarray:
@@ -87,22 +104,23 @@ def causal_mask(n: int, past: int) -> np.ndarray:
 
 def run_blocks(blocks, x: Tensor, *, causal: bool = False, memory: Tensor | None = None,
                cache=None):
-    """Run x through a stack of TransformerBlocks, each cross-attending to
-    memory if it has cross-attention; causal masks every later position.
+    """Run x, (T, d) or a batch (B, T, d), through a stack of
+    TransformerBlocks, each cross-attending to memory (with x's leading axes)
+    if it has cross-attention; causal masks every later position.
 
     cache, for inference only, holds one KVCache per block: x is then the
     rows that follow the ones already cached, and each block's
     self-attention appends their keys and values and attends over all rows.
     """
     past = 0 if cache is None else len(cache[0])
-    mask = causal_mask(x.shape[0], past) if causal else None
+    mask = causal_mask(x.shape[-2], past) if causal else None
     for i, blk in enumerate(blocks):
         x = blk(x, memory=memory, mask=mask, cache=None if cache is None else cache[i])
     return x
 
 
 class MultiHeadAttention(Module):
-    """Scaled dot-product attention, (T, d) in, (T, d) out."""
+    """Scaled dot-product attention, (T, d) or (B, T, d) in, the same shape out."""
 
     def __init__(self, d: int, heads: int, rng: np.random.Generator):
         if d % heads != 0:

@@ -1,12 +1,15 @@
 """Staged training glue and the end-to-end toy run.
 
-Each stage hands one runner its per-example loss, validation set, and
-checkpoint snapshot, and returns (module, TrainResult) with the best validated
-weights in the module, whether or not checkpoints are written.  Checkpoints
-store only trainable tensors plus each module's recipe, the constructor
-arguments it records as `recipe`; frozen parts (speech encoder, frozen text
-rows, the speaker embedder that the vocoder and text-to-token model carry) are
-regenerated from the recorded seeds, so `rebuild` returns one whole module.
+Each stage hands one runner its batch loss, validation set, and checkpoint
+snapshot, and returns (module, TrainResult) with the best validated weights in
+the module, whether or not checkpoints are written.  The model stage builds
+one padded graph per batch, and validates on its whole held-out set as one
+batch; the tokenizer, vocoder and text-to-token stages still build one graph
+per example and add them up.  Checkpoints store only trainable tensors plus
+each module's recipe, the constructor arguments it records as `recipe`;
+frozen parts (speech encoder, frozen text rows, the speaker embedder that the
+vocoder and text-to-token model carry) are regenerated from the recorded
+seeds, so `rebuild` returns one whole module.
 """
 from __future__ import annotations
 
@@ -202,19 +205,42 @@ def mismatched_prompts(m: Manifest) -> dict:
 # -------------------------------------------------------------- stage runner
 
 
-def _run_stage(kind: str, module: nn.Module, train_ex, val_ex, example_loss,
+def _run_stage(kind: str, module: nn.Module, train_ex, val_ex, batch_loss,
                tcfg: TrainConfig, *, loss_trace, **train_kw) -> TrainResult:
-    """Train `module` on the batch mean of per-example losses.
+    """Train `module` on a batch loss; validate on the whole validation set.
 
-    example_loss(example, rng) returns (scalar loss Tensor, {name: float}
-    parts); rng is None while validating, so training-only work (augmentation,
-    usage counts) keys on it.  Parts are averaged over the batch into the
-    training log.  train() leaves the best validated weights in `module`.
+    batch_loss(examples, rng) returns (scalar loss Tensor, {name: float}
+    parts) of a list of examples; rng is None while validating, so
+    training-only work (augmentation, usage counts) keys on it.  The loss of
+    the whole validation set, computed under no_grad, is the validation loss.
+    train() leaves the best validated weights in `module`.
     """
     if not val_ex:
         raise ConfigError(f"{kind} stage needs a non-empty validation set")
 
     def loss_fn(batch, rng):
+        total, parts = batch_loss(batch, rng)
+        if loss_trace is not None:
+            loss_trace.append(float(total.data))
+        return total, parts
+
+    def val_fn():
+        with no_grad():
+            return float(batch_loss(val_ex, None)[0].data)
+
+    return train(params=dict(module.trainable()), examples=train_ex, loss_fn=loss_fn,
+                 val_fn=val_fn, cfg=tcfg, kind=kind, **train_kw)
+
+
+def _per_example(example_loss):
+    """The batch loss of stages that build one graph per example.
+
+    example_loss(example, rng) returns (scalar loss Tensor, {name: float}
+    parts).  Training takes the batch mean as a chain of adds times
+    1 / len(batch), with the parts averaged; validation (rng None) divides
+    the same sum by the count and returns no parts.
+    """
+    def batch_loss(batch, rng):
         losses, sums = [], {}
         for ex in batch:
             loss, parts = example_loss(ex, rng)
@@ -224,16 +250,11 @@ def _run_stage(kind: str, module: nn.Module, train_ex, val_ex, example_loss,
         total = losses[0]
         for l in losses[1:]:
             total = add(total, l)
-        total = mul(total, 1.0 / len(losses))
-        if loss_trace is not None:
-            loss_trace.append(float(total.data))
-        return total, {k: v / len(batch) for k, v in sums.items()}
+        if rng is None:
+            return Tensor(total.data / len(batch)), {}
+        return mul(total, 1.0 / len(batch)), {k: v / len(batch) for k, v in sums.items()}
 
-    def val_fn():
-        return sum(float(example_loss(ex, None)[0].data) for ex in val_ex) / len(val_ex)
-
-    return train(params=dict(module.trainable()), examples=train_ex, loss_fn=loss_fn,
-                 val_fn=val_fn, cfg=tcfg, kind=kind, **train_kw)
+    return batch_loss
 
 
 def _prompted_examples(m: Manifest, tokenizer: SpeechTokenizer, module: nn.Module) -> list:
@@ -275,7 +296,7 @@ def train_tokenizer_stage(train_m: Manifest, val_m: Manifest,
         usage[:] = 0.0
 
     result = _run_stage(
-        "tokenizer", tok, records, list(val_m), example_loss, tcfg,
+        "tokenizer", tok, records, list(val_m), _per_example(example_loss), tcfg,
         loss_trace=loss_trace, lengths=[r.tgt_frames.length for r in records],
         state_arrays={"codebook_usage": usage}, on_epoch_end=on_epoch_end,
         checkpoint_path=checkpoint_path, log_path=log_path,
@@ -306,7 +327,7 @@ def train_text_to_token_stage(train_m: Manifest, val_m: Manifest,
 
     result = _run_stage(
         "text_to_token", t2t, train_ex, _prompted_examples(val_m, tokenizer, t2t),
-        example_loss, tcfg, loss_trace=None,
+        _per_example(example_loss), tcfg, loss_trace=None,
         lengths=[len(r.tgt_text) + len(tokens) for r, tokens, _ in train_ex],
         config_snapshot=t2t.recipe, max_steps=max_steps,
     )
@@ -355,22 +376,22 @@ def train_model_stage(train_m: Manifest, val_m: Manifest, tokenizer: SpeechToken
     train_ex = build_token_targets(train_m, tokenizer, token_source, text_to_token=text_to_token)
     val_ex = build_token_targets(val_m, tokenizer, token_source, text_to_token=text_to_token)
 
-    def example_loss(ex, rng):
-        r, tokens = ex
-        src = r.src_frames
+    def batch_loss(batch, rng):
+        sources = [r.src_frames for r, _ in batch]
         if rng is not None:
-            # fresh jitter per visit: cheap augmentation against memorizing
-            # the fixed training renderings (validation stays clean)
-            src = SpeechFrames(src.frames + rng.normal(0.0, 0.1, src.frames.shape),
-                               src.frame_rate)
+            # fresh jitter per visit, drawn example by example: cheap
+            # augmentation against memorizing the fixed training renderings
+            # (validation stays clean)
+            sources = [SpeechFrames(src.frames + rng.normal(0.0, 0.1, src.frames.shape),
+                                    src.frame_rate) for src in sources]
         total, loss_a, loss_t = model.loss_for(
-            src, r.tgt_text, tokens,
+            sources, [r.tgt_text for r, _ in batch], [tokens for _, tokens in batch],
             lambda_audio=tcfg.lambda_audio, lambda_text=tcfg.lambda_text,
         )
         return total, {"loss_audio": float(loss_a.data), "loss_text": float(loss_t.data)}
 
     result = _run_stage(
-        "model", model, train_ex, val_ex, example_loss, tcfg,
+        "model", model, train_ex, val_ex, batch_loss, tcfg,
         loss_trace=loss_trace, lengths=[len(tokens) for _, tokens in train_ex],
         checkpoint_path=checkpoint_path, log_path=log_path,
         config_snapshot={**model.recipe, "token_source": token_source},
@@ -407,7 +428,7 @@ def train_vocoder_stage(train_m: Manifest, val_m: Manifest, tokenizer: SpeechTok
 
     result = _run_stage(
         "vocoder", voc, train_ex, _prompted_examples(val_m, tokenizer, voc),
-        example_loss, tcfg, loss_trace=loss_trace,
+        _per_example(example_loss), tcfg, loss_trace=loss_trace,
         lengths=[len(tokens) for _, tokens, _ in train_ex],
         checkpoint_path=checkpoint_path, log_path=log_path,
         config_snapshot=voc.recipe, max_steps=max_steps,

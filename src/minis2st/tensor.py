@@ -166,21 +166,26 @@ def mul(a, b):
 
 
 def _affine_pull(g, x, w, b, want_x):
-    """Pullback of x @ w + b (x an array): accumulate into b, then w, in the
-    order the separate matmul and add nodes did; return x's gradient."""
+    """Pullback of x @ w + b (x an array of rows, any leading axes folded into
+    them, so each weight gradient is one 2-D matmul): accumulate into b, then
+    w, in the order the separate matmul and add nodes did; return x's
+    gradient, shaped like x."""
+    g2 = g.reshape(-1, g.shape[-1])
+    x2 = x.reshape(-1, x.shape[-1])
     if b.requires_grad:
-        b._accumulate(_unbroadcast(g, b.data.shape))
+        b._accumulate(_unbroadcast(g2, b.data.shape))
     if w.requires_grad:
-        w._accumulate(_unbroadcast(np.swapaxes(x, -1, -2) @ g, w.data.shape))
+        w._accumulate(x2.T @ g2)
     if want_x:
-        return _unbroadcast(g @ np.swapaxes(w.data, -1, -2), x.shape)
+        return (g2 @ w.data.T).reshape(x.shape)
     return None
 
 
 def linear(x, w, b):
-    """x @ w + b as one node."""
+    """x @ w + b as one node; leading axes of x fold into rows."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    out_data = x.data @ w.data + b.data
+    rows = x.data.reshape(-1, x.data.shape[-1])
+    out_data = (rows @ w.data + b.data).reshape(x.data.shape[:-1] + w.data.shape[-1:])
 
     def pull(g):
         gx = _affine_pull(g, x.data, w, b, want_x=x.requires_grad)
@@ -213,32 +218,35 @@ class KVCache:
 
 
 def attention(x, src, proj, heads, mask, cache=None):
-    """Multi-head scaled dot-product attention of x (T, d) over src (S, d).
+    """Multi-head scaled dot-product attention of x (B, T, d) over src (B, S, d).
 
-    proj holds the (weight, bias) pairs of the query, key, value and output
-    projections; mask is an array added to the (heads, T, S) scores, or None.
-    Recorded as one node.  The forward makes the same NumPy calls as a graph
-    composed of matmul, reshape, transpose and softmax nodes would, and the
-    pullback accumulates in that graph's tape order, so results are
-    bit-identical to it.
+    A 2-D x and src are the B = 1 case of the same code.  proj holds the
+    (weight, bias) pairs of the query, key, value and output projections;
+    mask is an array added to the (B, heads, T, S) scores, or None; it is
+    shared by the whole batch.  Recorded as one node.  The forward makes the
+    same NumPy calls as a graph composed of matmul, reshape, transpose and
+    softmax nodes would, and the pullback accumulates in that graph's tape
+    order, so results are bit-identical to it.
 
-    With a KVCache, src's keys and values are appended to it and x attends
-    over every cached row (S is then the cache length); inference only, so a
-    recording tape raises ValueError.
+    With a KVCache, which serves one sequence (B = 1), src's keys and values
+    are appended to it and x attends over every cached row (S is then the
+    cache length); inference only, so a recording tape raises ValueError.
     """
     if cache is not None and _active_tape() is not None:
         raise ValueError("a KV cache is for inference only: backward cannot reach its rows")
     (wq, bq), (wk, bk), (wv, bv), (wo, bo) = proj
-    t, d = x.data.shape
+    t, d = x.data.shape[-2:]
+    b = x.data.size // (t * d)
     dh = d // heads
-    q = np.transpose((x.data @ wq.data + bq.data).reshape(t, heads, dh), (1, 0, 2))
-    k_rows = src.data @ wk.data + bk.data
-    v_rows = src.data @ wv.data + bv.data
+    q = np.transpose((x.data.reshape(-1, d) @ wq.data + bq.data).reshape(b, t, heads, dh),
+                     (0, 2, 1, 3))
+    k_rows = src.data.reshape(-1, d) @ wk.data + bk.data
+    v_rows = src.data.reshape(-1, d) @ wv.data + bv.data
     if cache is not None:
         k_rows, v_rows = cache.extend(k_rows, v_rows)
-    s = k_rows.shape[0]
-    k = np.transpose(k_rows.reshape(s, heads, dh), (1, 2, 0))
-    v = np.transpose(v_rows.reshape(s, heads, dh), (1, 0, 2))
+    s = k_rows.shape[0] // b
+    k = np.transpose(k_rows.reshape(b, s, heads, dh), (0, 2, 3, 1))
+    v = np.transpose(v_rows.reshape(b, s, heads, dh), (0, 2, 1, 3))
     scale = 1.0 / math.sqrt(dh)
     scores = (q @ k) * scale
     if mask is not None:
@@ -246,14 +254,14 @@ def attention(x, src, proj, heads, mask, cache=None):
     z = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=-1, keepdims=True)
-    ctx = np.transpose(p @ v, (1, 0, 2)).reshape(t, d)
-    out_data = ctx @ wo.data + bo.data
+    ctx = np.transpose(p @ v, (0, 2, 1, 3)).reshape(b * t, d)
+    out_data = (ctx @ wo.data + bo.data).reshape(x.data.shape)
 
     # gradients are made C-ordered wherever the composed graph's were, so
     # every matmul and reduction sees the same memory layout
     def pull(g):
         gctx = _affine_pull(g, ctx, wo, bo, want_x=True)
-        gctx = np.ascontiguousarray(np.transpose(gctx.reshape(t, heads, dh), (1, 0, 2)))
+        gctx = np.ascontiguousarray(np.transpose(gctx.reshape(b, t, heads, dh), (0, 2, 1, 3)))
         gp = gctx @ np.swapaxes(v, -1, -2)
         gv = np.swapaxes(p, -1, -2) @ gctx
         gs = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p * scale
@@ -261,11 +269,11 @@ def attention(x, src, proj, heads, mask, cache=None):
         gk = np.swapaxes(q, -1, -2) @ gs
         # value, key, query: the reverse of the order they were recorded in,
         # which is the order src and x took their shares
-        for gh, inv, inp, w, b in ((gv, (1, 0, 2), src, wv, bv),
-                                   (gk, (2, 0, 1), src, wk, bk),
-                                   (gq, (1, 0, 2), x, wq, bq)):
+        for gh, inv, inp, w, bias in ((gv, (0, 2, 1, 3), src, wv, bv),
+                                      (gk, (0, 3, 1, 2), src, wk, bk),
+                                      (gq, (0, 2, 1, 3), x, wq, bq)):
             rows = np.ascontiguousarray(np.transpose(gh, inv)).reshape(-1, d)
-            gin = _affine_pull(rows, inp.data, w, b, want_x=inp.requires_grad)
+            gin = _affine_pull(rows, inp.data, w, bias, want_x=inp.requires_grad)
             if gin is not None:
                 inp._accumulate(gin)
 
@@ -365,10 +373,11 @@ def layernorm(x, gain, bias, eps=1e-5):
             f"layernorm: gain/bias shapes {gain.data.shape}/{bias.data.shape} "
             f"do not match feature dim {d}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    dev = x.data - x.data.mean(axis=-1, keepdims=True)
+    # np.var's own sequence of operations, without its second pass for the mean
+    var = (dev * dev).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = dev * inv
     out_data = xhat * gain.data + bias.data
 
     def pull(g):
@@ -385,10 +394,12 @@ def layernorm(x, gain, bias, eps=1e-5):
     return _make(out_data, (x, gain, bias), pull)
 
 
-def softmax_cross_entropy(logits, targets):
-    """Mean cross-entropy of integer targets under softmax(logits).
+def softmax_cross_entropy(logits, targets, weights=None):
+    """Mean cross-entropy of integer targets under softmax(logits), or with
+    `weights` the sum of each row's cross-entropy times its weight.
 
-    logits: (N, V); targets: (N,) ints in [0, V).  Stable via max subtraction.
+    logits: (N, V); targets: (N,) ints in [0, V); weights: (N,) floats.
+    Stable via max subtraction.
     """
     logits = _as_tensor(logits)
     t = np.asarray(targets, dtype=np.int64)
@@ -404,13 +415,19 @@ def softmax_cross_entropy(logits, targets):
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     ll = z[np.arange(n), t] - lse[:, 0]
-    out_data = -ll.mean()
+    if weights is None:
+        out_data = -ll.mean()
+    else:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (n,):
+            raise ValueError(f"softmax_cross_entropy: {weights.shape} weights for {n} logit rows")
+        out_data = -(ll @ weights)
 
     def pull(g):
         if logits.requires_grad:
             p = np.exp(z - lse)
             p[np.arange(n), t] -= 1.0
-            logits._accumulate(p * (g / n))
+            logits._accumulate(p * (g / n) if weights is None else p * (g * weights)[:, None])
 
     return _make(out_data, (logits,), pull)
 

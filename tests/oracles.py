@@ -118,20 +118,28 @@ def run_op_gradient_trials(trials: int, seed: int = 0):
         return (lambda: t_mean(t_mul(linear(a, w, b), c))), [a, w, b]
     run("linear", case_linear)
 
-    def case_attention(t_len, s_len, masked):
+    def case_linear_batched():
+        a, w, b = t(2, 3, 4), t(4, 2), t(2)
+        c = Tensor(rng.normal(size=(2, 3, 2)))
+        return (lambda: t_mean(t_mul(linear(a, w, b), c))), [a, w, b]
+    run("linear_batched", case_linear_batched)
+
+    def case_attention(t_len, s_len, masked, lead=()):
         def make():
             d, heads = 6, 2
-            x = t(t_len, d)
-            src = x if s_len is None else t(s_len, d)
+            x = t(*lead, t_len, d)
+            src = x if s_len is None else t(*lead, s_len, d)
             proj = [(Tensor(rng.normal(0.0, 0.5, size=(d, d)), requires_grad=True), t(d))
                     for _ in range(4)]
             mask = causal_mask(t_len, 0) if masked else None
-            c = Tensor(rng.normal(size=(t_len, d)))
+            c = Tensor(rng.normal(size=(*lead, t_len, d)))
             tensors = [x] + ([] if s_len is None else [src]) + [p for wb in proj for p in wb]
             return (lambda: t_mean(t_mul(attention(x, src, proj, heads, mask), c))), tensors
         return make
     run("attention_self_masked", case_attention(5, None, masked=True))
     run("attention_cross", case_attention(3, 5, masked=False))
+    run("attention_batched_self_masked", case_attention(4, None, masked=True, lead=(3,)))
+    run("attention_batched_cross", case_attention(3, 4, masked=False, lead=(2,)))
 
     def case_relu():
         a = Tensor(_away_from_kink(rng.normal(size=(4, 5))), requires_grad=True)

@@ -14,7 +14,17 @@ from minis2st.model import (
     compute_loss,
     make_projector,
 )
-from minis2st.tensor import Tensor
+from minis2st.tensor import (
+    Tape,
+    Tensor,
+    add,
+    backward,
+    embedding_lookup,
+    mean,
+    mul,
+    reshape,
+    zero_grad,
+)
 
 
 def tiny_cfg(**kw):
@@ -225,14 +235,14 @@ def test_teacher_forced_logit_shapes():
     cfg = tiny_cfg()
     dec = DecoderLM(cfg, seed=0)
     v = dec.vocab
-    a_p = Tensor(np.random.default_rng(0).normal(size=(3, cfg.d_model)))
-    text_targets, audio_targets = dec.make_targets([1, 4], [0, 1, 2, 3])
+    a_p = Tensor(np.random.default_rng(0).normal(size=(1, 3, cfg.d_model)))
+    text_targets, audio_targets = dec.batch_targets([[1, 4]], [[0, 1, 2, 3]])
     al, tl = dec.forward_teacher_forced(a_p, text_targets, audio_targets)
-    s = len(text_targets)
-    assert al.shape == (s, cfg.group_size, v.audio_head_size)
-    assert tl.shape == (s, v.text_head_size)
+    s = text_targets.shape[1]
+    assert al.shape == (1, s, cfg.group_size, v.audio_head_size)
+    assert tl.shape == (1, s, v.text_head_size)
     with pytest.raises(ValueError):
-        dec.forward_teacher_forced(a_p, text_targets, audio_targets[:, :2])
+        dec.forward_teacher_forced(a_p, text_targets, audio_targets[..., :2])
 
 
 def test_decode_respects_max_steps_and_penalty_validation():
@@ -274,7 +284,8 @@ def test_cached_decoding_matches_the_recompute_oracle():
         cfg = tiny_cfg(projector=kinds[trial % 3], group_size=int(rng.integers(1, 5)),
                        blocks=int(rng.integers(1, 3)))
         model = TranslationModel(cfg, seed=trial)
-        a_p = model.project_source(rng.normal(size=(int(rng.integers(3, 12)), cfg.feat_dim)))
+        frames = rng.normal(size=(int(rng.integers(3, 12)), cfg.feat_dim))
+        a_p = Tensor(model.project_source([frames]).data[0])
         dcfg = DecodeConfig(max_steps=int(rng.integers(1, 13)),
                             repetition_penalty=float(rng.uniform(1.0, 2.0)))
         seen = _record_heads(model.decoder)
@@ -355,7 +366,7 @@ def test_translation_model_loss_and_translate_run():
     model = TranslationModel(cfg, seed=0)
     rng = np.random.default_rng(6)
     frames = rng.normal(size=(10, cfg.feat_dim))
-    total, la, lt = model.loss_for(frames, [0, 1], [2, 3, 4])
+    total, la, lt = model.loss_for([frames], [[0, 1]], [[2, 3, 4]], 1.0, 1.0)
     assert np.isfinite(float(total.data))
     assert float(total.data) == pytest.approx(float(la.data) + float(lt.data), rel=1e-12)
     res = model.translate(frames, DecodeConfig(max_steps=6))
@@ -372,8 +383,8 @@ def test_decoder_module_gradients_match_finite_differences():
 def test_context_overflow_raises():
     cfg = tiny_cfg(context=10)
     dec = DecoderLM(cfg, seed=0)
-    a_p = Tensor(np.zeros((4, cfg.d_model)))  # prompt 2 + 4 + BOS + 2S > 10
-    text_targets, audio_targets = dec.make_targets([1], [0, 1, 2, 3, 4])
+    a_p = Tensor(np.zeros((1, 4, cfg.d_model)))  # prompt 2 + 4 + BOS + 2S > 10
+    text_targets, audio_targets = dec.batch_targets([[1]], [[0, 1, 2, 3, 4]])
     with pytest.raises(ValueError):
         dec.forward_teacher_forced(a_p, text_targets, audio_targets)
 
@@ -381,8 +392,138 @@ def test_context_overflow_raises():
 def test_frozen_encoder_pads_and_truncates_to_fixed_length():
     cfg = tiny_cfg(fixed_input_len=6)
     model = TranslationModel(cfg, seed=0)
-    short = model.encoder.encode(np.zeros((2, cfg.feat_dim)))
-    long = model.encoder.encode(np.zeros((40, cfg.feat_dim)))
-    assert short.shape == (6, cfg.enc_dim)
-    assert long.shape == (6, cfg.enc_dim)
+    short = model.encoder.encode([np.zeros((2, cfg.feat_dim))])
+    long = model.encoder.encode([np.zeros((40, cfg.feat_dim))])
+    assert short.shape == (1, 6, cfg.enc_dim)
+    assert long.shape == (1, 6, cfg.enc_dim)
     assert not model.encoder.trainable()
+
+
+# ----------------------------------------------------------- batched graphs
+
+
+def _ragged_batch(cfg, rng):
+    """Three utterances of 2, 4 and 5 steps, so two of them are padded."""
+    frames = [rng.normal(size=(n, cfg.feat_dim)) for n in (5, 9, 12)]
+    texts = [[1], [0, 2, 3], [2, 1, 4, 0]]
+    tokens = [[3], [0, 1, 2, 3, 4, 5, 6, 0, 1, 2], [4, 4, 5, 6, 1]]
+    return frames, texts, tokens
+
+
+def _loss_and_grads(model, build):
+    """Loss values of build() and the gradient of every trainable tensor."""
+    params = model.trainable()
+    zero_grad(params.values())
+    with Tape():
+        losses = build()
+    backward(losses[0])
+    grads = {k: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+             for k, p in params.items()}
+    return [float(x.data) for x in losses], grads
+
+
+@pytest.mark.parametrize("projector", ["linear", "conv1d", "qformer"])
+def test_batched_loss_is_the_mean_of_batch_of_one_losses(projector):
+    cfg = tiny_cfg(projector=projector, freeze_text_embed=False)
+    model = TranslationModel(cfg, seed=2)
+    frames, texts, tokens = _ragged_batch(cfg, np.random.default_rng(8))
+    tt, _ = model.decoder.batch_targets(texts, tokens)
+    steps = [len(model.decoder.make_targets(t, k)[0]) for t, k in zip(texts, tokens)]
+    assert steps == [2, 4, 5] and tt.shape[1] == 5
+
+    def loss(f, t, k):
+        return lambda: model.loss_for(f, t, k, 0.7, 1.3)
+
+    got, got_grads = _loss_and_grads(model, loss(frames, texts, tokens))
+    singles = [_loss_and_grads(model, loss([f], [t], [k]))
+               for f, t, k in zip(frames, texts, tokens)]
+    want = np.mean([vals for vals, _ in singles], axis=0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    refs = {name: np.mean([grads[name] for _, grads in singles], axis=0) for name in got_grads}
+    top = max(np.abs(ref).max() for ref in refs.values())
+    for name, g in got_grads.items():
+        if name.endswith("wk.b"):
+            # softmax is shift-invariant per query row, so a key bias has a
+            # true gradient of 0 and both sides hold rounding noise alone
+            assert max(np.abs(g).max(), np.abs(refs[name]).max()) <= 1e-12 * top, name
+            continue
+        assert np.abs(g - refs[name]).max() <= 1e-10 * np.abs(refs[name]).max(), name
+
+
+def test_padding_is_inert():
+    # the ids fed at a shorter utterance's pad steps move neither the loss
+    # nor any gradient: no real row attends to a pad row, and PAD targets
+    # carry no loss
+    cfg = tiny_cfg(freeze_text_embed=False)
+    model = TranslationModel(cfg, seed=4)
+    dec = model.decoder
+    v = dec.vocab
+    rng = np.random.default_rng(9)
+    frames, texts, tokens = _ragged_batch(cfg, rng)
+    tt, at = dec.batch_targets(texts, tokens)
+    steps = [len(dec.make_targets(t, k)[0]) for t, k in zip(texts, tokens)]
+
+    def loss(tt_in, at_in):
+        def build():
+            al, tl = dec.forward_teacher_forced(model.project_source(frames), tt_in, at_in)
+            return compute_loss(al, tl, at, tt, v)
+        return _loss_and_grads(model, build)
+
+    base, base_grads = loss(tt, at)
+    for _ in range(3):
+        tt_in, at_in = tt.copy(), at.copy()
+        for i, n in enumerate(steps):
+            tt_in[i, n:] = rng.integers(0, v.text_head_size, size=tt_in[i, n:].shape)
+            at_in[i, n:] = rng.integers(0, v.audio_head_size, size=at_in[i, n:].shape)
+        assert not np.array_equal(tt_in, tt)
+        got, grads = loss(tt_in, at_in)
+        assert got == base
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, base_grads[name], err_msg=name)
+
+
+@pytest.mark.parametrize("projector", ["linear", "conv1d", "qformer"])
+def test_batched_loss_gradients_match_finite_differences(projector):
+    cfg = tiny_cfg(projector=projector)
+    model = TranslationModel(cfg, seed=6)
+    rng = np.random.default_rng(11)
+    frames, texts, tokens = _ragged_batch(cfg, rng)
+    params = list(model.trainable().values())
+    err = oracles.fd_gradcheck(lambda: model.loss_for(frames, texts, tokens, 1.0, 1.0)[0],
+                               params, rng, probes=2)
+    assert err < oracles.FD_RTOL, f"{projector}: worst relative error {err:.3e}"
+
+
+def test_embed_reads_each_id_from_its_own_table_bit_for_bit():
+    # against the former lookup: every id gathered from both tables and the
+    # wrong row masked out; rows and the scatter-add into both gradients agree
+    cfg = tiny_cfg(freeze_text_embed=False)
+    dec = DecoderLM(cfg, seed=5)
+    v = dec.vocab
+    d = cfg.d_model
+    rng = np.random.default_rng(7)
+
+    def masked(ids):
+        flat = ids.reshape(-1)
+        is_text = flat < v.text_size
+        te = mul(embedding_lookup(dec.text_embed, np.where(is_text, flat, 0)),
+                 Tensor(is_text.astype(np.float64)[:, None]))
+        ae = mul(embedding_lookup(dec.aux_embed, np.where(is_text, 0, flat - v.text_size)),
+                 Tensor((~is_text).astype(np.float64)[:, None]))
+        return reshape(add(te, ae), ids.shape + (d,))
+
+    cases = [rng.integers(0, v.total, size=shape) for shape in [(9,), (3, 4), (2, 3, 5)]]
+    cases += [rng.integers(0, v.text_size, size=6), rng.integers(v.text_size, v.total, size=6)]
+    for ids in cases:
+        w = Tensor(rng.normal(size=ids.shape + (d,)))
+        runs = []
+        for embed in (dec._embed, masked):
+            zero_grad([dec.text_embed, dec.aux_embed])
+            with Tape():
+                out = embed(ids)
+                loss = mean(mul(out, w))
+            backward(loss)
+            runs.append([out.data] + [np.zeros_like(t.data) if t.grad is None else t.grad
+                                      for t in (dec.text_embed, dec.aux_embed)])
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got, want)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import minis2st
 
-SETTABLE = 161
+SETTABLE = 160
 
 
 def settable_count() -> int:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import oracles
-from minis2st.nn import TransformerBlock, causal_mask, run_blocks
+from minis2st import nn
+from minis2st.nn import TransformerBlock, add_positions, causal_mask, run_blocks
 from minis2st.tensor import (
     KVCache,
     Tape,
@@ -12,6 +13,7 @@ from minis2st.tensor import (
     backward,
     concat,
     embedding_lookup,
+    layernorm,
     linear,
     mean,
     mul,
@@ -155,6 +157,79 @@ def test_attention_weights_are_distributions():
         out = attention(Tensor(x), Tensor(src), [(Tensor(w), Tensor(b)) for w, b in proj],
                         heads, mask).data
         np.testing.assert_allclose(out / bias, np.ones_like(out), atol=1e-12)
+
+
+def _attention_grads(x, src, proj, heads, mask, c):
+    """Output, the gradients of the inputs, and those of every projection array."""
+    ins = [Tensor(a, requires_grad=True) for a in (x, src) if a is not None]
+    ps = [(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)) for w, b in proj]
+    with Tape():
+        out = attention(ins[0], ins[-1], ps, heads, mask)
+        loss = mean(mul(out, Tensor(c)))
+    backward(loss)
+    return out.data, [t.grad for t in ins], [t.grad for wb in ps for t in wb]
+
+
+def test_batched_attention_is_a_stack_of_single_ones():
+    # a 2-D input is the B = 1 case of the batched code, bit for bit; a batch
+    # of B gives each sequence what it gets alone, up to summation order
+    rng = np.random.default_rng(5)
+    for t, s, masked in [(5, None, True), (3, 4, False)]:
+        b, d = 3, 8
+        x = rng.normal(size=(b, t, d))
+        src = None if s is None else rng.normal(size=(b, s, d))
+        proj = [(rng.normal(0.0, 0.5, size=(d, d)), rng.normal(size=d)) for _ in range(4)]
+        c = rng.normal(size=(b, t, d))
+        mask = causal_mask(t, 0) if masked else None
+
+        def run(i):
+            return _attention_grads(x[i], None if src is None else src[i], proj, 2, mask, c[i])
+
+        singles = [run(i) for i in range(b)]
+        one = run(slice(0, 1))
+        np.testing.assert_array_equal(one[0][0], singles[0][0])
+        for got, want in zip(one[1] + one[2], singles[0][1] + singles[0][2]):
+            np.testing.assert_array_equal(got.reshape(want.shape), want)
+        # the batch's loss is the mean of the single losses
+        out, gin, gparams = run(slice(None))
+        np.testing.assert_allclose(out, np.stack([o for o, _, _ in singles]),
+                                   rtol=1e-12, atol=1e-14)
+        for k, got in enumerate(gin):
+            want = np.stack([single[1][k] for single in singles]) / b
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-15)
+        for k, got in enumerate(gparams):
+            want = sum(single[2][k] for single in singles) / b
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-15)
+
+
+def test_layernorm_variance_is_bit_equal_to_np_var():
+    # against the two-pass form: np.mean, then np.var, which takes the mean again
+    rng = np.random.default_rng(6)
+    gain, bias = Tensor(rng.normal(size=7)), Tensor(rng.normal(size=7))
+    for _ in range(200):
+        x = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), size=(int(rng.integers(1, 6)), 7))
+        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+        want = (x - x.mean(axis=-1, keepdims=True)) * inv * gain.data + bias.data
+        np.testing.assert_array_equal(layernorm(Tensor(x), gain, bias).data, want)
+
+
+def test_position_tables_are_built_once_and_read_only(monkeypatch):
+    built = []
+    real = nn.sinusoidal_positions
+
+    def counting(n, d):
+        built.append((n, d))
+        return real(n, d)
+
+    monkeypatch.setattr(nn, "sinusoidal_positions", counting)
+    monkeypatch.setattr(nn, "_POSITIONS", {})
+    x = np.random.default_rng(7).normal(size=(2, 5, 6))
+    for rows in (x, x[0], x[1], x):
+        out = add_positions(Tensor(rows)).data
+        np.testing.assert_array_equal(out, rows + real(5, 6))
+    assert built == [(5, 6)]
+    with pytest.raises(ValueError):
+        nn._POSITIONS[(5, 6)][0, 0] = 1.0
 
 
 def test_transformer_block_records_few_tape_nodes():

@@ -191,7 +191,7 @@ def transcribe_frames(frames, tokenizer, alignment: np.ndarray, frames_per_symbo
     if frames_per_symbol < 1:
         raise ValueError("frames_per_symbol must be >= 1")
     mu = tokenizer.tokenize(frames)
-    syms = np.asarray([alignment[t] for t in mu], dtype=np.int64)
+    syms = np.asarray(alignment, dtype=np.int64)[mu]
     out = []
     for lo in range(0, len(syms), frames_per_symbol):
         block = syms[lo : lo + frames_per_symbol]

@@ -14,6 +14,7 @@ seeds, so `rebuild` returns one whole module.
 from __future__ import annotations
 
 import inspect
+import resource
 import time
 from dataclasses import dataclass, field
 
@@ -519,6 +520,8 @@ def run_toy_pipeline(out_dir=None, *, seed: int = 0, corpus_cfg: ToyCorpusConfig
     )
     timings["evaluation"] = time.perf_counter() - t0
     timings["total"] = sum(timings.values())
+    # ru_maxrss is in KiB on Linux; added after the total, which counts seconds only
+    timings["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     if out_dir is not None:
         report.write(out)

@@ -248,12 +248,16 @@ def attention(x, src, proj, heads, mask, cache=None):
     k = np.transpose(k_rows.reshape(b, s, heads, dh), (0, 2, 3, 1))
     v = np.transpose(v_rows.reshape(b, s, heads, dh), (0, 2, 1, 3))
     scale = 1.0 / math.sqrt(dh)
-    scores = (q @ k) * scale
+    # the scores become the probabilities in place: the same values as
+    # out-of-place steps, without four more (B, heads, T, S) temporaries whose
+    # churn makes the allocator return and re-fault pages on every call
+    p = q @ k
+    p *= scale
     if mask is not None:
-        scores = scores + mask
-    z = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
+        p += mask
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
     ctx = np.transpose(p @ v, (0, 2, 1, 3)).reshape(b * t, d)
     out_data = (ctx @ wo.data + bo.data).reshape(x.data.shape)
 

@@ -65,8 +65,28 @@ class Codebook(nn.Module):
         return self.entries.data.shape[1]
 
 
+def _direct_nearest(hd: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Argmin of the direct distances sum((h - e)**2) per row: the values that
+    define quantize's tokens, ties to the lowest index."""
+    out = np.empty(hd.shape[0], dtype=np.int64)
+    # row chunks keep the (chunk, |C|, d) distance tensor small at paper-scale codebooks
+    for lo in range(0, hd.shape[0], 64):
+        chunk = hd[lo : lo + 64]
+        d2 = ((chunk[:, None, :] - e[None, :, :]) ** 2).sum(axis=2)
+        out[lo : lo + 64] = np.argmin(d2, axis=1)
+    return out
+
+
 def quantize(h, codebook: Codebook) -> list:
-    """Nearest codebook entry per row, squared-L2, ties to the lowest index."""
+    """Nearest codebook entry per row, squared-L2, ties to the lowest index.
+
+    The tokens are those of the direct distances sum((h - e)**2), bit for bit.
+    One matmul gives every row's expanded distances |h|^2 - 2 h.e + |e|^2 and
+    shortlists the codes within a proven rounding bound of the row minimum; a
+    row whose shortlist holds one code takes it, and every other row (a near
+    tie, or NaN, infinite or near-overflow values) is settled by direct
+    distances.
+    """
     hd = h.data if isinstance(h, Tensor) else np.asarray(h, dtype=np.float64)
     if hd.ndim != 2:
         raise ValueError(f"quantize expects (T, d) input, got shape {hd.shape}")
@@ -74,14 +94,46 @@ def quantize(h, codebook: Codebook) -> list:
         raise ValueError(
             f"quantize: input dim {hd.shape[1]} != codebook dim {codebook.dim}"
         )
-    e = codebook.entries.data
-    out = []
-    # row chunks keep the (chunk, |C|, d) distance tensor small at paper-scale codebooks
-    for lo in range(0, hd.shape[0], 64):
-        chunk = hd[lo : lo + 64]
-        d2 = ((chunk[:, None, :] - e[None, :, :]) ** 2).sum(axis=2)
-        out.extend(int(i) for i in np.argmin(d2, axis=1))
-    return out
+    e = codebook.entries.data  # updated in place by training: norms are not cached
+    d = hd.shape[1]
+    # Why one shortlisted code is the direct argmin.  Let D_j be the exact
+    # squared distance to code j, x_j its expanded and y_j its direct value as
+    # computed, u = eps/2, gamma_n = n*u / (1 - n*u) and S = (|h| + max|e|)^2,
+    # which bounds every |h|^2 + 2|h.e| + |e|^2 and every D_j.  A d-term sum
+    # of products is off by at most gamma_d times the sum of its |terms|, in
+    # any order and with or without FMA (Higham, Accuracy and Stability of
+    # Numerical Algorithms, ch. 3).  Expanded form: three such sums joined by
+    # two additions, so |x_j - D_j| <= gamma_(d+2) * S.  Direct form: each
+    # term (h_i - e_i)^2 carries two roundings, then d terms are summed, so
+    # |y_j - D_j| <= gamma_(d+2) * D_j <= gamma_(d+2) * S.  With j* the direct
+    # argmin, g = 2 * gamma_(d+2) * S and m the expanded minimum, for every k
+    #     x_j* <= y_j* + g <= y_k + g <= x_k + 2g,  so  x_j* <= m + 2g,
+    # and 2g ~ 4(d+2) u S.  The tolerance 4(d+2) eps S is twice that, which
+    # also covers the rounding of S and of m + tol.  Under underflow each of
+    # the 3d expanded and d direct products may lose half a subnormal spacing
+    # as an absolute error, at most 5d spacings in 2g; 12(d+2) spacings keep
+    # the 2x margin.  The bounds need no overflow: S < max/2 keeps every
+    # intermediate finite.  A row fails that test when it or any code holds a
+    # NaN or an infinity, or when it comes near overflow, and goes the direct
+    # way, which warns about such values as it always has.
+    fi = np.finfo(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_sq = np.einsum("ij,ij->i", hd, hd)
+        e_sq = np.einsum("ij,ij->i", e, e)
+        dist = hd @ e.T
+        dist *= -2.0
+        dist += h_sq[:, None]
+        dist += e_sq
+        best = np.argmin(dist, axis=1)
+        low = dist[np.arange(hd.shape[0]), best]
+        scale = (np.sqrt(h_sq) + np.sqrt(e_sq.max())) ** 2
+        tol = 4 * (d + 2) * (fi.eps * scale + 3 * fi.smallest_subnormal)
+        near = np.count_nonzero(dist <= (low + tol)[:, None], axis=1)
+    settled = (near == 1) & (scale < fi.max / 2)
+    rest = np.flatnonzero(~settled)
+    if rest.size:
+        best[rest] = _direct_nearest(hd[rest], e)
+    return best.tolist()
 
 
 class SplitEncoder(nn.Module):
@@ -188,9 +240,8 @@ def _alignment_counts(tok: SpeechTokenizer, manifest: Manifest, frames_per_symbo
     counts = np.zeros((tok.codebook.size, n_symbols), dtype=np.int64)
     for r in manifest:
         mu = tok.tokenize(r.tgt_frames)
-        for i, t in enumerate(mu):
-            s = r.tgt_text[min(i // frames_per_symbol, len(r.tgt_text) - 1)]
-            counts[t, s] += 1
+        at = np.minimum(np.arange(len(mu)) // frames_per_symbol, len(r.tgt_text) - 1)
+        np.add.at(counts, (mu, np.asarray(r.tgt_text, dtype=np.int64)[at]), 1)
     return counts
 
 

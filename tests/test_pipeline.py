@@ -105,3 +105,10 @@ def test_checkpoint_layout_and_rebuild(tmp_path):
         rebuilt = pipeline.resolve_vocoder(st[name])
         _assert_same_module(rebuilt, voc)
         np.testing.assert_array_equal(rebuilt.embedder.w1, voc.embedder.w1)
+
+
+def test_toy_run_records_peak_rss_outside_the_total(toy_run):
+    t = toy_run.timings
+    assert t["peak_rss_mb"] > 0
+    stages = ("corpus", "tokenizer", "model", "vocoder", "evaluation")
+    assert t["total"] == sum(t[k] for k in stages)

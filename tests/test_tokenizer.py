@@ -9,6 +9,7 @@ from minis2st.tokenizer import (
     SpeechTokenizer,
     TextToTokenModel,
     TokenizerConfig,
+    _alignment_counts,
     quantize,
     token_purity,
     token_symbol_alignment,
@@ -61,6 +62,103 @@ def test_quantize_crosses_chunk_boundary():
     got = quantize(h, cb)
     want = [oracles.nearest_code_bruteforce(row, cb.entries.data) for row in h]
     assert got == want
+
+
+def check_quantize(h, cb):
+    """quantize against the exhaustive oracle; returns the tokens."""
+    got = quantize(h, cb)
+    assert type(got) is list and all(type(t) is int for t in got)
+    assert got == [oracles.nearest_code_bruteforce(row, cb.entries.data) for row in h]
+    return got
+
+
+def test_quantize_exact_at_midpoints_and_ulp_neighbours():
+    rng = np.random.default_rng(11)
+    # integer codes: each midpoint of two codes is exact, a true tie
+    cb = make_codebook(rng, 16, 3)
+    cb.entries.data[:] = rng.integers(-3, 4, size=(16, 3))
+    pairs = rng.integers(0, 16, size=(40, 2))
+    mids = (cb.entries.data[pairs[:, 0]] + cb.entries.data[pairs[:, 1]]) / 2
+    check_quantize(mids, cb)
+    # normal codes: rounded midpoints sit within an ulp or so of a tie
+    cb = make_codebook(rng, 32, 5)
+    pairs = rng.integers(0, 32, size=(40, 2))
+    check_quantize((cb.entries.data[pairs[:, 0]] + cb.entries.data[pairs[:, 1]]) / 2, cb)
+    # codes one ulp apart, and rows on, between and around them
+    e = cb.entries.data
+    e[7] = np.nextafter(e[3], np.inf)
+    e[2] = np.nextafter(e[3], -np.inf)
+    rows = np.vstack([e[3], e[7], e[2], (e[3] + e[7]) / 2,
+                      e[3] + 1e-12 * rng.normal(size=(6, 5))])
+    check_quantize(rows, cb)
+
+
+def test_quantize_exact_with_duplicate_codes():
+    rng = np.random.default_rng(12)
+    cb = make_codebook(rng, 24, 4)
+    e = cb.entries.data
+    e[[5, 9, 20]] = e[2]
+    e[17] = e[11]
+    rows = np.vstack([e[[2, 5, 9, 11, 17, 20]], e[2] + 0.01 * rng.normal(size=(8, 4)),
+                      rng.normal(size=(10, 4))])
+    got = check_quantize(rows, cb)
+    assert got[:6] == [2, 2, 2, 11, 11, 2]
+
+
+def test_quantize_exact_under_a_large_common_offset():
+    # |h| about 1e8 with unit-scale differences: the expanded distances cancel
+    # down to noise, so the shortlist must widen and the direct form decide
+    rng = np.random.default_rng(13)
+    cb = make_codebook(rng, 64, 8)
+    cb.entries.data[:] = 1e8 / np.sqrt(8) + rng.normal(size=(64, 8))
+    h = 1e8 / np.sqrt(8) + rng.normal(size=(50, 8))
+    got = check_quantize(h, cb)
+    e = cb.entries.data
+    expanded = (h * h).sum(1)[:, None] - 2 * h @ e.T + (e * e).sum(1)
+    assert got != np.argmin(expanded, axis=1).tolist()  # the case is adversarial
+
+
+def test_quantize_non_finite_rows_and_overflow():
+    rng = np.random.default_rng(14)
+    cb = make_codebook(rng, 12, 3)
+    nan, inf = np.nan, np.inf
+    rows = np.array([[nan, nan, nan], [nan, 0.0, 1.0], [inf, 0.0, 0.0], [-inf, 1.0, 0.0],
+                     [inf, -inf, 0.0], [0.1, 0.2, 0.3]])
+    # all-NaN and all-inf distances go to index 0, as argmin has always given
+    assert check_quantize(rows, cb)[:5] == [0] * 5
+    # entries near 1e200: their squared distances overflow to inf, and so do
+    # the expanded norms of every row that comes near them
+    cb.entries.data[[4, 8]] = 1e200 * rng.normal(size=(2, 3))
+    rows = np.vstack([rng.normal(size=(5, 3)), cb.entries.data[[8, 4]],
+                      cb.entries.data[8] * (1 + 1e-15), [1e200, 0.0, 0.0]])
+    got = check_quantize(rows, cb)
+    assert got[5:7] == [8, 4] and 4 not in got[:5] and 8 not in got[:5]
+    # finite norms, but 2 h.e overflows to -inf at a farther code
+    cb = make_codebook(rng, 2, 2)
+    cb.entries.data[:] = [[1.3e154, 0.0], [0.77e154, 0.0]]
+    assert check_quantize(cb.entries.data[1:], cb) == [1]
+
+
+def test_quantize_one_dimensional_codes():
+    rng = np.random.default_rng(15)
+    cb = make_codebook(rng, 9, 1)
+    cb.entries.data[:, 0] = [0.0, 1.0, 1.0, -2.0, 5.0, 0.5, 3.0, 3.0, -0.5]
+    rows = np.array([[0.25], [0.75], [2.0], [4.0], [-1.25], [1.0], [3.0], [1e6], [-1e-300]])
+    assert check_quantize(rows, cb)[:7] == [0, 1, 1, 4, 3, 1, 6]
+    check_quantize(rng.normal(scale=3.0, size=(30, 1)), cb)
+
+
+def test_quantize_many_rows_on_the_default_codebook():
+    rng = np.random.default_rng(16)
+    cfg = TokenizerConfig()
+    cb = Codebook(cfg.codebook_size, cfg.dim, rng)
+    e = cb.entries.data
+    e[4000] = e[17]
+    pairs = rng.integers(0, cfg.codebook_size, size=(10, 2))
+    rows = np.vstack([rng.normal(size=(60, cfg.dim)), e[[17, 4000]],
+                      (e[pairs[:, 0]] + e[pairs[:, 1]]) / 2])
+    assert rows.shape[0] > 64
+    check_quantize(rows, cb)
 
 
 def test_quantize_input_validation():
@@ -189,6 +287,25 @@ def test_alignment_table_majority_votes():
             hits += int(table[t] == r.tgt_text[i // cfg.frames_per_symbol])
             frames += 1
     assert token_purity(tok, m, cfg.frames_per_symbol, cfg.tgt_vocab) == hits / frames
+
+
+def test_alignment_counts_match_the_hand_loop_with_duplicate_codes():
+    cfg = ToyCorpusConfig(src_vocab=3, tgt_vocab=4, len_min=2, len_max=4, pairs=12,
+                          speakers=2, feat_dim=4, frames_per_symbol=3)
+    m = generate_toy_corpus(cfg, 1)
+    tok = SpeechTokenizer(tiny_cfg(codebook_size=10), seed=2)
+    used = sorted({t for r in m for t in tok.tokenize(r.tgt_frames)})
+    e = tok.codebook.entries.data
+    e[9] = e[used[-1]]  # a duplicate after the code loses every tie to it
+    e[0] = e[used[-1]]  # one before takes its frames over
+    fps = cfg.frames_per_symbol
+    want = np.zeros((10, cfg.tgt_vocab), dtype=np.int64)
+    for r in m:
+        for i, t in enumerate(tok.tokenize(r.tgt_frames)):
+            want[t, r.tgt_text[min(i // fps, len(r.tgt_text) - 1)]] += 1
+    got = _alignment_counts(tok, m, fps, cfg.tgt_vocab)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert want[9].sum() == 0 and want[0].sum() > 0
 
 
 def test_text_to_token_loss_and_generation():

@@ -25,12 +25,14 @@ import numpy as np
 from .corpus import (
     ParseError,
     ToyCorpusConfig,
+    atomic_write,
     check_record_id,
     corpus_stats,
     filter_by_similarity,
     generate_toy_corpus,
     read_frames,
     read_manifest,
+    text_lines,
     write_frames,
     write_manifest,
 )
@@ -181,7 +183,7 @@ def _write_run_manifest(args, argv: list, run: dict, wall_time_s: float):
         "wall_time_s": wall_time_s,
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
 
 
 # ---------------------------------------------------------------- token files
@@ -189,14 +191,14 @@ def _write_run_manifest(args, argv: list, run: dict, wall_time_s: float):
 
 def write_token_file(path, rows):
     """One line per utterance: the id followed by space-separated indices."""
-    lines = [" ".join([rid] + [str(int(t)) for t in toks]) for rid, toks in rows]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    atomic_write(path, (" ".join([rid, *(str(int(t)) for t in toks)]) + "\n"
+                        for rid, toks in rows))
 
 
 def read_token_file(path):
     rows = []
     seen = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in text_lines(path):
         line = raw.strip()
         if not line:
             continue
@@ -370,6 +372,10 @@ def cmd_translate(args) -> dict:
 def cmd_synthesize(args) -> dict:
     voc = resolve_vocoder(load_checkpoint(args.ckpt))
     rows = read_token_file(args.tokens)
+    for rid, tokens in rows:
+        if not all(0 <= t < voc.cfg.audio_vocab for t in tokens):
+            raise ParseError(f"{args.tokens}: {rid!r} holds a token outside the vocoder's "
+                             f"codebook of size {voc.cfg.audio_vocab}")
     prompt = read_frames(args.prompt, frame_rate=voc.cfg.frame_rate)
     spk = voc.embedder.embed(prompt)
     out_dir = Path(args.out_dir)
@@ -392,10 +398,12 @@ def cmd_eval(args) -> dict:
         refs_by_id = {r.id: list(r.tgt_text) for r in read_manifest(args.ref_manifest)}
     else:
         refs_by_id = {rid: toks for rid, toks in read_token_file(args.ref)}
+    if not hyp_rows:
+        raise ParseError(f"{args.hyp}: no utterances to score")
     missing = [rid for rid, _ in hyp_rows if rid not in refs_by_id]
     if missing:
-        raise ValueError(f"no reference for ids: {', '.join(missing[:5])}"
-                         + ("..." if len(missing) > 5 else ""))
+        raise ParseError(f"{args.hyp}: no reference in {args.ref or args.ref_manifest} "
+                         f"for ids: {', '.join(missing[:5])}" + ("..." if len(missing) > 5 else ""))
     hyps = [toks for _, toks in hyp_rows]
     refs = [refs_by_id[rid] for rid, _ in hyp_rows]
     row = EvalRow(
@@ -442,7 +450,7 @@ def cmd_ablate(args) -> dict:
     outputs = report.write(args.out_dir)
     for name, trace in curves.items():
         path = Path(args.out_dir) / f"{name}.curve"
-        path.write_text("".join(f"{i + 1} {v}\n" for i, v in enumerate(trace)))
+        atomic_write(path, (f"{i + 1} {v}\n" for i, v in enumerate(trace)))
         outputs.append(path)
     print(report.render_text(), end="")
     return dict(config=eff, seed=eff["seed"],

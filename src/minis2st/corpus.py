@@ -239,13 +239,43 @@ def generate_toy_corpus(cfg: ToyCorpusConfig, seed: int) -> Manifest:
 # ----------------------------------------------------------------- disk I/O
 
 
+def atomic_write(path, chunks):
+    """Write `chunks` (bytes, or str as UTF-8) to `path` through a sibling temp
+    file that is synced and renamed over it: a crash or an error mid-write
+    leaves any previous file at `path` as it was, and no temp file behind."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename == tmp:  # name the caller's path, not the temp sibling
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
+        raise
+    finally:
+        if os.path.exists(tmp):  # the write failed
+            os.remove(tmp)
+
+
+def text_lines(path):
+    """(line number, line) for each line of a UTF-8 text file; ParseError
+    naming the file and line of the first bytes that are not UTF-8."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}:{lineno}: not UTF-8 text ({exc})") from None
+            yield lineno, line
+
+
 def write_frames(path, sf: SpeechFrames):
     data = np.ascontiguousarray(sf.frames, dtype="<f8")
     t, f = data.shape
-    with open(path, "wb") as fh:
-        fh.write(FRAME_MAGIC)
-        fh.write(struct.pack("<III", FRAME_VERSION, t, f))
-        fh.write(data.tobytes())
+    atomic_write(path, [FRAME_MAGIC, struct.pack("<III", FRAME_VERSION, t, f), data.tobytes()])
 
 
 def read_frames(path, frame_rate: int = 50) -> SpeechFrames:
@@ -266,6 +296,8 @@ def read_frames(path, frame_rate: int = 50) -> SpeechFrames:
             raise ParseError(f"{path}: {what} ({size - 16} bytes, {8 * t * f} declared)")
         payload = fh.read(8 * t * f)
     frames = np.frombuffer(payload, dtype="<f8").reshape(t, f).astype(np.float64)
+    if not np.isfinite(frames).all():
+        raise ParseError(f"{path}: frames contain non-finite values")
     return SpeechFrames(frames, frame_rate)
 
 
@@ -298,7 +330,7 @@ def write_manifest(m: Manifest, path):
                 sort_keys=True,
             )
         )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write(path, (line + "\n" for line in lines))
 
 
 # manifest record field -> (type check, what it wants), in constructor order
@@ -331,48 +363,47 @@ def read_manifest(path) -> Manifest:
     records = []
     metadata = {}
     seen = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}:{lineno}: invalid record: {e}") from e
-            if not isinstance(obj, dict):
-                raise ParseError(f"{path}:{lineno}: record is not a JSON object")
-            if lineno == 1 and "manifest" in obj:
-                metadata = obj["manifest"]
-                if not isinstance(metadata, dict):
-                    raise ParseError(f"{path}:1: manifest metadata is not a JSON object")
-                for key in _META_INTS:
-                    if key in metadata and not (type(metadata[key]) is int and metadata[key] >= 1):
-                        raise ParseError(f"{path}:1: metadata {key!r} is not an int >= 1")
-                continue
-            for key, (ok, what) in _RECORD_FIELDS.items():
-                if key not in obj:
-                    raise ParseError(f"{path}:{lineno}: missing field {key!r}")
-                if not ok(obj[key]):
-                    raise ParseError(f"{path}:{lineno}: field {key!r} is not {what}")
-            check_record_id(obj["id"], path, lineno, seen)
-            frames = {}
-            for key in ("src_frames", "tgt_frames"):
-                f = read_frames(path.parent / obj[key], metadata.get("frame_rate", 50))
-                if f.feat_dim != metadata.get("feat_dim", f.feat_dim):
-                    raise ParseError(f"{path}:{lineno}: {key} file has {f.feat_dim} features, "
-                                     f"metadata 'feat_dim' is {metadata['feat_dim']}")
-                frames[key] = f
-            records.append(
-                UtterancePair(
-                    id=obj["id"],
-                    src_text=obj["src_text"],
-                    tgt_text=obj["tgt_text"],
-                    speaker=obj["speaker"],
-                    similarity=float(obj["similarity"]),
-                    **frames,
-                )
+    for lineno, line in text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"{path}:{lineno}: invalid record: {e}") from e
+        if not isinstance(obj, dict):
+            raise ParseError(f"{path}:{lineno}: record is not a JSON object")
+        if lineno == 1 and "manifest" in obj:
+            metadata = obj["manifest"]
+            if not isinstance(metadata, dict):
+                raise ParseError(f"{path}:1: manifest metadata is not a JSON object")
+            for key in _META_INTS:
+                if key in metadata and not (type(metadata[key]) is int and metadata[key] >= 1):
+                    raise ParseError(f"{path}:1: metadata {key!r} is not an int >= 1")
+            continue
+        for key, (ok, what) in _RECORD_FIELDS.items():
+            if key not in obj:
+                raise ParseError(f"{path}:{lineno}: missing field {key!r}")
+            if not ok(obj[key]):
+                raise ParseError(f"{path}:{lineno}: field {key!r} is not {what}")
+        check_record_id(obj["id"], path, lineno, seen)
+        frames = {}
+        for key in ("src_frames", "tgt_frames"):
+            f = read_frames(path.parent / obj[key], metadata.get("frame_rate", 50))
+            if f.feat_dim != metadata.get("feat_dim", f.feat_dim):
+                raise ParseError(f"{path}:{lineno}: {key} file has {f.feat_dim} features, "
+                                 f"metadata 'feat_dim' is {metadata['feat_dim']}")
+            frames[key] = f
+        records.append(
+            UtterancePair(
+                id=obj["id"],
+                src_text=obj["src_text"],
+                tgt_text=obj["tgt_text"],
+                speaker=obj["speaker"],
+                similarity=float(obj["similarity"]),
+                **frames,
             )
+        )
     return Manifest(records=records, metadata=metadata)
 
 

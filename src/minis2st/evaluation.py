@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Manifest, cosine_similarity
+from .corpus import Manifest, atomic_write, cosine_similarity
 
 
 # ---------------------------------------------------------------- text metrics
@@ -176,8 +176,8 @@ class EvalReport:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         txt, kv = out_dir / "report.txt", out_dir / "report.kv"
-        txt.write_text(self.render_text())
-        kv.write_text(self.to_kv())
+        atomic_write(txt, [self.render_text()])
+        atomic_write(kv, [self.to_kv()])
         return [txt, kv]
 
 

@@ -13,10 +13,11 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .corpus import ParseError
+from .corpus import ParseError, atomic_write
 from .tensor import Tape, backward, rng_for, seed_for, zero_grad
 
 
@@ -110,8 +111,8 @@ class CheckpointState:
 
 
 def save_checkpoint(path, st: CheckpointState):
-    """Write a sibling temp file, sync it and rename it over `path`: a crash or
-    an error mid-write leaves any previous checkpoint at `path` as it was."""
+    """Write `st` to `path` through `atomic_write`, one tensor at a time: a
+    crash or an error mid-write leaves any previous checkpoint as it was."""
     names = sorted(st.tensors)
     header = {
         "kind": st.kind,
@@ -122,20 +123,9 @@ def save_checkpoint(path, st: CheckpointState):
         "tensors": [{"name": n, "shape": list(np.asarray(st.tensors[n]).shape)} for n in names],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CKPT_MAGIC)
-            fh.write(struct.pack("<IQ", CKPT_VERSION, len(blob)))
-            fh.write(blob)
-            for n in names:
-                fh.write(np.ascontiguousarray(st.tensors[n], dtype="<f8").tobytes())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):  # the write failed
-            os.remove(tmp)
+    tensors = (np.ascontiguousarray(st.tensors[n], dtype="<f8").tobytes() for n in names)
+    atomic_write(path, chain([CKPT_MAGIC, struct.pack("<IQ", CKPT_VERSION, len(blob)), blob],
+                             tensors))
 
 
 def load_checkpoint(path) -> CheckpointState:

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import shlex
 import struct
 from dataclasses import asdict
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import minis2st.cli
+import minis2st.corpus
 import minis2st.training
 
 from goldens import cli_chain, run_manifest_path
@@ -321,6 +324,62 @@ def test_synthesize_refuses_a_token_file_id_that_cannot_name_a_file(tmp_path, ca
     assert set(tmp_path.rglob("*")) == before
 
 
+def test_synthesize_refuses_a_token_outside_the_codebook(tmp_path, capsys):
+    voc = _tiny_vocoder()
+    ckpt, tokens, prompt = tmp_path / "voc.ckpt", tmp_path / "t.tok", tmp_path / "p.ds2f"
+    save_checkpoint(ckpt, CheckpointState(kind="vocoder", config=voc.recipe, step=0,
+                                          tensors=_trainable(voc)))
+    write_token_file(tokens, [("u0", [1, 2]), ("u1", [3, 8])])
+    write_frames(prompt, SpeechFrames(np.zeros((5, 8)), 50))
+    before = set(tmp_path.rglob("*"))
+    assert main(["synthesize", "--ckpt", str(ckpt), "--tokens", str(tokens),
+                 "--prompt", str(prompt), "--out-dir", str(tmp_path / "out")]) == 2
+    assert ("t.tok: 'u1' holds a token outside the vocoder's codebook of size 8"
+            in capsys.readouterr().err)
+    assert set(tmp_path.rglob("*")) == before
+
+
+def test_eval_refuses_a_hypothesis_file_it_cannot_score(tmp_path, capsys):
+    hyp, ref = tmp_path / "h.tok", tmp_path / "r.tok"
+    write_token_file(ref, [("u0", [1, 2])])
+    for rows, message in (([], "h.tok: no utterances to score"),
+                          ([("u0", [1]), ("u9", [2])], "h.tok: no reference in "
+                           f"{ref} for ids: u9")):
+        write_token_file(hyp, rows)
+        assert main(["eval", "--hyp", str(hyp), "--ref", str(ref),
+                     "--out-dir", str(tmp_path / "report")]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+
+
+def test_input_that_is_not_utf8_exits_two_naming_file_and_line(tmp_path, capsys):
+    m = tmp_path / "m.jsonl"
+    write_manifest(generate_toy_corpus(ToyCorpusConfig(pairs=2), 0), m)
+    lines = m.read_bytes().splitlines(keepends=True)
+    m.write_bytes(b"".join([*lines[:2], lines[2][:12] + b"\xff" + lines[2][13:]]))
+    hyp = tmp_path / "h.tok"
+    hyp.write_bytes(b"u0 1 2\nu1 3 4 5 6\xff 7\n")
+    for argv, where in ((["filter", "--in", str(m), "--out", str(tmp_path / "kept.jsonl")],
+                         f"{m}:3"),
+                        (["eval", "--hyp", str(hyp), "--ref", str(hyp),
+                          "--out-dir", str(tmp_path / "report")], f"{hyp}:2")):
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {where}: not UTF-8 text") and "0xff" in err, err
+
+
+def test_frame_file_holding_nan_or_inf_exits_two_naming_it(tmp_path, capsys):
+    m = tmp_path / "m.jsonl"
+    write_manifest(generate_toy_corpus(ToyCorpusConfig(pairs=2), 0), m)
+    frames = tmp_path / "m.frames" / "utt00000.tgt.ds2f"
+    good = frames.read_bytes()
+    for value in (np.nan, np.inf, -np.inf):
+        frames.write_bytes(good[:-8] + struct.pack("<d", value))
+        assert main(["filter", "--in", str(m), "--out", str(tmp_path / "kept.jsonl")]) == 2
+        assert (f"parse error: {frames}: frames contain non-finite values\n"
+                == capsys.readouterr().err)
+
+
 # ------------------------------------------------------------------ coerce
 
 
@@ -467,6 +526,78 @@ def test_text_token_chain_writes_no_temp_checkpoints(tmp_path, monkeypatch, caps
     capsys.readouterr()
     assert set(written) == {str(tok), str(model)}
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.fixture(scope="module")
+def chain_dir(tmp_path_factory):
+    """A directory holding everything the golden CLI chain writes."""
+    d = tmp_path_factory.mktemp("chain")
+    for argv in cli_chain(d):
+        assert main(argv) == 0, argv
+    return d
+
+
+class _FillingDisk:
+    """A file that takes `room` bytes and then fails as a full disk does."""
+
+    def __init__(self, fh, room: int):
+        self.fh, self.room = fh, room
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: self.room])
+        self.room -= min(len(data), self.room)
+        if self.room == 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+# every write site of the package: (command of the chain, a file it writes)
+_WRITES = {
+    "frames": ("gen-corpus", "m.frames/utt00000.src.ds2f"),
+    "manifest": ("gen-corpus", "m.jsonl"),
+    "run-manifest": ("gen-corpus", "m.jsonl.run.json"),
+    "checkpoint": ("train-tokenizer", "tok.ckpt"),
+    "token-file": ("tokenize", "val.tok"),
+    "report-text": ("eval", "eval/report.txt"),
+    "report-kv": ("eval", "eval/report.kv"),
+    "curve": ("ablate", "ablate/speech-tokens.curve"),
+}
+
+
+@pytest.mark.parametrize("writer", _WRITES)
+def test_failed_write_keeps_the_previous_file(chain_dir, writer, monkeypatch, capsys):
+    command, name = _WRITES[writer]
+    target = chain_dir / name
+    before = target.read_bytes()
+    real_open = open
+
+    def open_(file, mode="r", *args, **kwargs):  # the disk fills halfway through `target`
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and os.fspath(file).startswith(str(target)):
+            return _FillingDisk(fh, len(before) // 2)
+        return fh
+
+    # every writer opens its file through atomic_write, in corpus
+    monkeypatch.setattr(minis2st.corpus, "open", open_, raising=False)
+    argv = next(argv for argv in cli_chain(chain_dir) if argv[0] == command)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"i/o error: [Errno {errno.ENOSPC}] No space left on device\n"
+    assert target.read_bytes() == before
+    assert not list(chain_dir.rglob("*.tmp"))
+
+
+def test_write_into_a_missing_directory_names_the_path_given(chain_dir, tmp_path, capsys):
+    out = tmp_path / "nodir" / "t"
+    assert main(["tokenize", "--ckpt", str(chain_dir / "tok.ckpt"),
+                 "--in", str(chain_dir / "m.val.jsonl"), "--out", str(out)]) == 2
+    assert (capsys.readouterr().err
+            == f"missing file: [Errno {errno.ENOENT}] No such file or directory: '{out}'\n")
+    assert not list(tmp_path.rglob("*"))
 
 
 def test_every_command_writes_its_run_manifest(tmp_path, capsys):

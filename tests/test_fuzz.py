@@ -1,0 +1,98 @@
+"""Seeded mutation fuzz of the CLI readers.
+
+Small checkpoint, frame, manifest and token files are truncated at every
+offset of their header and at a seeded sample of payload offsets, and each
+header byte is flipped with a seeded mask; every mutant is fed to the
+commands that read that kind of file.  A mutant may still be well formed, so
+a run may succeed (exit 0), and a checkpoint whose recipe no longer rebuilds
+exits 4; anything else must be refused as a corrupt file (exit 2) with one
+line on stderr.  No mutant may exit 1 or print a traceback.
+"""
+import functools
+import struct
+
+import numpy as np
+import pytest
+
+import minis2st.cli
+from minis2st.cli import main, write_token_file
+from minis2st.corpus import ToyCorpusConfig, generate_toy_corpus, write_manifest
+from minis2st.tokenizer import SpeechTokenizer, TokenizerConfig
+from minis2st.training import CheckpointState, save_checkpoint
+from minis2st.vocoder import TimbreVocoder, VocoderConfig
+
+SEED = 20261019
+PAYLOAD_CUTS = 6  # sampled truncation offsets past the header, per file
+
+
+def _save_module(path, kind, module):
+    tensors = {k: t.data for k, t in module.trainable().items()}
+    save_checkpoint(path, CheckpointState(kind=kind, config=module.recipe, step=0,
+                                          tensors=tensors))
+
+
+@pytest.fixture
+def files(tmp_path):
+    """The inputs, and for each file the commands that read it."""
+    m = tmp_path / "m.jsonl"
+    write_manifest(generate_toy_corpus(ToyCorpusConfig(pairs=2, len_max=4), 0), m)
+    tok, voc = tmp_path / "tok.ckpt", tmp_path / "voc.ckpt"
+    _save_module(tok, "tokenizer",
+                 SpeechTokenizer(TokenizerConfig(dim=8, codebook_size=8, enc1_blocks=1,
+                                                 enc2_blocks=1, asr_blocks=1, heads=2), 0))
+    _save_module(voc, "vocoder", TimbreVocoder(VocoderConfig(audio_vocab=8, token_dim=4,
+                                                             d_model=8, blocks=1, heads=2), 0))
+    tokens = tmp_path / "t.tok"
+    write_token_file(tokens, [("utt00000", [1, 7, 3]), ("utt00001", [4, 0])])
+    frames = tmp_path / "m.frames" / "utt00000.tgt.ds2f"
+    out = tmp_path / "out"
+    tokenize = ["tokenize", "--ckpt", tok, "--in", m, "--out", out / "t.tok"]
+    synthesize = ["synthesize", "--ckpt", voc, "--tokens", tokens, "--prompt", frames,
+                  "--out-dir", out / "synth"]
+    filter_ = ["filter", "--in", m, "--out", out / "kept.jsonl"]
+    eval_ = ["eval", "--hyp", tokens, "--ref-manifest", m, "--out-dir", out / "eval"]
+    return {tok: [tokenize], frames: [synthesize, filter_], m: [filter_],
+            tokens: [synthesize, eval_]}
+
+
+def _header_len(path, data: bytes) -> int:
+    if path.suffix == ".ckpt":  # magic, version, header length, JSON header
+        return 16 + struct.unpack("<Q", data[8:16])[0]
+    if path.suffix == ".ds2f":  # magic, version, rows, columns
+        return 16
+    return data.index(b"\n") + 1  # a text file's first line
+
+
+def _mutants(path, data: bytes, rng):
+    """(what, bytes) for every truncation and header flip of `data`."""
+    head = _header_len(path, data)
+    cuts = sorted({*range(head + 1),
+                   *rng.integers(head + 1, len(data), size=PAYLOAD_CUTS).tolist()})
+    for n in cuts:
+        yield f"cut at {n}", data[:n]
+    for i, mask in enumerate(rng.integers(1, 256, size=head).tolist()):
+        flipped = bytearray(data)
+        flipped[i] ^= mask
+        yield f"byte {i} ^ {mask:#04x}", bytes(flipped)
+
+
+def test_mutated_inputs_exit_zero_two_or_four(files, monkeypatch, capsys):
+    # building the parser is most of a refused run's time; it reads no file
+    monkeypatch.setattr(minis2st.cli, "build_parser", functools.cache(minis2st.cli.build_parser))
+    rng = np.random.default_rng(SEED)
+    bad, runs = [], 0
+    for path, commands in files.items():
+        data = path.read_bytes()
+        allowed = (0, 2, 4) if path.suffix == ".ckpt" else (0, 2)
+        for what, mutant in _mutants(path, data, rng):
+            path.write_bytes(mutant)
+            for argv in commands:
+                code = main([str(a) for a in argv])
+                err = capsys.readouterr().err
+                runs += 1
+                one_line = err.count("\n") == 1 and err.endswith("\n")
+                if code not in allowed or (code and not one_line) or "Traceback" in err:
+                    bad.append(f"{argv[0]} on {path.name} {what}: exit {code}: {err!r:.300}")
+        path.write_bytes(data)
+    assert runs > 1000
+    assert not bad, f"{len(bad)} of {runs} runs:\n" + "\n".join(bad[:20])

@@ -158,18 +158,6 @@ def test_checkpoint_resave_is_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, _sample_state())
-    before = path.read_bytes()
-    bad = _sample_state()
-    bad.tensors["z.bad"] = "not a number"  # sorts last: fails after the others are written
-    with pytest.raises(ValueError):
-        save_checkpoint(path, bad)
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
-
-
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 64)

@@ -216,6 +216,13 @@ def read_token_file(path):
 # input paths (besides --config) and outputs; main() times it and writes it.
 
 
+def _print_stage(name: str, result):
+    """A training stage's TrainResult as one line, which says when no validation ran."""
+    done = (f"best val {result.best_val:.6g} at step {result.best_step}" if result.val_history
+            else f"never validated; the checkpoint holds the step-{result.state.step} weights")
+    print(f"{name}: {result.steps} steps, {done}")
+
+
 def cmd_gen_corpus(args) -> dict:
     eff = _layer(_DEFAULTS["gen-corpus"](), args)
     cfg = ToyCorpusConfig(**_pick(eff, ToyCorpusConfig))
@@ -263,15 +270,13 @@ def cmd_train_tokenizer(args) -> dict:
         checkpoint_path=args.out, log_path=log_path,
         max_steps=eff["max_steps"] or None,
     )
-    print(f"tokenizer: {result.steps} steps, best val {result.best_val:.4f} "
-          f"at step {result.best_step}")
+    _print_stage("tokenizer", result)
     if eff["with_text_to_token"]:
         t2t, t2t_result = train_text_to_token_stage(
             train_m, val_m, tok, seed=eff["seed"], max_steps=eff["max_steps"] or None,
         )
         save_checkpoint(args.out, bundle(result.state, "text_to_token", t2t))
-        print(f"text-to-token: {t2t_result.steps} steps, "
-              f"best val {t2t_result.best_val:.4f}")
+        _print_stage("text-to-token", t2t_result)
     return dict(config=eff, seed=eff["seed"], inputs=[args.train, args.val],
                 outputs=[args.out, log_path])
 
@@ -309,8 +314,7 @@ def cmd_train_model(args) -> dict:
         token_source=eff["token_source"], text_to_token=t2t,
         checkpoint_path=args.out, log_path=log_path, max_steps=max_steps,
     )
-    print(f"model: {result.steps} steps, best val {result.best_val:.4f} "
-          f"at step {result.best_step}")
+    _print_stage("model", result)
 
     if eff["with_vocoder"]:
         voc_cfg = replace(toy_vocoder_config(), feat_dim=tok.cfg.feat_dim,
@@ -320,7 +324,7 @@ def cmd_train_model(args) -> dict:
             train_m, val_m, tok, voc_cfg, seed=eff["seed"], max_steps=max_steps,
         )
         save_checkpoint(args.out, bundle(result.state, "vocoder", voc))
-        print(f"vocoder: {voc_result.steps} steps, best val {voc_result.best_val:.6f}")
+        _print_stage("vocoder", voc_result)
     return dict(config=eff, seed=eff["seed"], inputs=[args.train, args.val, args.tokenizer],
                 outputs=[args.out, log_path])
 

@@ -1,11 +1,13 @@
 """Bilingual utterance corpus: types, toy generator, similarity filter, disk formats.
 
-A manifest is line-delimited JSON (first line metadata, one utterance per
-following line) with per-utterance frame matrices in binary sidecar files.
-Frame files hold raw float64 little-endian data so round-trips are bit-exact.
+A manifest is one file of line-delimited JSON: the first line metadata, then
+one utterance per line, its source and target frames inline as base64 of the
+bytes a frame file holds.  Frame files hold raw float64 little-endian data,
+so round-trips are bit-exact.
 """
 from __future__ import annotations
 
+import base64
 import json
 import os
 import struct
@@ -272,64 +274,52 @@ def text_lines(path):
             yield lineno, line
 
 
-def write_frames(path, sf: SpeechFrames):
+def encode_frames(sf: SpeechFrames) -> bytes:
+    """The bytes of a frame file: magic, then version, rows and columns as
+    little-endian uint32, then the rows as little-endian float64."""
     data = np.ascontiguousarray(sf.frames, dtype="<f8")
-    t, f = data.shape
-    atomic_write(path, [FRAME_MAGIC, struct.pack("<III", FRAME_VERSION, t, f), data.tobytes()])
+    return FRAME_MAGIC + struct.pack("<III", FRAME_VERSION, *data.shape) + data.tobytes()
 
 
-def read_frames(path, frame_rate: int = 50) -> SpeechFrames:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        magic = fh.read(4)
-        if magic != FRAME_MAGIC:
-            raise ParseError(f"{path}: bad magic {magic!r}, expected {FRAME_MAGIC!r}")
-        fixed = fh.read(12)
-        if len(fixed) != 12:
-            raise ParseError(f"{path}: truncated frame-file header")
-        version, t, f = struct.unpack("<III", fixed)
-        if version != FRAME_VERSION:
-            raise ParseError(f"{path}: unsupported frame-file version {version}")
-        if size - 16 != 8 * t * f:
-            what = "truncated payload" if size - 16 < 8 * t * f else "bytes trail the payload"
-            raise ParseError(f"{path}: {what} ({size - 16} bytes, {8 * t * f} declared)")
-        payload = fh.read(8 * t * f)
-    frames = np.frombuffer(payload, dtype="<f8").reshape(t, f).astype(np.float64)
+def parse_frames(data: bytes, frame_rate: int, where: str) -> SpeechFrames:
+    """The frames `encode_frames` wrote into `data`; ParseError starting with
+    `where` for a bad magic, version or size, or a NaN or infinite value."""
+    if data[:4] != FRAME_MAGIC:
+        raise ParseError(f"{where}: bad magic {data[:4]!r}, expected {FRAME_MAGIC!r}")
+    if len(data) < 16:
+        raise ParseError(f"{where}: truncated frame header")
+    version, t, f = struct.unpack_from("<III", data, 4)
+    if version != FRAME_VERSION:
+        raise ParseError(f"{where}: unsupported frame version {version}")
+    if len(data) - 16 != 8 * t * f:
+        what = "truncated payload" if len(data) - 16 < 8 * t * f else "bytes trail the payload"
+        raise ParseError(f"{where}: {what} ({len(data) - 16} bytes, {8 * t * f} declared)")
+    frames = np.frombuffer(data, dtype="<f8", offset=16).reshape(t, f).astype(np.float64)
     if not np.isfinite(frames).all():
-        raise ParseError(f"{path}: frames contain non-finite values")
+        raise ParseError(f"{where}: frames contain non-finite values")
     return SpeechFrames(frames, frame_rate)
 
 
-def _frames_dir(manifest_path: Path) -> Path:
-    return manifest_path.parent / f"{manifest_path.stem}.frames"
+def write_frames(path, sf: SpeechFrames):
+    atomic_write(path, [encode_frames(sf)])
+
+
+def read_frames(path, frame_rate: int = 50) -> SpeechFrames:
+    return parse_frames(Path(path).read_bytes(), frame_rate, str(path))
 
 
 def write_manifest(m: Manifest, path):
+    """One file, replaced whole by one atomic_write: a metadata line, then one
+    line per record holding its frames as base64 of their frame-file bytes."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fdir = _frames_dir(path)
-    fdir.mkdir(parents=True, exist_ok=True)
     lines = [json.dumps({"manifest": m.metadata}, sort_keys=True)]
     for r in m.records:
-        src_rel = f"{fdir.name}/{r.id}.src.ds2f"
-        tgt_rel = f"{fdir.name}/{r.id}.tgt.ds2f"
-        write_frames(path.parent / src_rel, r.src_frames)
-        write_frames(path.parent / tgt_rel, r.tgt_frames)
-        lines.append(
-            json.dumps(
-                {
-                    "id": r.id,
-                    "speaker": r.speaker,
-                    "similarity": r.similarity,
-                    "src_text": list(r.src_text),
-                    "tgt_text": list(r.tgt_text),
-                    "src_frames": src_rel,
-                    "tgt_frames": tgt_rel,
-                },
-                sort_keys=True,
-            )
-        )
+        src, tgt = (base64.b64encode(encode_frames(sf)).decode("ascii")
+                    for sf in (r.src_frames, r.tgt_frames))
+        lines.append(json.dumps({"id": r.id, "speaker": r.speaker, "similarity": r.similarity,
+                                 "src_text": list(r.src_text), "tgt_text": list(r.tgt_text),
+                                 "src_frames": src, "tgt_frames": tgt}, sort_keys=True))
     atomic_write(path, (line + "\n" for line in lines))
 
 
@@ -358,8 +348,6 @@ def check_record_id(rid: str, path, lineno: int, seen: dict):
 
 def read_manifest(path) -> Manifest:
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"manifest not found: {path}")
     records = []
     metadata = {}
     seen = {}
@@ -389,9 +377,14 @@ def read_manifest(path) -> Manifest:
         check_record_id(obj["id"], path, lineno, seen)
         frames = {}
         for key in ("src_frames", "tgt_frames"):
-            f = read_frames(path.parent / obj[key], metadata.get("frame_rate", 50))
+            where = f"{path}:{lineno}: field {key!r}"
+            try:
+                data = base64.b64decode(obj[key], validate=True)
+            except ValueError as exc:  # binascii.Error, or a character beyond ASCII
+                raise ParseError(f"{where}: not base64 ({exc})") from None
+            f = parse_frames(data, metadata.get("frame_rate", 50), where)
             if f.feat_dim != metadata.get("feat_dim", f.feat_dim):
-                raise ParseError(f"{path}:{lineno}: {key} file has {f.feat_dim} features, "
+                raise ParseError(f"{where}: {f.feat_dim} features, "
                                  f"metadata 'feat_dim' is {metadata['feat_dim']}")
             frames[key] = f
         records.append(

@@ -127,6 +127,9 @@ class MultiHeadAttention(Module):
             raise ValueError(f"model dim {d} not divisible by heads {heads}")
         self.wq = Linear(d, d, rng)
         self.wk = Linear(d, d, rng)
+        # softmax is shift-invariant per query row, so a key bias has a true
+        # gradient of 0: training it would only accumulate rounding noise
+        self.wk.b.requires_grad = False
         self.wv = Linear(d, d, rng)
         self.wo = Linear(d, d, rng)
         self._heads = heads

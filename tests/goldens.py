@@ -3,9 +3,10 @@
 The chain is every CLI command on a 12-pair corpus at two training steps,
 then `run_toy_pipeline` at eight steps per stage.  Its digest holds the
 SHA-256 of every file written, and the shape, sum and L2 norm of every float
-array in them (checkpoint tensors, frame files, numeric columns of training
-logs), plus the NumPy and BLAS versions it was made with.  `test_goldens.py`
-compares a fresh run against `goldens.json`.
+array in them (checkpoint tensors, frame files, the frames of manifest
+records, numeric columns of training logs), plus the NumPy and BLAS versions
+it was made with.  `test_goldens.py` compares a fresh run against
+`goldens.json`.
 
 Re-record only for a change that means to alter outputs, and say why:
 
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from minis2st.cli import main
-from minis2st.corpus import read_frames
+from minis2st.corpus import read_frames, read_manifest
 from minis2st.model import DecodeConfig
 from minis2st.pipeline import run_toy_pipeline, toy_corpus_config
 from minis2st.training import load_checkpoint
@@ -94,6 +95,9 @@ def _file_arrays(path: Path) -> dict:
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         keys = sorted({k for r in rows for k, v in r.items() if isinstance(v, float)})
         return {k: np.array([r[k] for r in rows if k in r]) for k in keys}
+    if path.suffix == ".jsonl":  # a manifest: every record's frames
+        return {f"{r.id}.{side}": getattr(r, f"{side}_frames").frames
+                for r in read_manifest(path) for side in ("src", "tgt")}
     return {}
 
 

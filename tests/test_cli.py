@@ -1,6 +1,8 @@
+import base64
 import errno
 import json
 import os
+import re
 import shlex
 import struct
 from dataclasses import asdict
@@ -35,7 +37,7 @@ from minis2st.corpus import (
 from minis2st.model import ModelConfig, TranslationModel
 from minis2st.pipeline import bundle
 from minis2st.tokenizer import SpeechTokenizer, TextToTokenModel, TokenizerConfig
-from minis2st.training import CheckpointState, save_checkpoint
+from minis2st.training import CheckpointState, load_checkpoint, save_checkpoint
 from minis2st.vocoder import SpeakerEmbedder, TimbreVocoder, VocoderConfig
 
 
@@ -182,7 +184,8 @@ def test_manifest_feat_dim_unlike_its_frames_exits_two(tmp_path, capsys):
     m.write_text("\n".join(lines) + "\n")
     assert main(["train-tokenizer", "--train", str(m), "--val", str(m),
                  "--out", str(tmp_path / "tok.ckpt"), "--max-steps", "1"]) == 2
-    assert "m.jsonl:2: src_frames file has 8 features" in capsys.readouterr().err
+    assert ("m.jsonl:2: field 'src_frames': 8 features, metadata 'feat_dim' is 5"
+            in capsys.readouterr().err)
 
 
 def test_frames_narrower_than_the_checkpoint_exit_one_naming_both_widths(tmp_path, capsys):
@@ -211,6 +214,11 @@ def test_mistyped_manifest_field_exits_two(tmp_path, capsys):
         (1, {**meta, "manifest": {**meta["manifest"], "frame_rate": None}},
          "metadata 'frame_rate' is not an int >= 1"),
         (2, {**json.loads(good[1]), "src_frames": 5}, "field 'src_frames' is not a string"),
+        # a manifest of an earlier build names a frame file; gen-corpus remakes it
+        (2, {**json.loads(good[1]), "src_frames": "m.frames/utt00000.src.ds2f"},
+         "field 'src_frames': not base64"),
+        (3, {**json.loads(good[2]), "tgt_frames": "RFMyRg=="}, "field 'tgt_frames': "
+         "truncated frame header"),
     ):
         lines = list(good)
         lines[lineno - 1] = json.dumps(line)
@@ -369,15 +377,30 @@ def test_input_that_is_not_utf8_exits_two_naming_file_and_line(tmp_path, capsys)
 
 
 def test_frame_file_holding_nan_or_inf_exits_two_naming_it(tmp_path, capsys):
+    # a frame file, here a synthesize prompt, and a manifest record's frames
+    voc = _tiny_vocoder()
+    ckpt, tokens, prompt = tmp_path / "voc.ckpt", tmp_path / "t.tok", tmp_path / "p.ds2f"
+    save_checkpoint(ckpt, CheckpointState(kind="vocoder", config=voc.recipe, step=0,
+                                          tensors=_trainable(voc)))
+    write_token_file(tokens, [("u0", [1, 2])])
     m = tmp_path / "m.jsonl"
     write_manifest(generate_toy_corpus(ToyCorpusConfig(pairs=2), 0), m)
-    frames = tmp_path / "m.frames" / "utt00000.tgt.ds2f"
-    good = frames.read_bytes()
+    lines = m.read_text().splitlines()
+    record = json.loads(lines[1])
+    good = base64.b64decode(record["tgt_frames"])
     for value in (np.nan, np.inf, -np.inf):
-        frames.write_bytes(good[:-8] + struct.pack("<d", value))
-        assert main(["filter", "--in", str(m), "--out", str(tmp_path / "kept.jsonl")]) == 2
-        assert (f"parse error: {frames}: frames contain non-finite values\n"
-                == capsys.readouterr().err)
+        bad = good[:-8] + struct.pack("<d", value)
+        prompt.write_bytes(bad)
+        lines[1] = json.dumps({**record, "tgt_frames": base64.b64encode(bad).decode("ascii")})
+        m.write_text("\n".join(lines) + "\n")
+        for argv, where in (
+            (["synthesize", "--ckpt", ckpt, "--tokens", tokens, "--prompt", prompt,
+              "--out-dir", tmp_path / "out"], prompt),
+            (["filter", "--in", m, "--out", tmp_path / "kept.jsonl"], f"{m}:2: field 'tgt_frames'"),
+        ):
+            assert main([str(a) for a in argv]) == 2
+            assert (f"parse error: {where}: frames contain non-finite values\n"
+                    == capsys.readouterr().err)
 
 
 # ------------------------------------------------------------------ coerce
@@ -460,18 +483,17 @@ def test_token_file_reports_bad_line_number(tmp_path):
 
 
 def test_gen_corpus_is_deterministic(tmp_path, capsys):
-    # frame paths embed the manifest basename, so keep that equal across runs
     a, b = tmp_path / "r1" / "m.jsonl", tmp_path / "r2" / "m.jsonl"
     for out in (a, b):
         out.parent.mkdir()
         assert main(["gen-corpus", "--out", str(out), "--pairs", "8",
                      "--seed", "3"]) == 0
+        assert main(["filter", "--in", str(out), "--out", str(out.parent / "kept.jsonl")]) == 0
+        # a manifest is one file: its frames are inside it
+        assert sorted(p.name for p in out.parent.iterdir()) == [
+            "kept.jsonl", "kept.jsonl.run.json", "m.jsonl", "m.jsonl.run.json"]
     assert a.read_bytes() == b.read_bytes()
-    frames = sorted(p.name for p in (a.parent / "m.frames").iterdir())
-    assert frames == sorted(p.name for p in (b.parent / "m.frames").iterdir())
-    for name in frames:
-        assert (a.parent / "m.frames" / name).read_bytes() == \
-            (b.parent / "m.frames" / name).read_bytes()
+    assert (a.parent / "kept.jsonl").read_bytes() == (b.parent / "kept.jsonl").read_bytes()
     capsys.readouterr()
 
 
@@ -501,6 +523,23 @@ def test_run_manifest_describes_the_run(tmp_path, capsys):
 
 
 # -------------------------------------------------------- training commands
+
+
+def test_training_commands_say_when_no_validation_ran(tmp_path, capsys):
+    chain = cli_chain(tmp_path)  # two steps, fewer than any stage validates after
+    assert main(chain[0]) == 0
+    for argv, stages in ((chain[2], ("tokenizer", "text-to-token")),
+                         (chain[4], ("model", "vocoder"))):
+        capsys.readouterr()
+        assert main(argv) == 0, argv[0]
+        assert capsys.readouterr().out.splitlines() == [
+            f"{stage}: 2 steps, never validated; the checkpoint holds the step-2 weights"
+            for stage in stages]
+        assert load_checkpoint(argv[argv.index("--out") + 1]).step == 2
+    tok = tmp_path / "tok4.ckpt"
+    assert main([*chain[2][:6], str(tok), "--max-steps", "4", "--validate-every", "2"]) == 0
+    assert re.fullmatch(r"tokenizer: 4 steps, best val \d\.\d+ at step [24]\n",
+                        capsys.readouterr().out)
 
 
 def test_text_token_chain_writes_no_temp_checkpoints(tmp_path, monkeypatch, capsys):
@@ -558,7 +597,7 @@ class _FillingDisk:
 
 # every write site of the package: (command of the chain, a file it writes)
 _WRITES = {
-    "frames": ("gen-corpus", "m.frames/utt00000.src.ds2f"),
+    "frames": ("translate", "translate/frames/utt00008.ds2f"),
     "manifest": ("gen-corpus", "m.jsonl"),
     "run-manifest": ("gen-corpus", "m.jsonl.run.json"),
     "checkpoint": ("train-tokenizer", "tok.ckpt"),
@@ -589,6 +628,28 @@ def test_failed_write_keeps_the_previous_file(chain_dir, writer, monkeypatch, ca
     assert capsys.readouterr().err == f"i/o error: [Errno {errno.ENOSPC}] No space left on device\n"
     assert target.read_bytes() == before
     assert not list(chain_dir.rglob("*.tmp"))
+
+
+def test_a_failed_manifest_rewrite_keeps_the_previous_records_whole(tmp_path, monkeypatch):
+    # frames and text live in one file, so they cannot come from two runs
+    path = tmp_path / "m.jsonl"
+    old, new = (generate_toy_corpus(ToyCorpusConfig(pairs=4), seed) for seed in (0, 1))
+    assert [r.id for r in old] == [r.id for r in new]
+    write_manifest(old, path)
+    real_open = open
+
+    def open_(file, mode="r", *args, **kwargs):  # the disk fills halfway through `path`
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and os.fspath(file).startswith(str(path)):
+            return _FillingDisk(fh, path.stat().st_size // 2)
+        return fh
+
+    monkeypatch.setattr(minis2st.corpus, "open", open_, raising=False)
+    with pytest.raises(OSError, match="No space left on device"):
+        write_manifest(new, path)
+    monkeypatch.undo()
+    assert read_manifest(path) == old
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_write_into_a_missing_directory_names_the_path_given(chain_dir, tmp_path, capsys):

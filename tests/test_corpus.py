@@ -1,4 +1,6 @@
+import base64
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from minis2st.corpus import (
     check_record_id,
     corpus_stats,
     cosine_similarity,
+    encode_frames,
     filter_by_similarity,
     generate_toy_corpus,
     read_frames,
@@ -135,11 +138,17 @@ def test_frames_reader_rejects_corruption(tmp_path):
 
 def test_manifest_roundtrip_preserves_everything(tmp_path):
     m = generate_toy_corpus(small_cfg(), 4)
+    # values a decimal text round trip could change: -0.0, a subnormal, extremes
+    m.records[0].src_frames.frames[0] = [-0.0, 5e-324, np.finfo(float).max, np.nextafter(1, 2)]
     path = tmp_path / "corpus.jsonl"
     write_manifest(m, path)
     back = read_manifest(path)
     assert back == m
     assert back.metadata == m.metadata
+    for got, want in zip(back, m):
+        for key in ("src_frames", "tgt_frames"):
+            assert getattr(got, key).frames.tobytes() == getattr(want, key).frames.tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]  # the frames are inside
 
 
 def test_manifest_reader_errors(tmp_path):
@@ -159,7 +168,7 @@ def test_manifest_reader_errors(tmp_path):
         with pytest.raises(ParseError):
             read_manifest(tmp_path / name)
 
-    # every field has one JSON type; the frame files need not exist to see that
+    # every field has one JSON type; the frames need not decode to see that
     record = {"id": "a", "speaker": "s", "similarity": 1.0, "src_text": [1],
               "tgt_text": [2], "src_frames": "a.src.ds2f", "tgt_frames": "a.tgt.ds2f"}
     typed = tmp_path / "typed.jsonl"
@@ -179,13 +188,26 @@ def test_manifest_reader_errors(tmp_path):
         with pytest.raises(ParseError, match=f"typed.jsonl:1: metadata '{key}'"):
             read_manifest(typed)
 
-    # a frame file must be as wide as the metadata's feat_dim says
-    write_frames(tmp_path / "a.src.ds2f", SpeechFrames(np.zeros((3, 4)), 50))
-    write_frames(tmp_path / "a.tgt.ds2f", SpeechFrames(np.zeros((3, 5)), 50))
-    for feat_dim, key, width in ((5, "src_frames", 4), (4, "tgt_frames", 5)):
-        typed.write_text(json.dumps({"manifest": {"feat_dim": feat_dim}}) + "\n"
-                         + json.dumps(record) + "\n")
-        with pytest.raises(ParseError, match=f"typed.jsonl:2: {key} file has {width} features"):
+    # frames are base64 of a well-formed frame file as wide as metadata 'feat_dim'
+    def b64(data: bytes) -> str:
+        return base64.b64encode(data).decode("ascii")
+
+    narrow, wide = (encode_frames(SpeechFrames(np.zeros((3, f)), 50)) for f in (4, 5))
+    record = {**record, "src_frames": b64(narrow), "tgt_frames": b64(narrow)}
+    for meta, key, value, message in (
+        ({}, "src_frames", "a.src.ds2f", "not base64"),  # a manifest of an earlier build
+        ({}, "tgt_frames", "RFMyRg\u00e9", "not base64"),
+        ({}, "src_frames", b64(b"XXXX" + narrow[4:]), "bad magic"),
+        ({}, "tgt_frames", b64(narrow[:10]), "truncated frame header"),
+        ({}, "src_frames", b64(narrow[:-8]), "truncated payload"),
+        ({}, "tgt_frames", b64(narrow + bytes(8)), "bytes trail the payload"),
+        ({}, "src_frames", b64(narrow[:-8] + struct.pack("<d", np.inf)), "frames contain non-"),
+        ({"feat_dim": 5}, "src_frames", b64(narrow), "4 features, metadata 'feat_dim' is 5"),
+        ({"feat_dim": 4}, "tgt_frames", b64(wide), "5 features, metadata 'feat_dim' is 4"),
+    ):
+        typed.write_text(json.dumps({"manifest": meta}) + "\n"
+                         + json.dumps({**record, key: value}) + "\n")
+        with pytest.raises(ParseError, match=f"typed.jsonl:2: field '{key}': {message}"):
             read_manifest(typed)
 
 

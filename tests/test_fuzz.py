@@ -2,7 +2,8 @@
 
 Small checkpoint, frame, manifest and token files are truncated at every
 offset of their header and at a seeded sample of payload offsets, and each
-header byte is flipped with a seeded mask; every mutant is fed to the
+header byte is flipped with a seeded mask, as are seeded bytes of a
+manifest's records, where its frames are; every mutant is fed to the
 commands that read that kind of file.  A mutant may still be well formed, so
 a run may succeed (exit 0), and a checkpoint whose recipe no longer rebuilds
 exits 4; anything else must be refused as a corrupt file (exit 2) with one
@@ -16,13 +17,20 @@ import pytest
 
 import minis2st.cli
 from minis2st.cli import main, write_token_file
-from minis2st.corpus import ToyCorpusConfig, generate_toy_corpus, write_manifest
+from minis2st.corpus import (
+    SpeechFrames,
+    ToyCorpusConfig,
+    generate_toy_corpus,
+    write_frames,
+    write_manifest,
+)
 from minis2st.tokenizer import SpeechTokenizer, TokenizerConfig
 from minis2st.training import CheckpointState, save_checkpoint
 from minis2st.vocoder import TimbreVocoder, VocoderConfig
 
 SEED = 20261019
 PAYLOAD_CUTS = 6  # sampled truncation offsets past the header, per file
+RECORD_FLIPS = 64  # sampled byte flips in a manifest's records
 
 
 def _save_module(path, kind, module):
@@ -44,14 +52,15 @@ def files(tmp_path):
                                                              d_model=8, blocks=1, heads=2), 0))
     tokens = tmp_path / "t.tok"
     write_token_file(tokens, [("utt00000", [1, 7, 3]), ("utt00001", [4, 0])])
-    frames = tmp_path / "m.frames" / "utt00000.tgt.ds2f"
+    frames = tmp_path / "p.ds2f"
+    write_frames(frames, SpeechFrames(np.random.default_rng(SEED).normal(size=(12, 8)), 50))
     out = tmp_path / "out"
     tokenize = ["tokenize", "--ckpt", tok, "--in", m, "--out", out / "t.tok"]
     synthesize = ["synthesize", "--ckpt", voc, "--tokens", tokens, "--prompt", frames,
                   "--out-dir", out / "synth"]
     filter_ = ["filter", "--in", m, "--out", out / "kept.jsonl"]
     eval_ = ["eval", "--hyp", tokens, "--ref-manifest", m, "--out-dir", out / "eval"]
-    return {tok: [tokenize], frames: [synthesize, filter_], m: [filter_],
+    return {tok: [tokenize], frames: [synthesize], m: [filter_],
             tokens: [synthesize, eval_]}
 
 
@@ -64,13 +73,16 @@ def _header_len(path, data: bytes) -> int:
 
 
 def _mutants(path, data: bytes, rng):
-    """(what, bytes) for every truncation and header flip of `data`."""
+    """(what, bytes) for every truncation and flip of `data`."""
     head = _header_len(path, data)
     cuts = sorted({*range(head + 1),
                    *rng.integers(head + 1, len(data), size=PAYLOAD_CUTS).tolist()})
     for n in cuts:
         yield f"cut at {n}", data[:n]
-    for i, mask in enumerate(rng.integers(1, 256, size=head).tolist()):
+    flips = list(range(head))
+    if path.suffix == ".jsonl":
+        flips += rng.integers(head, len(data), size=RECORD_FLIPS).tolist()
+    for i, mask in zip(flips, rng.integers(1, 256, size=len(flips)).tolist()):
         flipped = bytearray(data)
         flipped[i] ^= mask
         yield f"byte {i} ^ {mask:#04x}", bytes(flipped)

@@ -106,6 +106,13 @@ def test_checkpoint_layout_and_rebuild(tmp_path):
         _assert_same_module(rebuilt, voc)
         np.testing.assert_array_equal(rebuilt.embedder.w1, voc.embedder.w1)
 
+    # older checkpoints hold trained key biases; the frozen zeros stay
+    key_bias = "decoder.blocks.0.attn.wk.b"
+    assert key_bias not in st["model"].tensors
+    st["model"].tensors[key_bias] = np.ones(16)
+    rebuilt = pipeline.rebuild(st["model"], "model")
+    np.testing.assert_array_equal(dict(rebuilt.named_tensors())[key_bias].data, np.zeros(16))
+
 
 def test_toy_run_records_peak_rss_outside_the_total(toy_run):
     t = toy_run.timings

@@ -268,6 +268,31 @@ def test_cached_blocks_match_a_full_pass():
         np.testing.assert_allclose(np.concatenate(parts), full, rtol=0, atol=1e-12)
 
 
+def test_a_key_bias_moves_attention_outputs_only_by_rounding():
+    # q . (k + b) adds the same q . b to every score of a query row, and
+    # softmax drops it; so key biases stay frozen at zero, out of training
+    rng = np.random.default_rng(10)
+    blk = TransformerBlock(8, 2, rng, cross=True)
+    biases = [blk.attn.wk.b, blk.cross.wk.b]
+    assert not any(b.requires_grad for b in biases)
+    x, memory = rng.normal(size=(2, 7, 8)), rng.normal(size=(2, 5, 8))
+
+    def outputs():
+        with no_grad():  # a masked batch, then the first sequence through a KV cache
+            full = run_blocks([blk], Tensor(x), causal=True, memory=Tensor(memory)).data
+            cache = [KVCache()]
+            parts = [run_blocks([blk], Tensor(x[0, lo:hi]), causal=True,
+                                memory=Tensor(memory[0]), cache=cache).data
+                     for lo, hi in ((0, 3), (3, 7))]
+        return full, np.concatenate(parts)
+
+    before = outputs()
+    for b in biases:
+        b.data = b.data + rng.normal(0.0, 3.0, size=b.data.shape)
+    for got, want in zip(outputs(), before):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 def test_a_cache_under_a_recording_tape_raises():
     rng = np.random.default_rng(4)
     blk = TransformerBlock(8, 2, rng)

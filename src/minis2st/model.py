@@ -458,15 +458,11 @@ class DecoderLM(nn.Module):
 
 
 def _utterance_mean(targets, pad):
-    """Rows of (B, M) targets that are not PAD, flattened, and each one's
-    weight 1 / (B * kept rows of its utterance): the weighted sum of their
-    losses is the mean over utterances of each utterance's mean loss."""
+    """`nn.utterance_rows` of the rows of (B, M) targets that are not PAD."""
     keep = targets != pad
-    counts = keep.sum(axis=1)
-    if not counts.all():
+    if not keep.any(axis=1).all():
         raise ValueError("compute_loss: a stream is entirely PAD-masked")
-    weights = np.broadcast_to((1.0 / (len(counts) * counts))[:, None], keep.shape)
-    return np.flatnonzero(keep), weights[keep]
+    return nn.utterance_rows(keep)
 
 
 def compute_loss(audio_logits: Tensor, text_logits: Tensor, audio_targets, text_targets,

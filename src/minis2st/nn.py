@@ -102,20 +102,64 @@ def causal_mask(n: int, past: int) -> np.ndarray:
     return np.triu(np.full((n, past + n), -1e9), k=past + 1)
 
 
-def run_blocks(blocks, x: Tensor, *, causal: bool = False, memory: Tensor | None = None,
+def padding_mask(lengths) -> np.ndarray | None:
+    """(B, 1, 1, S) additive key mask of a right-padded batch, S the longest
+    of the per-utterance lengths: utterance b sees only its first lengths[b]
+    keys.  None when no utterance is padded, so an unpadded batch (and every
+    lone utterance) attends exactly as it would without one."""
+    lengths = np.asarray(lengths)
+    s = int(lengths.max())
+    if (lengths == s).all():
+        return None
+    pad = np.arange(s) >= lengths[:, None]
+    return np.where(pad, -1e9, 0.0)[:, None, None, :]
+
+
+def right_pad(seqs, fill):
+    """Sequences of rows (each (n, ...) with the same trailing shape) as one
+    (B, N, ...) array, N the longest n, filled on the right with `fill`, whose
+    type the array takes; and the per-utterance n as an array."""
+    arrays = [np.asarray(s) for s in seqs]
+    lengths = np.array([len(a) for a in arrays])
+    fill = np.asarray(fill)
+    out = np.full((len(arrays), int(lengths.max())) + arrays[0].shape[1:], fill,
+                  dtype=fill.dtype)
+    for i, a in enumerate(arrays):
+        out[i, : len(a)] = a
+    return out, lengths
+
+
+def utterance_rows(keep):
+    """Flat indices of the kept rows of a (B, n) boolean array, one row of
+    it per utterance, and each kept row's weight 1 / (B * kept rows of its
+    utterance): the weighted sum of per-row losses over them is the mean over
+    utterances of each utterance's mean loss."""
+    keep = np.asarray(keep, dtype=bool)
+    counts = keep.sum(axis=1)
+    weights = np.broadcast_to((1.0 / (len(counts) * counts))[:, None], keep.shape)
+    return np.flatnonzero(keep), weights[keep]
+
+
+def run_blocks(blocks, x: Tensor, *, causal: bool = False, mask: np.ndarray | None = None,
+               memory: Tensor | None = None, memory_mask: np.ndarray | None = None,
                cache=None):
     """Run x, (T, d) or a batch (B, T, d), through a stack of
     TransformerBlocks, each cross-attending to memory (with x's leading axes)
-    if it has cross-attention; causal masks every later position.
+    if it has cross-attention.  causal masks every later position; mask, a
+    `padding_mask` of x's rows, hides pad keys from self-attention, and
+    memory_mask those of memory from cross-attention.
 
     cache, for inference only, holds one KVCache per block: x is then the
     rows that follow the ones already cached, and each block's
     self-attention appends their keys and values and attends over all rows.
     """
     past = 0 if cache is None else len(cache[0])
-    mask = causal_mask(x.shape[-2], past) if causal else None
+    if causal:
+        own = causal_mask(x.shape[-2], past)
+        mask = own if mask is None else mask + own
     for i, blk in enumerate(blocks):
-        x = blk(x, memory=memory, mask=mask, cache=None if cache is None else cache[i])
+        x = blk(x, memory=memory, mask=mask, cache=None if cache is None else cache[i],
+                memory_mask=memory_mask)
     return x
 
 
@@ -150,8 +194,9 @@ class FeedForward(Module):
 
 
 class TransformerBlock(Module):
-    """Pre-norm block: self-attention, optional cross-attention, feed-forward.
-    A KVCache, if given, serves the self-attention only."""
+    """Pre-norm block: self-attention under `mask`, optional cross-attention
+    under `memory_mask`, feed-forward.  A KVCache, if given, serves the
+    self-attention only."""
 
     def __init__(self, d: int, heads: int, rng: np.random.Generator, cross: bool = False):
         self.ln1 = LayerNorm(d)
@@ -165,12 +210,12 @@ class TransformerBlock(Module):
         self.ff = FeedForward(d, 2 * d, rng)
 
     def __call__(self, x: Tensor, memory: Tensor | None = None, mask: np.ndarray | None = None,
-                 cache=None):
+                 cache=None, memory_mask: np.ndarray | None = None):
         x = add(x, self.attn(self.ln1(x), mask=mask, cache=cache))
         if self.cross is not None:
             if memory is None:
                 raise ValueError("cross-attention block called without memory")
-            x = add(x, self.cross(self.ln_x(x), memory=memory))
+            x = add(x, self.cross(self.ln_x(x), memory=memory, mask=memory_mask))
         x = add(x, self.ff(self.ln2(x)))
         return x
 

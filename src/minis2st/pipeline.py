@@ -2,14 +2,16 @@
 
 Each stage hands one runner its batch loss, validation set, and checkpoint
 snapshot, and returns (module, TrainResult) with the best validated weights in
-the module, whether or not checkpoints are written.  The model stage builds
-one padded graph per batch, and validates on its whole held-out set as one
-batch; the tokenizer, vocoder and text-to-token stages still build one graph
-per example and add them up.  Checkpoints store only trainable tensors plus
-each module's recipe, the constructor arguments it records as `recipe`;
-frozen parts (speech encoder, frozen text rows, the speaker embedder that the
-vocoder and text-to-token model carry) are regenerated from the recorded
-seeds, so `rebuild` returns one whole module.
+the module, whether or not checkpoints are written.  Every stage builds one
+padded graph per batch and validates on its whole held-out set as one batch:
+utterances are right-padded to the longest, a key-padding mask (or the causal
+mask, in the right-padded decoders) keeps pad rows out of every real row's
+view, and each loss is the mean over utterances of each utterance's own mean.
+Checkpoints store only trainable tensors plus each module's recipe, the
+constructor arguments it records as `recipe`; frozen parts (speech encoder,
+frozen text rows, the speaker embedder that the vocoder and text-to-token
+model carry) are regenerated from the recorded seeds, so `rebuild` returns
+one whole module.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import numpy as np
 from . import evaluation, nn
 from .corpus import Manifest, SpeechFrames, ToyCorpusConfig, generate_toy_corpus
 from .model import DecodeConfig, ModelConfig, TranslationModel
-from .tensor import Tensor, add, mean, mul, no_grad, sub
+from .tensor import no_grad
 from .tokenizer import (
     SpeechTokenizer,
     TextToTokenModel,
@@ -233,31 +235,6 @@ def _run_stage(kind: str, module: nn.Module, train_ex, val_ex, batch_loss,
                  val_fn=val_fn, cfg=tcfg, kind=kind, **train_kw)
 
 
-def _per_example(example_loss):
-    """The batch loss of stages that build one graph per example.
-
-    example_loss(example, rng) returns (scalar loss Tensor, {name: float}
-    parts).  Training takes the batch mean as a chain of adds times
-    1 / len(batch), with the parts averaged; validation (rng None) divides
-    the same sum by the count and returns no parts.
-    """
-    def batch_loss(batch, rng):
-        losses, sums = [], {}
-        for ex in batch:
-            loss, parts = example_loss(ex, rng)
-            losses.append(loss)
-            for k, v in parts.items():
-                sums[k] = sums.get(k, 0.0) + v
-        total = losses[0]
-        for l in losses[1:]:
-            total = add(total, l)
-        if rng is None:
-            return Tensor(total.data / len(batch)), {}
-        return mul(total, 1.0 / len(batch)), {k: v / len(batch) for k, v in sums.items()}
-
-    return batch_loss
-
-
 def _prompted_examples(m: Manifest, tokenizer: SpeechTokenizer, module: nn.Module) -> list:
     """(record, semantic tokens, prompt embedding by `module.embedder`) per record."""
     prompts = same_speaker_prompts(m)
@@ -279,8 +256,9 @@ def train_tokenizer_stage(train_m: Manifest, val_m: Manifest,
     records = list(train_m)
     usage = np.zeros(cfg.codebook_size)
 
-    def example_loss(r, rng):
-        total, parts, tokens = tok.training_losses(r.tgt_frames, r.tgt_text)
+    def batch_loss(batch, rng):
+        total, parts, tokens = tok.training_losses([r.tgt_frames for r in batch],
+                                                   [r.tgt_text for r in batch])
         if rng is not None:
             np.add.at(usage, tokens, 1.0)
         return total, parts
@@ -291,13 +269,13 @@ def train_tokenizer_stage(train_m: Manifest, val_m: Manifest,
         if dead.size:
             r = records[int(rng.integers(len(records)))]
             with no_grad():
-                h = tok.encoder.encode_stage1(r.tgt_frames).data
+                h = tok.encoder.encode_stage1(r.tgt_frames.frames, None).data
             rows = rng.integers(0, h.shape[0], size=dead.size)
             tok.codebook.entries.data[dead] = h[rows]
         usage[:] = 0.0
 
     result = _run_stage(
-        "tokenizer", tok, records, list(val_m), _per_example(example_loss), tcfg,
+        "tokenizer", tok, records, list(val_m), batch_loss, tcfg,
         loss_trace=loss_trace, lengths=[r.tgt_frames.length for r in records],
         state_arrays={"codebook_usage": usage}, on_epoch_end=on_epoch_end,
         checkpoint_path=checkpoint_path, log_path=log_path,
@@ -322,13 +300,13 @@ def train_text_to_token_stage(train_m: Manifest, val_m: Manifest,
                            embedder=embedder)
     train_ex = _prompted_examples(train_m, tokenizer, t2t)
 
-    def example_loss(ex, rng):
-        r, tokens, spk = ex
-        return t2t.loss(r.tgt_text, tokens, spk), {}
+    def batch_loss(batch, rng):
+        texts, tokens, spks = zip(*[(r.tgt_text, toks, spk) for r, toks, spk in batch])
+        return t2t.loss(texts, tokens, np.stack(spks)), {}
 
     result = _run_stage(
         "text_to_token", t2t, train_ex, _prompted_examples(val_m, tokenizer, t2t),
-        _per_example(example_loss), tcfg, loss_trace=None,
+        batch_loss, tcfg, loss_trace=None,
         lengths=[len(r.tgt_text) + len(tokens) for r, tokens, _ in train_ex],
         config_snapshot=t2t.recipe, max_steps=max_steps,
     )
@@ -422,14 +400,13 @@ def train_vocoder_stage(train_m: Manifest, val_m: Manifest, tokenizer: SpeechTok
     voc = TimbreVocoder(cfg, seed)
     train_ex = _prompted_examples(train_m, tokenizer, voc)
 
-    def example_loss(ex, rng):
-        r, tokens, spk = ex
-        d = sub(voc.forward_frames(tokens, spk), Tensor(r.tgt_frames.frames))
-        return mean(mul(d, d)), {}
+    def batch_loss(batch, rng):
+        tokens, spks, frames = zip(*[(toks, spk, r.tgt_frames) for r, toks, spk in batch])
+        return voc.loss(tokens, np.stack(spks), frames), {}
 
     result = _run_stage(
         "vocoder", voc, train_ex, _prompted_examples(val_m, tokenizer, voc),
-        _per_example(example_loss), tcfg, loss_trace=loss_trace,
+        batch_loss, tcfg, loss_trace=loss_trace,
         lengths=[len(tokens) for _, tokens, _ in train_ex],
         checkpoint_path=checkpoint_path, log_path=log_path,
         config_snapshot=voc.recipe, max_steps=max_steps,

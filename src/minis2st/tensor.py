@@ -222,8 +222,9 @@ def attention(x, src, proj, heads, mask, cache=None):
 
     A 2-D x and src are the B = 1 case of the same code.  proj holds the
     (weight, bias) pairs of the query, key, value and output projections;
-    mask is an array added to the (B, heads, T, S) scores, or None; it is
-    shared by the whole batch.  Recorded as one node.  The forward makes the
+    mask is an array added to the (B, heads, T, S) scores by broadcasting, or
+    None: a (T, S) mask is shared by the whole batch, and a (B, 1, 1, S) key
+    mask is per utterance.  Recorded as one node.  The forward makes the
     same NumPy calls as a graph composed of matmul, reshape, transpose and
     softmax nodes would, and the pullback accumulates in that graph's tape
     order, so results are bit-identical to it.
@@ -361,6 +362,20 @@ def mean(x):
     def pull(g):
         if x.requires_grad:
             x._accumulate(np.full_like(x.data, 1.0 / count) * g)
+
+    return _make(out_data, (x,), pull)
+
+
+def weighted_sum(x, weights):
+    """Sum of every entry of x times its weight; weights broadcast against x.
+    An entry of weight 0 gets a zero gradient."""
+    x = _as_tensor(x)
+    w = np.asarray(weights, dtype=np.float64)
+    out_data = (x.data * w).sum()
+
+    def pull(g):
+        if x.requires_grad:
+            x._accumulate(np.broadcast_to(w * g, x.data.shape))
 
     return _make(out_data, (x,), pull)
 

@@ -20,12 +20,13 @@ from .tensor import (
     add,
     concat,
     embedding_lookup,
-    mean,
     mul,
     no_grad,
+    reshape,
     rng_for,
     softmax_cross_entropy,
     sub,
+    weighted_sum,
 )
 
 
@@ -137,27 +138,25 @@ def quantize(h, codebook: Codebook) -> list:
 
 
 class SplitEncoder(nn.Module):
-    """Two encoder stacks with the quantizer sitting between them."""
+    """Two encoder stacks with the quantizer sitting between them.  Both take
+    a lone utterance's (T, ...) rows or a right-padded (B, T, ...) batch with
+    its `nn.padding_mask`."""
 
     def __init__(self, cfg: TokenizerConfig, rng: np.random.Generator):
         d = cfg.dim
-        self.feat_dim = cfg.feat_dim
         self.in_proj = nn.Linear(cfg.feat_dim, d, rng)
         self.enc1 = [nn.TransformerBlock(d, cfg.heads, rng) for _ in range(cfg.enc1_blocks)]
         self.ln_mid = nn.LayerNorm(d)
         self.enc2 = [nn.TransformerBlock(d, cfg.heads, rng) for _ in range(cfg.enc2_blocks)]
         self.ln_out = nn.LayerNorm(d)
 
-    def encode_stage1(self, frames) -> Tensor:
-        f = frame_matrix(frames, self.feat_dim, "tokenizer encoder")
-        if f.shape[0] < 1:
-            raise ValueError(f"encode_stage1 needs at least one frame, got shape {f.shape}")
+    def encode_stage1(self, f: np.ndarray, mask) -> Tensor:
         x = nn.add_positions(self.in_proj(Tensor(f)))
-        return self.ln_mid(nn.run_blocks(self.enc1, x))
+        return self.ln_mid(nn.run_blocks(self.enc1, x, mask=mask))
 
-    def encode_stage2(self, h_bar: Tensor) -> Tensor:
+    def encode_stage2(self, h_bar: Tensor, mask) -> Tensor:
         x = nn.add_positions(h_bar)
-        return self.ln_out(nn.run_blocks(self.enc2, x))
+        return self.ln_out(nn.run_blocks(self.enc2, x, mask=mask))
 
 
 class AsrDecoder(nn.Module):
@@ -175,11 +174,12 @@ class AsrDecoder(nn.Module):
         self.ln_f = nn.LayerNorm(d)
         self.head = nn.Linear(d, cfg.text_vocab + 2, rng)
 
-    def logits(self, h_tilde: Tensor, y_in) -> Tensor:
-        if len(y_in) == 0:
-            raise ValueError("asr decoder needs a non-empty input sequence")
-        x = nn.add_positions(embedding_lookup(self.embed, list(y_in)))
-        x = nn.run_blocks(self.blocks, x, causal=True, memory=h_tilde)
+    def logits(self, h_tilde: Tensor, y_in, memory_mask) -> Tensor:
+        """Logits of (B, L) input ids, right-padded, over (B, T, d) encodings
+        under their key mask; the causal mask keeps pad ids out of every real
+        row's view."""
+        x = nn.add_positions(embedding_lookup(self.embed, y_in))
+        x = nn.run_blocks(self.blocks, x, causal=True, memory=h_tilde, memory_mask=memory_mask)
         return self.head(self.ln_f(x))
 
 
@@ -192,32 +192,57 @@ class SpeechTokenizer(nn.Module):
         self.cfg = cfg
         self.recipe = {"cfg": asdict(cfg), "seed": seed}
 
+    def _frames(self, utterance) -> np.ndarray:
+        """An utterance's (T, feat_dim) frame matrix; ValueError unless T >= 1."""
+        f = frame_matrix(utterance, self.cfg.feat_dim, "tokenizer encoder")
+        if f.shape[0] < 1:
+            raise ValueError(f"tokenizer encoder needs at least one frame, got shape {f.shape}")
+        return f
+
     def tokenize(self, frames) -> list:
         """Frames -> semantic token indices (one per frame)."""
         with no_grad():
-            h = self.encoder.encode_stage1(frames)
+            h = self.encoder.encode_stage1(self._frames(frames), None)
         return quantize(h, self.codebook)
 
-    def training_losses(self, frames, text):
-        """Joint objective for one utterance.
+    def training_losses(self, batch, texts):
+        """Joint objective of a batch of utterances: frames and target texts.
 
-        Returns (total, parts, tokens) where total = asr + codebook + beta*commit;
-        the quantization bypass is a straight-through estimator so the text loss
-        reaches stage-1 weights, while the codebook/commitment pair pulls codes
-        and encodings toward each other.
+        Returns (total, parts, tokens) where total = asr + codebook + beta*commit,
+        each term the mean over utterances of that utterance's own loss, and
+        tokens are the codes of every real frame, utterance by utterance.  The
+        frames are right-padded to the longest and encoded under their key
+        mask; only real rows are quantized.  The quantization bypass is a
+        straight-through estimator so the text loss reaches stage-1 weights,
+        while the codebook/commitment pair pulls codes and encodings toward
+        each other.
         """
-        h = self.encoder.encode_stage1(frames)
-        tokens = quantize(h, self.codebook)
+        f, lengths = nn.right_pad([self._frames(fr) for fr in batch], 0.0)
+        mask = nn.padding_mask(lengths)
+        h = self.encoder.encode_stage1(f, mask)
+        b, t, d = h.shape
+        rows, weights = nn.utterance_rows(np.arange(t) < lengths[:, None])
+        h_real = embedding_lookup(reshape(h, (b * t, d)), rows)
+        tokens = quantize(h_real, self.codebook)
         q = embedding_lookup(self.codebook.entries, tokens)
-        diff_cb = sub(q, h.detach())
-        codebook_loss = mean(mul(diff_cb, diff_cb))
-        diff_cm = sub(h, q.detach())
-        commit_loss = mul(mean(mul(diff_cm, diff_cm)), self.cfg.commitment_beta)
-        h_bar = add(h, Tensor(q.data - h.data))  # forward: q, gradient: identity to h
-        h_tilde = self.encoder.encode_stage2(h_bar)
-        y_in = [self.asr.bos] + list(text)
-        y_tgt = list(text) + [self.asr.eos]
-        asr_loss = softmax_cross_entropy(self.asr.logits(h_tilde, y_in), y_tgt)
+        w = weights[:, None] / d  # a row's squared error sums d entries
+        diff_cb = sub(q, h_real.detach())
+        codebook_loss = weighted_sum(mul(diff_cb, diff_cb), w)
+        diff_cm = sub(h_real, q.detach())
+        commit_loss = mul(weighted_sum(mul(diff_cm, diff_cm), w), self.cfg.commitment_beta)
+        # forward: q on real rows, gradient: identity to h
+        bypass = np.zeros((b * t, d))
+        bypass[rows] = q.data - h_real.data
+        h_tilde = self.encoder.encode_stage2(add(h, Tensor(bypass.reshape(b, t, d))), mask)
+        asr = self.asr
+        y_in, n_in = nn.right_pad([[asr.bos] + list(text) for text in texts], asr.eos)
+        y_tgt, _ = nn.right_pad([list(text) + [asr.eos] for text in texts], asr.eos)
+        logits = asr.logits(h_tilde, y_in, mask)
+        rows, weights = nn.utterance_rows(np.arange(y_in.shape[1]) < n_in[:, None])
+        asr_loss = softmax_cross_entropy(
+            embedding_lookup(reshape(logits, (y_in.size, logits.shape[-1])), rows),
+            y_tgt.reshape(-1)[rows], weights,
+        )
         total = add(add(asr_loss, codebook_loss), commit_loss)
         parts = {
             "loss_asr": float(asr_loss.data),
@@ -303,25 +328,37 @@ class TextToTokenModel(nn.Module):
         self.head = nn.Linear(dim, total, rng)
 
     def _inputs(self, ids, spk_emb) -> Tensor:
-        """The speaker slot, then the rows of ids; no positions yet."""
-        spk = self.spk_proj(Tensor(np.asarray(spk_emb, dtype=np.float64)[None, :]))
-        return concat([spk, embedding_lookup(self.embed, list(ids))], axis=0)
+        """The speaker slot, then the rows of ids; no positions yet.  (B, L)
+        ids and (B, spk_dim) embeddings give (B, 1 + L, dim), and a lone
+        utterance's (L,) ids and (spk_dim,) embedding give (1 + L, dim)."""
+        spk = np.asarray(spk_emb, dtype=np.float64)
+        slot = self.spk_proj(Tensor(spk[..., None, :]))
+        return concat([slot, embedding_lookup(self.embed, ids)], axis=-2)
 
     def _forward(self, ids, spk_emb) -> Tensor:
         x = nn.add_positions(self._inputs(ids, spk_emb))
         return self.head(self.ln_f(nn.run_blocks(self.blocks, x, causal=True)))
 
-    def loss(self, text, tokens, spk_emb) -> Tensor:
-        if len(text) == 0:
+    def loss(self, texts, tokens, spk_embs) -> Tensor:
+        """Mean over utterances of each one's token cross-entropy, for a batch
+        of target texts, their token sequences and (B, spk_dim) speaker
+        embeddings.  Sequences are right-padded: under the causal mask no
+        real row sees a pad row."""
+        if any(len(text) == 0 for text in texts):
             raise ValueError("text_to_token loss needs non-empty text")
-        ids = [self.bos] + list(text) + [t + self.text_vocab for t in tokens]
-        logits = self._forward(ids, spk_emb)
-        # position of the last text symbol predicts the first token; the last
-        # token position predicts EOS.  +1 offsets for the speaker slot.
-        lo = 1 + len(text)
-        rows = embedding_lookup(logits, list(range(lo, lo + len(tokens) + 1)))
-        targets = [t + self.text_vocab for t in tokens] + [self.eos]
-        return softmax_cross_entropy(rows, targets)
+        tv = self.text_vocab
+        ids, _ = nn.right_pad([[self.bos] + list(text) + [t + tv for t in toks]
+                               for text, toks in zip(texts, tokens)], self.eos)
+        logits = self._forward(ids, spk_embs)
+        # the position of the last text symbol predicts the first token and
+        # the last token's predicts EOS; +1 offsets for the speaker slot
+        first = np.array([1 + len(text) for text in texts])[:, None]
+        last = first + np.array([len(toks) for toks in tokens])[:, None]
+        at = np.arange(logits.shape[1])
+        rows, weights = nn.utterance_rows((at >= first) & (at <= last))
+        targets = np.concatenate([[t + tv for t in toks] + [self.eos] for toks in tokens])
+        return softmax_cross_entropy(
+            embedding_lookup(reshape(logits, (-1, logits.shape[-1])), rows), targets, weights)
 
     def generate(self, text, spk_emb, max_len: int = 256) -> TokenGenResult:
         if len(text) == 0:

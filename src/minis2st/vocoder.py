@@ -15,7 +15,8 @@ import numpy as np
 
 from . import nn
 from .corpus import SpeechFrames, frame_matrix
-from .tensor import Tensor, concat, embedding_lookup, no_grad, reshape, rng_for
+from .tensor import (Tensor, concat, embedding_lookup, mul, no_grad, reshape, rng_for, sub,
+                     weighted_sum)
 
 
 @dataclass
@@ -83,27 +84,50 @@ class TimbreVocoder(nn.Module):
         self.cfg = cfg
         self.recipe = {"cfg": asdict(cfg), "seed": seed, "embedder": embedder.recipe}
 
-    def forward_frames(self, tokens, spk: np.ndarray) -> Tensor:
-        """Differentiable synthesis; output shape (upsample * len(tokens), feat_dim)."""
+    def forward_frames(self, tokens, spk: np.ndarray, mask) -> Tensor:
+        """Differentiable synthesis of (B, T) token ids right-padded to the
+        longest utterance, one (B, spk_dim) speaker row each, under their
+        `nn.padding_mask`; output (B, upsample * T, feat_dim), rows past an
+        utterance's own length being padding.  A lone utterance drops the
+        batch axis: (T,) ids and a (spk_dim,) row give (upsample * T, feat_dim).
+        """
         cfg = self.cfg
         spk = np.asarray(spk, dtype=np.float64)
-        if spk.shape != (cfg.spk_dim,):
-            raise ValueError(f"speaker embedding shape {spk.shape} != ({cfg.spk_dim},)")
-        if abs(np.linalg.norm(spk) - 1.0) > 1e-6:
+        ids = np.asarray(tokens, dtype=np.int64)
+        lead = ids.shape[:-1]
+        if spk.shape != lead + (cfg.spk_dim,):
+            raise ValueError(f"speaker embedding shape {spk.shape} != {lead + (cfg.spk_dim,)}")
+        if (np.abs(np.linalg.norm(spk, axis=-1) - 1.0) > 1e-6).any():
             raise ValueError("speaker embedding must be unit-norm")
-        toks = list(tokens)
-        for t in toks:
-            if not (0 <= t < cfg.audio_vocab):
-                raise IndexError(f"token {t} outside codebook of size {cfg.audio_vocab}")
-        if not toks:
-            return Tensor(np.zeros((0, cfg.feat_dim)))
-        emb = embedding_lookup(self.token_embed, toks)
-        cond = Tensor(np.broadcast_to(spk, (len(toks), cfg.spk_dim)).copy())
-        x = nn.add_positions(self.in_proj(concat([emb, cond], axis=1)))
-        out = self.head(self.ln(nn.run_blocks(self.blocks, x)))  # (T, U*F)
-        return reshape(out, (len(toks) * cfg.upsample, cfg.feat_dim))
+        bad = ids[(ids < 0) | (ids >= cfg.audio_vocab)]
+        if bad.size:
+            raise IndexError(f"token {bad[0]} outside codebook of size {cfg.audio_vocab}")
+        t = ids.shape[-1]
+        if t == 0:
+            return Tensor(np.zeros(lead + (0, cfg.feat_dim)))
+        emb = embedding_lookup(self.token_embed, ids)
+        cond = Tensor(np.broadcast_to(spk[..., None, :], lead + (t, cfg.spk_dim)).copy())
+        x = nn.add_positions(self.in_proj(concat([emb, cond], axis=-1)))
+        out = self.head(self.ln(nn.run_blocks(self.blocks, x, mask=mask)))  # (..., T, U*F)
+        return reshape(out, lead + (t * cfg.upsample, cfg.feat_dim))
+
+    def loss(self, tokens, spks: np.ndarray, frames) -> Tensor:
+        """Mean over utterances of each one's frame MSE, for a batch of token
+        sequences, their (B, spk_dim) speaker rows and target frames, upsample
+        rows per token.  Real frame entries weigh 1 / (B * T_b * F), pad
+        frames nothing."""
+        ids, n_tok = nn.right_pad(tokens, 0)
+        target, n_rows = nn.right_pad([frame_matrix(f, self.cfg.feat_dim, "vocoder target")
+                                       for f in frames], 0.0)
+        if (n_rows != n_tok * self.cfg.upsample).any():
+            raise ValueError("vocoder targets need upsample frames per token")
+        out = self.forward_frames(ids, spks, nn.padding_mask(n_tok))
+        real = np.arange(target.shape[1]) < n_rows[:, None]
+        w = real / (len(n_rows) * n_rows[:, None] * self.cfg.feat_dim)
+        d = sub(out, Tensor(target))
+        return weighted_sum(mul(d, d), w[:, :, None])
 
     def synthesize(self, tokens, spk: np.ndarray) -> SpeechFrames:
         with no_grad():
-            frames = self.forward_frames(tokens, spk)
+            frames = self.forward_frames(list(tokens), spk, None)
         return SpeechFrames(frames.data, self.cfg.frame_rate)

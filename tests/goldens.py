@@ -5,8 +5,9 @@ then `run_toy_pipeline` at eight steps per stage.  Its digest holds the
 SHA-256 of every file written, and the shape, sum and L2 norm of every float
 array in them (checkpoint tensors, frame files, the frames of manifest
 records, numeric columns of training logs), plus the NumPy and BLAS versions
-it was made with.  `test_goldens.py` compares a fresh run against
-`goldens.json`.
+and the BLAS thread count it was made with.  `test_goldens.py` compares a
+fresh run against `goldens.json`; a run at other versions or another thread
+count checks the arrays only.
 
 Re-record only for a change that means to alter outputs, and say why:
 
@@ -14,6 +15,7 @@ Re-record only for a change that means to alter outputs, and say why:
 """
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import sys
@@ -75,9 +77,21 @@ def run_chain(root: Path) -> None:
                      model_steps=8, vocoder_steps=8, decode_cfg=DecodeConfig(max_steps=4))
 
 
+def blas_threads():
+    """Threads the OpenBLAS bundled with NumPy runs with (OPENBLAS_NUM_THREADS
+    sets it), or None where NumPy bundles none: how BLAS splits a product
+    decides its rounding, so file digests depend on it."""
+    for path in Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so"):
+        get = ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_
+        get.argtypes, get.restype = [], ctypes.c_int
+        return get()
+    return None
+
+
 def versions() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+            "blas_threads": blas_threads()}
 
 
 def _stats(a: np.ndarray) -> dict:

@@ -56,6 +56,46 @@ def fd_gradcheck(build_loss, tensors, rng, probes: int = 2,
     return worst
 
 
+def loss_and_grads(module, build):
+    """build()'s loss value and the gradient of every trainable tensor of
+    `module` (zeros where none reached it)."""
+    params = module.trainable()
+    zero_grad(params.values())
+    with Tape():
+        loss = build()
+    backward(loss)
+    return float(loss.data), {k: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                              for k, p in params.items()}
+
+
+def assert_batch_is_mean_of_singles(module, batch_build, single_builds):
+    """The batched loss equals the mean of the batch-of-one losses within
+    1e-12 relative, and each gradient is within 1e-10 of the largest entry
+    of the mean of theirs."""
+    got, got_grads = loss_and_grads(module, batch_build)
+    singles = [loss_and_grads(module, build) for build in single_builds]
+    want = float(np.mean([value for value, _ in singles]))
+    assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+    for name, g in got_grads.items():
+        ref = np.mean([grads[name] for _, grads in singles], axis=0)
+        assert np.abs(g - ref).max() <= 1e-10 * np.abs(ref).max(), name
+
+
+def noisy_right_pad(right_pad, rng):
+    """`right_pad` with random pad rows instead of its fill: normal values
+    for floats, and ids drawn from the real ones of the batch for ints."""
+    def pad(seqs, fill):
+        out, lengths = right_pad(seqs, fill)
+        real = np.arange(out.shape[1]) < lengths[:, None]
+        if out.dtype.kind == "f":
+            noise = rng.normal(size=out.shape)
+        else:
+            noise = rng.choice(out[real].reshape(-1), size=out.shape)
+        out[~real] = noise[~real]
+        return out, lengths
+    return pad
+
+
 def _away_from_kink(x: np.ndarray, margin: float = 0.05) -> np.ndarray:
     """Push values near 0 outside [-margin, margin] so relu stays smooth
     across the finite-difference stencil."""
@@ -68,9 +108,9 @@ def _away_from_kink(x: np.ndarray, margin: float = 0.05) -> np.ndarray:
 def run_op_gradient_trials(trials: int, seed: int = 0):
     """Finite-difference every differentiable tensor op. Returns a list of
     (op name, worst relative error) pairs, one per op."""
-    from minis2st.nn import causal_mask
+    from minis2st.nn import causal_mask, padding_mask
     from minis2st.tensor import (add, attention, concat, embedding_lookup, layernorm,
-                                 linear, relu, reshape, softmax_cross_entropy)
+                                 linear, relu, reshape, softmax_cross_entropy, weighted_sum)
     from minis2st.tensor import mean as t_mean
     from minis2st.tensor import mul as t_mul
     from minis2st.tensor import sub as t_sub
@@ -131,7 +171,10 @@ def run_op_gradient_trials(trials: int, seed: int = 0):
             src = x if s_len is None else t(*lead, s_len, d)
             proj = [(Tensor(rng.normal(0.0, 0.5, size=(d, d)), requires_grad=True), t(d))
                     for _ in range(4)]
-            mask = causal_mask(t_len, 0) if masked else None
+            if masked == "keys":  # utterance b sees its first S - b keys
+                mask = padding_mask(src.shape[-2] - np.arange(lead[0]))
+            else:
+                mask = causal_mask(t_len, 0) if masked else None
             c = Tensor(rng.normal(size=(*lead, t_len, d)))
             tensors = [x] + ([] if s_len is None else [src]) + [p for wb in proj for p in wb]
             return (lambda: t_mean(t_mul(attention(x, src, proj, heads, mask), c))), tensors
@@ -140,6 +183,8 @@ def run_op_gradient_trials(trials: int, seed: int = 0):
     run("attention_cross", case_attention(3, 5, masked=False))
     run("attention_batched_self_masked", case_attention(4, None, masked=True, lead=(3,)))
     run("attention_batched_cross", case_attention(3, 4, masked=False, lead=(2,)))
+    run("attention_batched_key_masked", case_attention(4, None, masked="keys", lead=(3,)))
+    run("attention_batched_cross_key_masked", case_attention(3, 4, masked="keys", lead=(3,)))
 
     def case_relu():
         a = Tensor(_away_from_kink(rng.normal(size=(4, 5))), requires_grad=True)
@@ -172,6 +217,12 @@ def run_op_gradient_trials(trials: int, seed: int = 0):
         a = t(4, 5)
         return (lambda: t_mean(a)), [a]
     run("mean", case_mean)
+
+    def case_weighted_sum():
+        a = t(3, 4, 5)
+        w = rng.normal(size=(3, 4, 1)) * (rng.random(size=(3, 4, 1)) < 0.7)
+        return (lambda: weighted_sum(t_mul(a, a), w)), [a]
+    run("weighted_sum", case_weighted_sum)
 
     def case_layernorm():
         a, gain, bias = t(4, 6), t(6), t(6)
@@ -280,7 +331,7 @@ def run_module_gradient_trials(trials: int, seed: int = 0):
         target = Tensor(rng.normal(size=(n, cfg.feat_dim)))
 
         def build():
-            d = sub(voc.forward_frames(tokens, spk), target)
+            d = sub(voc.forward_frames(tokens, spk, None), target)
             return mean(mul(d, d))
 
         worst = max(worst, probe_some(build, list(voc.trainable().values())))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import minis2st
 
-SETTABLE = 160
+SETTABLE = 163
 
 
 def settable_count() -> int:

@@ -249,6 +249,32 @@ def test_causal_mask_after_cached_rows():
     np.testing.assert_array_equal(causal_mask(4, 0), np.triu(np.full((4, 4), big), k=1))
 
 
+def test_padding_mask_hides_exactly_the_pad_keys():
+    assert nn.padding_mask([4]) is None and nn.padding_mask([3, 3, 3]) is None
+    rng = np.random.default_rng(4)
+    lengths = [2, 5, 1]
+    mask = nn.padding_mask(lengths)
+    assert mask.shape == (3, 1, 1, 5)
+    # every real query row of every head gives each pad key exactly zero
+    # probability, and each real key some
+    scores = rng.normal(0.0, 30.0, size=(3, 2, 4, 5)) + mask
+    p = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    for b, n in enumerate(lengths):
+        assert (p[b, ..., n:] == 0.0).all() and (p[b, ..., :n] > 0.0).all()
+    # so a padded batch through blocks gives each utterance's real rows what
+    # they get alone, self- and cross-attention alike
+    blocks = [TransformerBlock(8, 2, rng, cross=True) for _ in range(2)]
+    xs = [rng.normal(size=(n, 8)) for n in lengths]
+    mems = [rng.normal(size=(n, 8)) for n in (3, 1, 4)]
+    x, _ = nn.right_pad(xs, 7.0)
+    mem, mem_lengths = nn.right_pad(mems, -7.0)
+    out = run_blocks(blocks, Tensor(x), mask=mask, memory=Tensor(mem),
+                     memory_mask=nn.padding_mask(mem_lengths)).data
+    for b, (xb, mb) in enumerate(zip(xs, mems)):
+        alone = run_blocks(blocks, Tensor(xb), memory=Tensor(mb)).data
+        np.testing.assert_allclose(out[b, : len(xb)], alone, rtol=1e-12, atol=1e-12)
+
+
 def test_cached_blocks_match_a_full_pass():
     # rows fed in chunks through a KV cache come out as a full causal pass
     # gives them, also when cross-attention (never cached) reads a memory;

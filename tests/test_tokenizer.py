@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import oracles
+from minis2st import nn
 from minis2st.corpus import SpeechFrames, generate_toy_corpus, ToyCorpusConfig
-from minis2st.tensor import Tape, Tensor, backward, embedding_lookup, mean
+from minis2st.tensor import Tape, Tensor, backward, embedding_lookup, mean, no_grad
 from minis2st.tokenizer import (
     Codebook,
     SpeechTokenizer,
@@ -195,7 +196,7 @@ def test_training_losses_parts_sum_and_shapes():
     rng = np.random.default_rng(5)
     frames = SpeechFrames(rng.normal(size=(9, cfg.feat_dim)), 50)
     text = [0, 3, 1]
-    total, parts, tokens = tok.training_losses(frames, text)
+    total, parts, tokens = tok.training_losses([frames], [text])
     assert set(parts) == {"loss_asr", "loss_codebook", "loss_commit"}
     assert float(total.data) == pytest.approx(
         parts["loss_asr"] + parts["loss_codebook"] + parts["loss_commit"], rel=1e-12
@@ -208,8 +209,8 @@ def test_training_losses_parts_sum_and_shapes():
 def test_commitment_term_scales_with_beta():
     rng = np.random.default_rng(6)
     frames = SpeechFrames(rng.normal(size=(6, 4)), 50)
-    l1 = SpeechTokenizer(tiny_cfg(commitment_beta=0.25), 0).training_losses(frames, [1])[1]
-    l2 = SpeechTokenizer(tiny_cfg(commitment_beta=0.5), 0).training_losses(frames, [1])[1]
+    l1 = SpeechTokenizer(tiny_cfg(commitment_beta=0.25), 0).training_losses([frames], [[1]])[1]
+    l2 = SpeechTokenizer(tiny_cfg(commitment_beta=0.5), 0).training_losses([frames], [[1]])[1]
     assert l2["loss_commit"] == pytest.approx(2.0 * l1["loss_commit"], rel=1e-12)
     assert l2["loss_codebook"] == pytest.approx(l1["loss_codebook"], rel=1e-12)
 
@@ -224,28 +225,87 @@ def test_tokenize_is_deterministic_and_grad_free():
     assert a == tok.tokenize(frames)
 
 
+def _ragged_batch(cfg, rng):
+    """Three utterances of 5, 9 and 12 frames and 1, 3 and 4 symbols, so
+    two of them are padded on both the frame and the text side."""
+    frames = [SpeechFrames(rng.normal(size=(n, cfg.feat_dim)), 50) for n in (5, 9, 12)]
+    return frames, [[1], [0, 2, 3], [2, 1, 4, 0]]
+
+
 def test_training_loss_gradcheck_downstream_of_quantizer():
     # stage-1 weights are reached only through the straight-through bypass,
     # whose gradient is a deliberately biased estimator (the true local
     # derivative through a frozen token assignment is zero), so finite
-    # differences can only validate the codebook and everything after it
+    # differences can only validate what comes after it.  The bypass also
+    # passes a used code's value to stage 2 without a gradient, so a used
+    # codebook row is checked against the codebook loss's own gradient,
+    # 2 (e_k - h_r) / (B T_b d) summed over the real rows r coded k.  On a
+    # padded batch, pad rows reach neither the loss nor any gradient.
     cfg = tiny_cfg()
     tok = SpeechTokenizer(cfg, seed=4)
     rng = np.random.default_rng(8)
-    frames = SpeechFrames(rng.normal(size=(5, cfg.feat_dim)), 50)
-    text = [2, 0]
+    frames, texts = _ragged_batch(cfg, rng)
 
     def build():
-        total, _, _ = tok.training_losses(frames, text)
+        total, _, _ = tok.training_losses(frames, texts)
         return total
 
-    stage1 = ("encoder.in_proj", "encoder.enc1", "encoder.ln_mid")
-    params = [t for name, t in sorted(tok.trainable().items())
-              if not name.startswith(stage1)]
+    downstream = ("encoder.enc2", "encoder.ln_out", "asr.")
+    params = [t for name, t in sorted(tok.trainable().items()) if name.startswith(downstream)]
     for _ in range(5):
         picks = [params[i] for i in rng.choice(len(params), size=3, replace=False)]
         err = oracles.fd_gradcheck(build, picks, rng, probes=1)
         assert err < oracles.FD_RTOL, f"worst fd error {err:.3e}"
+
+    _, grads = oracles.loss_and_grads(tok, build)
+    e = tok.codebook.entries.data
+    want = np.zeros_like(e)
+    for fr in frames:
+        with no_grad():
+            h = tok.encoder.encode_stage1(fr.frames, None).data
+        for row in h:
+            k = np.argmin(((row - e) ** 2).sum(axis=1))
+            want[k] += 2.0 * (e[k] - row) / (len(frames) * len(h) * cfg.dim)
+    assert np.abs(want).max() > 0
+    np.testing.assert_allclose(grads["codebook.entries"], want, rtol=0,
+                               atol=1e-10 * np.abs(want).max())
+
+
+def test_batched_loss_is_the_mean_of_batch_of_one_losses():
+    cfg = tiny_cfg()
+    tok = SpeechTokenizer(cfg, seed=5)
+    frames, texts = _ragged_batch(cfg, np.random.default_rng(9))
+    _, parts, tokens = tok.training_losses(frames, texts)
+    singles = [tok.training_losses([f], [t]) for f, t in zip(frames, texts)]
+    # every real frame is quantized, utterance by utterance, to the codes it
+    # gets alone
+    assert tokens == [code for _, _, codes in singles for code in codes]
+    for name, value in parts.items():
+        assert value == pytest.approx(np.mean([p[name] for _, p, _ in singles]), rel=1e-12)
+    oracles.assert_batch_is_mean_of_singles(
+        tok, lambda: tok.training_losses(frames, texts)[0],
+        [lambda f=f, t=t: tok.training_losses([f], [t])[0] for f, t in zip(frames, texts)])
+
+
+def test_padding_is_inert(monkeypatch):
+    # whatever the pad frames and pad text ids hold, the loss, the codes and
+    # every gradient stay bit for bit: the key mask hides pad frames from
+    # both encoders and from cross-attention, the causal mask hides pad ids,
+    # and only real rows are quantized or scored
+    cfg = tiny_cfg()
+    tok = SpeechTokenizer(cfg, seed=6)
+    rng = np.random.default_rng(10)
+    frames, texts = _ragged_batch(cfg, rng)
+    _, _, base_tokens = tok.training_losses(frames, texts)
+    base, base_grads = oracles.loss_and_grads(
+        tok, lambda: tok.training_losses(frames, texts)[0])
+    monkeypatch.setattr(nn, "right_pad", oracles.noisy_right_pad(nn.right_pad, rng))
+    for _ in range(3):
+        assert tok.training_losses(frames, texts)[2] == base_tokens
+        got, grads = oracles.loss_and_grads(tok, lambda: tok.training_losses(frames, texts)[0])
+        assert got == base
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, base_grads[name], err_msg=name)
 
 
 def test_straight_through_carries_asr_gradient_to_stage1():
@@ -258,7 +318,7 @@ def test_straight_through_carries_asr_gradient_to_stage1():
     params = tok.trainable()
     zero_grad(params.values())
     with Tape():
-        total, _, _ = tok.training_losses(frames, [2, 0])
+        total, _, _ = tok.training_losses([frames], [[2, 0]])
     backward(total)
     w = params["encoder.in_proj.w"]
     assert w.grad is not None and np.abs(w.grad).max() > 0.0
@@ -316,7 +376,7 @@ def test_text_to_token_loss_and_generation():
     rng = np.random.default_rng(9)
     spk = rng.normal(size=3)
     spk = spk / np.linalg.norm(spk)
-    loss = t2t.loss([0, 2, 1], [3, 3, 7, 1], spk)
+    loss = t2t.loss([[0, 2, 1]], [[3, 3, 7, 1]], spk[None])
     assert np.isfinite(float(loss.data))
     res = t2t.generate([0, 2, 1], spk, max_len=6)
     assert len(res.tokens) <= 6
@@ -326,6 +386,36 @@ def test_text_to_token_loss_and_generation():
     with pytest.raises(ValueError, match="spk_dim 3 != embedder spk_dim 16"):
         TextToTokenModel(cfg.text_vocab, cfg.codebook_size, spk_dim=3,
                          embedder=SpeakerEmbedder(cfg.feat_dim))
+
+
+def _text_to_token_batch(rng):
+    t2t = TextToTokenModel(5, 12, spk_dim=3, dim=8, blocks=1, heads=2, seed=2,
+                           embedder=SpeakerEmbedder(4, spk_dim=3))
+    texts = [[1], [0, 2, 3], [2, 1, 4, 0]]
+    tokens = [[3, 11, 0, 7, 7, 1], [5], [0, 2, 9]]
+    spks = rng.normal(size=(3, 3))
+    return t2t, texts, tokens, spks / np.linalg.norm(spks, axis=1, keepdims=True)
+
+
+def test_text_to_token_batched_loss_is_the_mean_of_batch_of_one_losses():
+    t2t, texts, tokens, spks = _text_to_token_batch(np.random.default_rng(13))
+    oracles.assert_batch_is_mean_of_singles(
+        t2t, lambda: t2t.loss(texts, tokens, spks),
+        [lambda i=i: t2t.loss(texts[i:i + 1], tokens[i:i + 1], spks[i:i + 1])
+         for i in range(len(texts))])
+
+
+def test_text_to_token_padding_is_inert(monkeypatch):
+    # right padding under the causal mask: no real row sees a pad id
+    rng = np.random.default_rng(14)
+    t2t, texts, tokens, spks = _text_to_token_batch(rng)
+    base, base_grads = oracles.loss_and_grads(t2t, lambda: t2t.loss(texts, tokens, spks))
+    monkeypatch.setattr(nn, "right_pad", oracles.noisy_right_pad(nn.right_pad, rng))
+    for _ in range(3):
+        got, grads = oracles.loss_and_grads(t2t, lambda: t2t.loss(texts, tokens, spks))
+        assert got == base
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, base_grads[name], err_msg=name)
 
 
 def test_cached_generation_matches_the_recompute_oracle():

@@ -3,7 +3,8 @@ import pytest
 
 import oracles
 from minis2st.corpus import SpeechFrames
-from minis2st.tensor import Tape, mean, mul, sub, Tensor
+from minis2st import nn
+from minis2st.tensor import Tape, no_grad
 from minis2st.vocoder import SpeakerEmbedder, TimbreVocoder, VocoderConfig
 
 
@@ -99,23 +100,69 @@ def test_synthesis_is_deterministic_and_grad_free():
     np.testing.assert_array_equal(a.frames, b.frames)
 
 
+def _ragged_batch(cfg, rng):
+    """Three utterances of 1, 4 and 6 tokens, so two of them are padded."""
+    tokens = [[3], [0, 2, 3, 5], [2, 1, 4, 0, 5, 5]]
+    spks = np.stack([unit(rng, cfg.spk_dim) for _ in tokens])
+    targets = [rng.normal(size=(len(t), cfg.feat_dim)) for t in tokens]
+    return tokens, spks, targets
+
+
 def test_vocoder_gradients_match_finite_differences():
+    # on a padded batch: pad rows reach neither the loss nor any gradient
     rng = np.random.default_rng(6)
     cfg = tiny_cfg()
     voc = TimbreVocoder(cfg, seed=2)
-    tokens = [0, 3, 5, 1]
-    spk = unit(rng, cfg.spk_dim)
-    target = Tensor(rng.normal(size=(len(tokens), cfg.feat_dim)))
+    tokens, spks, targets = _ragged_batch(cfg, rng)
 
     def build():
-        d = sub(voc.forward_frames(tokens, spk), target)
-        return mean(mul(d, d))
+        return voc.loss(tokens, spks, targets)
 
     params = list(voc.trainable().values())
     for _ in range(6):
         picks = [params[i] for i in rng.choice(len(params), size=3, replace=False)]
         err = oracles.fd_gradcheck(build, picks, rng, probes=1)
         assert err < oracles.FD_RTOL, f"worst fd error {err:.3e}"
+
+
+def test_batched_loss_is_the_mean_of_batch_of_one_losses():
+    rng = np.random.default_rng(7)
+    cfg = tiny_cfg()
+    voc = TimbreVocoder(cfg, seed=3)
+    tokens, spks, targets = _ragged_batch(cfg, rng)
+    oracles.assert_batch_is_mean_of_singles(
+        voc, lambda: voc.loss(tokens, spks, targets),
+        [lambda i=i: voc.loss(tokens[i:i + 1], spks[i:i + 1], targets[i:i + 1])
+         for i in range(len(tokens))])
+
+
+def test_padding_is_inert(monkeypatch):
+    # whatever the pad ids and pad target frames hold, the loss and every
+    # gradient stay bit for bit: the key mask hides pad tokens from every
+    # real row, and pad frames weigh 0
+    rng = np.random.default_rng(8)
+    cfg = tiny_cfg()
+    voc = TimbreVocoder(cfg, seed=4)
+    tokens, spks, targets = _ragged_batch(cfg, rng)
+    base, base_grads = oracles.loss_and_grads(voc, lambda: voc.loss(tokens, spks, targets))
+    monkeypatch.setattr(nn, "right_pad", oracles.noisy_right_pad(nn.right_pad, rng))
+    for _ in range(3):
+        got, grads = oracles.loss_and_grads(voc, lambda: voc.loss(tokens, spks, targets))
+        assert got == base
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, base_grads[name], err_msg=name)
+
+
+def test_a_lone_utterance_is_the_batch_of_one():
+    rng = np.random.default_rng(9)
+    cfg = tiny_cfg(upsample=2)
+    voc = TimbreVocoder(cfg, seed=5)
+    tokens, spk = [0, 3, 5], unit(rng, cfg.spk_dim)
+    with no_grad():
+        lone = voc.forward_frames(tokens, spk, None).data
+        batch = voc.forward_frames([tokens], spk[None], None).data
+    assert lone.shape == (6, cfg.feat_dim) and batch.shape == (1, 6, cfg.feat_dim)
+    np.testing.assert_array_equal(batch[0], lone)
 
 
 def test_same_seed_same_vocoder():

@@ -284,7 +284,7 @@ def cmd_train_tokenizer(args) -> dict:
 def cmd_tokenize(args) -> dict:
     tok = rebuild(load_checkpoint(args.ckpt), "tokenizer")
     m = read_manifest(args.infile)
-    rows = [(r.id, tok.tokenize(r.tgt_frames)) for r in m]
+    rows = list(zip([r.id for r in m], tok.tokenize_many([r.tgt_frames for r in m])))
     write_token_file(args.out, rows)
     print(f"tokenized {len(rows)} utterances")
     return dict(config={}, seed=None, inputs=[args.ckpt, args.infile], outputs=[args.out])

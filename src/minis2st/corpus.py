@@ -325,7 +325,8 @@ def write_manifest(m: Manifest, path):
 
 # manifest record field -> (type check, what it wants), in constructor order
 _STR = (lambda v: type(v) is str, "a string")
-_SYMBOLS = (lambda v: type(v) is list and all(type(t) is int for t in v), "a list of ints")
+_SYMBOLS = (lambda v: type(v) is list and all(type(t) is int and t >= 0 for t in v),
+            "a list of ints >= 0")
 _RECORD_FIELDS = {"id": _STR, "src_text": _SYMBOLS, "tgt_text": _SYMBOLS, "src_frames": _STR,
                   "tgt_frames": _STR, "speaker": _STR,
                   "similarity": (lambda v: type(v) in (int, float), "a number")}
@@ -374,6 +375,10 @@ def read_manifest(path) -> Manifest:
                 raise ParseError(f"{path}:{lineno}: missing field {key!r}")
             if not ok(obj[key]):
                 raise ParseError(f"{path}:{lineno}: field {key!r} is not {what}")
+        vocab = metadata.get("tgt_vocab")
+        if vocab is not None and any(t >= vocab for t in obj["tgt_text"]):
+            raise ParseError(f"{path}:{lineno}: field 'tgt_text' holds a symbol >= "
+                             f"metadata 'tgt_vocab' {vocab}")
         check_record_id(obj["id"], path, lineno, seen)
         frames = {}
         for key in ("src_frames", "tgt_frames"):

@@ -245,8 +245,7 @@ def timbre_separation(*, vocoder, tokenizer, records, matched, mismatched) -> fl
     if not records:
         raise ValueError("timbre_separation needs at least one record")
     wins = 0
-    for r in records:
-        mu = tokenizer.tokenize(r.tgt_frames)
+    for r, mu in zip(records, tokenizer.tokenize_many([r.tgt_frames for r in records])):
         e_m = vocoder.embedder.embed(matched[r.id].tgt_frames)
         e_x = vocoder.embedder.embed(mismatched[r.id].tgt_frames)
         e_g = vocoder.embedder.embed(vocoder.synthesize(mu, e_m))

@@ -194,17 +194,6 @@ def same_speaker_prompts(m: Manifest) -> dict:
     return out
 
 
-def mismatched_prompts(m: Manifest) -> dict:
-    """id -> reference record of a different speaker, spread deterministically."""
-    out = {}
-    for i, r in enumerate(m):
-        others = [p for p in m if p.speaker != r.speaker]
-        if not others:
-            raise ValueError("mismatched prompts need at least two speakers")
-        out[r.id] = others[i % len(others)]
-    return out
-
-
 # -------------------------------------------------------------- stage runner
 
 
@@ -239,7 +228,8 @@ def _prompted_examples(m: Manifest, tokenizer: SpeechTokenizer, module: nn.Modul
     """(record, semantic tokens, prompt embedding by `module.embedder`) per record."""
     prompts = same_speaker_prompts(m)
     embed = module.embedder.embed
-    return [(r, tokenizer.tokenize(r.tgt_frames), embed(prompts[r.id].tgt_frames)) for r in m]
+    tokens = tokenizer.tokenize_many([r.tgt_frames for r in m])
+    return [(r, toks, embed(prompts[r.id].tgt_frames)) for r, toks in zip(m, tokens)]
 
 
 # ------------------------------------------------------------ tokenizer stage
@@ -321,12 +311,13 @@ def build_token_targets(m: Manifest, tokenizer: SpeechTokenizer,
                         text_to_token: TextToTokenModel | None = None) -> list:
     """(record, semantic tokens) pairs for decoder training.
 
-    speech: tokens come from re-quantizing the target frames.
+    speech: tokens come from re-quantizing the target frames, in one
+    `tokenize_many` call.
     text: the trained text-to-token model generates them from the target text
     and a same-speaker prompt, embedded by the model's own embedder.
     """
     if token_source == "speech":
-        return [(r, tokenizer.tokenize(r.tgt_frames)) for r in m]
+        return list(zip(m, tokenizer.tokenize_many([r.tgt_frames for r in m])))
     if token_source == "text":
         if text_to_token is None:
             raise ValueError("text token source needs text_to_token")

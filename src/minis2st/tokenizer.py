@@ -5,6 +5,11 @@ snaps each vector to its nearest entry (the semantic token), and the stage-2
 encoder re-contextualizes the quantized sequence for an attached text decoder
 whose cross-entropy supervises the whole stack.  Token sequences are
 length-preserving: one token per input frame, no temporal downsampling.
+
+A manifest is tokenized in bulk by `SpeechTokenizer.tokenize_many`: utterances
+of equal frame count are stacked and share one stage-1 pass and one quantize,
+with no padding and no mask, so every utterance gets the tokens it gets alone.
+`tokenize` is the one-utterance case of the same call.
 """
 from __future__ import annotations
 
@@ -28,6 +33,10 @@ from .tensor import (
     sub,
     weighted_sum,
 )
+
+# frames per stage-1 pass of tokenize_many: bounds its (B, heads, T, T)
+# attention scores and the (rows, |C|) distances of its quantize
+TOKENIZE_ROWS = 512
 
 
 @dataclass
@@ -201,9 +210,32 @@ class SpeechTokenizer(nn.Module):
 
     def tokenize(self, frames) -> list:
         """Frames -> semantic token indices (one per frame)."""
+        return self.tokenize_many([frames])[0]
+
+    def tokenize_many(self, utterances) -> list:
+        """Each utterance's semantic token indices, in input order.
+
+        Every utterance is checked before any pass runs.  Utterances of equal
+        frame count T are stacked into (B, T, feat_dim) stage-1 passes of at
+        most TOKENIZE_ROWS frames, or of one utterance when T alone exceeds
+        that.  Equal lengths need no padding and no mask, so each utterance's
+        tokens are those it gets alone.
+        """
+        frames = [self._frames(u) for u in utterances]
+        by_length: dict = {}
+        for i, f in enumerate(frames):
+            by_length.setdefault(f.shape[0], []).append(i)
+        out = [None] * len(frames)
         with no_grad():
-            h = self.encoder.encode_stage1(self._frames(frames), None)
-        return quantize(h, self.codebook)
+            for t, group in by_length.items():
+                per_pass = max(1, TOKENIZE_ROWS // t)
+                for lo in range(0, len(group), per_pass):
+                    part = group[lo : lo + per_pass]
+                    h = self.encoder.encode_stage1(np.array([frames[i] for i in part]), None)
+                    codes = quantize(h.data.reshape(-1, h.shape[-1]), self.codebook)
+                    for j, i in enumerate(part):
+                        out[i] = codes[j * t : (j + 1) * t]
+        return out
 
     def training_losses(self, batch, texts):
         """Joint objective of a batch of utterances: frames and target texts.
@@ -260,13 +292,25 @@ def _alignment_counts(tok: SpeechTokenizer, manifest: Manifest, frames_per_symbo
     """counts[token, symbol]: frames carrying `symbol` that quantize to `token`.
 
     Each target symbol spans frames_per_symbol frames, and the tokenizer is
-    length-preserving, so frame i carries symbol text[i // frames_per_symbol].
+    length-preserving, so frame i carries symbol text[i // frames_per_symbol]
+    (frames past the text's end carry its last symbol).  A record with no
+    target symbols adds no counts; a symbol outside [0, n_symbols) raises
+    ValueError.
     """
+    records = [r for r in manifest if r.tgt_text]
+    for r in records:
+        if min(r.tgt_text) < 0 or max(r.tgt_text) >= n_symbols:
+            raise ValueError(f"record {r.id!r}: tgt_text {r.tgt_text} holds a symbol "
+                             f"outside [0, {n_symbols})")
     counts = np.zeros((tok.codebook.size, n_symbols), dtype=np.int64)
-    for r in manifest:
-        mu = tok.tokenize(r.tgt_frames)
+    if not records:
+        return counts
+    tokens, symbols = [], []
+    for r, mu in zip(records, tok.tokenize_many([r.tgt_frames for r in records])):
         at = np.minimum(np.arange(len(mu)) // frames_per_symbol, len(r.tgt_text) - 1)
-        np.add.at(counts, (mu, np.asarray(r.tgt_text, dtype=np.int64)[at]), 1)
+        tokens.append(mu)
+        symbols.append(np.asarray(r.tgt_text, dtype=np.int64)[at])
+    np.add.at(counts, (np.concatenate(tokens), np.concatenate(symbols)), 1)
     return counts
 
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from minis2st.model import ModelConfig
 from minis2st.tensor import Tape, Tensor, backward, mean, mul, no_grad, sub, zero_grad
+from minis2st.tokenizer import quantize
 
 # ------------------------------------------------------- finite differences
 
@@ -415,6 +416,29 @@ def generate_recompute(t2t, text, spk_emb, max_len):
                 return TokenGenResult(out, truncated=False)
             out.append(nxt - t2t.text_vocab)
     return TokenGenResult(out, truncated=True)
+
+
+# ------------------------------------------------- tokenizing one at a time
+
+
+def tokenize_alone(tok, frames) -> list:
+    """One utterance's tokens from a stage-1 pass of its own (T, feat_dim)
+    frames, then `quantize`: tokenizing as it was before utterances of equal
+    length shared passes."""
+    with no_grad():
+        h = tok.encoder.encode_stage1(frames.frames, None)
+    return quantize(h, tok.codebook)
+
+
+def alignment_counts_alone(tok, manifest, frames_per_symbol, n_symbols) -> np.ndarray:
+    """counts[token, symbol] frame by frame, each utterance tokenized alone;
+    frame i carries symbol text[i // frames_per_symbol], the last one past
+    the text's end."""
+    counts = np.zeros((tok.codebook.size, n_symbols), dtype=np.int64)
+    for r in manifest:
+        for i, t in enumerate(tokenize_alone(tok, r.tgt_frames)):
+            counts[t, r.tgt_text[min(i // frames_per_symbol, len(r.tgt_text) - 1)]] += 1
+    return counts
 
 
 # ------------------------------------------------------------- VQ brute force

@@ -32,7 +32,7 @@ from minis2st.model import (
     compute_loss,
     make_projector,
 )
-from minis2st.pipeline import mismatched_prompts, same_speaker_prompts, split_manifest
+from minis2st.pipeline import same_speaker_prompts, split_manifest
 from minis2st.tensor import Tensor, mean, mul, sub
 from minis2st.tokenizer import Codebook, quantize
 from minis2st.training import TrainConfig, load_checkpoint, train
@@ -216,6 +216,17 @@ def test_08_token_source_ablation_harness(toy_run):
         pat = re.compile(
             r"relative BLEU degradation of -?\d+\.\d{2}% with text-derived tokens")
         assert any(pat.fullmatch(n) for n in report.notes), report.notes
+
+
+def mismatched_prompts(m) -> dict:
+    """id -> reference record of a different speaker, spread deterministically."""
+    out = {}
+    for i, r in enumerate(m):
+        others = [p for p in m if p.speaker != r.speaker]
+        if not others:
+            raise ValueError("mismatched prompts need at least two speakers")
+        out[r.id] = others[i % len(others)]
+    return out
 
 
 def test_09_timbre_conditioning(toy_run):

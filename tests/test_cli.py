@@ -219,6 +219,9 @@ def test_mistyped_manifest_field_exits_two(tmp_path, capsys):
          "field 'src_frames': not base64"),
         (3, {**json.loads(good[2]), "tgt_frames": "RFMyRg=="}, "field 'tgt_frames': "
          "truncated frame header"),
+        (2, {**json.loads(good[1]), "src_text": [-1]}, "field 'src_text' is not a list of ints"),
+        (3, {**json.loads(good[2]), "tgt_text": [0, 20]}, "field 'tgt_text' holds a symbol >= "
+         "metadata 'tgt_vocab' 20"),
     ):
         lines = list(good)
         lines[lineno - 1] = json.dumps(line)

@@ -211,6 +211,31 @@ def test_manifest_reader_errors(tmp_path):
             read_manifest(typed)
 
 
+def test_manifest_reader_rejects_symbols_outside_the_vocabulary(tmp_path):
+    frames = base64.b64encode(encode_frames(SpeechFrames(np.zeros((3, 4)), 50))).decode()
+    record = {"id": "a", "speaker": "s", "similarity": 1.0, "src_text": [1],
+              "tgt_text": [2], "src_frames": frames, "tgt_frames": frames}
+    m = tmp_path / "m.jsonl"
+    for meta, key, text, message in (
+        ({}, "src_text", [1, -1], "is not a list of ints >= 0"),
+        ({"tgt_vocab": 6}, "tgt_text", [-2], "is not a list of ints >= 0"),
+        ({"tgt_vocab": 6}, "tgt_text", [2, 6], "holds a symbol >= metadata 'tgt_vocab' 6"),
+    ):
+        m.write_text(json.dumps({"manifest": meta}) + "\n"
+                     + json.dumps({**record, key: text}) + "\n")
+        with pytest.raises(ParseError, match=f"m.jsonl:2: field '{key}' {message}"):
+            read_manifest(m)
+    # empty text, the last symbol of the vocabulary, and any symbol >= 0 where
+    # no vocabulary is declared are all legal
+    for meta, fields in (({"tgt_vocab": 6}, {"src_text": [], "tgt_text": []}),
+                         ({"tgt_vocab": 6}, {"src_text": [9], "tgt_text": [0, 5]}),
+                         ({}, {"tgt_text": [40]})):
+        want = {**record, **fields}
+        m.write_text(json.dumps({"manifest": meta}) + "\n" + json.dumps(want) + "\n")
+        (r,) = read_manifest(m)
+        assert (r.src_text, r.tgt_text) == (want["src_text"], want["tgt_text"])
+
+
 def test_record_ids_must_name_a_file_inside_a_directory():
     seen = {}
     for lineno, rid in enumerate(("utt00000", "a.b", "...", "x-1_y"), start=2):

@@ -185,6 +185,9 @@ class _FixedTokenizer:
     def tokenize(self, frames):
         return list(self.ids)
 
+    def tokenize_many(self, utterances):
+        return [list(self.ids) for _ in utterances]
+
 
 def test_transcribe_majority_votes_each_block():
     alignment = np.array([0, 1, 2, -1], dtype=np.int64)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from minis2st import nn
 from minis2st.corpus import SpeechFrames, generate_toy_corpus, ToyCorpusConfig
 from minis2st.tensor import Tape, Tensor, backward, embedding_lookup, mean, no_grad
 from minis2st.tokenizer import (
+    TOKENIZE_ROWS,
     Codebook,
     SpeechTokenizer,
     TextToTokenModel,
@@ -225,6 +228,55 @@ def test_tokenize_is_deterministic_and_grad_free():
     assert a == tok.tokenize(frames)
 
 
+def _recording_stage1(tok, monkeypatch) -> list:
+    """Patch tok's stage-1 encoder to record the shape of each pass it runs."""
+    shapes = []
+    encode = tok.encoder.encode_stage1
+
+    def record(f, mask):
+        shapes.append(f.shape)
+        return encode(f, mask)
+
+    monkeypatch.setattr(tok.encoder, "encode_stage1", record)
+    return shapes
+
+
+def test_tokenize_many_equals_tokenizing_alone_in_input_order(monkeypatch):
+    cfg = tiny_cfg()
+    tok = SpeechTokenizer(cfg, seed=3)
+    rng = np.random.default_rng(11)
+    rows = TOKENIZE_ROWS
+    # 5 frames: a group past the row cap, so it splits over two passes; 9
+    # frames: a small group; 13 frames: a lone length; rows + 1 frames: one
+    # utterance longer than a pass, which runs alone
+    lengths = [5] * (rows // 5 + 7) + [9] * 4 + [13] + [rows + 1]
+    rng.shuffle(lengths)
+    utts = [SpeechFrames(rng.normal(size=(n, cfg.feat_dim)), 50) for n in lengths]
+    shapes = _recording_stage1(tok, monkeypatch)
+    got = tok.tokenize_many(utts)
+    passes = sorted(shapes)
+    assert got == [oracles.tokenize_alone(tok, u) for u in utts]
+    assert [len(t) for t in got] == lengths
+    assert passes == sorted([(rows // 5, 5, cfg.feat_dim), (7, 5, cfg.feat_dim),
+                             (4, 9, cfg.feat_dim), (1, 13, cfg.feat_dim),
+                             (1, rows + 1, cfg.feat_dim)])
+    assert tok.tokenize_many([]) == []
+
+
+def test_tokenize_many_checks_every_utterance_before_any_pass(monkeypatch):
+    cfg = tiny_cfg()
+    tok = SpeechTokenizer(cfg, seed=3)
+    good = SpeechFrames(np.ones((6, cfg.feat_dim)), 50)
+    shapes = _recording_stage1(tok, monkeypatch)
+    for bad in (np.zeros((0, cfg.feat_dim)), np.zeros((6, cfg.feat_dim + 1))):
+        with pytest.raises(ValueError) as alone:
+            tok.tokenize(bad)
+        with pytest.raises(ValueError) as among:
+            tok.tokenize_many([good, good, bad, good])
+        assert str(among.value) == str(alone.value)
+    assert shapes == []
+
+
 def _ragged_batch(cfg, rng):
     """Three utterances of 5, 9 and 12 frames and 1, 3 and 4 symbols, so
     two of them are padded on both the frame and the text side."""
@@ -366,6 +418,34 @@ def test_alignment_counts_match_the_hand_loop_with_duplicate_codes():
     got = _alignment_counts(tok, m, fps, cfg.tgt_vocab)
     assert got.dtype == np.int64 and np.array_equal(got, want)
     assert want[9].sum() == 0 and want[0].sum() > 0
+
+
+def test_alignment_on_the_toy_corpus_equals_tokenizing_alone():
+    cfg = ToyCorpusConfig(pairs=60)
+    m = generate_toy_corpus(cfg, 4)
+    tok = SpeechTokenizer(tiny_cfg(feat_dim=cfg.feat_dim, codebook_size=24), seed=1)
+    want = oracles.alignment_counts_alone(tok, m, cfg.frames_per_symbol, cfg.tgt_vocab)
+    got = _alignment_counts(tok, m, cfg.frames_per_symbol, cfg.tgt_vocab)
+    assert np.array_equal(got, want)
+    used = want.sum(axis=1) > 0
+    table = token_symbol_alignment(tok, m, cfg.frames_per_symbol, cfg.tgt_vocab)
+    assert np.array_equal(table, np.where(used, want.argmax(axis=1), -1))
+
+
+def test_alignment_skips_records_without_text_and_rejects_foreign_symbols():
+    cfg = ToyCorpusConfig(src_vocab=3, tgt_vocab=4, len_min=2, len_max=3, pairs=6,
+                          speakers=2, feat_dim=4, frames_per_symbol=2)
+    m = generate_toy_corpus(cfg, 0)
+    tok = SpeechTokenizer(tiny_cfg(codebook_size=10), seed=0)
+    records = list(m)
+    silent = m.subset(records[:3] + [replace(r, tgt_text=[]) for r in records[3:]])
+    assert np.array_equal(_alignment_counts(tok, silent, 2, 4),
+                          _alignment_counts(tok, m.subset(records[:3]), 2, 4))
+    assert _alignment_counts(tok, m.subset([replace(records[0], tgt_text=[])]), 2, 4).sum() == 0
+    for text in ([1, 4], [-1, 2]):
+        bad = m.subset(records[:2] + [replace(records[2], tgt_text=text)])
+        with pytest.raises(ValueError, match=rf"{records[2].id}.*outside \[0, 4\)"):
+            _alignment_counts(tok, bad, 2, 4)
 
 
 def test_text_to_token_loss_and_generation():

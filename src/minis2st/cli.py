@@ -32,6 +32,7 @@ from .corpus import (
     generate_toy_corpus,
     read_frames,
     read_manifest,
+    same_speaker_prompts,
     text_lines,
     write_frames,
     write_manifest,
@@ -42,7 +43,6 @@ from .pipeline import (
     bundle,
     rebuild,
     resolve_vocoder,
-    same_speaker_prompts,
     split_manifest,
     toy_model_config,
     toy_tokenizer_config,

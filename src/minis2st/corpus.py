@@ -129,6 +129,22 @@ def filter_by_similarity(m: Manifest, threshold: float = 0.9, inclusive: bool = 
     return m.subset([r for r in m.records if r.similarity > threshold])
 
 
+def same_speaker_prompts(records) -> dict:
+    """id -> reference record of the same speaker (next one cyclically; a
+    speaker with a single utterance prompts with itself)."""
+    by_spk: dict = {}
+    first: dict = {}  # (speaker, id) -> where that id first appears in the speaker's list
+    for r in records:
+        group = by_spk.setdefault(r.speaker, [])
+        first.setdefault((r.speaker, r.id), len(group))
+        group.append(r)
+    out = {}
+    for r in records:
+        group = by_spk[r.speaker]
+        out[r.id] = group[(first[r.speaker, r.id] + 1) % len(group)]
+    return out
+
+
 # ------------------------------------------------------------- toy corpus
 
 
@@ -148,7 +164,7 @@ class ToyCorpusConfig:
     name: str = "toy"
     language_pair: str = "src-tgt"
 
-    def validate(self):
+    def __post_init__(self):
         if self.src_vocab < 1 or self.tgt_vocab < 1:
             raise ValueError("vocab sizes must be >= 1")
         if self.tgt_vocab < self.src_vocab:
@@ -194,7 +210,6 @@ def generate_toy_corpus(cfg: ToyCorpusConfig, seed: int) -> Manifest:
     frames render one fixed template block per symbol plus isotropic noise,
     and target frames additionally carry a per-speaker constant offset.
     """
-    cfg.validate()
     sym_map = toy_symbol_map(cfg, seed)
     src_tpl = toy_templates(cfg, seed, "src")
     tgt_tpl = toy_templates(cfg, seed, "tgt")

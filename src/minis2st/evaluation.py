@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Manifest, atomic_write, cosine_similarity
+from .corpus import Manifest, atomic_write, cosine_similarity, same_speaker_prompts
 
 
 # ---------------------------------------------------------------- text metrics
@@ -202,17 +202,19 @@ def transcribe_frames(frames, tokenizer, alignment: np.ndarray, frames_per_symbo
 
 
 def evaluate_translation(*, model, tokenizer, vocoder, alignment,
-                         records, prompts, frames_per_symbol: int,
+                         records, frames_per_symbol: int,
                          decode_cfg=None, system: str = "s2st"):
     """Full-chain scoring: translate, synthesize, transcribe, then metrics.
 
-    prompts maps record id -> same-speaker reference record whose target
-    frames condition the vocoder.  Returns (EvalRow, details) where details
-    carries per-utterance hypotheses/references/similarities for inspection.
+    Each record's synthesis is conditioned on the target frames of its
+    `same_speaker_prompts` reference among `records`.  Returns (EvalRow,
+    details) where details carries per-utterance hypotheses/references/
+    similarities for inspection.
     """
     records = list(records)
     if not records:
         raise ValueError("evaluate_translation needs at least one record")
+    prompts = same_speaker_prompts(records)
     hyps, refs, sims, texts = [], [], [], []
     for r in records:
         res = model.translate(r.src_frames, decode_cfg)
@@ -284,7 +286,6 @@ def run_ablation(suite: str, *, train_m: Manifest, val_m: Manifest, eval_m: Mani
     from . import pipeline  # late import: pipeline builds on this module
 
     fps = train_m.metadata.get("frames_per_symbol", 4)
-    eval_prompts = pipeline.same_speaker_prompts(eval_m)
     base_cfg = pipeline.toy_model_config()
     rows, curves, notes = [], {}, []
 
@@ -299,7 +300,7 @@ def run_ablation(suite: str, *, train_m: Manifest, val_m: Manifest, eval_m: Mani
             )
             row, _ = evaluate_translation(
                 model=model, tokenizer=tokenizer, vocoder=vocoder, alignment=alignment,
-                records=eval_m, prompts=eval_prompts, frames_per_symbol=fps, system=name,
+                records=eval_m, frames_per_symbol=fps, system=name,
             )
             row.extras["final_train_loss"] = float(trace[-1]) if trace else None
             half = steps_to_half_loss(trace)

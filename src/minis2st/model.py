@@ -63,8 +63,8 @@ class ModelConfig:
     fixed_input_len: int = 48
     freeze_text_embed: bool = True
 
-    def validate(self):
-        if self.projector not in ("linear", "conv1d", "qformer"):
+    def __post_init__(self):
+        if self.projector not in PROJECTORS:
             raise ValueError(f"unknown projector kind {self.projector!r}")
         if min(self.text_vocab, self.audio_vocab, self.d_model, self.blocks, self.heads,
                self.group_size, self.group_frames, self.fixed_input_len) < 1:
@@ -203,15 +203,12 @@ class QFormerProjector(nn.Module):
         return self.out(self.ln(x))
 
 
+PROJECTORS = {"linear": LinearProjector, "conv1d": Conv1dLinearProjector,
+              "qformer": QFormerProjector}
+
+
 def make_projector(cfg: ModelConfig, seed: int):
-    rng = rng_for(seed, f"projector.{cfg.projector}")
-    if cfg.projector == "linear":
-        return LinearProjector(cfg, rng)
-    if cfg.projector == "conv1d":
-        return Conv1dLinearProjector(cfg, rng)
-    if cfg.projector == "qformer":
-        return QFormerProjector(cfg, rng)
-    raise ValueError(f"unknown projector kind {cfg.projector!r}")
+    return PROJECTORS[cfg.projector](cfg, rng_for(seed, f"projector.{cfg.projector}"))
 
 
 # -------------------------------------------------------------- decoder LM
@@ -266,7 +263,6 @@ class DecoderLM(nn.Module):
     """
 
     def __init__(self, cfg: ModelConfig, seed: int):
-        cfg.validate()
         self.vocab = AugmentedVocab(cfg.text_vocab, cfg.audio_vocab)
         d, g = cfg.d_model, cfg.group_size
         rng = rng_for(seed, "decoder_lm")
@@ -312,32 +308,20 @@ class DecoderLM(nn.Module):
     def batch_targets(self, texts, tokens):
         """`make_targets` of each utterance, filled with PAD on the right to
         the longest one's L steps: text (B, L) and audio (B, L, G)."""
-        v = self.vocab
-        steps = [self.make_targets(text, toks) for text, toks in zip(texts, tokens)]
-        n = max(len(text) for text, _ in steps)
-        text_targets = np.full((len(steps), n), v.text_pad_local)
-        audio_targets = np.full((len(steps), n, self.cfg.group_size), v.audio_pad_local)
-        for i, (text, audio) in enumerate(steps):
-            text_targets[i, : len(text)] = text
-            audio_targets[i, : len(text)] = audio
-        return text_targets, audio_targets
+        text, audio = zip(*[self.make_targets(t, toks) for t, toks in zip(texts, tokens)])
+        return (nn.right_pad(text, self.vocab.text_pad_local)[0],
+                nn.right_pad(audio, self.vocab.audio_pad_local)[0])
 
     def _embed(self, ids) -> Tensor:
-        """Rows of embedding ids, any shape, each gathered from its own table
-        of the split text/aux pair."""
+        """Rows of embedding ids, any shape, gathered from the text table, the
+        aux table, or (ids of both kinds) the two stacked in id order."""
         idx = np.asarray(ids, dtype=np.int64)
         aux = idx - self.vocab.text_size
-        is_text = aux < 0
-        if is_text.all():
+        if (aux < 0).all():
             return embedding_lookup(self.text_embed, idx)
-        if not is_text.any():
+        if (aux >= 0).all():
             return embedding_lookup(self.aux_embed, aux)
-        # the text rows, then the aux rows, put back in id order
-        rows = concat([embedding_lookup(self.text_embed, idx[is_text]),
-                       embedding_lookup(self.aux_embed, aux[~is_text])])
-        order = np.empty(idx.size, dtype=np.int64)
-        order[np.argsort(~is_text.reshape(-1), kind="stable")] = np.arange(idx.size)
-        return embedding_lookup(rows, order.reshape(idx.shape))
+        return embedding_lookup(concat([self.text_embed, self.aux_embed]), idx)
 
     def _prefix(self, a_p: Tensor) -> list:
         """The input rows before the first step: soft prompt, source, BOS,
@@ -507,7 +491,6 @@ class TranslationModel(nn.Module):
     """Frozen encoder + projector + decoder, trained and decoded as one unit."""
 
     def __init__(self, cfg: ModelConfig, seed: int):
-        cfg.validate()
         self.encoder = FrozenSpeechEncoder(cfg, seed)
         self.projector = make_projector(cfg, seed)
         self.decoder = DecoderLM(cfg, seed)

@@ -2,6 +2,8 @@
 
 Modules hold Tensors in attributes; named_tensors() walks the attribute tree and
 yields stable dotted names, which is what the optimizer and checkpoints key on.
+`positions` owns the cached, read-only position tables and `right_pad` the
+layout of a right-padded batch; every caller goes through them.
 """
 from __future__ import annotations
 
@@ -77,15 +79,19 @@ def sinusoidal_positions(n: int, d: int) -> np.ndarray:
 _POSITIONS: dict = {}
 
 
+def positions(n: int, d: int) -> np.ndarray:
+    """The read-only (n, d) position table, built on first use and then shared."""
+    table = _POSITIONS.get((n, d))
+    if table is None:
+        table = sinusoidal_positions(n, d)
+        table.flags.writeable = False
+        _POSITIONS[n, d] = table
+    return table
+
+
 def add_positions(x: Tensor) -> Tensor:
     """x plus the position table of its last two axes, shared by any leading ones."""
-    key = x.shape[-2:]
-    table = _POSITIONS.get(key)
-    if table is None:
-        table = sinusoidal_positions(*key)
-        table.flags.writeable = False
-        _POSITIONS[key] = table
-    return add(x, Tensor(table))
+    return add(x, Tensor(positions(*x.shape[-2:])))
 
 
 def expand(x: Tensor, lead: tuple) -> Tensor:

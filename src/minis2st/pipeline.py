@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evaluation, nn
-from .corpus import Manifest, SpeechFrames, ToyCorpusConfig, generate_toy_corpus
+from .corpus import (Manifest, SpeechFrames, ToyCorpusConfig, generate_toy_corpus,
+                     same_speaker_prompts)
 from .model import DecodeConfig, ModelConfig, TranslationModel
 from .tensor import no_grad
 from .tokenizer import (
@@ -96,7 +97,7 @@ def rebuild(st: CheckpointState, kind: str, key: str | None = None) -> nn.Module
         return cls(**args)
 
     recipe = st.config if key is None else st.config.get(key)
-    try:  # validate() and the constructors reject values out of range
+    try:  # configs and constructors reject values out of range
         module = build(recipe, cls, where, _BESIDE)
     except ValueError as exc:
         raise VersionError(f"checkpoint config {where}: {exc}") from None
@@ -178,20 +179,6 @@ def split_manifest(m: Manifest, n_train: int):
     if not (0 < n_train < len(records)):
         raise ValueError(f"split point {n_train} outside (0, {len(records)})")
     return m.subset(records[:n_train]), m.subset(records[n_train:])
-
-
-def same_speaker_prompts(m: Manifest) -> dict:
-    """id -> reference record of the same speaker (next one cyclically; a
-    speaker with a single utterance prompts with itself)."""
-    by_spk: dict = {}
-    for r in m:
-        by_spk.setdefault(r.speaker, []).append(r)
-    out = {}
-    for r in m:
-        group = by_spk[r.speaker]
-        ids = [g.id for g in group]
-        out[r.id] = group[(ids.index(r.id) + 1) % len(group)]
-    return out
 
 
 # -------------------------------------------------------------- stage runner
@@ -477,10 +464,9 @@ def run_toy_pipeline(out_dir=None, *, seed: int = 0, corpus_cfg: ToyCorpusConfig
     timings["vocoder"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    prompts = same_speaker_prompts(val_m)
     row, _ = evaluation.evaluate_translation(
         model=model, tokenizer=tok, vocoder=voc, alignment=alignment, records=val_m,
-        prompts=prompts, frames_per_symbol=fps, decode_cfg=decode_cfg,
+        frames_per_symbol=fps, decode_cfg=decode_cfg,
     )
     report = evaluation.EvalReport(
         rows=[row],

@@ -1,10 +1,12 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
 Every value is a numpy float64 buffer wrapped in a Tensor.  Operations executed
-while a Tape is active append (output, pullback) nodes to that tape; backward()
-walks the tape in reverse insertion order exactly once and accumulates gradients
-into every reachable tensor that has requires_grad set.  Gradients add across
-uses and across repeated backward calls; callers reset with zero_grad().
+while a Tape is active append (output, pullback) nodes to that tape, and their
+outputs keep no reference to it.  backward(loss, tape) pops the nodes in reverse
+insertion order, running each pullback once, so gradients reach every tensor
+with requires_grad set and the tape ends empty, its graph freed on the way.
+Gradients add across uses and across repeated backward calls; callers reset
+with zero_grad().
 
 Outside an active tape nothing is recorded and outputs never require grad, which
 is what inference paths use.
@@ -52,13 +54,12 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._tape = None
 
     @property
     def shape(self):
@@ -87,20 +88,21 @@ def _make(out_data, inputs, pullback):
     tape = _active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out._tape = tape
         tape.nodes.append((out, pullback))
     return out
 
 
-def backward(loss: Tensor):
-    """Reverse pass from a scalar loss over the tape it was recorded on."""
+def backward(loss: Tensor, tape: Tape):
+    """Reverse pass from a scalar loss over `tape`, which must have recorded
+    it; each node is popped once its pullback has run, so the tape ends
+    empty."""
     if loss.data.ndim != 0:
         raise ValueError(f"backward requires a scalar, got shape {loss.data.shape}")
-    tape = loss._tape
-    if tape is None:
-        raise ValueError("backward: tensor is not connected to an active tape")
+    if not any(out is loss for out, _ in reversed(tape.nodes)):
+        raise ValueError("backward: the tape did not record this tensor")
     loss._accumulate(np.ones((), dtype=np.float64))
-    for out, pull in reversed(tape.nodes):
+    while tape.nodes:
+        out, pull = tape.nodes.pop()
         if out.grad is not None:
             pull(out.grad)
 
@@ -383,7 +385,11 @@ def weighted_sum(x, weights):
 # ------------------------------------------------------- normalizing layers
 
 
-def layernorm(x, gain, bias, eps=1e-5):
+# added to the variance in layernorm, keeping the inverse root finite
+LAYERNORM_EPS = 1e-5
+
+
+def layernorm(x, gain, bias):
     """Normalize the last axis to zero mean / unit variance, then scale + shift."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     d = x.data.shape[-1]
@@ -395,7 +401,7 @@ def layernorm(x, gain, bias, eps=1e-5):
     dev = x.data - x.data.mean(axis=-1, keepdims=True)
     # np.var's own sequence of operations, without its second pass for the mean
     var = (dev * dev).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = dev * inv
     out_data = xhat * gain.data + bias.data
 

@@ -51,7 +51,7 @@ class TokenizerConfig:
     heads: int = 4
     commitment_beta: float = 0.25
 
-    def validate(self):
+    def __post_init__(self):
         if min(self.feat_dim, self.text_vocab, self.dim, self.codebook_size) < 1:
             raise ValueError("tokenizer config sizes must be >= 1")
         if min(self.enc1_blocks, self.enc2_blocks, self.asr_blocks, self.heads) < 1:
@@ -194,7 +194,6 @@ class AsrDecoder(nn.Module):
 
 class SpeechTokenizer(nn.Module):
     def __init__(self, cfg: TokenizerConfig, seed: int = 0):
-        cfg.validate()
         self.encoder = SplitEncoder(cfg, rng_for(seed, "tokenizer.encoder"))
         self.codebook = Codebook(cfg.codebook_size, cfg.dim, rng_for(seed, "tokenizer.codebook"))
         self.asr = AsrDecoder(cfg, rng_for(seed, "tokenizer.asr"))
@@ -412,7 +411,7 @@ class TextToTokenModel(nn.Module):
         banned[self.bos] = -1e30
         ids = [self.bos] + list(text)
         # the longest input: speaker slot, ids, then max_len - 1 fed-back picks
-        positions = nn.sinusoidal_positions(len(ids) + max_len, self.embed.shape[1])
+        positions = nn.positions(len(ids) + max_len, self.embed.shape[1])
         cache = [KVCache() for _ in self.blocks]
         out = []
         with no_grad():

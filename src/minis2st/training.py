@@ -325,8 +325,7 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
                     f"non-finite training loss at step {step}; "
                     f"best checkpoint (step {best_step}) retained"
                 )
-            backward(loss)
-            tape.nodes.clear()  # op outputs point back at the tape: free the step now
+            backward(loss, tape)
             adam.step(lr)
             zero_grad(params.values())
             if log_fh:

@@ -31,7 +31,7 @@ class VocoderConfig:
     spk_dim: int = 16
     frame_rate: int = 50
 
-    def validate(self):
+    def __post_init__(self):
         if min(self.feat_dim, self.audio_vocab, self.token_dim, self.d_model,
                self.blocks, self.heads, self.upsample, self.spk_dim) < 1:
             raise ValueError("vocoder config sizes must be >= 1")
@@ -70,7 +70,6 @@ class SpeakerEmbedder:
 
 class TimbreVocoder(nn.Module):
     def __init__(self, cfg: VocoderConfig, seed: int = 0, embedder: SpeakerEmbedder | None = None):
-        cfg.validate()
         if embedder is None:
             embedder = SpeakerEmbedder(cfg.feat_dim, cfg.spk_dim, seed=seed)
         embedder.expect(spk_dim=cfg.spk_dim, feat_dim=cfg.feat_dim)

@@ -34,9 +34,9 @@ def fd_gradcheck(build_loss, tensors, rng, probes: int = 2,
     """
     tensors = [t for t in tensors if t.requires_grad]
     zero_grad(tensors)
-    with Tape():
+    with Tape() as tape:
         loss = build_loss()
-    backward(loss)
+    backward(loss, tape)
     worst = 0.0
     for t in tensors:
         flat = t.data.reshape(-1)
@@ -62,9 +62,9 @@ def loss_and_grads(module, build):
     `module` (zeros where none reached it)."""
     params = module.trainable()
     zero_grad(params.values())
-    with Tape():
+    with Tape() as tape:
         loss = build()
-    backward(loss)
+    backward(loss, tape)
     return float(loss.data), {k: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
                               for k, p in params.items()}
 

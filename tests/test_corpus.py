@@ -19,6 +19,7 @@ from minis2st.corpus import (
     generate_toy_corpus,
     read_frames,
     read_manifest,
+    same_speaker_prompts,
     toy_symbol_map,
     write_frames,
     write_manifest,
@@ -89,6 +90,28 @@ def test_config_validation_rejects_bad_settings():
         generate_toy_corpus(small_cfg(len_min=5, len_max=2), 0)
     with pytest.raises(ValueError):
         generate_toy_corpus(small_cfg(pairs=-1), 0)
+
+
+def test_same_speaker_prompts_match_the_per_record_search():
+    # the quadratic form: each record's position found by a search of its
+    # speaker's ids (a repeated id maps by its first position)
+    def reference(records):
+        out = {}
+        for r in records:
+            group = [g for g in records if g.speaker == r.speaker]
+            ids = [g.id for g in group]
+            out[r.id] = group[(ids.index(r.id) + 1) % len(group)]
+        return out
+
+    records = list(generate_toy_corpus(small_cfg(pairs=23, speakers=4), 5))
+    lone = UtterancePair("lone", [0], [0], records[0].src_frames, records[0].tgt_frames,
+                         "nobody", 1.0)
+    for case in (records, records + [lone], records + records[:3]):
+        got = same_speaker_prompts(case)
+        want = reference(case)
+        assert list(got) == list(want)
+        assert all(got[k] is want[k] for k in want)
+    assert same_speaker_prompts(records + [lone])["lone"] is lone
 
 
 def test_cosine_similarity_hand_values():

@@ -219,8 +219,7 @@ def test_transcribe_rejects_bad_block_size():
 def test_evaluate_translation_rejects_empty_records():
     with pytest.raises(ValueError, match="at least one record"):
         evaluate_translation(model=None, tokenizer=None, vocoder=None,
-                             alignment=None, records=[],
-                             prompts={}, frames_per_symbol=4)
+                             alignment=None, records=[], frames_per_symbol=4)
 
 
 def test_timbre_separation_rejects_empty_records():

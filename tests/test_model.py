@@ -414,9 +414,9 @@ def _loss_and_grads(model, build):
     """Loss values of build() and the gradient of every trainable tensor."""
     params = model.trainable()
     zero_grad(params.values())
-    with Tape():
+    with Tape() as tape:
         losses = build()
-    backward(losses[0])
+    backward(losses[0], tape)
     grads = {k: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
              for k, p in params.items()}
     return [float(x.data) for x in losses], grads
@@ -513,10 +513,10 @@ def test_embed_reads_each_id_from_its_own_table_bit_for_bit():
         runs = []
         for embed in (dec._embed, masked):
             zero_grad([dec.text_embed, dec.aux_embed])
-            with Tape():
+            with Tape() as tape:
                 out = embed(ids)
                 loss = mean(mul(out, w))
-            backward(loss)
+            backward(loss, tape)
             runs.append([out.data] + [np.zeros_like(t.data) if t.grad is None else t.grad
                                       for t in (dec.text_embed, dec.aux_embed)])
         for got, want in zip(*runs):

@@ -3,13 +3,28 @@ the package, plus every field of a `*Config` dataclass, counted with `ast`.
 
 A change that adds or removes an option moves this count; it updates
 SETTABLE and says why in CHANGES.md.
+
+Also pinned here: every config checks its own values when it is built, and
+the benchmark under `bench/`, which a change to the program may not edit,
+still finds every entry point it wraps and calls them as it does.
 """
 import ast
+import inspect
 from pathlib import Path
 
-import minis2st
+import pytest
 
-SETTABLE = 163
+import minis2st
+from minis2st import corpus, evaluation, model, pipeline, tokenizer, vocoder
+from minis2st.corpus import ToyCorpusConfig
+from minis2st.model import DecodeConfig, ModelConfig
+from minis2st.tokenizer import TokenizerConfig
+from minis2st.training import TrainConfig
+from minis2st.vocoder import VocoderConfig
+
+SETTABLE = 162
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def settable_count() -> int:
@@ -26,3 +41,65 @@ def settable_count() -> int:
 
 def test_settable_count_is_pinned():
     assert settable_count() == SETTABLE
+
+
+OUT_OF_RANGE = [
+    (ModelConfig, dict(projector="mlp")),
+    *[(ModelConfig, {k: 0}) for k in ("text_vocab", "audio_vocab", "d_model", "blocks", "heads",
+                                      "group_size", "group_frames", "fixed_input_len")],
+    (ModelConfig, dict(prompt_len=-1)),
+    *[(TokenizerConfig, {k: 0}) for k in ("feat_dim", "text_vocab", "dim", "codebook_size",
+                                          "enc1_blocks", "enc2_blocks", "asr_blocks", "heads")],
+    (TokenizerConfig, dict(commitment_beta=-0.1)),
+    *[(VocoderConfig, {k: 0}) for k in ("feat_dim", "audio_vocab", "token_dim", "d_model",
+                                        "blocks", "heads", "upsample", "spk_dim")],
+    *[(ToyCorpusConfig, kw) for kw in (dict(src_vocab=0), dict(tgt_vocab=0),
+                                       dict(src_vocab=6, tgt_vocab=5), dict(len_min=0),
+                                       dict(len_min=5, len_max=2), dict(pairs=-1),
+                                       dict(speakers=0), dict(feat_dim=0),
+                                       dict(frames_per_symbol=0))],
+    *[(TrainConfig, {k: 0}) for k in ("lr", "batch_size", "warmup_steps", "max_epochs",
+                                      "validate_every", "patience", "decay_gamma")],
+    *[(TrainConfig, kw) for kw in (dict(decay_gamma=1.5), dict(lambda_audio=-1.0),
+                                   dict(lambda_text=-1.0), dict(min_delta=-1e-3))],
+    (DecodeConfig, dict(max_steps=0)),
+    (DecodeConfig, dict(repetition_penalty=0.0)),
+]
+
+
+@pytest.mark.parametrize("cls,kw", OUT_OF_RANGE,
+                         ids=[cls.__name__ + "-" + ",".join(f"{k}={v}" for k, v in kw.items())
+                              for cls, kw in OUT_OF_RANGE])
+def test_every_config_rejects_an_out_of_range_value_when_built(cls, kw):
+    cls()  # the defaults are in range
+    with pytest.raises(ValueError):
+        cls(**kw)
+
+
+def test_the_benchmark_still_reaches_every_entry_point_it_uses(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    from tracing import Tracer
+
+    tracer = Tracer()
+    layers.install(tracer)
+    try:
+        assert tracer.missing == []
+    finally:
+        tracer.uninstall()
+    # the calls bench/workloads.py makes, argument for argument
+    m = object()
+    for name, extra in (("tokenizer", ()), ("model", (m,)), ("vocoder", (m,))):
+        inspect.signature(getattr(pipeline, f"train_{name}_stage")).bind(
+            m, m, *extra, seed=0, max_steps=1, checkpoint_path="c", log_path="l",
+            loss_trace=[])
+    inspect.signature(pipeline.train).bind_partial(loss_fn=m, val_fn=m)
+    inspect.signature(pipeline.toy_train_config).bind("model", 0)
+    inspect.signature(pipeline.same_speaker_prompts).bind(m)
+    inspect.signature(pipeline.toy_corpus_config).bind(550)
+    inspect.signature(pipeline.split_manifest).bind(m, 500)
+    inspect.signature(corpus.generate_toy_corpus).bind(m, 0)
+    inspect.signature(tokenizer.token_symbol_alignment).bind(m, m, 4, 20)
+    inspect.signature(vocoder.SpeakerEmbedder).bind(8, spk_dim=16, seed=0)
+    inspect.signature(model.TranslationModel.translate).bind(m, m, m)
+    inspect.signature(evaluation.transcribe_frames).bind(m, m, m, 4)

@@ -40,20 +40,20 @@ def test_every_op_gradient_matches_finite_differences():
 
 def test_gradients_accumulate_across_uses():
     x = Tensor([2.0, -1.0], requires_grad=True)
-    with Tape():
+    with Tape() as tape:
         y = total(add(mul(x, x), x))  # d/dx (x^2 + x) = 2x + 1
-    backward(y)
+    backward(y, tape)
     np.testing.assert_allclose(x.grad, [5.0, -1.0])
 
 
 def test_gradients_accumulate_across_backward_calls():
     x = Tensor([3.0], requires_grad=True)
-    with Tape():
+    with Tape() as tape:
         y = total(mul(x, 2.0))
-    backward(y)
-    with Tape():
+    backward(y, tape)
+    with Tape() as tape:
         z = total(mul(x, 5.0))
-    backward(z)
+    backward(z, tape)
     np.testing.assert_allclose(x.grad, [7.0])
     zero_grad([x])
     assert x.grad is None
@@ -61,12 +61,12 @@ def test_gradients_accumulate_across_backward_calls():
 
 def test_no_grad_suspends_recording():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    with Tape():
+    with Tape() as tape:
         with no_grad():
             y = mul(x, 3.0)
         assert not y.requires_grad
         z = total(mul(x, y))
-    backward(z)
+    backward(z, tape)
     # y acted as a constant: dz/dx = y = 3x
     np.testing.assert_allclose(x.grad, [3.0, 6.0])
 
@@ -76,40 +76,54 @@ def test_backward_without_tape_raises():
     y = total(x)  # no tape active: nothing recorded
     assert not y.requires_grad
     with pytest.raises(ValueError):
-        backward(y)
+        backward(y, Tape())
+
+
+def test_backward_walks_only_the_tape_that_recorded_the_loss_and_empties_it():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as tape:
+        y = total(mul(x, 2.0))
+    with Tape() as other:
+        total(mul(x, 3.0))
+    with pytest.raises(ValueError):
+        backward(y, other)
+    assert len(other.nodes) == 3 and x.grad is None
+    backward(y, tape)
+    assert tape.nodes == []
+    np.testing.assert_allclose(x.grad, [2.0, 2.0])
 
 
 def test_backward_requires_scalar():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    with Tape():
+    with Tape() as tape:
         y = mul(x, 2.0)
     with pytest.raises(ValueError):
-        backward(y)
+        backward(y, tape)
 
 
 def test_detach_blocks_gradient():
     x = Tensor([4.0], requires_grad=True)
-    with Tape():
+    with Tape() as tape:
         y = total(mul(x.detach(), x))  # only the second factor is live
-    backward(y)
+    backward(y, tape)
     np.testing.assert_allclose(x.grad, [4.0])
 
 
 def test_broadcast_gradient_reduces_correctly():
     a = Tensor(np.ones((3, 4)), requires_grad=True)
     b = Tensor(np.zeros(4), requires_grad=True)
-    with Tape():
+    with Tape() as tape:
         y = total(add(a, b))
-    backward(y)
+    backward(y, tape)
     np.testing.assert_allclose(a.grad, np.ones((3, 4)))
     np.testing.assert_allclose(b.grad, np.full(4, 3.0))
 
 
 def test_embedding_lookup_accumulates_repeated_rows():
     table = Tensor(np.zeros((4, 2)), requires_grad=True)
-    with Tape():
+    with Tape() as tape:
         y = total(embedding_lookup(table, [1, 1, 3]))
-    backward(y)
+    backward(y, tape)
     expected = np.zeros((4, 2))
     expected[1] = 2.0
     expected[3] = 1.0
@@ -163,10 +177,10 @@ def _attention_grads(x, src, proj, heads, mask, c):
     """Output, the gradients of the inputs, and those of every projection array."""
     ins = [Tensor(a, requires_grad=True) for a in (x, src) if a is not None]
     ps = [(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)) for w, b in proj]
-    with Tape():
+    with Tape() as tape:
         out = attention(ins[0], ins[-1], ps, heads, mask)
         loss = mean(mul(out, Tensor(c)))
-    backward(loss)
+    backward(loss, tape)
     return out.data, [t.grad for t in ins], [t.grad for wb in ps for t in wb]
 
 

@@ -183,13 +183,13 @@ def test_straight_through_gradient_is_identity():
     scale = Tensor(np.ones(()), requires_grad=True)
     from minis2st.tensor import add, mul
 
-    with Tape():
+    with Tape() as tape:
         h = mul(Tensor(base), scale)
         tokens = quantize(h, cb)
         q = embedding_lookup(cb.entries, tokens)
         h_bar = add(h, Tensor(q.data - h.data))
         loss = mean(h_bar)
-    backward(loss)
+    backward(loss, tape)
     assert float(scale.grad) == pytest.approx(base.mean(), rel=1e-12)
 
 
@@ -369,9 +369,9 @@ def test_straight_through_carries_asr_gradient_to_stage1():
 
     params = tok.trainable()
     zero_grad(params.values())
-    with Tape():
+    with Tape() as tape:
         total, _, _ = tok.training_losses([frames], [[2, 0]])
-    backward(total)
+    backward(total, tape)
     w = params["encoder.in_proj.w"]
     assert w.grad is not None and np.abs(w.grad).max() > 0.0
 

@@ -26,7 +26,6 @@ from .evaluation import (
     corpus_bleu,
     evaluate_translation,
     meteor_lite,
-    run_ablation,
     speaker_similarity,
     steps_to_half_loss,
     timbre_separation,
@@ -43,6 +42,7 @@ from .model import (
 from .pipeline import (
     PipelineRun,
     resolve_vocoder,
+    run_ablation,
     run_toy_pipeline,
     split_manifest,
     train_model_stage,

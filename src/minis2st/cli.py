@@ -32,17 +32,18 @@ from .corpus import (
     generate_toy_corpus,
     read_frames,
     read_manifest,
-    same_speaker_prompts,
     text_lines,
     write_frames,
     write_manifest,
 )
-from .evaluation import EvalReport, EvalRow, corpus_bleu, meteor_lite, run_ablation, speaker_similarity
+from .evaluation import (EvalReport, EvalRow, corpus_bleu, meteor_lite, speaker_similarity,
+                         translate_records)
 from .model import DecodeConfig, ModelConfig
 from .pipeline import (
     bundle,
     rebuild,
     resolve_vocoder,
+    run_ablation,
     split_manifest,
     toy_model_config,
     toy_tokenizer_config,
@@ -336,38 +337,24 @@ def cmd_translate(args) -> dict:
     st = load_checkpoint(args.ckpt)
     model = rebuild(st, "model")
     m = read_manifest(args.infile)
-    voc = prompts = None
-    if "vocoder" in st.config:  # otherwise text and tokens only
-        voc = resolve_vocoder(st)
-        prompts = same_speaker_prompts(m)
-
+    voc = resolve_vocoder(st) if "vocoder" in st.config else None  # else text and tokens only
     # every utterance is translated before anything is written, so a run that
     # fails (a decode budget beyond the context, say) leaves no output behind
-    text_rows, token_rows, synthesized = [], [], []
-    truncated = 0
-    for r in m:
-        res = model.translate(r.src_frames, dcfg)
-        text_rows.append((r.id, res.text))
-        token_rows.append((r.id, res.tokens))
-        truncated += int(res.truncated_text or res.truncated_audio)
-        if voc is not None:
-            prompt = prompts[r.id].tgt_frames
-            synthesized.append((r.id, voc.synthesize(res.tokens, voc.embedder.embed(prompt)),
-                                prompt))
+    chain = translate_records(model, voc, m, dcfg)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if voc is not None:
-        (out_dir / "frames").mkdir(exist_ok=True)
-        (out_dir / "prompts").mkdir(exist_ok=True)
-    for rid, gen, prompt in synthesized:
-        write_frames(out_dir / "frames" / f"{rid}.ds2f", gen)
-        write_frames(out_dir / "prompts" / f"{rid}.ds2f", prompt)
-    write_token_file(out_dir / "translations.text", text_rows)
-    write_token_file(out_dir / "translations.tokens", token_rows)
     outputs = [out_dir / "translations.text", out_dir / "translations.tokens"]
     if voc is not None:
         outputs += [out_dir / "frames", out_dir / "prompts"]
+        for sub in outputs[2:]:
+            sub.mkdir(exist_ok=True)
+        for r, (_, prompt, gen) in zip(m, chain):
+            write_frames(out_dir / "frames" / f"{r.id}.ds2f", gen)
+            write_frames(out_dir / "prompts" / f"{r.id}.ds2f", prompt)
+    write_token_file(outputs[0], [(r.id, res.text) for r, (res, _, _) in zip(m, chain)])
+    write_token_file(outputs[1], [(r.id, res.tokens) for r, (res, _, _) in zip(m, chain)])
+    truncated = sum(res.truncated_text or res.truncated_audio for res, _, _ in chain)
     note = " (no vocoder in checkpoint: frames skipped)" if voc is None else ""
     print(f"translated {len(m)} utterances, {truncated} truncated{note}")
     return dict(config=eff, seed=None, inputs=[args.ckpt, args.infile], outputs=outputs)

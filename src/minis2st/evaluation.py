@@ -1,9 +1,10 @@
-"""Metrics and experiment reports.
+"""Metrics, reports and the translation chain they score.
 
 Corpus BLEU (n=1..4, add-one smoothing above unigrams, brevity penalty), a
 reduced METEOR over exact unigram alignments, speaker similarity through the
-fixed embedder, and the two ablation suites (projector variants, token source)
-that train systems under one seed and render comparison reports.
+fixed embedder, and the comparison reports the ablations render.
+`translate_records` is the one inference chain: translate each record, then
+speak each translation in the voice of its same-speaker prompt.
 
 Translated speech is scored by re-quantizing the synthesized frames with the
 trained tokenizer and reading symbols off the majority-vote alignment table;
@@ -13,12 +14,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Manifest, atomic_write, cosine_similarity, same_speaker_prompts
+from .corpus import atomic_write, cosine_similarity, frame_matrix
 
 
 # ---------------------------------------------------------------- text metrics
@@ -95,7 +96,10 @@ def meteor_lite(hyp, ref) -> float:
 
 
 def speaker_similarity(gen, prompt, embedder) -> float:
-    """Cosine between speaker embeddings of generated and prompt frames."""
+    """Cosine between speaker embeddings of generated and prompt frames; a
+    generation with no frames (no audio tokens were decoded) scores 0.0."""
+    if not len(frame_matrix(gen, embedder.feat_dim, "speaker embedder")):
+        return 0.0
     return cosine_similarity(embedder.embed(gen), embedder.embed(prompt))
 
 
@@ -201,31 +205,36 @@ def transcribe_frames(frames, tokenizer, alignment: np.ndarray, frames_per_symbo
     return out
 
 
+def translate_records(model, vocoder, records, decode_cfg) -> list:
+    """(DecodeResult, prompt frames, synthesized frames) per record, in order:
+    every record is translated, then `vocoder` speaks each translation in the
+    voice of its `vocoder.embedder.prompts` prompt.  With vocoder None, the
+    prompt and the frames are None."""
+    records = list(records)
+    results = [model.translate(r.src_frames, decode_cfg) for r in records]
+    if vocoder is None:
+        return [(res, None, None) for res in results]
+    return [(res, prompt, vocoder.synthesize(res.tokens, spk))
+            for res, (prompt, spk) in zip(results, vocoder.embedder.prompts(records))]
+
+
 def evaluate_translation(*, model, tokenizer, vocoder, alignment,
                          records, frames_per_symbol: int,
                          decode_cfg=None, system: str = "s2st"):
-    """Full-chain scoring: translate, synthesize, transcribe, then metrics.
+    """Full-chain scoring: `translate_records`, transcribe, then metrics.
 
-    Each record's synthesis is conditioned on the target frames of its
-    `same_speaker_prompts` reference among `records`.  Returns (EvalRow,
-    details) where details carries per-utterance hypotheses/references/
-    similarities for inspection.
+    Returns (EvalRow, details) where details carries per-utterance
+    hypotheses/references/similarities for inspection.
     """
     records = list(records)
     if not records:
         raise ValueError("evaluate_translation needs at least one record")
-    prompts = same_speaker_prompts(records)
     hyps, refs, sims, texts = [], [], [], []
-    for r in records:
-        res = model.translate(r.src_frames, decode_cfg)
-        prompt = prompts[r.id].tgt_frames
-        gen = vocoder.synthesize(res.tokens, vocoder.embedder.embed(prompt))
-        if gen.length:
-            hyps.append(transcribe_frames(gen, tokenizer, alignment, frames_per_symbol))
-            sims.append(speaker_similarity(gen, prompt, vocoder.embedder))
-        else:
-            hyps.append([])
-            sims.append(0.0)
+    chain = translate_records(model, vocoder, records, decode_cfg)
+    for r, (res, prompt, gen) in zip(records, chain):
+        hyps.append(transcribe_frames(gen, tokenizer, alignment, frames_per_symbol)
+                    if gen.length else [])
+        sims.append(speaker_similarity(gen, prompt, vocoder.embedder))
         refs.append(list(r.tgt_text))
         texts.append(list(res.text))
     row = EvalRow(
@@ -255,7 +264,7 @@ def timbre_separation(*, vocoder, tokenizer, records, matched, mismatched) -> fl
     return wins / len(records)
 
 
-# ------------------------------------------------------------------ ablations
+# ------------------------------------------------------------- loss curves
 
 
 def steps_to_half_loss(trace, window: int = 10):
@@ -271,92 +280,3 @@ def steps_to_half_loss(trace, window: int = 10):
         if float(np.mean(trace[lo : i + 1])) <= target:
             return i + 1
     return None
-
-
-def run_ablation(suite: str, *, train_m: Manifest, val_m: Manifest, eval_m: Manifest,
-                 tokenizer, vocoder, alignment, seed: int = 0,
-                 train_cfg=None, max_steps=None):
-    """Train and score the configured variants under one seed and data split.
-
-    suite "projectors": linear / conv1d-linear / qformer-2 / qformer-4.
-    suite "token_source": decoder targets from speech-derived vs text-derived
-    semantic tokens.  A variant that raises is reported as failed while the
-    rest proceed.  Returns (EvalReport, {variant: per-step loss trace}).
-    """
-    from . import pipeline  # late import: pipeline builds on this module
-
-    fps = train_m.metadata.get("frames_per_symbol", 4)
-    base_cfg = pipeline.toy_model_config()
-    rows, curves, notes = [], {}, []
-
-    def variant(name: str, stage_kw):
-        """Train and score one variant; stage_kw() gives its model-stage
-        arguments.  A variant that raises is reported failed, the rest go on."""
-        trace: list = []
-        try:
-            model, _ = pipeline.train_model_stage(
-                train_m, val_m, tokenizer, tcfg=train_cfg, seed=seed, max_steps=max_steps,
-                loss_trace=trace, **stage_kw(),
-            )
-            row, _ = evaluate_translation(
-                model=model, tokenizer=tokenizer, vocoder=vocoder, alignment=alignment,
-                records=eval_m, frames_per_symbol=fps, system=name,
-            )
-            row.extras["final_train_loss"] = float(trace[-1]) if trace else None
-            half = steps_to_half_loss(trace)
-            if half is not None:
-                row.extras["steps_to_half_loss"] = half
-        except Exception as exc:  # isolate the failing variant
-            row = EvalRow(system=name, count=0, error=str(exc))
-        rows.append(row)
-        curves[name] = trace
-
-    if suite == "projectors":
-        variants = [
-            ("linear", {"projector": "linear"}),
-            ("conv1d-linear", {"projector": "conv1d"}),
-            ("qformer-2", {"projector": "qformer", "qformer_blocks": 2}),
-            ("qformer-4", {"projector": "qformer", "qformer_blocks": 4}),
-        ]
-        for name, over in variants:
-            variant(name, lambda: {"cfg": replace(base_cfg, **over)})
-        halves = {r.system: r.extras.get("steps_to_half_loss") for r in rows if not r.error}
-        lin = halves.get("linear")
-        qf = [halves.get(k) for k in ("qformer-2", "qformer-4")]
-        if lin is None or any(v is None for v in qf):
-            notes.append("faster convergence for higher-capacity projectors: inconclusive")
-        else:
-            verdict = "observed" if min(qf) < lin else "not observed"
-            notes.append(f"faster convergence for higher-capacity projectors: {verdict}")
-    elif suite == "token_source":
-        variant("speech-tokens", lambda: {"cfg": base_cfg, "token_source": "speech"})
-        variant("text-tokens", lambda: {
-            "cfg": base_cfg, "token_source": "text",
-            "text_to_token": pipeline.train_text_to_token_stage(
-                train_m, val_m, tokenizer, seed=seed, embedder=vocoder.embedder,
-                max_steps=max_steps,
-            )[0],
-        })
-        by_name = {r.system: r for r in rows}
-        sp, tx = by_name.get("speech-tokens"), by_name.get("text-tokens")
-        if sp and tx and not sp.error and not tx.error and sp.bleu and sp.bleu > 0:
-            delta = (sp.bleu - tx.bleu) / sp.bleu * 100.0
-            notes.append(f"relative BLEU degradation of {delta:.2f}% with text-derived tokens")
-        else:
-            notes.append("relative BLEU degradation: undefined (missing or zero baseline)")
-    else:
-        raise ValueError(f"unknown ablation suite {suite!r}")
-
-    report = EvalReport(
-        rows=rows,
-        metadata={
-            "suite": suite,
-            "seed": seed,
-            "train_pairs": len(train_m),
-            "eval_pairs": len(eval_m),
-            "max_steps": max_steps,
-        },
-        notes=notes,
-    )
-    report.validate()
-    return report, curves

@@ -1,4 +1,4 @@
-"""Staged training glue and the end-to-end toy run.
+"""Staged training glue, the ablation suites and the end-to-end toy run.
 
 Each stage hands one runner its batch loss, validation set, and checkpoint
 snapshot, and returns (module, TrainResult) with the best validated weights in
@@ -11,20 +11,21 @@ Checkpoints store only trainable tensors plus each module's recipe, the
 constructor arguments it records as `recipe`; frozen parts (speech encoder,
 frozen text rows, the speaker embedder that the vocoder and text-to-token
 model carry) are regenerated from the recorded seeds, so `rebuild` returns
-one whole module.
+one whole module.  The ablation suites train model-stage variants under one
+seed and score each with `evaluation.evaluate_translation`.
 """
 from __future__ import annotations
 
 import inspect
 import resource
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import evaluation, nn
-from .corpus import (Manifest, SpeechFrames, ToyCorpusConfig, generate_toy_corpus,
-                     same_speaker_prompts)
+from .corpus import Manifest, SpeechFrames, ToyCorpusConfig, generate_toy_corpus
+from .corpus import same_speaker_prompts  # unused here: bench/ calls it as pipeline's
 from .model import DecodeConfig, ModelConfig, TranslationModel
 from .tensor import no_grad
 from .tokenizer import (
@@ -144,14 +145,15 @@ def toy_tokenizer_config() -> TokenizerConfig:
 def toy_model_config(projector: str = "linear") -> ModelConfig:
     # group_size matches the corpus rendering (4 frames per symbol), so one
     # decode step spans exactly one symbol block
-    return ModelConfig(audio_vocab=384, d_model=96, blocks=2, heads=4, context=256,
-                       group_size=4, projector=projector, proj_hidden=128,
-                       qformer_queries=16, qformer_dim=64, enc_dim=64, enc_blocks=1,
-                       fixed_input_len=32)
+    return ModelConfig(audio_vocab=toy_tokenizer_config().codebook_size, d_model=96, blocks=2,
+                       heads=4, context=256, group_size=4, projector=projector,
+                       proj_hidden=128, qformer_queries=16, qformer_dim=64, enc_dim=64,
+                       enc_blocks=1, fixed_input_len=32)
 
 
 def toy_vocoder_config() -> VocoderConfig:
-    return VocoderConfig(audio_vocab=384, token_dim=16, d_model=32, blocks=1, heads=4)
+    return VocoderConfig(audio_vocab=toy_tokenizer_config().codebook_size, token_dim=16,
+                         d_model=32, blocks=1, heads=4)
 
 
 def toy_train_config(stage: str, seed: int = 0) -> TrainConfig:
@@ -213,10 +215,8 @@ def _run_stage(kind: str, module: nn.Module, train_ex, val_ex, batch_loss,
 
 def _prompted_examples(m: Manifest, tokenizer: SpeechTokenizer, module: nn.Module) -> list:
     """(record, semantic tokens, prompt embedding by `module.embedder`) per record."""
-    prompts = same_speaker_prompts(m)
-    embed = module.embedder.embed
     tokens = tokenizer.tokenize_many([r.tgt_frames for r in m])
-    return [(r, toks, embed(prompts[r.id].tgt_frames)) for r, toks in zip(m, tokens)]
+    return [(r, toks, spk) for r, toks, (_, spk) in zip(m, tokens, module.embedder.prompts(m))]
 
 
 # ------------------------------------------------------------ tokenizer stage
@@ -308,12 +308,8 @@ def build_token_targets(m: Manifest, tokenizer: SpeechTokenizer,
     if token_source == "text":
         if text_to_token is None:
             raise ValueError("text token source needs text_to_token")
-        prompts = same_speaker_prompts(m)
-        out = []
-        for r in m:
-            spk = text_to_token.embedder.embed(prompts[r.id].tgt_frames)
-            out.append((r, text_to_token.generate(r.tgt_text, spk, max_len=64).tokens))
-        return out
+        return [(r, text_to_token.generate(r.tgt_text, spk, max_len=64).tokens)
+                for r, (_, spk) in zip(m, text_to_token.embedder.prompts(m))]
     raise ValueError(f"unknown token source {token_source!r}")
 
 
@@ -390,6 +386,96 @@ def train_vocoder_stage(train_m: Manifest, val_m: Manifest, tokenizer: SpeechTok
         config_snapshot=voc.recipe, max_steps=max_steps,
     )
     return voc, result
+
+
+# ------------------------------------------------------------------ ablations
+
+
+def run_ablation(suite: str, *, train_m: Manifest, val_m: Manifest, eval_m: Manifest,
+                 tokenizer, vocoder, alignment, seed: int = 0,
+                 train_cfg=None, max_steps=None):
+    """Train and score the configured variants under one seed and data split.
+
+    suite "projectors": linear / conv1d-linear / qformer-2 / qformer-4.
+    suite "token_source": decoder targets from speech-derived vs text-derived
+    semantic tokens.  A variant that raises is reported as failed while the
+    rest proceed.  Returns (EvalReport, {variant: per-step loss trace}).
+    """
+    fps = train_m.metadata.get("frames_per_symbol", 4)
+    base_cfg = toy_model_config()
+    rows, curves, notes = [], {}, []
+
+    def variant(name: str, stage_kw):
+        """Train and score one variant; stage_kw() gives its model-stage
+        arguments.  A variant that raises is reported failed, the rest go on."""
+        trace: list = []
+        try:
+            model, _ = train_model_stage(
+                train_m, val_m, tokenizer, tcfg=train_cfg, seed=seed, max_steps=max_steps,
+                loss_trace=trace, **stage_kw(),
+            )
+            row, _ = evaluation.evaluate_translation(
+                model=model, tokenizer=tokenizer, vocoder=vocoder, alignment=alignment,
+                records=eval_m, frames_per_symbol=fps, system=name,
+            )
+            row.extras["final_train_loss"] = float(trace[-1]) if trace else None
+            half = evaluation.steps_to_half_loss(trace)
+            if half is not None:
+                row.extras["steps_to_half_loss"] = half
+        except Exception as exc:  # isolate the failing variant
+            row = evaluation.EvalRow(system=name, count=0, error=str(exc))
+        rows.append(row)
+        curves[name] = trace
+
+    if suite == "projectors":
+        variants = [
+            ("linear", {"projector": "linear"}),
+            ("conv1d-linear", {"projector": "conv1d"}),
+            ("qformer-2", {"projector": "qformer", "qformer_blocks": 2}),
+            ("qformer-4", {"projector": "qformer", "qformer_blocks": 4}),
+        ]
+        for name, over in variants:
+            variant(name, lambda: {"cfg": replace(base_cfg, **over)})
+        halves = {r.system: r.extras.get("steps_to_half_loss") for r in rows if not r.error}
+        lin = halves.get("linear")
+        qf = [halves.get(k) for k in ("qformer-2", "qformer-4")]
+        if lin is None or any(v is None for v in qf):
+            notes.append("faster convergence for higher-capacity projectors: inconclusive")
+        else:
+            verdict = "observed" if min(qf) < lin else "not observed"
+            notes.append(f"faster convergence for higher-capacity projectors: {verdict}")
+    elif suite == "token_source":
+        variant("speech-tokens", lambda: {"cfg": base_cfg, "token_source": "speech"})
+        variant("text-tokens", lambda: {
+            "cfg": base_cfg, "token_source": "text",
+            "text_to_token": train_text_to_token_stage(
+                train_m, val_m, tokenizer, seed=seed, embedder=vocoder.embedder,
+                max_steps=max_steps,
+            )[0],
+        })
+        by_name = {r.system: r for r in rows}
+        sp, tx = by_name.get("speech-tokens"), by_name.get("text-tokens")
+        if sp and tx and not sp.error and not tx.error and sp.bleu and sp.bleu > 0:
+            delta = (sp.bleu - tx.bleu) / sp.bleu * 100.0
+            notes.append(f"relative BLEU degradation of {delta:.2f}% with text-derived tokens")
+        else:
+            notes.append("relative BLEU degradation: undefined (missing or zero baseline)")
+    else:
+        raise ValueError(f"unknown ablation suite {suite!r}")
+
+    report = evaluation.EvalReport(
+        rows=rows,
+        metadata={
+            "suite": suite,
+            "seed": seed,
+            "train_pairs": len(train_m),
+            "eval_pairs": len(eval_m),
+            "max_steps": max_steps,
+        },
+        notes=notes,
+    )
+    report.validate()
+    return report, curves
 
 
 # ------------------------------------------------------------ end-to-end run

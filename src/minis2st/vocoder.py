@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import nn
-from .corpus import SpeechFrames, frame_matrix
+from .corpus import SpeechFrames, frame_matrix, same_speaker_prompts
 from .tensor import (Tensor, concat, embedding_lookup, mul, no_grad, reshape, rng_for, sub,
                      weighted_sum)
 
@@ -66,6 +66,13 @@ class SpeakerEmbedder:
         if n < 1e-12:
             raise ValueError("degenerate speaker embedding (zero norm)")
         return v / n
+
+    def prompts(self, records) -> list:
+        """(prompt frames, their embedding) per record, in record order: each
+        record is spoken in the voice of its same-speaker reference."""
+        records = list(records)
+        refs = same_speaker_prompts(records)
+        return [(refs[r.id].tgt_frames, self.embed(refs[r.id].tgt_frames)) for r in records]
 
 
 class TimbreVocoder(nn.Module):

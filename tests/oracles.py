@@ -441,6 +441,28 @@ def alignment_counts_alone(tok, manifest, frames_per_symbol, n_symbols) -> np.nd
     return counts
 
 
+# ----------------------------------------------- translating one at a time
+
+
+def translate_records_alone(model, vocoder, records, decode_cfg) -> list:
+    """(DecodeResult, prompt frames, synthesized frames) per record, as the
+    translate command and the full-chain scoring each looped before they
+    shared one chain: translate a record, then synthesize it with the
+    embedding of its `same_speaker_prompts` reference's target frames."""
+    from minis2st.corpus import same_speaker_prompts
+
+    prompts = same_speaker_prompts(records)
+    out = []
+    for r in records:
+        res = model.translate(r.src_frames, decode_cfg)
+        if vocoder is None:
+            out.append((res, None, None))
+            continue
+        prompt = prompts[r.id].tgt_frames
+        out.append((res, prompt, vocoder.synthesize(res.tokens, vocoder.embedder.embed(prompt))))
+    return out
+
+
 # ------------------------------------------------------------- VQ brute force
 
 

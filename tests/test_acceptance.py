@@ -20,7 +20,6 @@ from minis2st.evaluation import (
     corpus_bleu,
     evaluate_translation,
     meteor_lite,
-    run_ablation,
     timbre_separation,
 )
 from minis2st.model import (
@@ -32,7 +31,7 @@ from minis2st.model import (
     compute_loss,
     make_projector,
 )
-from minis2st.pipeline import same_speaker_prompts, split_manifest
+from minis2st.pipeline import run_ablation, same_speaker_prompts, split_manifest
 from minis2st.tensor import Tensor, mean, mul, sub
 from minis2st.tokenizer import Codebook, quantize
 from minis2st.training import TrainConfig, load_checkpoint, train

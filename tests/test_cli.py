@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -29,13 +30,15 @@ from minis2st.corpus import (
     ParseError,
     SpeechFrames,
     ToyCorpusConfig,
+    cosine_similarity,
     generate_toy_corpus,
+    read_frames,
     read_manifest,
     write_frames,
     write_manifest,
 )
 from minis2st.model import ModelConfig, TranslationModel
-from minis2st.pipeline import bundle
+from minis2st.pipeline import bundle, resolve_vocoder
 from minis2st.tokenizer import SpeechTokenizer, TextToTokenModel, TokenizerConfig
 from minis2st.training import CheckpointState, load_checkpoint, save_checkpoint
 from minis2st.vocoder import SpeakerEmbedder, TimbreVocoder, VocoderConfig
@@ -319,6 +322,23 @@ def test_translate_refuses_a_decode_budget_beyond_the_context(tmp_path, capsys):
     assert set(tmp_path.rglob("*")) == before
     assert main([*argv, "--decode-max-steps", "31"]) == 0
     capsys.readouterr()
+
+
+def test_translate_without_a_vocoder_writes_text_and_tokens_only(tmp_path, capsys):
+    ckpt, m, out = tmp_path / "model.ckpt", tmp_path / "m.jsonl", tmp_path / "out"
+    model = _tiny_model()
+    save_checkpoint(ckpt, CheckpointState(kind="model", config=model.recipe, step=0,
+                                          tensors=_trainable(model)))
+    write_manifest(generate_toy_corpus(ToyCorpusConfig(pairs=3), 0), m)
+    assert main(["translate", "--ckpt", str(ckpt), "--in", str(m), "--out-dir", str(out),
+                 "--decode-max-steps", "2"]) == 0
+    assert capsys.readouterr().out.endswith("(no vocoder in checkpoint: frames skipped)\n")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "run-manifest.json", "translations.text", "translations.tokens"]
+    assert json.loads((out / "run-manifest.json").read_text())["outputs"] == [
+        str(out / "translations.text"), str(out / "translations.tokens")]
+    assert [rid for rid, _ in read_token_file(out / "translations.tokens")] == [
+        r.id for r in read_manifest(m)]
 
 
 def test_synthesize_refuses_a_token_file_id_that_cannot_name_a_file(tmp_path, capsys):
@@ -662,6 +682,25 @@ def test_write_into_a_missing_directory_names_the_path_given(chain_dir, tmp_path
     assert (capsys.readouterr().err
             == f"missing file: [Errno {errno.ENOENT}] No such file or directory: '{out}'\n")
     assert not list(tmp_path.rglob("*"))
+
+
+def test_eval_scores_an_empty_synthesis_at_zero_similarity(chain_dir, tmp_path, capsys):
+    # a translation with no audio tokens is written as a zero-row frame file;
+    # eval scores it 0.0, as evaluate_translation does, instead of failing
+    d = tmp_path / "chain"
+    shutil.copytree(chain_dir, d)
+    frames, prompts = d / "translate" / "frames", d / "translate" / "prompts"
+    ids = [rid for rid, _ in read_token_file(d / "translate" / "translations.text")]
+    write_frames(frames / f"{ids[0]}.ds2f", SpeechFrames(np.zeros((0, 8)), 50))
+    assert main(next(argv for argv in cli_chain(d) if argv[0] == "eval")) == 0
+    capsys.readouterr()
+    embed = resolve_vocoder(load_checkpoint(d / "model.ckpt")).embedder.embed
+    sims = [0.0] + [cosine_similarity(embed(read_frames(frames / f"{rid}.ds2f")),
+                                      embed(read_frames(prompts / f"{rid}.ds2f")))
+                    for rid in ids[1:]]
+    assert len(sims) == 4
+    assert (f"system.speaker_sim={float(np.mean(sims))}\n"
+            in (d / "eval" / "report.kv").read_text())
 
 
 def test_every_command_writes_its_run_manifest(tmp_path, capsys):

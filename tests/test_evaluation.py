@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from minis2st.corpus import SpeechFrames
+from minis2st.corpus import SpeechFrames, ToyCorpusConfig, generate_toy_corpus
 from minis2st.evaluation import (
     EvalReport,
     EvalRow,
@@ -15,8 +15,10 @@ from minis2st.evaluation import (
     steps_to_half_loss,
     timbre_separation,
     transcribe_frames,
+    translate_records,
 )
-from minis2st.vocoder import SpeakerEmbedder
+from minis2st.model import DecodeConfig, ModelConfig, TranslationModel
+from minis2st.vocoder import SpeakerEmbedder, TimbreVocoder, VocoderConfig
 
 
 # -------------------------------------------------------------------- bleu
@@ -105,6 +107,16 @@ def test_speaker_similarity_of_identical_frames_is_one(rng):
     emb = SpeakerEmbedder(feat_dim=4, spk_dim=8, seed=0)
     f = SpeechFrames(frames=rng.standard_normal((12, 4)), frame_rate=50)
     assert speaker_similarity(f, f, emb) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_speaker_similarity_of_an_empty_generation_is_zero(rng):
+    # no audio tokens decoded means no frames: scored 0.0, not an error
+    emb = SpeakerEmbedder(feat_dim=4, spk_dim=8, seed=0)
+    prompt = SpeechFrames(frames=rng.standard_normal((12, 4)), frame_rate=50)
+    assert speaker_similarity(SpeechFrames(np.zeros((0, 4)), 50), prompt, emb) == 0.0
+    assert speaker_similarity(np.zeros((0, 4)), prompt, emb) == 0.0
+    with pytest.raises(ValueError, match="4-wide frames, got 5-wide"):
+        speaker_similarity(np.zeros((0, 5)), prompt, emb)
 
 
 # ----------------------------------------------------------------- reports
@@ -220,6 +232,29 @@ def test_evaluate_translation_rejects_empty_records():
     with pytest.raises(ValueError, match="at least one record"):
         evaluate_translation(model=None, tokenizer=None, vocoder=None,
                              alignment=None, records=[], frames_per_symbol=4)
+
+
+@pytest.mark.parametrize("with_vocoder", [True, False])
+def test_translate_records_matches_the_per_record_loop(with_vocoder):
+    records = list(generate_toy_corpus(ToyCorpusConfig(pairs=9), 3))
+    model = TranslationModel(ModelConfig(audio_vocab=8, d_model=8, blocks=1, heads=2,
+                                         context=64, prompt_len=1, proj_hidden=8, enc_dim=8,
+                                         enc_blocks=1, enc_heads=2, fixed_input_len=8), 0)
+    vocoder = (TimbreVocoder(VocoderConfig(audio_vocab=8, token_dim=4, d_model=8, blocks=1,
+                                           heads=2), 0) if with_vocoder else None)
+    dcfg = DecodeConfig(max_steps=6)
+    got = translate_records(model, vocoder, iter(records), dcfg)
+    want = oracles.translate_records_alone(model, vocoder, records, dcfg)
+    assert len(got) == len(want) == len(records)
+    assert any(res.tokens for res, _, _ in got)
+    for (res, prompt, gen), (w_res, w_prompt, w_gen) in zip(got, want):
+        assert res == w_res
+        if with_vocoder:
+            assert prompt is w_prompt
+            assert gen.frames.shape == w_gen.frames.shape
+            assert gen.frames.tobytes() == w_gen.frames.tobytes()
+        else:
+            assert prompt is None and gen is None
 
 
 def test_timbre_separation_rejects_empty_records():

@@ -4,9 +4,10 @@ the package, plus every field of a `*Config` dataclass, counted with `ast`.
 A change that adds or removes an option moves this count; it updates
 SETTABLE and says why in CHANGES.md.
 
-Also pinned here: every config checks its own values when it is built, and
-the benchmark under `bench/`, which a change to the program may not edit,
-still finds every entry point it wraps and calls them as it does.
+Also pinned here: every config checks its own values when it is built, the
+modules import one another in one order only, and the benchmark under
+`bench/`, which a change to the program may not edit, still finds every entry
+point it wraps and calls them as it does.
 """
 import ast
 import inspect
@@ -41,6 +42,33 @@ def settable_count() -> int:
 
 def test_settable_count_is_pinned():
     assert settable_count() == SETTABLE
+
+
+# each module of the package may import only the modules before it
+LAYERS = ["tensor", "corpus", "nn", "tokenizer", "model", "vocoder", "training", "evaluation",
+          "pipeline", "cli"]
+
+
+def package_imports(path: Path) -> set:
+    """The package modules a module imports anywhere, function bodies included."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # `from .x import y` names x; `from . import x` and `from minis2st import x` name x
+            module = (f"minis2st.{node.module}" if node.level and node.module
+                      else node.module or "minis2st")
+            names += [f"{module}.{a.name}" for a in node.names] if module == "minis2st" else [module]
+    return {name.split(".")[1] for name in names if name.startswith("minis2st.")}
+
+
+def test_each_module_imports_only_the_layers_below_it():
+    pkg = Path(minis2st.__file__).parent
+    assert sorted(p.stem for p in pkg.glob("*.py")) == sorted(LAYERS + ["__init__"])
+    for i, name in enumerate(LAYERS):
+        above = package_imports(pkg / f"{name}.py") - set(LAYERS[:i])
+        assert not above, f"{name} imports {sorted(above)}, which come after it"
 
 
 OUT_OF_RANGE = [

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import oracles
-from minis2st.corpus import SpeechFrames
+from minis2st.corpus import (SpeechFrames, ToyCorpusConfig, generate_toy_corpus,
+                             same_speaker_prompts)
 from minis2st import nn
 from minis2st.tensor import Tape, no_grad
 from minis2st.vocoder import SpeakerEmbedder, TimbreVocoder, VocoderConfig
@@ -186,3 +189,18 @@ def test_config_validation():
                          (SpeakerEmbedder(6, spk_dim=3), "feat_dim 4 != embedder feat_dim 6")):
         with pytest.raises(ValueError, match=message):
             TimbreVocoder(tiny_cfg(), seed=0, embedder=emb)
+
+
+def test_prompts_embed_each_records_same_speaker_reference():
+    e = SpeakerEmbedder(feat_dim=8, seed=0)
+    records = list(generate_toy_corpus(ToyCorpusConfig(pairs=9), 0))
+    lone = replace(records[3], id="lone", speaker="nobody-else")  # prompts with itself
+    for case in (records, records + [lone], [lone]):
+        refs = same_speaker_prompts(case)
+        got = e.prompts(case)
+        assert len(got) == len(case)
+        for r, (frames, spk) in zip(case, got):
+            assert frames is refs[r.id].tgt_frames
+            assert spk.tobytes() == e.embed(refs[r.id].tgt_frames).tobytes()
+    assert [spk.tobytes() for _, spk in e.prompts(iter(records))] == [
+        spk.tobytes() for _, spk in e.prompts(records)]

@@ -70,6 +70,20 @@ from .training import (
 )
 from .vocoder import SpeakerEmbedder, TimbreVocoder, VocoderConfig
 
+
+def _pin_blas_to_one_thread():
+    """One thread for NumPy's bundled OpenBLAS: how BLAS splits a product sets its rounding."""
+    import ctypes
+    from pathlib import Path
+    import numpy as np
+    for lib in Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so"):
+        set_threads = ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+
+
+_pin_blas_to_one_thread()
+
 __version__ = "0.1.0"
 
 __all__ = [

@@ -306,9 +306,9 @@ def cmd_train_model(args) -> dict:
     tcfg = TrainConfig(**_pick(eff, TrainConfig))
     max_steps = eff["max_steps"] or None
 
-    t2t = None
-    if eff["token_source"] == "text":
-        t2t = rebuild(tok_st, "tokenizer", "text_to_token")
+    if eff["token_source"] == "text" and "text_to_token" not in tok_st.config:
+        raise UsageError("--token-source text needs train-tokenizer --with-text-to-token true")
+    t2t = rebuild(tok_st, "tokenizer", "text_to_token") if eff["token_source"] == "text" else None
     log_path = args.log or str(args.out) + ".log.jsonl"
     model, result = train_model_stage(
         train_m, val_m, tok, cfg, tcfg, seed=eff["seed"],

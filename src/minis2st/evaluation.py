@@ -267,16 +267,14 @@ def timbre_separation(*, vocoder, tokenizer, records, matched, mismatched) -> fl
 # ------------------------------------------------------------- loss curves
 
 
-def steps_to_half_loss(trace, window: int = 10):
-    """First step (1-based) where the windowed mean loss falls to half the
-    initial windowed mean; None when the trace never gets there."""
+def steps_to_half_loss(trace):
+    """First step (1-based) where the mean loss over a 10-step window falls
+    to half the initial window's mean; None when the trace never gets there."""
     if not trace:
         return None
-    w = min(window, len(trace))
-    start = float(np.mean(trace[:w]))
-    target = start / 2.0
+    w = min(10, len(trace))
+    target = float(np.mean(trace[:w])) / 2.0
     for i in range(len(trace)):
-        lo = max(0, i - w + 1)
-        if float(np.mean(trace[lo : i + 1])) <= target:
+        if float(np.mean(trace[max(0, i - w + 1) : i + 1])) <= target:
             return i + 1
     return None

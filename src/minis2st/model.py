@@ -450,7 +450,7 @@ def _utterance_mean(targets, pad):
 
 
 def compute_loss(audio_logits: Tensor, text_logits: Tensor, audio_targets, text_targets,
-                 vocab: AugmentedVocab, lambda_audio: float = 1.0, lambda_text: float = 1.0):
+                 vocab: AugmentedVocab, lambda_audio: float, lambda_text: float):
     """Joint objective: lambda_a * mean audio CE + lambda_t * mean text CE.
 
     The targets are the (B, L, G) audio and (B, L) text arrays of
@@ -511,8 +511,7 @@ class TranslationModel(nn.Module):
             self.project_source(frames), text_targets, audio_targets
         )
         return compute_loss(audio_logits, text_logits, audio_targets, text_targets,
-                            self.decoder.vocab, lambda_audio=lambda_audio,
-                            lambda_text=lambda_text)
+                            self.decoder.vocab, lambda_audio, lambda_text)
 
     def translate(self, frames, decode_cfg: DecodeConfig | None = None) -> DecodeResult:
         a_p = self.project_source([frames])

@@ -121,9 +121,10 @@ def bundle(st: CheckpointState, key: str, module: nn.Module) -> CheckpointState:
 
 def resolve_vocoder(st: CheckpointState) -> TimbreVocoder:
     """The vocoder of a vocoder checkpoint, or the one bundled in a model checkpoint."""
-    if st.kind == "model":
-        return rebuild(st, "model", "vocoder")
-    return rebuild(st, "vocoder")
+    if st.kind == "model" and "vocoder" not in st.config:
+        raise VersionError("the model checkpoint carries no vocoder; "
+                           "train-model --with-vocoder true bundles one")
+    return rebuild(st, "model", "vocoder") if st.kind == "model" else rebuild(st, "vocoder")
 
 
 # ------------------------------------------------------------------- presets
@@ -266,11 +267,9 @@ def train_tokenizer_stage(train_m: Manifest, val_m: Manifest,
 
 def train_text_to_token_stage(train_m: Manifest, val_m: Manifest,
                               tokenizer: SpeechTokenizer, *, seed: int = 0,
-                              embedder: SpeakerEmbedder | None = None,
-                              tcfg: TrainConfig | None = None, max_steps=None):
+                              embedder: SpeakerEmbedder | None = None, max_steps=None):
     """Train the text-to-token model on speech-derived tokens, conditioned by `embedder`;
     it is kept in memory or bundled into a tokenizer checkpoint, never saved alone."""
-    tcfg = tcfg if tcfg is not None else toy_train_config("text_to_token", seed)
     cfg = tokenizer.cfg
     embedder = embedder if embedder is not None else SpeakerEmbedder(cfg.feat_dim, seed=seed)
     t2t = TextToTokenModel(cfg.text_vocab, cfg.codebook_size, embedder.spk_dim, seed=seed,
@@ -283,7 +282,7 @@ def train_text_to_token_stage(train_m: Manifest, val_m: Manifest,
 
     result = _run_stage(
         "text_to_token", t2t, train_ex, _prompted_examples(val_m, tokenizer, t2t),
-        batch_loss, tcfg, loss_trace=None,
+        batch_loss, toy_train_config("text_to_token", seed), loss_trace=None,
         lengths=[len(r.tgt_text) + len(tokens) for r, tokens, _ in train_ex],
         config_snapshot=t2t.recipe, max_steps=max_steps,
     )
@@ -362,11 +361,6 @@ def train_vocoder_stage(train_m: Manifest, val_m: Manifest, tokenizer: SpeechTok
                         max_steps=None, loss_trace=None):
     cfg = cfg if cfg is not None else toy_vocoder_config()
     tcfg = tcfg if tcfg is not None else toy_train_config("vocoder", seed)
-    if cfg.upsample != 1:
-        raise ConfigError(
-            "frame-regression vocoder training needs upsample == 1 so output "
-            "and target lengths agree (tokens are one per frame)"
-        )
     if cfg.audio_vocab != tokenizer.cfg.codebook_size:
         raise ConfigError(
             f"vocoder audio vocab {cfg.audio_vocab} != codebook size {tokenizer.cfg.codebook_size}"

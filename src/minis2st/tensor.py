@@ -419,9 +419,9 @@ def layernorm(x, gain, bias):
     return _make(out_data, (x, gain, bias), pull)
 
 
-def softmax_cross_entropy(logits, targets, weights=None):
-    """Mean cross-entropy of integer targets under softmax(logits), or with
-    `weights` the sum of each row's cross-entropy times its weight.
+def softmax_cross_entropy(logits, targets, weights):
+    """Sum of each row's cross-entropy of its integer target under
+    softmax(logits), times the row's weight (1 / N each gives the mean).
 
     logits: (N, V); targets: (N,) ints in [0, V); weights: (N,) floats.
     Stable via max subtraction.
@@ -437,22 +437,18 @@ def softmax_cross_entropy(logits, targets, weights=None):
         raise ValueError("softmax_cross_entropy over zero positions")
     if t.min() < 0 or t.max() >= v:
         raise IndexError(f"softmax_cross_entropy: target outside [0, {v})")
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (n,):
+        raise ValueError(f"softmax_cross_entropy: {weights.shape} weights for {n} logit rows")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    ll = z[np.arange(n), t] - lse[:, 0]
-    if weights is None:
-        out_data = -ll.mean()
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (n,):
-            raise ValueError(f"softmax_cross_entropy: {weights.shape} weights for {n} logit rows")
-        out_data = -(ll @ weights)
+    out_data = -((z[np.arange(n), t] - lse[:, 0]) @ weights)
 
     def pull(g):
         if logits.requires_grad:
             p = np.exp(z - lse)
             p[np.arange(n), t] -= 1.0
-            logits._accumulate(p * (g / n) if weights is None else p * (g * weights)[:, None])
+            logits._accumulate(p * (g * weights)[:, None])
 
     return _make(out_data, (logits,), pull)
 

@@ -351,13 +351,13 @@ class TextToTokenModel(nn.Module):
     the previous pick, and the final LayerNorm and head read that row alone.
     """
 
-    def __init__(self, text_vocab: int, codebook_size: int, spk_dim: int,
-                 dim: int = 64, blocks: int = 2, heads: int = 4, seed: int = 0, *, embedder):
+    def __init__(self, text_vocab: int, codebook_size: int, spk_dim: int, seed: int = 0, *,
+                 embedder):
+        dim, blocks, heads = 64, 2, 4
         embedder.expect(spk_dim=spk_dim)
         rng = rng_for(seed, "text_to_token")
         self.recipe = {"text_vocab": text_vocab, "codebook_size": codebook_size,
-                       "spk_dim": spk_dim, "dim": dim, "blocks": blocks,
-                       "heads": heads, "seed": seed, "embedder": embedder.recipe}
+                       "spk_dim": spk_dim, "seed": seed, "embedder": embedder.recipe}
         self.embedder = embedder
         self.text_vocab = text_vocab
         self.codebook_size = codebook_size
@@ -403,7 +403,7 @@ class TextToTokenModel(nn.Module):
         return softmax_cross_entropy(
             embedding_lookup(reshape(logits, (-1, logits.shape[-1])), rows), targets, weights)
 
-    def generate(self, text, spk_emb, max_len: int = 256) -> TokenGenResult:
+    def generate(self, text, spk_emb, max_len: int) -> TokenGenResult:
         if len(text) == 0:
             raise ValueError("text_to_token generation needs non-empty text")
         banned = np.zeros(self.text_vocab + self.codebook_size + 2)

@@ -4,8 +4,9 @@ The speaker embedder is a fixed seeded network (per-frame projection, mean+std
 pooling, unit-norm output) and is never trained.  The vocoder proper is a
 conditioned regression decoder: the speaker embedding is concatenated to every
 token embedding, a small non-causal transformer contextualizes the sequence,
-and an output head paints `upsample` frames per token.  A vocoder carries the
-embedder that conditions it (`vocoder.embedder`) and records it in its recipe.
+and an output head paints one frame per token, as the tokenizer emits one
+token per frame.  A vocoder carries the embedder that conditions it
+(`vocoder.embedder`) and records it in its recipe.
 """
 from __future__ import annotations
 
@@ -15,8 +16,7 @@ import numpy as np
 
 from . import nn
 from .corpus import SpeechFrames, frame_matrix, same_speaker_prompts
-from .tensor import (Tensor, concat, embedding_lookup, mul, no_grad, reshape, rng_for, sub,
-                     weighted_sum)
+from .tensor import Tensor, concat, embedding_lookup, mul, no_grad, rng_for, sub, weighted_sum
 
 
 @dataclass
@@ -27,27 +27,27 @@ class VocoderConfig:
     d_model: int = 64
     blocks: int = 2
     heads: int = 4
-    upsample: int = 1   # frames emitted per token
     spk_dim: int = 16
     frame_rate: int = 50
 
     def __post_init__(self):
         if min(self.feat_dim, self.audio_vocab, self.token_dim, self.d_model,
-               self.blocks, self.heads, self.upsample, self.spk_dim) < 1:
+               self.blocks, self.heads, self.spk_dim) < 1:
             raise ValueError("vocoder config sizes must be >= 1")
 
 
 class SpeakerEmbedder:
     """Deterministic frames -> unit-norm speaker vector. Fixed weights, no grads."""
 
-    def __init__(self, feat_dim: int, spk_dim: int = 16, hidden: int = 32, seed: int = 0):
+    def __init__(self, feat_dim: int, spk_dim: int = 16, seed: int = 0):
+        hidden = 32
         rng = rng_for(seed, "speaker_embedder")
         self.w1 = rng.normal(0.0, 1.0 / np.sqrt(feat_dim), size=(feat_dim, hidden))
         self.b1 = rng.normal(0.0, 0.1, size=hidden)
         self.w2 = rng.normal(0.0, 1.0 / np.sqrt(2 * hidden), size=(2 * hidden, spk_dim))
         self.spk_dim = spk_dim
         self.feat_dim = feat_dim
-        self.recipe = {"feat_dim": feat_dim, "spk_dim": spk_dim, "hidden": hidden, "seed": seed}
+        self.recipe = {"feat_dim": feat_dim, "spk_dim": spk_dim, "seed": seed}
 
     def expect(self, **sizes):
         """ValueError unless this embedder has these sizes, e.g. spk_dim=16."""
@@ -86,16 +86,16 @@ class TimbreVocoder(nn.Module):
         self.in_proj = nn.Linear(cfg.token_dim + cfg.spk_dim, cfg.d_model, rng)
         self.blocks = [nn.TransformerBlock(cfg.d_model, cfg.heads, rng) for _ in range(cfg.blocks)]
         self.ln = nn.LayerNorm(cfg.d_model)
-        self.head = nn.Linear(cfg.d_model, cfg.upsample * cfg.feat_dim, rng)
+        self.head = nn.Linear(cfg.d_model, cfg.feat_dim, rng)
         self.cfg = cfg
         self.recipe = {"cfg": asdict(cfg), "seed": seed, "embedder": embedder.recipe}
 
     def forward_frames(self, tokens, spk: np.ndarray, mask) -> Tensor:
         """Differentiable synthesis of (B, T) token ids right-padded to the
         longest utterance, one (B, spk_dim) speaker row each, under their
-        `nn.padding_mask`; output (B, upsample * T, feat_dim), rows past an
-        utterance's own length being padding.  A lone utterance drops the
-        batch axis: (T,) ids and a (spk_dim,) row give (upsample * T, feat_dim).
+        `nn.padding_mask`; output (B, T, feat_dim), one frame per token, rows
+        past an utterance's own length being padding.  A lone utterance drops
+        the batch axis: (T,) ids and a (spk_dim,) row give (T, feat_dim).
         """
         cfg = self.cfg
         spk = np.asarray(spk, dtype=np.float64)
@@ -114,19 +114,18 @@ class TimbreVocoder(nn.Module):
         emb = embedding_lookup(self.token_embed, ids)
         cond = Tensor(np.broadcast_to(spk[..., None, :], lead + (t, cfg.spk_dim)).copy())
         x = nn.add_positions(self.in_proj(concat([emb, cond], axis=-1)))
-        out = self.head(self.ln(nn.run_blocks(self.blocks, x, mask=mask)))  # (..., T, U*F)
-        return reshape(out, lead + (t * cfg.upsample, cfg.feat_dim))
+        return self.head(self.ln(nn.run_blocks(self.blocks, x, mask=mask)))
 
     def loss(self, tokens, spks: np.ndarray, frames) -> Tensor:
         """Mean over utterances of each one's frame MSE, for a batch of token
-        sequences, their (B, spk_dim) speaker rows and target frames, upsample
-        rows per token.  Real frame entries weigh 1 / (B * T_b * F), pad
-        frames nothing."""
+        sequences, their (B, spk_dim) speaker rows and target frames, one row
+        per token.  Real frame entries weigh 1 / (B * T_b * F), pad frames
+        nothing."""
         ids, n_tok = nn.right_pad(tokens, 0)
         target, n_rows = nn.right_pad([frame_matrix(f, self.cfg.feat_dim, "vocoder target")
                                        for f in frames], 0.0)
-        if (n_rows != n_tok * self.cfg.upsample).any():
-            raise ValueError("vocoder targets need upsample frames per token")
+        if (n_rows != n_tok).any():
+            raise ValueError("vocoder targets need one frame per token")
         out = self.forward_frames(ids, spks, nn.padding_mask(n_tok))
         real = np.arange(target.shape[1]) < n_rows[:, None]
         w = real / (len(n_rows) * n_rows[:, None] * self.cfg.feat_dim)

@@ -5,13 +5,17 @@ then `run_toy_pipeline` at eight steps per stage.  Its digest holds the
 SHA-256 of every file written, and the shape, sum and L2 norm of every float
 array in them (checkpoint tensors, frame files, the frames of manifest
 records, numeric columns of training logs), plus the NumPy and BLAS versions
-and the BLAS thread count it was made with.  `test_goldens.py` compares a
-fresh run against `goldens.json`; a run at other versions or another thread
-count checks the arrays only.
+and the BLAS thread count it was made with.  Importing `minis2st` pins NumPy's
+bundled OpenBLAS to one thread, so the count reads 1 and the digests hold
+under any OPENBLAS_NUM_THREADS.  `test_goldens.py` compares a fresh run
+against `goldens.json`, in process and in subprocesses at one and two
+threads; a run at other versions checks the arrays only.
 
 Re-record only for a change that means to alter outputs, and say why:
 
     PYTHONPATH=src python tests/goldens.py
+
+With a path argument, the digest goes to that file instead.
 """
 from __future__ import annotations
 
@@ -78,9 +82,9 @@ def run_chain(root: Path) -> None:
 
 
 def blas_threads():
-    """Threads the OpenBLAS bundled with NumPy runs with (OPENBLAS_NUM_THREADS
-    sets it), or None where NumPy bundles none: how BLAS splits a product
-    decides its rounding, so file digests depend on it."""
+    """Threads the OpenBLAS bundled with NumPy runs with, or None where NumPy
+    bundles none: how BLAS splits a product decides its rounding, so file
+    digests depend on it."""
     for path in Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so"):
         get = ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_
         get.argtypes, get.restype = [], ctypes.c_int
@@ -144,7 +148,8 @@ def record_fresh() -> dict:
 
 
 if __name__ == "__main__":
+    out = Path(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN_PATH
     doc = record_fresh()
-    GOLDEN_PATH.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN_PATH}: {len(doc['files'])} files, {len(doc['arrays'])} arrays",
+    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {out}: {len(doc['files'])} files, {len(doc['arrays'])} arrays",
           file=sys.stderr)

@@ -234,7 +234,8 @@ def run_op_gradient_trials(trials: int, seed: int = 0):
     def case_ce():
         logits = t(5, 7)
         targets = rng.integers(0, 7, size=5)
-        return (lambda: softmax_cross_entropy(logits, targets)), [logits]
+        weights = rng.uniform(0.1, 1.0, size=5)
+        return (lambda: softmax_cross_entropy(logits, targets, weights)), [logits]
     run("softmax_cross_entropy", case_ce)
 
     return results

@@ -102,7 +102,7 @@ def test_03_loss_identities():
         tl = Tensor(np.zeros((2, v.text_head_size)))
         at = [[0, 1, v.audio_eos_local], [v.audio_pad_local] * g]
         tt = [3, v.text_eos_local]
-        _, la, lt = compute_loss(al, tl, at, tt, v)
+        _, la, lt = compute_loss(al, tl, at, tt, v, 1.0, 1.0)
         assert abs(float(la.data) - math.log(v.audio_head_size)) <= 1e-9
         assert abs(float(lt.data) - math.log(v.text_head_size)) <= 1e-9
 
@@ -113,10 +113,10 @@ def test_03_loss_identities():
                                       lambda_audio=0.0, lambda_text=2.5)
         assert float(total.data) == 2.5 * float(lt_r.data)
 
-        base = [float(x.data) for x in compute_loss(al_r, tl_r, at, tt, v)]
+        base = [float(x.data) for x in compute_loss(al_r, tl_r, at, tt, v, 1.0, 1.0)]
         al_p = Tensor(al_r.data.copy())
         al_p.data[1, :, :] = 1e6  # every masked PAD position
-        pert = [float(x.data) for x in compute_loss(al_p, tl_r, at, tt, v)]
+        pert = [float(x.data) for x in compute_loss(al_p, tl_r, at, tt, v, 1.0, 1.0)]
         assert pert == base
 
 

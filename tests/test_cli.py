@@ -178,6 +178,85 @@ def test_unbuildable_checkpoint_config_exits_four(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_recipes_holding_a_removed_field_exit_four_naming_it(tmp_path, capsys):
+    # fields older builds recorded: the vocoder's upsample, the embedder's
+    # hidden width and the text-to-token model's sizes, now constants
+    ckpt = tmp_path / "x.ckpt"
+    voc = _tiny_vocoder()
+    for config, where, name in (
+        ({**voc.recipe, "cfg": {**voc.recipe["cfg"], "upsample": 1}}, "vocoder.cfg", "upsample"),
+        ({**voc.recipe, "embedder": {**voc.recipe["embedder"], "hidden": 32}},
+         "vocoder.embedder", "hidden"),
+    ):
+        save_checkpoint(ckpt, CheckpointState(kind="vocoder", config=config, step=0,
+                                              tensors=_trainable(voc)))
+        assert main(["synthesize", "--ckpt", str(ckpt), "--tokens", str(tmp_path / "t"),
+                     "--prompt", str(tmp_path / "p"), "--out-dir", str(tmp_path / "s")]) == 4
+        assert (f"version mismatch: checkpoint config {where}: unknown fields ['{name}']"
+                in capsys.readouterr().err)
+    m = tmp_path / "m.jsonl"
+    write_manifest(generate_toy_corpus(ToyCorpusConfig(pairs=2), 0), m)
+    tok = SpeechTokenizer(TokenizerConfig(codebook_size=8, dim=8, heads=2), 0)
+    t2t = TextToTokenModel(tok.cfg.text_vocab, 8, 16, embedder=SpeakerEmbedder(8)).recipe
+    for name, value in (("dim", 64), ("blocks", 2), ("heads", 4)):
+        save_checkpoint(ckpt, CheckpointState(
+            kind="tokenizer", step=0, tensors=_trainable(tok),
+            config={**tok.recipe, "text_to_token": {**t2t, name: value}}))
+        assert main(["train-model", "--train", str(m), "--val", str(m), "--tokenizer", str(ckpt),
+                     "--out", str(tmp_path / "model.ckpt"), "--token-source", "text"]) == 4
+        assert (f"version mismatch: checkpoint config text_to_token: unknown fields ['{name}']"
+                in capsys.readouterr().err)
+
+
+def test_text_tokens_from_a_tokenizer_without_text_to_token_are_a_usage_error(
+        tmp_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("the model stage started")
+
+    monkeypatch.setattr(minis2st.cli, "train_model_stage", no_training)
+    m, ckpt = tmp_path / "m.jsonl", tmp_path / "tok.ckpt"
+    write_manifest(generate_toy_corpus(ToyCorpusConfig(pairs=2), 0), m)
+    tok = SpeechTokenizer(TokenizerConfig(codebook_size=8, dim=8, heads=2), 0)
+    argv = ["train-model", "--train", str(m), "--val", str(m), "--tokenizer", str(ckpt),
+            "--out", str(tmp_path / "model.ckpt"), "--token-source", "text"]
+    save_checkpoint(ckpt, CheckpointState(kind="tokenizer", config=tok.recipe, step=0,
+                                          tensors=_trainable(tok)))
+    assert main(argv) == 1
+    assert capsys.readouterr().err == ("usage error: --token-source text needs "
+                                       "train-tokenizer --with-text-to-token true\n")
+    # a tokenizer that does not rebuild is still refused as a version mismatch
+    save_checkpoint(ckpt, CheckpointState(kind="tokenizer", config={**tok.recipe, "bogus": 1},
+                                          step=0, tensors=_trainable(tok)))
+    assert main(argv) == 4
+    assert "version mismatch" in capsys.readouterr().err
+
+
+def test_a_model_checkpoint_without_a_vocoder_says_so(tmp_path, capsys):
+    m, model_ckpt, tok_ckpt = tmp_path / "m.jsonl", tmp_path / "model.ckpt", tmp_path / "tok.ckpt"
+    write_manifest(generate_toy_corpus(ToyCorpusConfig(pairs=2), 0), m)
+    model = _tiny_model()
+    save_checkpoint(model_ckpt, CheckpointState(kind="model", config=model.recipe, step=0,
+                                                tensors=_trainable(model)))
+    tok = SpeechTokenizer(TokenizerConfig(codebook_size=8, dim=8, heads=2), 0)
+    save_checkpoint(tok_ckpt, CheckpointState(kind="tokenizer", config=tok.recipe, step=0,
+                                              tensors=_trainable(tok)))
+    tokens, prompt = tmp_path / "t.tok", tmp_path / "p.ds2f"
+    write_token_file(tokens, [("utt00000", [1, 2])])
+    write_frames(prompt, SpeechFrames(np.ones((3, 8)), 50))
+    for argv in (
+        ["synthesize", "--ckpt", model_ckpt, "--tokens", tokens, "--prompt", prompt,
+         "--out-dir", tmp_path / "s"],
+        ["ablate", "token_source", "--train", m, "--val", m, "--tokenizer", tok_ckpt,
+         "--vocoder", model_ckpt, "--out-dir", tmp_path / "a"],
+        ["eval", "--hyp", tokens, "--ref-manifest", m, "--gen-frames", tmp_path,
+         "--prompt-frames", tmp_path, "--embedder-from", model_ckpt, "--out-dir", tmp_path / "e"],
+    ):
+        assert main([str(a) for a in argv]) == 4, argv[0]
+        assert capsys.readouterr().err == (
+            "version mismatch: the model checkpoint carries no vocoder; "
+            "train-model --with-vocoder true bundles one\n"), argv[0]
+
+
 def test_manifest_feat_dim_unlike_its_frames_exits_two(tmp_path, capsys):
     m = tmp_path / "m.jsonl"
     write_manifest(generate_toy_corpus(ToyCorpusConfig(pairs=4), 0), m)

@@ -182,9 +182,14 @@ def test_report_validate_rejects_bad_row():
 def test_steps_to_half_loss_windowed():
     assert steps_to_half_loss([]) is None
     assert steps_to_half_loss([10.0] * 20) is None
-    assert steps_to_half_loss([10.0, 5.0, 5.0], window=1) == 2
-    # start mean over window 2 is 8; the first window averaging <= 4 ends at 6
-    assert steps_to_half_loss([8, 8, 8, 8, 2, 2, 2, 2], window=2) == 6
+    # start mean over the 10-step window is 10; the first window averaging
+    # <= 5 holds steps 6-15
+    assert steps_to_half_loss([10.0] * 10 + [0.0] * 10) == 15
+    # one low step does not pull a 10-step mean to half
+    assert steps_to_half_loss([10.0] * 10 + [0.0] + [10.0] * 9) is None
+    # a trace shorter than 10 steps is its own window: the start mean is 7,
+    # and the windows before it grow from the first step, which alone is 1
+    assert steps_to_half_loss([1.0, 10.0, 10.0]) == 1
 
 
 # ----------------------------------------------------------- transcription

@@ -127,7 +127,7 @@ def _uniform_case(cfg):
 def test_uniform_logits_give_log_vocab_loss():
     cfg = tiny_cfg()
     v, al, tl, at, tt = _uniform_case(cfg)
-    total, la, lt = compute_loss(al, tl, at, tt, v)
+    total, la, lt = compute_loss(al, tl, at, tt, v, 1.0, 1.0)
     assert float(la.data) == pytest.approx(math.log(v.audio_head_size), abs=1e-9)
     assert float(lt.data) == pytest.approx(math.log(v.text_head_size), abs=1e-9)
     assert float(total.data) == pytest.approx(float(la.data) + float(lt.data), abs=1e-12)
@@ -149,12 +149,12 @@ def test_pad_positions_are_excluded_from_loss():
     rng = np.random.default_rng(1)
     al = Tensor(rng.normal(size=al.shape))
     tl = Tensor(rng.normal(size=tl.shape))
-    base = [float(x.data) for x in compute_loss(al, tl, at, tt, v)]
+    base = [float(x.data) for x in compute_loss(al, tl, at, tt, v, 1.0, 1.0)]
     # blast the logits at every PAD-masked position; nothing may move
     al2 = Tensor(al.data.copy())
     al2.data[1, :, :] = 1e6  # the all-PAD group
     tl2 = Tensor(tl.data.copy())
-    perturbed = [float(x.data) for x in compute_loss(al2, tl2, at, tt, v)]
+    perturbed = [float(x.data) for x in compute_loss(al2, tl2, at, tt, v, 1.0, 1.0)]
     assert perturbed == pytest.approx(base, rel=1e-15)
 
 
@@ -170,10 +170,10 @@ def test_pad_positions_are_excluded_from_denominator():
     at_padded = [[4, v.audio_pad_local, v.audio_pad_local]]
     tlg = Tensor(rng.normal(size=(1, v.text_head_size)))
     tt = [1]
-    _, la_padded, _ = compute_loss(Tensor(logits_row), tlg, at_padded, tt, v)
+    _, la_padded, _ = compute_loss(Tensor(logits_row), tlg, at_padded, tt, v, 1.0, 1.0)
     z = logits_row[0, 0][None, None, :]
     ref_cfg_loss = compute_loss(
-        Tensor(np.concatenate([z, z, z], axis=1)), tlg, [[4, 4, 4]], tt, v
+        Tensor(np.concatenate([z, z, z], axis=1)), tlg, [[4, 4, 4]], tt, v, 1.0, 1.0
     )[1]
     assert float(la_padded.data) == pytest.approx(float(ref_cfg_loss.data), rel=1e-12)
 
@@ -183,18 +183,18 @@ def test_fully_masked_stream_raises():
     v, al, tl, _, tt = _uniform_case(cfg)
     all_pad = [[v.audio_pad_local] * cfg.group_size] * 2
     with pytest.raises(ValueError):
-        compute_loss(al, tl, all_pad, tt, v)
+        compute_loss(al, tl, all_pad, tt, v, 1.0, 1.0)
     with pytest.raises(ValueError):
-        compute_loss(al, tl, [[0, 1, 2], [3, 4, 5]], [v.text_pad_local] * 2, v)
+        compute_loss(al, tl, [[0, 1, 2], [3, 4, 5]], [v.text_pad_local] * 2, v, 1.0, 1.0)
 
 
 def test_loss_shape_validation():
     cfg = tiny_cfg()
     v, al, tl, at, tt = _uniform_case(cfg)
     with pytest.raises(ValueError):
-        compute_loss(al, tl, at[:1], tt, v)
+        compute_loss(al, tl, at[:1], tt, v, 1.0, 1.0)
     with pytest.raises(ValueError):
-        compute_loss(al, tl, at, tt + [0], v)
+        compute_loss(al, tl, at, tt + [0], v, 1.0, 1.0)
 
 
 # ------------------------------------------------------ repetition penalty
@@ -460,7 +460,7 @@ def test_padding_is_inert():
     def loss(tt_in, at_in):
         def build():
             al, tl = dec.forward_teacher_forced(model.project_source(frames), tt_in, at_in)
-            return compute_loss(al, tl, at, tt, v)
+            return compute_loss(al, tl, at, tt, v, 1.0, 1.0)
         return _loss_and_grads(model, build)
 
     base, base_grads = loss(tt, at)

@@ -36,11 +36,11 @@ MODEL = {"feat_dim": 8, "text_vocab": 20, "audio_vocab": 32, "d_model": 16, "blo
          "qformer_blocks": 1, "enc_dim": 16, "enc_blocks": 1, "enc_heads": 2,
          "fixed_input_len": 16, "freeze_text_embed": True}
 VOC = {"feat_dim": 8, "audio_vocab": 32, "token_dim": 8, "d_model": 16, "blocks": 1,
-       "heads": 2, "upsample": 1, "spk_dim": 16, "frame_rate": 50}
+       "heads": 2, "spk_dim": 16, "frame_rate": 50}
 
 
 def _embedder(seed):
-    return {"feat_dim": 8, "spk_dim": 16, "hidden": 32, "seed": seed}
+    return {"feat_dim": 8, "spk_dim": 16, "seed": seed}
 
 
 def _assert_same_module(rebuilt, trained):
@@ -71,8 +71,8 @@ def test_checkpoint_layout_and_rebuild(tmp_path):
     save_checkpoint(path["model+voc"], pipeline.bundle(
         load_checkpoint(path["model"]), "vocoder", voc))
 
-    t2t_config = {"text_vocab": 20, "codebook_size": 32, "spk_dim": 16, "dim": 64,
-                  "blocks": 2, "heads": 4, "seed": 3, "embedder": _embedder(5)}
+    t2t_config = {"text_vocab": 20, "codebook_size": 32, "spk_dim": 16, "seed": 3,
+                  "embedder": _embedder(5)}
     voc_config = {"cfg": VOC, "seed": 3, "embedder": _embedder(3)}
     configs = {
         "tokenizer": {"cfg": TOK, "seed": 3},

@@ -23,7 +23,7 @@ from minis2st.tokenizer import TokenizerConfig
 from minis2st.training import TrainConfig
 from minis2st.vocoder import VocoderConfig
 
-SETTABLE = 162
+SETTABLE = 151
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -80,7 +80,7 @@ OUT_OF_RANGE = [
                                           "enc1_blocks", "enc2_blocks", "asr_blocks", "heads")],
     (TokenizerConfig, dict(commitment_beta=-0.1)),
     *[(VocoderConfig, {k: 0}) for k in ("feat_dim", "audio_vocab", "token_dim", "d_model",
-                                        "blocks", "heads", "upsample", "spk_dim")],
+                                        "blocks", "heads", "spk_dim")],
     *[(ToyCorpusConfig, kw) for kw in (dict(src_vocab=0), dict(tgt_vocab=0),
                                        dict(src_vocab=6, tgt_vocab=5), dict(len_min=0),
                                        dict(len_min=5, len_max=2), dict(pairs=-1),

@@ -344,21 +344,23 @@ def test_a_cache_under_a_recording_tape_raises():
 
 def test_softmax_cross_entropy_hand_value():
     logits = Tensor([[1.0, 2.0, 3.0], [0.0, 0.0, 1.0]])
-    loss = softmax_cross_entropy(logits, [2, 0])
+    loss = softmax_cross_entropy(logits, [2, 0], [0.5, 0.5])
     assert float(loss.data) == pytest.approx(0.97952533918821585, abs=1e-14)
 
 
 def test_uniform_logits_cross_entropy_is_log_v():
     for v in (2, 7, 66):
-        loss = softmax_cross_entropy(Tensor(np.zeros((3, v))), [0, 1, v - 1])
+        loss = softmax_cross_entropy(Tensor(np.zeros((3, v))), [0, 1, v - 1], np.full(3, 1 / 3))
         assert float(loss.data) == pytest.approx(np.log(v), abs=1e-12)
 
 
 def test_cross_entropy_rejects_bad_targets():
     with pytest.raises(IndexError):
-        softmax_cross_entropy(Tensor(np.zeros((2, 3))), [0, 3])
+        softmax_cross_entropy(Tensor(np.zeros((2, 3))), [0, 3], [0.5, 0.5])
     with pytest.raises(ValueError):
-        softmax_cross_entropy(Tensor(np.zeros((0, 3))), [])
+        softmax_cross_entropy(Tensor(np.zeros((0, 3))), [], [])
+    with pytest.raises(ValueError, match="weights for 2 logit rows"):
+        softmax_cross_entropy(Tensor(np.zeros((2, 3))), [0, 1], [1.0])
 
 
 def test_reshape_and_mean_values():

@@ -450,8 +450,7 @@ def test_alignment_skips_records_without_text_and_rejects_foreign_symbols():
 
 def test_text_to_token_loss_and_generation():
     cfg = tiny_cfg()
-    t2t = TextToTokenModel(cfg.text_vocab, cfg.codebook_size, spk_dim=3,
-                           dim=8, blocks=1, heads=2, seed=0,
+    t2t = TextToTokenModel(cfg.text_vocab, cfg.codebook_size, spk_dim=3, seed=0,
                            embedder=SpeakerEmbedder(cfg.feat_dim, spk_dim=3))
     rng = np.random.default_rng(9)
     spk = rng.normal(size=3)
@@ -469,8 +468,7 @@ def test_text_to_token_loss_and_generation():
 
 
 def _text_to_token_batch(rng):
-    t2t = TextToTokenModel(5, 12, spk_dim=3, dim=8, blocks=1, heads=2, seed=2,
-                           embedder=SpeakerEmbedder(4, spk_dim=3))
+    t2t = TextToTokenModel(5, 12, spk_dim=3, seed=2, embedder=SpeakerEmbedder(4, spk_dim=3))
     texts = [[1], [0, 2, 3], [2, 1, 4, 0]]
     tokens = [[3, 11, 0, 7, 7, 1], [5], [0, 2, 9]]
     spks = rng.normal(size=(3, 3))
@@ -502,8 +500,7 @@ def test_cached_generation_matches_the_recompute_oracle():
     rng = np.random.default_rng(12)
     for trial in range(200):
         spk_dim = 3
-        t2t = TextToTokenModel(5, 12, spk_dim=spk_dim, dim=8, blocks=int(rng.integers(1, 3)),
-                               heads=2, seed=trial,
+        t2t = TextToTokenModel(5, 12, spk_dim=spk_dim, seed=trial,
                                embedder=SpeakerEmbedder(4, spk_dim=spk_dim))
         text = rng.integers(0, 5, size=int(rng.integers(1, 6))).tolist()
         spk = rng.normal(size=spk_dim)

@@ -60,16 +60,18 @@ def test_embedder_input_validation():
         e.embed(np.zeros((3, 5)))
 
 
-def test_vocoder_output_shape_and_upsampling():
+def test_vocoder_paints_one_frame_per_token():
     rng = np.random.default_rng(2)
     spk = unit(rng, 3)
-    for up in (1, 2, 3):
-        voc = TimbreVocoder(tiny_cfg(upsample=up), seed=0)
-        out = voc.synthesize([0, 1, 2, 3], spk)
+    voc = TimbreVocoder(tiny_cfg(), seed=0)
+    for tokens in ([0], [0, 1, 2, 3], [5, 4, 3, 2, 1, 0, 1]):
+        out = voc.synthesize(tokens, spk)
         assert isinstance(out, SpeechFrames)
-        assert out.frames.shape == (4 * up, 4)
-    empty = TimbreVocoder(tiny_cfg(), seed=0).synthesize([], spk)
-    assert empty.frames.shape == (0, 4)
+        assert out.frames.shape == (len(tokens), 4)
+    assert voc.synthesize([], spk).frames.shape == (0, 4)
+    # training targets are held to the same rule
+    with pytest.raises(ValueError, match="one frame per token"):
+        voc.loss([[0, 1, 2]], spk[None], [rng.normal(size=(6, 4))])
 
 
 def test_vocoder_validates_tokens_and_speaker():
@@ -158,13 +160,13 @@ def test_padding_is_inert(monkeypatch):
 
 def test_a_lone_utterance_is_the_batch_of_one():
     rng = np.random.default_rng(9)
-    cfg = tiny_cfg(upsample=2)
+    cfg = tiny_cfg()
     voc = TimbreVocoder(cfg, seed=5)
     tokens, spk = [0, 3, 5], unit(rng, cfg.spk_dim)
     with no_grad():
         lone = voc.forward_frames(tokens, spk, None).data
         batch = voc.forward_frames([tokens], spk[None], None).data
-    assert lone.shape == (6, cfg.feat_dim) and batch.shape == (1, 6, cfg.feat_dim)
+    assert lone.shape == (3, cfg.feat_dim) and batch.shape == (1, 3, cfg.feat_dim)
     np.testing.assert_array_equal(batch[0], lone)
 
 
@@ -183,8 +185,6 @@ def test_same_seed_same_vocoder():
 def test_config_validation():
     with pytest.raises(ValueError):
         TimbreVocoder(tiny_cfg(blocks=0), seed=0)
-    with pytest.raises(ValueError):
-        TimbreVocoder(tiny_cfg(upsample=0), seed=0)
     for emb, message in ((SpeakerEmbedder(4, spk_dim=8), "spk_dim 3 != embedder spk_dim 8"),
                          (SpeakerEmbedder(6, spk_dim=3), "feat_dim 4 != embedder feat_dim 6")):
         with pytest.raises(ValueError, match=message):

@@ -54,7 +54,6 @@ from .tokenizer import (
     SpeechTokenizer,
     TextToTokenModel,
     TokenizerConfig,
-    token_purity,
     token_symbol_alignment,
 )
 from .training import (
@@ -134,7 +133,6 @@ __all__ = [
     "split_manifest",
     "steps_to_half_loss",
     "timbre_separation",
-    "token_purity",
     "token_symbol_alignment",
     "train",
     "train_model_stage",

@@ -8,7 +8,7 @@ hidden state; the input stream interleaves one text position with one grouped
 audio position per step.  The decoder works in head-local ids throughout:
 `DecoderLM.make_targets` lays out the (S,) text and (S, G) audio step arrays
 that teacher forcing and the loss read, and greedy decoding feeds its picks
-back in that same layout, one step's rows at a time through a KV cache.
+back in that same layout, one step's rows at a time through `nn.decode_cached`.
 
 Training runs a batch as one graph: every source is cut or padded to the
 encoder's fixed length, so the encoder and projector take (B, T, d) with no
@@ -26,7 +26,6 @@ import numpy as np
 from . import nn
 from .corpus import frame_matrix
 from .tensor import (
-    KVCache,
     Tensor,
     add,
     concat,
@@ -256,10 +255,10 @@ class DecoderLM(nn.Module):
     and `_step_rows` alone turns them into input rows.
 
     Teacher forcing runs a batch's whole sequences through the blocks at
-    once, right-padded to a common length.  Greedy decoding keeps a KV cache:
-    it runs the prefix once, then feeds each step only the two rows the
-    previous step's picks make, and reads the final LayerNorm and the heads
-    off the last row alone.
+    once, right-padded to a common length.  Greedy decoding hands the prefix
+    to `nn.decode_cached`, which owns the KV caches; what stays here is the
+    context check, the bans, the picks off the two heads and the two rows
+    each step's picks feed back.
     """
 
     def __init__(self, cfg: ModelConfig, seed: int):
@@ -378,9 +377,8 @@ class DecoderLM(nn.Module):
 
     def decode_greedy(self, a_p: Tensor, cfg: DecodeConfig) -> DecodeResult:
         """Greedy decoding of up to cfg.max_steps steps, checked against the
-        context before the first one.  Step 0 runs the prefix through the
-        blocks; step s feeds only t_{s-1} and g_{s-1} and attends to the
-        cached keys and values of everything before them."""
+        context before the first one.  Step 0 reads the prefix's last row;
+        step s feeds `nn.decode_cached` only t_{s-1} and g_{s-1}."""
         v = self.vocab
         g = self.cfg.group_size
         longest = self.cfg.prompt_len + a_p.shape[0] + 1 + 2 * (cfg.max_steps - 1)
@@ -388,9 +386,8 @@ class DecoderLM(nn.Module):
             raise ValueError(f"decoding {cfg.max_steps} steps needs {longest} positions, "
                              f"more than context {self.cfg.context}")
         text_ban = np.zeros(v.text_head_size)
-        for lid in range(v.text_size, v.text_head_size):  # controls
-            if lid != v.text_eos_local:
-                text_ban[lid] = -1e30
+        text_ban[v.text_size:] = -1e30  # controls, except EOS
+        text_ban[v.text_eos_local] = 0.0
         audio_ban = np.zeros(v.audio_head_size)
         audio_ban[v.audio_pad_local] = -1e30
         # the picks fed back as input: what make_targets would build from the
@@ -400,34 +397,33 @@ class DecoderLM(nn.Module):
         text_out, tokens_out = [], []
         text_done = audio_done = False
         steps = token_steps = 0
-        cache = [KVCache() for _ in self.blocks]
-        with no_grad():
-            rows = concat(self._prefix(a_p), axis=0)
-            while steps < cfg.max_steps and not (text_done and audio_done):
-                if steps:
-                    rows = self._step_rows(text_local[steps - 1: steps],
-                                           audio_local[steps - 1: steps])
-                x = nn.run_blocks(self.blocks, rows, causal=True, cache=cache)
-                last = self.ln_f(embedding_lookup(x, [x.shape[0] - 1]))
-                if not text_done:
-                    tl = self.text_head(last).data[0] + text_ban
-                    tl = apply_repetition_penalty(tl, text_out, cfg.repetition_penalty)
-                    pick = int(np.argmax(tl))
-                    text_local[steps] = pick
-                    if pick == v.text_eos_local:
-                        text_done = True
-                    else:
-                        text_out.append(pick)
-                if not audio_done:
-                    al = reshape(self.audio_head(last), (g, v.audio_head_size)).data + audio_ban
-                    picks = np.argmax(al, axis=1)
-                    ends = np.flatnonzero(picks == v.audio_eos_local)
-                    k = int(ends[0]) if ends.size else g
-                    audio_local[steps, : k + 1] = picks[: k + 1]
-                    tokens_out += picks[:k].tolist()
-                    token_steps += int(k > 0)
-                    audio_done = bool(ends.size)
-                steps += 1
+
+        def step(last):
+            nonlocal text_done, audio_done, steps, token_steps
+            if not text_done:
+                tl = self.text_head(last).data[0] + text_ban
+                tl = apply_repetition_penalty(tl, text_out, cfg.repetition_penalty)
+                pick = int(np.argmax(tl))
+                text_local[steps] = pick
+                if pick == v.text_eos_local:
+                    text_done = True
+                else:
+                    text_out.append(pick)
+            if not audio_done:
+                al = reshape(self.audio_head(last), (g, v.audio_head_size)).data + audio_ban
+                picks = np.argmax(al, axis=1)
+                ends = np.flatnonzero(picks == v.audio_eos_local)
+                k = int(ends[0]) if ends.size else g
+                audio_local[steps, : k + 1] = picks[: k + 1]
+                tokens_out.extend(picks[:k].tolist())
+                token_steps += int(k > 0)
+                audio_done = bool(ends.size)
+            steps += 1
+            if steps == cfg.max_steps or (text_done and audio_done):
+                return None
+            return self._step_rows(text_local[steps - 1: steps], audio_local[steps - 1: steps])
+
+        nn.decode_cached(self.blocks, self.ln_f, lambda: concat(self._prefix(a_p), axis=0), step)
         return DecodeResult(
             tokens=tokens_out,
             text=text_out,

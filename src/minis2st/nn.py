@@ -2,8 +2,9 @@
 
 Modules hold Tensors in attributes; named_tensors() walks the attribute tree and
 yields stable dotted names, which is what the optimizer and checkpoints key on.
-`positions` owns the cached, read-only position tables and `right_pad` the
-layout of a right-padded batch; every caller goes through them.
+`positions` owns the cached, read-only position tables, `right_pad` the
+layout of a right-padded batch and `decode_cached` the KV caches of
+incremental decoding; every caller goes through them.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import math
 
 import numpy as np
 
-from .tensor import Tensor, add, attention, layernorm, linear, relu
+from .tensor import KVCache, Tensor, add, attention, layernorm, linear, no_grad, relu
 
 
 class Module:
@@ -147,26 +148,35 @@ def utterance_rows(keep):
 
 
 def run_blocks(blocks, x: Tensor, *, causal: bool = False, mask: np.ndarray | None = None,
-               memory: Tensor | None = None, memory_mask: np.ndarray | None = None,
-               cache=None):
+               memory: Tensor | None = None, memory_mask: np.ndarray | None = None):
     """Run x, (T, d) or a batch (B, T, d), through a stack of
     TransformerBlocks, each cross-attending to memory (with x's leading axes)
     if it has cross-attention.  causal masks every later position; mask, a
     `padding_mask` of x's rows, hides pad keys from self-attention, and
-    memory_mask those of memory from cross-attention.
-
-    cache, for inference only, holds one KVCache per block: x is then the
-    rows that follow the ones already cached, and each block's
-    self-attention appends their keys and values and attends over all rows.
-    """
-    past = 0 if cache is None else len(cache[0])
+    memory_mask those of memory from cross-attention."""
     if causal:
-        own = causal_mask(x.shape[-2], past)
+        own = causal_mask(x.shape[-2], 0)
         mask = own if mask is None else mask + own
-    for i, blk in enumerate(blocks):
-        x = blk(x, memory=memory, mask=mask, cache=None if cache is None else cache[i],
-                memory_mask=memory_mask)
+    for blk in blocks:
+        x = blk(x, memory=memory, mask=mask, memory_mask=memory_mask)
     return x
+
+
+def decode_cached(blocks, ln_f, prefix, step):
+    """Causal decoding through self-attention blocks, one KVCache per block.
+    The rows prefix() gives, then each chunk step returns, attend to every
+    row before them; step gets ln_f of the chunk's last output row, (1, d),
+    and returns None to stop.  Nothing is recorded on a tape, the prefix
+    included.  Returns the caches."""
+    cache = [KVCache() for _ in blocks]
+    with no_grad():
+        rows = prefix()
+        while rows is not None:
+            mask = causal_mask(rows.shape[0], len(cache[0]))
+            for blk, kv in zip(blocks, cache):
+                rows = blk(rows, mask=mask, cache=kv)
+            rows = step(ln_f(Tensor(rows.data[-1:])))
+    return cache
 
 
 class MultiHeadAttention(Module):

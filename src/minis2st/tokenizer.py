@@ -20,7 +20,6 @@ import numpy as np
 from . import nn
 from .corpus import Manifest, frame_matrix
 from .tensor import (
-    KVCache,
     Tensor,
     add,
     concat,
@@ -323,15 +322,6 @@ def token_symbol_alignment(tok: SpeechTokenizer, manifest: Manifest, frames_per_
     return table
 
 
-def token_purity(tok: SpeechTokenizer, manifest: Manifest, frames_per_symbol: int,
-                 n_symbols: int) -> float:
-    """Fraction of frames whose token maps back to the true symbol: each token
-    votes for its majority symbol, so its hits are its largest count."""
-    counts = _alignment_counts(tok, manifest, frames_per_symbol, n_symbols)
-    total = int(counts.sum())
-    return int(counts.max(axis=1).sum()) / total if total else 0.0
-
-
 # ------------------------------------------------------ text-to-token model
 
 
@@ -346,9 +336,9 @@ class TextToTokenModel(nn.Module):
 
     Vocabulary: text symbols, then codebook indices, then BOS/EOS.  The speaker
     embedding enters as a projected soft position at the sequence head.
-    Generation is greedy and keeps a KV cache: the speaker slot, BOS and the
-    text run through the blocks once, then each step feeds only the row of
-    the previous pick, and the final LayerNorm and head read that row alone.
+    Generation is greedy through `nn.decode_cached`: the speaker slot, BOS
+    and the text are its prefix, and each step feeds back only the row of
+    its pick, with that row's position.
     """
 
     def __init__(self, text_vocab: int, codebook_size: int, spk_dim: int, seed: int = 0, *,
@@ -404,26 +394,31 @@ class TextToTokenModel(nn.Module):
             embedding_lookup(reshape(logits, (-1, logits.shape[-1])), rows), targets, weights)
 
     def generate(self, text, spk_emb, max_len: int) -> TokenGenResult:
+        """At most max_len greedy tokens for text; truncated if EOS did not come."""
         if len(text) == 0:
             raise ValueError("text_to_token generation needs non-empty text")
+        if max_len < 1:
+            raise ValueError(f"max_len must be >= 1, got {max_len}")
         banned = np.zeros(self.text_vocab + self.codebook_size + 2)
         banned[: self.text_vocab] = -1e30  # only codebook ids and EOS may be emitted
         banned[self.bos] = -1e30
         ids = [self.bos] + list(text)
         # the longest input: speaker slot, ids, then max_len - 1 fed-back picks
         positions = nn.positions(len(ids) + max_len, self.embed.shape[1])
-        cache = [KVCache() for _ in self.blocks]
         out = []
-        with no_grad():
-            rows = self._inputs(ids, spk_emb)
-            for _ in range(max_len):
-                past = len(cache[0])
-                x = add(rows, Tensor(positions[past: past + rows.shape[0]]))
-                h = nn.run_blocks(self.blocks, x, causal=True, cache=cache)
-                last = self.ln_f(embedding_lookup(h, [h.shape[0] - 1]))
-                nxt = int(np.argmax(self.head(last).data[0] + banned))
-                if nxt == self.eos:
-                    return TokenGenResult(out, truncated=False)
-                out.append(nxt - self.text_vocab)
-                rows = embedding_lookup(self.embed, [nxt])
-        return TokenGenResult(out, truncated=True)
+
+        def prefix():  # the speaker slot, then ids
+            return add(self._inputs(ids, spk_emb), Tensor(positions[: 1 + len(ids)]))
+
+        def step(last):
+            nxt = int(np.argmax(self.head(last).data[0] + banned))
+            if nxt == self.eos:
+                return None
+            out.append(nxt - self.text_vocab)
+            if len(out) == max_len:
+                return None
+            at = len(ids) + len(out)  # the slot, ids and earlier picks come first
+            return add(embedding_lookup(self.embed, [nxt]), Tensor(positions[at: at + 1]))
+
+        nn.decode_cached(self.blocks, self.ln_f, prefix, step)
+        return TokenGenResult(out, truncated=len(out) == max_len)

@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from minis2st import nn
+from minis2st.model import DecodeConfig, DecoderLM, ModelConfig
 from minis2st.nn import TransformerBlock, add_positions, causal_mask, run_blocks
 from minis2st.tensor import (
     KVCache,
@@ -26,6 +27,8 @@ from minis2st.tensor import (
     sub,
     zero_grad,
 )
+from minis2st.tokenizer import TextToTokenModel
+from minis2st.vocoder import SpeakerEmbedder
 
 
 def total(x):
@@ -289,6 +292,15 @@ def test_padding_mask_hides_exactly_the_pad_keys():
         np.testing.assert_allclose(out[b, : len(xb)], alone, rtol=1e-12, atol=1e-12)
 
 
+def through_caches(blocks, cache, x, memory=None):
+    """x's rows through blocks after the rows their caches hold, one KVCache
+    per block, as `nn.decode_cached` feeds them."""
+    mask = causal_mask(x.shape[-2], len(cache[0]))
+    for blk, kv in zip(blocks, cache):
+        x = blk(x, memory=memory, mask=mask, cache=kv)
+    return x
+
+
 def test_cached_blocks_match_a_full_pass():
     # rows fed in chunks through a KV cache come out as a full causal pass
     # gives them, also when cross-attention (never cached) reads a memory;
@@ -301,11 +313,49 @@ def test_cached_blocks_match_a_full_pass():
         cache = [KVCache() for _ in blocks]
         with no_grad():
             full = run_blocks(blocks, Tensor(x), causal=True, memory=memory).data
-            parts = [run_blocks(blocks, Tensor(x[lo:hi]), causal=True, memory=memory,
-                                cache=cache).data
+            parts = [through_caches(blocks, cache, Tensor(x[lo:hi]), memory).data
                      for lo, hi in ((0, 1), (1, 4), (4, 6), (6, 11))]
         assert [len(c) for c in cache] == [11, 11]
         np.testing.assert_allclose(np.concatenate(parts), full, rtol=0, atol=1e-12)
+
+
+def test_decode_cached_feeds_chunks_until_step_stops():
+    rng = np.random.default_rng(6)
+    blocks = [TransformerBlock(8, 2, rng) for _ in range(2)]
+    ln_f = nn.LayerNorm(8)
+    x = rng.normal(size=(11, 8))
+    chunks = [(0, 3), (3, 4), (4, 7), (7, 11)]
+    lasts = []
+
+    def step(last):
+        lasts.append(last.data)
+        if len(lasts) == len(chunks):
+            return None
+        lo, hi = chunks[len(lasts)]
+        return Tensor(x[lo:hi])
+
+    # each chunk's last row is the full causal pass's row at that position
+    cache = nn.decode_cached(blocks, ln_f, lambda: Tensor(x[:3]), step)
+    with no_grad():
+        full = ln_f(run_blocks(blocks, Tensor(x), causal=True)).data
+    np.testing.assert_allclose(np.concatenate(lasts), full[[hi - 1 for _, hi in chunks]],
+                               rtol=0, atol=1e-12)
+    # the loop stops at the first None, and each cache holds every row fed
+    assert len(lasts) == len(chunks)
+    assert [len(kv) for kv in cache] == [11, 11]
+    alone = nn.decode_cached(blocks, ln_f, lambda: Tensor(x[:3]), lambda last: None)
+    assert [len(kv) for kv in alone] == [3, 3]
+    # both greedy decoders record nothing on an open tape, prefix included
+    cfg = ModelConfig(feat_dim=4, text_vocab=5, audio_vocab=7, d_model=12, blocks=1, heads=2,
+                      context=64, prompt_len=2, enc_dim=6, enc_blocks=1, enc_heads=2,
+                      fixed_input_len=8, proj_hidden=10)
+    dec = DecoderLM(cfg, seed=0)
+    t2t = TextToTokenModel(5, 12, spk_dim=3, seed=0, embedder=SpeakerEmbedder(4, spk_dim=3))
+    with Tape() as tape:
+        dec.decode_greedy(Tensor(rng.normal(size=(2, 12)), requires_grad=True),
+                          DecodeConfig(max_steps=4))
+        t2t.generate([0, 2, 1], rng.normal(size=3), max_len=4)
+    assert tape.nodes == []
 
 
 def test_a_key_bias_moves_attention_outputs_only_by_rounding():
@@ -321,8 +371,7 @@ def test_a_key_bias_moves_attention_outputs_only_by_rounding():
         with no_grad():  # a masked batch, then the first sequence through a KV cache
             full = run_blocks([blk], Tensor(x), causal=True, memory=Tensor(memory)).data
             cache = [KVCache()]
-            parts = [run_blocks([blk], Tensor(x[0, lo:hi]), causal=True,
-                                memory=Tensor(memory[0]), cache=cache).data
+            parts = [through_caches([blk], cache, Tensor(x[0, lo:hi]), Tensor(memory[0])).data
                      for lo, hi in ((0, 3), (3, 7))]
         return full, np.concatenate(parts)
 
@@ -338,7 +387,7 @@ def test_a_cache_under_a_recording_tape_raises():
     blk = TransformerBlock(8, 2, rng)
     cache = [KVCache()]
     with Tape(), pytest.raises(ValueError, match="inference only"):
-        run_blocks([blk], Tensor(rng.normal(size=(3, 8))), causal=True, cache=cache)
+        through_caches([blk], cache, Tensor(rng.normal(size=(3, 8))))
     assert len(cache[0]) == 0
 
 

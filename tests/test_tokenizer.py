@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,6 @@ from minis2st.tokenizer import (
     TokenizerConfig,
     _alignment_counts,
     quantize,
-    token_purity,
     token_symbol_alignment,
 )
 from minis2st.vocoder import SpeakerEmbedder
@@ -393,12 +393,15 @@ def test_alignment_table_majority_votes():
         seen.update(tok.tokenize(r.tgt_frames))
     for t in range(8):
         assert (table[t] >= 0) == (t in seen)
-    hits = frames = 0
+    hits, votes = 0, {}
     for r in m:  # by hand: frame i carries symbol text[i // frames_per_symbol]
         for i, t in enumerate(tok.tokenize(r.tgt_frames)):
-            hits += int(table[t] == r.tgt_text[i // cfg.frames_per_symbol])
-            frames += 1
-    assert token_purity(tok, m, cfg.frames_per_symbol, cfg.tgt_vocab) == hits / frames
+            sym = r.tgt_text[i // cfg.frames_per_symbol]
+            hits += int(table[t] == sym)
+            votes.setdefault(t, Counter())[sym] += 1
+    # each token maps to a symbol it carries most often, so the frames whose
+    # token maps back to their own symbol are every token's largest count
+    assert hits == sum(max(c.values()) for c in votes.values())
 
 
 def test_alignment_counts_match_the_hand_loop_with_duplicate_codes():
@@ -465,6 +468,15 @@ def test_text_to_token_loss_and_generation():
     with pytest.raises(ValueError, match="spk_dim 3 != embedder spk_dim 16"):
         TextToTokenModel(cfg.text_vocab, cfg.codebook_size, spk_dim=3,
                          embedder=SpeakerEmbedder(cfg.feat_dim))
+
+
+@pytest.mark.parametrize("max_len", [0, -3])
+def test_text_to_token_generation_rejects_fewer_than_one_token(max_len):
+    cfg = tiny_cfg()
+    t2t = TextToTokenModel(cfg.text_vocab, cfg.codebook_size, spk_dim=3, seed=0,
+                           embedder=SpeakerEmbedder(cfg.feat_dim, spk_dim=3))
+    with pytest.raises(ValueError, match="max_len must be >= 1"):
+        t2t.generate([0, 2, 1], np.ones(3) / np.sqrt(3), max_len=max_len)
 
 
 def _text_to_token_batch(rng):

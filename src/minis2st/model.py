@@ -410,7 +410,7 @@ class DecoderLM(nn.Module):
                 else:
                     text_out.append(pick)
             if not audio_done:
-                al = reshape(self.audio_head(last), (g, v.audio_head_size)).data + audio_ban
+                al = self.audio_head(last).data.reshape(g, v.audio_head_size) + audio_ban
                 picks = np.argmax(al, axis=1)
                 ends = np.flatnonzero(picks == v.audio_eos_local)
                 k = int(ends[0]) if ends.size else g

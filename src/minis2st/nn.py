@@ -2,9 +2,9 @@
 
 Modules hold Tensors in attributes; named_tensors() walks the attribute tree and
 yields stable dotted names, which is what the optimizer and checkpoints key on.
-`positions` owns the cached, read-only position tables, `right_pad` the
-layout of a right-padded batch and `decode_cached` the KV caches of
-incremental decoding; every caller goes through them.
+`positions` and `causal_mask` own the cached, read-only position and mask
+tables, `right_pad` the layout of a right-padded batch and `decode_cached` the
+KV caches of incremental decoding; every caller goes through them.
 """
 from __future__ import annotations
 
@@ -102,11 +102,23 @@ def expand(x: Tensor, lead: tuple) -> Tensor:
     return add(Tensor(np.zeros(lead + x.shape)), x) if lead else x
 
 
+# the read-only (m, m) causal mask table of the longest sequence so far,
+# built on first use
+_CAUSAL = np.zeros((0, 0))
+
+
 def causal_mask(n: int, past: int) -> np.ndarray:
     """(n, past + n) additive mask for n rows that follow `past` earlier ones:
-    row i sees columns up to past + i."""
-    # large negative instead of -inf keeps the arithmetic finite everywhere
-    return np.triu(np.full((n, past + n), -1e9), k=past + 1)
+    row i sees columns up to past + i.  A read-only view of one shared table,
+    rebuilt larger when a longer sequence comes."""
+    global _CAUSAL
+    m = past + n
+    if _CAUSAL.shape[0] < m:
+        # large negative instead of -inf keeps the arithmetic finite everywhere
+        table = np.triu(np.full((m, m), -1e9), k=1)
+        table.flags.writeable = False
+        _CAUSAL = table
+    return _CAUSAL[past:m, :m]
 
 
 def padding_mask(lengths) -> np.ndarray | None:

@@ -71,8 +71,10 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # 0.0 + g in one pass, -0.0 becoming +0.0 as it does in a zeroed buffer
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -186,8 +188,11 @@ def _affine_pull(g, x, w, b, want_x):
 def linear(x, w, b):
     """x @ w + b as one node; leading axes of x fold into rows."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    rows = x.data.reshape(-1, x.data.shape[-1])
-    out_data = (rows @ w.data + b.data).reshape(x.data.shape[:-1] + w.data.shape[-1:])
+    if x.data.ndim == 2:
+        out_data = x.data @ w.data + b.data
+    else:
+        rows = x.data.reshape(-1, x.data.shape[-1])
+        out_data = (rows @ w.data + b.data).reshape(x.data.shape[:-1] + w.data.shape[-1:])
 
     def pull(g):
         gx = _affine_pull(g, x.data, w, b, want_x=x.requires_grad)
@@ -201,22 +206,32 @@ class KVCache:
     """Projected keys and values of every row one self-attention layer has
     seen so far, for incremental inference: each `attention` call given the
     cache appends its new rows' keys and values and attends over all of them.
-    The cached rows are plain arrays, beyond the reach of any pullback."""
+    The rows live in one key and one value buffer, written in place and
+    doubled when full, so a step copies only its own rows.  The cached rows
+    are plain arrays, beyond the reach of any pullback."""
 
-    __slots__ = ("k", "v")
+    __slots__ = ("k", "v", "n")
 
     def __init__(self):
         self.k = self.v = None
+        self.n = 0  # rows held; the buffers may have room for more
 
     def __len__(self):
-        return 0 if self.k is None else self.k.shape[0]
+        return self.n
 
     def extend(self, k, v):
-        """Append (n, d) key and value rows; return every row held."""
-        if self.k is not None:
-            k, v = np.concatenate([self.k, k]), np.concatenate([self.v, v])
-        self.k, self.v = k, v
-        return k, v
+        """Append (n, d) key and value rows; return every row held, as
+        C-ordered (rows, d) views of the buffers."""
+        lo, hi = self.n, self.n + k.shape[0]
+        if self.k is None or hi > self.k.shape[0]:
+            size = max(hi, 2 * lo)
+            k_buf, v_buf = np.empty((size, k.shape[1])), np.empty((size, v.shape[1]))
+            if lo:
+                k_buf[:lo], v_buf[:lo] = self.k[:lo], self.v[:lo]
+            self.k, self.v = k_buf, v_buf
+        self.k[lo:hi], self.v[lo:hi] = k, v
+        self.n = hi
+        return self.k[:hi], self.v[:hi]
 
 
 def attention(x, src, proj, heads, mask, cache=None):
@@ -318,10 +333,9 @@ def concat(parts, axis=0):
     if not parts:
         raise ValueError("concat of an empty list")
     out_data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
 
     def pull(g):
+        offsets = np.cumsum([0] + [p.data.shape[axis] for p in parts])
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
                 idx = [slice(None)] * g.ndim
@@ -398,9 +412,11 @@ def layernorm(x, gain, bias):
             f"layernorm: gain/bias shapes {gain.data.shape}/{bias.data.shape} "
             f"do not match feature dim {d}"
         )
-    dev = x.data - x.data.mean(axis=-1, keepdims=True)
-    # np.var's own sequence of operations, without its second pass for the mean
-    var = (dev * dev).mean(axis=-1, keepdims=True)
+    # each mean is what ndarray.mean computes, a sum then a division by d,
+    # without its Python wrapper; the variance is np.var's own sequence of
+    # operations, without its second pass for the mean
+    dev = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    var = np.add.reduce(dev * dev, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = dev * inv
     out_data = xhat * gain.data + bias.data
@@ -412,8 +428,8 @@ def layernorm(x, gain, bias):
             bias._accumulate(g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
             gx = g * gain.data
-            m1 = gx.mean(axis=-1, keepdims=True)
-            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+            m1 = np.add.reduce(gx, axis=-1, keepdims=True) / d
+            m2 = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / d
             x._accumulate((gx - m1 - xhat * m2) * inv)
 
     return _make(out_data, (x, gain, bias), pull)

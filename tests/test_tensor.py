@@ -25,6 +25,7 @@ from minis2st.tensor import (
     softmax_cross_entropy,
     splitmix64,
     sub,
+    weighted_sum,
     zero_grad,
 )
 from minis2st.tokenizer import TextToTokenModel
@@ -266,6 +267,48 @@ def test_causal_mask_after_cached_rows():
     np.testing.assert_array_equal(causal_mask(4, 0), np.triu(np.full((4, 4), big), k=1))
 
 
+def test_causal_mask_slices_one_read_only_table(monkeypatch):
+    monkeypatch.setattr(nn, "_CAUSAL", np.zeros((0, 0)))
+    # the first call builds a 1-row table; later ones need longer ones
+    for past in range(10):
+        for n in range(1, 6):
+            mask = causal_mask(n, past)
+            np.testing.assert_array_equal(mask, np.triu(np.full((n, past + n), -1e9), k=past + 1))
+            with pytest.raises(ValueError):
+                mask[0, 0] = 1.0
+    assert nn._CAUSAL.shape == (14, 14)
+
+
+def layernorm_by_np_mean(x, gain, bias, g):
+    """layernorm's output and its x, gain and bias gradients under the
+    upstream gradient g, every mean taken by ndarray.mean."""
+    d = x.shape[-1]
+    dev = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((dev * dev).mean(axis=-1, keepdims=True) + 1e-5)
+    xhat = dev * inv
+    gx = g * gain
+    dx = (gx - gx.mean(axis=-1, keepdims=True)
+          - xhat * (gx * xhat).mean(axis=-1, keepdims=True)) * inv
+    return (xhat * gain + bias, dx, (g * xhat).reshape(-1, d).sum(axis=0),
+            g.reshape(-1, d).sum(axis=0))
+
+
+def test_layernorm_and_its_gradients_equal_the_np_mean_form():
+    rng = np.random.default_rng(12)
+    for shape in [(5, 7), (3, 4, 7), (1, 7)]:
+        for _ in range(20):
+            x = Tensor(rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), size=shape), requires_grad=True)
+            gain = Tensor(rng.normal(size=7), requires_grad=True)
+            bias = Tensor(rng.normal(size=7), requires_grad=True)
+            g = rng.normal(size=shape)
+            with Tape() as tape:
+                out = layernorm(x, gain, bias)
+                backward(weighted_sum(out, g), tape)
+            want = layernorm_by_np_mean(x.data, gain.data, bias.data, g)
+            for got, ref in zip((out.data, x.grad, gain.grad, bias.grad), want):
+                np.testing.assert_array_equal(got, ref)
+
+
 def test_padding_mask_hides_exactly_the_pad_keys():
     assert nn.padding_mask([4]) is None and nn.padding_mask([3, 3, 3]) is None
     rng = np.random.default_rng(4)
@@ -317,6 +360,27 @@ def test_cached_blocks_match_a_full_pass():
                      for lo, hi in ((0, 1), (1, 4), (4, 6), (6, 11))]
         assert [len(c) for c in cache] == [11, 11]
         np.testing.assert_allclose(np.concatenate(parts), full, rtol=0, atol=1e-12)
+
+
+def test_a_growing_cache_is_bit_identical_to_a_concatenating_one():
+    # chunks of 1-3 rows, past several doublings of the buffers
+    rng = np.random.default_rng(11)
+    blocks = [TransformerBlock(8, 2, rng) for _ in range(2)]
+    sizes = rng.integers(1, 4, size=30)
+    x = rng.normal(size=(int(sizes.sum()), 8))
+    grown = [KVCache() for _ in blocks]
+    reference = [oracles.ConcatKVCache() for _ in blocks]
+    capacities = set()
+    fed = 0
+    with no_grad():
+        for n in sizes:
+            chunk = Tensor(x[fed: fed + n])
+            fed += n
+            np.testing.assert_array_equal(through_caches(blocks, grown, chunk).data,
+                                          through_caches(blocks, reference, chunk).data)
+            assert [len(kv) for kv in grown] == [fed, fed]
+            capacities.add(grown[0].k.shape[0])
+    assert len(capacities) >= 3, capacities
 
 
 def test_decode_cached_feeds_chunks_until_step_stops():

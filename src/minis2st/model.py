@@ -8,7 +8,8 @@ hidden state; the input stream interleaves one text position with one grouped
 audio position per step.  The decoder works in head-local ids throughout:
 `DecoderLM.make_targets` lays out the (S,) text and (S, G) audio step arrays
 that teacher forcing and the loss read, and greedy decoding feeds its picks
-back in that same layout, one step's rows at a time through `nn.decode_cached`.
+back in that same layout, one step's rows at a time through `nn.decode_cached`,
+as arrays `_feed_rows` builds from the tables `_step_rows` reads.
 
 Training runs a batch as one graph: every source is cut or padded to the
 encoder's fixed length, so the encoder and projector take (B, T, d) with no
@@ -28,6 +29,7 @@ from .corpus import frame_matrix
 from .tensor import (
     Tensor,
     add,
+    affine,
     concat,
     embedding_lookup,
     mul,
@@ -238,8 +240,11 @@ class DecodeResult:
 def apply_repetition_penalty(logits: np.ndarray, emitted, rho: float) -> np.ndarray:
     """Discount logits of already-emitted ids: l/rho if positive, l*rho otherwise."""
     out = logits.copy()
-    for i in set(emitted):
-        out[i] = out[i] / rho if out[i] > 0 else out[i] * rho
+    ids = set(emitted)
+    if ids:
+        i = np.fromiter(ids, np.int64, len(ids))
+        x = out[i]
+        out[i] = np.where(x > 0, x / rho, x * rho)
     return out
 
 
@@ -251,8 +256,9 @@ class DecoderLM(nn.Module):
     Each prediction feeds two heads: text logits, and G x (audio+2) grouped
     audio logits.  A group enters the input as its G token embeddings
     concatenated and linearly projected to one position.  Teacher forcing, the
-    loss and greedy decoding all read the step arrays `make_targets` lays out,
-    and `_step_rows` alone turns them into input rows.
+    loss and greedy decoding all read the step arrays `make_targets` lays out;
+    `_step_rows` turns them into input rows, and `_feed_rows` builds one
+    decode step's two rows from the same tables as plain arrays.
 
     Teacher forcing runs a batch's whole sequences through the blocks at
     once, right-padded to a common length.  Greedy decoding hands the prefix
@@ -341,6 +347,18 @@ class DecoderLM(nn.Module):
         # interleave rows: (..., S, 2d) -> (..., 2S, d) gives t_0, g_0, t_1, g_1, ...
         return reshape(concat([text_rows, group_rows], axis=-1), (*lead, 2 * s, d))
 
+    def _feed_rows(self, text_pick, audio_picks) -> np.ndarray:
+        """The (2, d) rows t, g of one step's head-local text pick and (G,)
+        audio picks: `_step_rows` of that one step, as arrays."""
+        v = self.vocab
+        t = v.text_in[text_pick]
+        text_row = (self.text_embed.data[t: t + 1] if t < v.text_size
+                    else self.aux_embed.data[t - v.text_size: t - v.text_size + 1])
+        audio_rows = self.aux_embed.data[v.audio_in[audio_picks] - v.text_size]  # (G, d)
+        group_row = affine(audio_rows.reshape(1, -1), self.group_proj.w.data,
+                           self.group_proj.b.data)
+        return np.concatenate([text_row, group_row])
+
     # -- training ----------------------------------------------------------
 
     def forward_teacher_forced(self, a_p: Tensor, text_targets, audio_targets):
@@ -403,7 +421,7 @@ class DecoderLM(nn.Module):
             if not text_done:
                 tl = self.text_head(last).data[0] + text_ban
                 tl = apply_repetition_penalty(tl, text_out, cfg.repetition_penalty)
-                pick = int(np.argmax(tl))
+                pick = int(tl.argmax())
                 text_local[steps] = pick
                 if pick == v.text_eos_local:
                     text_done = True
@@ -411,8 +429,8 @@ class DecoderLM(nn.Module):
                     text_out.append(pick)
             if not audio_done:
                 al = self.audio_head(last).data.reshape(g, v.audio_head_size) + audio_ban
-                picks = np.argmax(al, axis=1)
-                ends = np.flatnonzero(picks == v.audio_eos_local)
+                picks = al.argmax(axis=1)
+                ends = (picks == v.audio_eos_local).nonzero()[0]
                 k = int(ends[0]) if ends.size else g
                 audio_local[steps, : k + 1] = picks[: k + 1]
                 tokens_out.extend(picks[:k].tolist())
@@ -421,9 +439,10 @@ class DecoderLM(nn.Module):
             steps += 1
             if steps == cfg.max_steps or (text_done and audio_done):
                 return None
-            return self._step_rows(text_local[steps - 1: steps], audio_local[steps - 1: steps])
+            return self._feed_rows(text_local[steps - 1], audio_local[steps - 1])
 
-        nn.decode_cached(self.blocks, self.ln_f, lambda: concat(self._prefix(a_p), axis=0), step)
+        nn.decode_cached(self.blocks, self.ln_f,
+                         lambda: concat(self._prefix(a_p), axis=0).data, step)
         return DecodeResult(
             tokens=tokens_out,
             text=text_out,

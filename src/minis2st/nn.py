@@ -4,7 +4,9 @@ Modules hold Tensors in attributes; named_tensors() walks the attribute tree and
 yields stable dotted names, which is what the optimizer and checkpoints key on.
 `positions` and `causal_mask` own the cached, read-only position and mask
 tables, `right_pad` the layout of a right-padded batch and `decode_cached` the
-KV caches of incremental decoding; every caller goes through them.
+KV caches of incremental decoding; every caller goes through them.  Cached
+decoding runs on plain arrays: `block_step` is a block's forward composed of
+the tensor ops' own kernels, so it gives the block's bits without a Tensor.
 """
 from __future__ import annotations
 
@@ -12,7 +14,19 @@ import math
 
 import numpy as np
 
-from .tensor import KVCache, Tensor, add, attention, layernorm, linear, no_grad, relu
+from .tensor import (
+    KVCache,
+    Tensor,
+    add,
+    affine,
+    attend,
+    attention,
+    layernorm,
+    linear,
+    no_grad,
+    normalize,
+    relu,
+)
 
 
 class Module:
@@ -174,20 +188,39 @@ def run_blocks(blocks, x: Tensor, *, causal: bool = False, mask: np.ndarray | No
     return x
 
 
+def block_step(w, x, mask, cache, memory=None, memory_mask=None):
+    """`TransformerBlock.__call__` on arrays, for the block whose `arrays()`
+    is w, its self-attention appending x's keys and values to `cache`: the
+    same kernels in the same order, so the same bits, with no Tensor made."""
+    ln1, (proj, heads), cross, ln2, (ff1, ff2) = w
+    h = normalize(x, *ln1)[0]
+    x = x + attend(h, h, proj, heads, mask, cache)[0]
+    if cross is not None:
+        if memory is None:
+            raise ValueError("cross-attention block called without memory")
+        ln_x, (proj, heads) = cross
+        x = x + attend(normalize(x, *ln_x)[0], memory, proj, heads, memory_mask)[0]
+    r = affine(normalize(x, *ln2)[0], *ff1)
+    return x + affine(np.where(r > 0, r, 0.0), *ff2)
+
+
 def decode_cached(blocks, ln_f, prefix, step):
-    """Causal decoding through self-attention blocks, one KVCache per block.
-    The rows prefix() gives, then each chunk step returns, attend to every
-    row before them; step gets ln_f of the chunk's last output row, (1, d),
-    and returns None to stop.  Nothing is recorded on a tape, the prefix
-    included.  Returns the caches."""
+    """Causal decoding through self-attention blocks, one KVCache per block,
+    on arrays: the (n, d) rows prefix() gives, then each chunk step returns,
+    go through `block_step` and attend to every row before them; step gets
+    ln_f of the chunk's last output row, a (1, d) array, and returns None to
+    stop.  Each block's weights are gathered once per call.  Nothing is
+    recorded on a tape, the prefix included.  Returns the caches."""
     cache = [KVCache() for _ in blocks]
+    weights = [blk.arrays() for blk in blocks]
+    gain, bias = ln_f.g.data, ln_f.b.data
     with no_grad():
         rows = prefix()
         while rows is not None:
             mask = causal_mask(rows.shape[0], len(cache[0]))
-            for blk, kv in zip(blocks, cache):
-                rows = blk(rows, mask=mask, cache=kv)
-            rows = step(ln_f(Tensor(rows.data[-1:])))
+            for w, kv in zip(weights, cache):
+                rows = block_step(w, rows, mask, kv)
+            rows = step(normalize(rows[-1:], gain, bias)[0])
     return cache
 
 
@@ -206,10 +239,15 @@ class MultiHeadAttention(Module):
         self.wo = Linear(d, d, rng)
         self._heads = heads
 
-    def __call__(self, x: Tensor, memory: Tensor | None = None, mask: np.ndarray | None = None,
-                 cache=None):
+    def __call__(self, x: Tensor, memory: Tensor | None = None, mask: np.ndarray | None = None):
         proj = [(lin.w, lin.b) for lin in (self.wq, self.wk, self.wv, self.wo)]
-        return attention(x, x if memory is None else memory, proj, self._heads, mask, cache)
+        return attention(x, x if memory is None else memory, proj, self._heads, mask)
+
+    def arrays(self) -> tuple:
+        """The (weight, bias) arrays of the four projections, and the head
+        count: what `attend` takes besides its inputs."""
+        proj = [(lin.w.data, lin.b.data) for lin in (self.wq, self.wk, self.wv, self.wo)]
+        return proj, self._heads
 
 
 class FeedForward(Module):
@@ -223,8 +261,8 @@ class FeedForward(Module):
 
 class TransformerBlock(Module):
     """Pre-norm block: self-attention under `mask`, optional cross-attention
-    under `memory_mask`, feed-forward.  A KVCache, if given, serves the
-    self-attention only."""
+    under `memory_mask`, feed-forward.  `block_step` runs the same forward on
+    arrays, its self-attention through a KVCache."""
 
     def __init__(self, d: int, heads: int, rng: np.random.Generator, cross: bool = False):
         self.ln1 = LayerNorm(d)
@@ -238,8 +276,8 @@ class TransformerBlock(Module):
         self.ff = FeedForward(d, 2 * d, rng)
 
     def __call__(self, x: Tensor, memory: Tensor | None = None, mask: np.ndarray | None = None,
-                 cache=None, memory_mask: np.ndarray | None = None):
-        x = add(x, self.attn(self.ln1(x), mask=mask, cache=cache))
+                 memory_mask: np.ndarray | None = None):
+        x = add(x, self.attn(self.ln1(x), mask=mask))
         if self.cross is not None:
             if memory is None:
                 raise ValueError("cross-attention block called without memory")
@@ -247,3 +285,13 @@ class TransformerBlock(Module):
         x = add(x, self.ff(self.ln2(x)))
         return x
 
+    def arrays(self) -> tuple:
+        """This block's weights as the arrays `block_step` reads, in its
+        order: ln1, self-attention, cross-attention (its layer norm and
+        attention, or None), ln2, and the feed-forward's two layers."""
+        def ln(m):
+            return m.g.data, m.b.data
+
+        cross = None if self.cross is None else (ln(self.ln_x), self.cross.arrays())
+        ff = [(lin.w.data, lin.b.data) for lin in (self.ff.w1, self.ff.w2)]
+        return ln(self.ln1), self.attn.arrays(), cross, ln(self.ln2), ff

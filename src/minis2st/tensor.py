@@ -9,7 +9,9 @@ Gradients add across uses and across repeated backward calls; callers reset
 with zero_grad().
 
 Outside an active tape nothing is recorded and outputs never require grad, which
-is what inference paths use.
+is what full inference passes use.  The fused ops compute their forwards with
+array kernels (`affine`, `normalize`, `attend`); cached decoding runs on arrays
+through those same kernels, so it makes no Tensor and gives the ops' bits.
 """
 from __future__ import annotations
 
@@ -185,14 +187,19 @@ def _affine_pull(g, x, w, b, want_x):
     return None
 
 
+def affine(x, w, b):
+    """x @ w + b on arrays, leading axes of x folded into rows: the forward
+    of `linear`."""
+    if x.ndim == 2:
+        return x @ w + b
+    rows = x.reshape(-1, x.shape[-1])
+    return (rows @ w + b).reshape(x.shape[:-1] + w.shape[-1:])
+
+
 def linear(x, w, b):
     """x @ w + b as one node; leading axes of x fold into rows."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if x.data.ndim == 2:
-        out_data = x.data @ w.data + b.data
-    else:
-        rows = x.data.reshape(-1, x.data.shape[-1])
-        out_data = (rows @ w.data + b.data).reshape(x.data.shape[:-1] + w.data.shape[-1:])
+    out_data = affine(x.data, w.data, b.data)
 
     def pull(g):
         gx = _affine_pull(g, x.data, w, b, want_x=x.requires_grad)
@@ -204,11 +211,11 @@ def linear(x, w, b):
 
 class KVCache:
     """Projected keys and values of every row one self-attention layer has
-    seen so far, for incremental inference: each `attention` call given the
+    seen so far, for incremental inference: each `attend` call given the
     cache appends its new rows' keys and values and attends over all of them.
-    The rows live in one key and one value buffer, written in place and
-    doubled when full, so a step copies only its own rows.  The cached rows
-    are plain arrays, beyond the reach of any pullback."""
+    Only cached decoding, which runs on arrays, drives one; no Tensor op
+    takes a cache.  The rows live in one key and one value buffer, written in
+    place and doubled when full, so a step copies only its own rows."""
 
     __slots__ = ("k", "v", "n")
 
@@ -234,50 +241,62 @@ class KVCache:
         return self.k[:hi], self.v[:hi]
 
 
-def attention(x, src, proj, heads, mask, cache=None):
+def attend(x, src, proj, heads, mask, cache=None):
+    """The forward of `attention` on arrays: x (B, T, d) attends over src
+    (B, S, d), proj holding the (weight, bias) arrays of the query, key,
+    value and output projections.  Returns the output, shaped like x, and
+    the (B, heads, T, dh) queries, (B, heads, dh, S) keys, (B, heads, S, dh)
+    values, (B, heads, T, S) probabilities and (B * T, d) context rows that
+    the pullback reads.
+
+    With a KVCache, which serves one sequence (B = 1), src's keys and values
+    are appended to it and x attends over every cached row (S is then the
+    cache length).
+    """
+    (wq, bq), (wk, bk), (wv, bv), (wo, bo) = proj
+    t, d = x.shape[-2:]
+    b = x.size // (t * d)
+    dh = d // heads
+    q = (x.reshape(-1, d) @ wq + bq).reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
+    k_rows = src.reshape(-1, d) @ wk + bk
+    v_rows = src.reshape(-1, d) @ wv + bv
+    if cache is not None:
+        k_rows, v_rows = cache.extend(k_rows, v_rows)
+    s = k_rows.shape[0] // b
+    k = k_rows.reshape(b, s, heads, dh).transpose(0, 2, 3, 1)
+    v = v_rows.reshape(b, s, heads, dh).transpose(0, 2, 1, 3)
+    # the scores become the probabilities in place: the same values as
+    # out-of-place steps, without four more (B, heads, T, S) temporaries whose
+    # churn makes the allocator return and re-fault pages on every call
+    p = q @ k
+    p *= 1.0 / math.sqrt(dh)
+    if mask is not None:
+        p += mask
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    ctx = (p @ v).transpose(0, 2, 1, 3).reshape(b * t, d)
+    return (ctx @ wo + bo).reshape(x.shape), q, k, v, p, ctx
+
+
+def attention(x, src, proj, heads, mask):
     """Multi-head scaled dot-product attention of x (B, T, d) over src (B, S, d).
 
     A 2-D x and src are the B = 1 case of the same code.  proj holds the
     (weight, bias) pairs of the query, key, value and output projections;
     mask is an array added to the (B, heads, T, S) scores by broadcasting, or
     None: a (T, S) mask is shared by the whole batch, and a (B, 1, 1, S) key
-    mask is per utterance.  Recorded as one node.  The forward makes the
-    same NumPy calls as a graph composed of matmul, reshape, transpose and
-    softmax nodes would, and the pullback accumulates in that graph's tape
-    order, so results are bit-identical to it.
-
-    With a KVCache, which serves one sequence (B = 1), src's keys and values
-    are appended to it and x attends over every cached row (S is then the
-    cache length); inference only, so a recording tape raises ValueError.
+    mask is per utterance.  Recorded as one node.  The forward (`attend`)
+    makes the same NumPy calls as a graph composed of matmul, reshape,
+    transpose and softmax nodes would, and the pullback accumulates in that
+    graph's tape order, so results are bit-identical to it.
     """
-    if cache is not None and _active_tape() is not None:
-        raise ValueError("a KV cache is for inference only: backward cannot reach its rows")
     (wq, bq), (wk, bk), (wv, bv), (wo, bo) = proj
-    t, d = x.data.shape[-2:]
-    b = x.data.size // (t * d)
-    dh = d // heads
-    q = np.transpose((x.data.reshape(-1, d) @ wq.data + bq.data).reshape(b, t, heads, dh),
-                     (0, 2, 1, 3))
-    k_rows = src.data.reshape(-1, d) @ wk.data + bk.data
-    v_rows = src.data.reshape(-1, d) @ wv.data + bv.data
-    if cache is not None:
-        k_rows, v_rows = cache.extend(k_rows, v_rows)
-    s = k_rows.shape[0] // b
-    k = np.transpose(k_rows.reshape(b, s, heads, dh), (0, 2, 3, 1))
-    v = np.transpose(v_rows.reshape(b, s, heads, dh), (0, 2, 1, 3))
+    out_data, q, k, v, p, ctx = attend(x.data, src.data, [(w.data, bias.data) for w, bias in proj],
+                                       heads, mask)
+    b, _, t, dh = q.shape
+    d = heads * dh
     scale = 1.0 / math.sqrt(dh)
-    # the scores become the probabilities in place: the same values as
-    # out-of-place steps, without four more (B, heads, T, S) temporaries whose
-    # churn makes the allocator return and re-fault pages on every call
-    p = q @ k
-    p *= scale
-    if mask is not None:
-        p += mask
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    ctx = np.transpose(p @ v, (0, 2, 1, 3)).reshape(b * t, d)
-    out_data = (ctx @ wo.data + bo.data).reshape(x.data.shape)
 
     # gradients are made C-ordered wherever the composed graph's were, so
     # every matmul and reduction sees the same memory layout
@@ -403,6 +422,20 @@ def weighted_sum(x, weights):
 LAYERNORM_EPS = 1e-5
 
 
+def normalize(x, gain, bias):
+    """The forward of `layernorm` on arrays: returns the output and the
+    normalized rows and inverse deviations that the pullback reads."""
+    d = x.shape[-1]
+    # each mean is what ndarray.mean computes, a sum then a division by d,
+    # without its Python wrapper; the variance is np.var's own sequence of
+    # operations, without its second pass for the mean
+    dev = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    var = np.add.reduce(dev * dev, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
+    xhat = dev * inv
+    return xhat * gain + bias, xhat, inv
+
+
 def layernorm(x, gain, bias):
     """Normalize the last axis to zero mean / unit variance, then scale + shift."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
@@ -412,14 +445,7 @@ def layernorm(x, gain, bias):
             f"layernorm: gain/bias shapes {gain.data.shape}/{bias.data.shape} "
             f"do not match feature dim {d}"
         )
-    # each mean is what ndarray.mean computes, a sum then a division by d,
-    # without its Python wrapper; the variance is np.var's own sequence of
-    # operations, without its second pass for the mean
-    dev = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
-    var = np.add.reduce(dev * dev, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-    xhat = dev * inv
-    out_data = xhat * gain.data + bias.data
+    out_data, xhat, inv = normalize(x.data, gain.data, bias.data)
 
     def pull(g):
         if gain.requires_grad:

@@ -408,17 +408,17 @@ class TextToTokenModel(nn.Module):
         out = []
 
         def prefix():  # the speaker slot, then ids
-            return add(self._inputs(ids, spk_emb), Tensor(positions[: 1 + len(ids)]))
+            return add(self._inputs(ids, spk_emb), Tensor(positions[: 1 + len(ids)])).data
 
         def step(last):
-            nxt = int(np.argmax(self.head(last).data[0] + banned))
+            nxt = int((self.head(last).data[0] + banned).argmax())
             if nxt == self.eos:
                 return None
             out.append(nxt - self.text_vocab)
             if len(out) == max_len:
                 return None
             at = len(ids) + len(out)  # the slot, ids and earlier picks come first
-            return add(embedding_lookup(self.embed, [nxt]), Tensor(positions[at: at + 1]))
+            return self.embed.data[[nxt]] + positions[at: at + 1]
 
         nn.decode_cached(self.blocks, self.ln_f, prefix, step)
         return TokenGenResult(out, truncated=len(out) == max_len)

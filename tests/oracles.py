@@ -266,7 +266,7 @@ def attention_reference(x, src, proj, heads, mask=None):
 class ConcatKVCache:
     """A KV cache that concatenates every extend's key and value rows onto
     the ones it holds, copying them all each time: the reference for
-    `tensor.KVCache`, which `attention` drives through the same `extend`."""
+    `tensor.KVCache`, which `attend` drives through the same `extend`."""
 
     def __init__(self):
         self.k = self.v = None
@@ -367,6 +367,15 @@ def run_module_gradient_trials(trials: int, seed: int = 0):
 # check is the cache, not the layers.
 
 
+def repetition_penalty_loop(logits, emitted, rho):
+    """`model.apply_repetition_penalty` one emitted id at a time, as it was
+    written before it indexed them all at once."""
+    out = logits.copy()
+    for i in set(emitted):
+        out[i] = out[i] / rho if out[i] > 0 else out[i] * rho
+    return out
+
+
 def decode_greedy_recompute(dec, a_p, cfg):
     """`DecoderLM.decode_greedy` with every step a full causal pass over the
     soft prompt, source, BOS and all fed-back step rows."""
@@ -394,10 +403,8 @@ def decode_greedy_recompute(dec, a_p, cfg):
             x = dec.ln_f(run_blocks(dec.blocks, concat(parts, axis=0), causal=True))
             last = embedding_lookup(x, [x.shape[0] - 1])
             if not text_done:
-                logits = dec.text_head(last).data[0] + text_ban
-                for i in set(text):  # repetition penalty
-                    logits[i] = (logits[i] / cfg.repetition_penalty if logits[i] > 0
-                                 else logits[i] * cfg.repetition_penalty)
+                logits = repetition_penalty_loop(dec.text_head(last).data[0] + text_ban, text,
+                                                 cfg.repetition_penalty)
                 pick = int(np.argmax(logits))
                 text_local[steps] = pick
                 if pick == v.text_eos_local:

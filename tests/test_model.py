@@ -228,6 +228,25 @@ def test_repetition_penalty_leaves_unemitted_untouched():
     assert out[1] == pytest.approx(-0.65)
 
 
+def test_repetition_penalty_equals_the_loop_form_bit_for_bit():
+    # duplicated ids, logits of 0.0 and -0.0 (which stay as they are, signs
+    # included), negative logits, nothing emitted, and rho 1.0 and 1.7
+    base = np.array([0.0, -0.0, 2.5, -1.75, 1e-300, -4.0, 0.5, 7.0])
+    cases = [[], [0], [1], [0, 1, 0, 1], [2, 2, 3, 3, 3], [5, 3, 1, 5], list(range(8)) * 2]
+    rng = np.random.default_rng(22)
+    trials = [(base, emitted) for emitted in cases]
+    trials += [(rng.normal(size=9), rng.integers(0, 9, size=rng.integers(0, 12)).tolist())
+               for _ in range(200)]
+    for rho in (1.0, 1.7):
+        for logits, emitted in trials:
+            kept = logits.copy()
+            got = apply_repetition_penalty(logits, emitted, rho)
+            want = oracles.repetition_penalty_loop(logits, emitted, rho)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+            np.testing.assert_array_equal(logits, kept)
+
+
 # ------------------------------------------------------------ decoder laws
 
 
@@ -272,6 +291,30 @@ def _record_heads(dec):
             return out
         setattr(dec, name, call)
     return seen
+
+
+def test_feed_rows_are_one_step_of_step_rows_bit_for_bit():
+    # every kind of pick decoding feeds back: a text symbol, the text EOS or
+    # PAD after it, and groups ending in EOS at each position 0..G (at G the
+    # EOS falls in the next group), or all PAD after the audio's EOS
+    rng = np.random.default_rng(23)
+    for g in (1, 3, 4):
+        dec = DecoderLM(tiny_cfg(group_size=g), seed=g)
+        v = dec.vocab
+        texts = np.array([0, v.text_size - 1, v.text_eos_local, v.text_pad_local])
+        groups = []
+        for k in range(g + 1):
+            picks = np.full(g, v.audio_pad_local)
+            picks[:k] = rng.integers(0, v.audio_size, size=k)
+            if k < g:
+                picks[k] = v.audio_eos_local
+            groups.append(picks)
+        groups.append(np.full(g, v.audio_pad_local))
+        for t in texts:
+            for a in groups:
+                got = dec._feed_rows(t, a)
+                assert got.shape == (2, dec.cfg.d_model)
+                np.testing.assert_array_equal(got, dec._step_rows(t[None], a[None]).data)
 
 
 def test_cached_decoding_matches_the_recompute_oracle():

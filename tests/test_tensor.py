@@ -336,12 +336,32 @@ def test_padding_mask_hides_exactly_the_pad_keys():
 
 
 def through_caches(blocks, cache, x, memory=None):
-    """x's rows through blocks after the rows their caches hold, one KVCache
-    per block, as `nn.decode_cached` feeds them."""
+    """x's rows, an array, through blocks' array steps after the rows their
+    caches hold, one KVCache per block, as `nn.decode_cached` feeds them."""
     mask = causal_mask(x.shape[-2], len(cache[0]))
     for blk, kv in zip(blocks, cache):
-        x = blk(x, memory=memory, mask=mask, cache=kv)
+        x = nn.block_step(blk.arrays(), x, mask, kv, memory=memory)
     return x
+
+
+def test_the_array_step_on_a_fresh_cache_is_the_block_bit_for_bit():
+    # the same kernels in the same order: a self-attention block, and a
+    # cross-attention block over its memory, each alone and in a stack
+    rng = np.random.default_rng(13)
+    for cross in (False, True):
+        blocks = [TransformerBlock(8, 2, rng, cross=cross) for _ in range(2)]
+        for n in (1, 2, 7):
+            x = rng.normal(size=(n, 8))
+            memory = rng.normal(size=(5, 8)) if cross else None
+            mem = None if memory is None else Tensor(memory)
+            with no_grad():
+                one = blocks[0](Tensor(x), memory=mem, mask=causal_mask(n, 0)).data
+                both = run_blocks(blocks, Tensor(x), causal=True, memory=mem).data
+            np.testing.assert_array_equal(
+                nn.block_step(blocks[0].arrays(), x, causal_mask(n, 0), KVCache(), memory=memory),
+                one)
+            np.testing.assert_array_equal(
+                through_caches(blocks, [KVCache() for _ in blocks], x, memory), both)
 
 
 def test_cached_blocks_match_a_full_pass():
@@ -352,12 +372,13 @@ def test_cached_blocks_match_a_full_pass():
     for cross in (False, True):
         blocks = [TransformerBlock(8, 2, rng, cross=cross) for _ in range(2)]
         x = rng.normal(size=(11, 8))
-        memory = Tensor(rng.normal(size=(5, 8))) if cross else None
+        memory = rng.normal(size=(5, 8)) if cross else None
         cache = [KVCache() for _ in blocks]
         with no_grad():
-            full = run_blocks(blocks, Tensor(x), causal=True, memory=memory).data
-            parts = [through_caches(blocks, cache, Tensor(x[lo:hi]), memory).data
-                     for lo, hi in ((0, 1), (1, 4), (4, 6), (6, 11))]
+            full = run_blocks(blocks, Tensor(x), causal=True,
+                              memory=None if memory is None else Tensor(memory)).data
+        parts = [through_caches(blocks, cache, x[lo:hi], memory)
+                 for lo, hi in ((0, 1), (1, 4), (4, 6), (6, 11))]
         assert [len(c) for c in cache] == [11, 11]
         np.testing.assert_allclose(np.concatenate(parts), full, rtol=0, atol=1e-12)
 
@@ -372,14 +393,13 @@ def test_a_growing_cache_is_bit_identical_to_a_concatenating_one():
     reference = [oracles.ConcatKVCache() for _ in blocks]
     capacities = set()
     fed = 0
-    with no_grad():
-        for n in sizes:
-            chunk = Tensor(x[fed: fed + n])
-            fed += n
-            np.testing.assert_array_equal(through_caches(blocks, grown, chunk).data,
-                                          through_caches(blocks, reference, chunk).data)
-            assert [len(kv) for kv in grown] == [fed, fed]
-            capacities.add(grown[0].k.shape[0])
+    for n in sizes:
+        chunk = x[fed: fed + n]
+        fed += n
+        np.testing.assert_array_equal(through_caches(blocks, grown, chunk),
+                                      through_caches(blocks, reference, chunk))
+        assert [len(kv) for kv in grown] == [fed, fed]
+        capacities.add(grown[0].k.shape[0])
     assert len(capacities) >= 3, capacities
 
 
@@ -392,14 +412,14 @@ def test_decode_cached_feeds_chunks_until_step_stops():
     lasts = []
 
     def step(last):
-        lasts.append(last.data)
+        lasts.append(last)
         if len(lasts) == len(chunks):
             return None
         lo, hi = chunks[len(lasts)]
-        return Tensor(x[lo:hi])
+        return x[lo:hi]
 
     # each chunk's last row is the full causal pass's row at that position
-    cache = nn.decode_cached(blocks, ln_f, lambda: Tensor(x[:3]), step)
+    cache = nn.decode_cached(blocks, ln_f, lambda: x[:3], step)
     with no_grad():
         full = ln_f(run_blocks(blocks, Tensor(x), causal=True)).data
     np.testing.assert_allclose(np.concatenate(lasts), full[[hi - 1 for _, hi in chunks]],
@@ -407,7 +427,7 @@ def test_decode_cached_feeds_chunks_until_step_stops():
     # the loop stops at the first None, and each cache holds every row fed
     assert len(lasts) == len(chunks)
     assert [len(kv) for kv in cache] == [11, 11]
-    alone = nn.decode_cached(blocks, ln_f, lambda: Tensor(x[:3]), lambda last: None)
+    alone = nn.decode_cached(blocks, ln_f, lambda: x[:3], lambda last: None)
     assert [len(kv) for kv in alone] == [3, 3]
     # both greedy decoders record nothing on an open tape, prefix included
     cfg = ModelConfig(feat_dim=4, text_vocab=5, audio_vocab=7, d_model=12, blocks=1, heads=2,
@@ -434,9 +454,9 @@ def test_a_key_bias_moves_attention_outputs_only_by_rounding():
     def outputs():
         with no_grad():  # a masked batch, then the first sequence through a KV cache
             full = run_blocks([blk], Tensor(x), causal=True, memory=Tensor(memory)).data
-            cache = [KVCache()]
-            parts = [through_caches([blk], cache, Tensor(x[0, lo:hi]), Tensor(memory[0])).data
-                     for lo, hi in ((0, 3), (3, 7))]
+        cache = [KVCache()]
+        parts = [through_caches([blk], cache, x[0, lo:hi], memory[0])
+                 for lo, hi in ((0, 3), (3, 7))]
         return full, np.concatenate(parts)
 
     before = outputs()
@@ -444,15 +464,6 @@ def test_a_key_bias_moves_attention_outputs_only_by_rounding():
         b.data = b.data + rng.normal(0.0, 3.0, size=b.data.shape)
     for got, want in zip(outputs(), before):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
-
-def test_a_cache_under_a_recording_tape_raises():
-    rng = np.random.default_rng(4)
-    blk = TransformerBlock(8, 2, rng)
-    cache = [KVCache()]
-    with Tape(), pytest.raises(ValueError, match="inference only"):
-        through_caches([blk], cache, Tensor(rng.normal(size=(3, 8))))
-    assert len(cache[0]) == 0
 
 
 def test_softmax_cross_entropy_hand_value():

@@ -188,10 +188,11 @@ def run_blocks(blocks, x: Tensor, *, causal: bool = False, mask: np.ndarray | No
     return x
 
 
-def block_step(w, x, mask, cache, memory=None, memory_mask=None):
+def block_step(w, x, mask, cache, memory=None):
     """`TransformerBlock.__call__` on arrays, for the block whose `arrays()`
-    is w, its self-attention appending x's keys and values to `cache`: the
-    same kernels in the same order, so the same bits, with no Tensor made."""
+    is w, its self-attention appending x's keys and values to `cache` and its
+    cross-attention, if it has one, over every row of memory: the same
+    kernels in the same order, so the same bits, with no Tensor made."""
     ln1, (proj, heads), cross, ln2, (ff1, ff2) = w
     h = normalize(x, *ln1)[0]
     x = x + attend(h, h, proj, heads, mask, cache)[0]
@@ -199,7 +200,7 @@ def block_step(w, x, mask, cache, memory=None, memory_mask=None):
         if memory is None:
             raise ValueError("cross-attention block called without memory")
         ln_x, (proj, heads) = cross
-        x = x + attend(normalize(x, *ln_x)[0], memory, proj, heads, memory_mask)[0]
+        x = x + attend(normalize(x, *ln_x)[0], memory, proj, heads, None)[0]
     r = affine(normalize(x, *ln2)[0], *ff1)
     return x + affine(np.where(r > 0, r, 0.0), *ff2)
 

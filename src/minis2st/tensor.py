@@ -292,8 +292,10 @@ def attention(x, src, proj, heads, mask):
     graph's tape order, so results are bit-identical to it.
     """
     (wq, bq), (wk, bk), (wv, bv), (wo, bo) = proj
-    out_data, q, k, v, p, ctx = attend(x.data, src.data, [(w.data, bias.data) for w, bias in proj],
-                                       heads, mask)
+    out_data, q, k, v, p, ctx = attend(
+        x.data, src.data,
+        ((wq.data, bq.data), (wk.data, bk.data), (wv.data, bv.data), (wo.data, bo.data)),
+        heads, mask)
     b, _, t, dh = q.shape
     d = heads * dh
     scale = 1.0 / math.sqrt(dh)

@@ -23,7 +23,7 @@ from minis2st.tokenizer import TokenizerConfig
 from minis2st.training import TrainConfig
 from minis2st.vocoder import VocoderConfig
 
-SETTABLE = 150
+SETTABLE = 149
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 

@@ -217,10 +217,14 @@ def make_projector(cfg: ModelConfig, seed: int):
 
 @dataclass
 class DecodeConfig:
+    """At most max_steps greedy steps, a whole number of at least 1: decoding
+    stops when its step count equals max_steps, which a fraction never does."""
     max_steps: int = 64
     repetition_penalty: float = 1.2
 
     def __post_init__(self):
+        if not isinstance(self.max_steps, (int, np.integer)):
+            raise ValueError(f"max_steps must be an integer, got {self.max_steps!r}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         if not self.repetition_penalty > 0:
@@ -318,12 +322,11 @@ class DecoderLM(nn.Module):
                 nn.right_pad(audio, self.vocab.audio_pad_local)[0])
 
     def _embed(self, ids) -> Tensor:
-        """Rows of embedding ids, any shape, gathered from the text table, the
-        aux table, or (ids of both kinds) the two stacked in id order."""
+        """Rows of embedding ids, any shape, gathered from the aux table, or
+        (text ids among them) the two stacked in id order.  No id array is all
+        text: every text stream holds EOS or PAD, which are aux rows."""
         idx = np.asarray(ids, dtype=np.int64)
         aux = idx - self.vocab.text_size
-        if (aux < 0).all():
-            return embedding_lookup(self.text_embed, idx)
         if (aux >= 0).all():
             return embedding_lookup(self.aux_embed, aux)
         return embedding_lookup(concat([self.text_embed, self.aux_embed]), idx)
@@ -396,7 +399,8 @@ class DecoderLM(nn.Module):
     def decode_greedy(self, a_p: Tensor, cfg: DecodeConfig) -> DecodeResult:
         """Greedy decoding of up to cfg.max_steps steps, checked against the
         context before the first one.  Step 0 reads the prefix's last row;
-        step s feeds `nn.decode_cached` only t_{s-1} and g_{s-1}."""
+        step s feeds `nn.decode_cached` only t_{s-1} and g_{s-1}, the rows of
+        step s-1's picks as make_targets lays them out, PAD after EOS."""
         v = self.vocab
         g = self.cfg.group_size
         longest = self.cfg.prompt_len + a_p.shape[0] + 1 + 2 * (cfg.max_steps - 1)
@@ -408,38 +412,35 @@ class DecoderLM(nn.Module):
         text_ban[v.text_eos_local] = 0.0
         audio_ban = np.zeros(v.audio_head_size)
         audio_ban[v.audio_pad_local] = -1e30
-        # the picks fed back as input: what make_targets would build from the
-        # output, PAD after each stream's EOS
-        text_local = np.full(cfg.max_steps, v.text_pad_local)
-        audio_local = np.full((cfg.max_steps, g), v.audio_pad_local)
         text_out, tokens_out = [], []
         text_done = audio_done = False
         steps = token_steps = 0
 
         def step(last):
             nonlocal text_done, audio_done, steps, token_steps
+            text_pick = v.text_pad_local
+            audio_picks = np.full(g, v.audio_pad_local)
             if not text_done:
                 tl = self.text_head(last).data[0] + text_ban
                 tl = apply_repetition_penalty(tl, text_out, cfg.repetition_penalty)
-                pick = int(tl.argmax())
-                text_local[steps] = pick
-                if pick == v.text_eos_local:
+                text_pick = int(tl.argmax())
+                if text_pick == v.text_eos_local:
                     text_done = True
                 else:
-                    text_out.append(pick)
+                    text_out.append(text_pick)
             if not audio_done:
                 al = self.audio_head(last).data.reshape(g, v.audio_head_size) + audio_ban
                 picks = al.argmax(axis=1)
                 ends = (picks == v.audio_eos_local).nonzero()[0]
                 k = int(ends[0]) if ends.size else g
-                audio_local[steps, : k + 1] = picks[: k + 1]
+                audio_picks[: k + 1] = picks[: k + 1]
                 tokens_out.extend(picks[:k].tolist())
                 token_steps += int(k > 0)
                 audio_done = bool(ends.size)
             steps += 1
             if steps == cfg.max_steps or (text_done and audio_done):
                 return None
-            return self._feed_rows(text_local[steps - 1], audio_local[steps - 1])
+            return self._feed_rows(text_pick, audio_picks)
 
         nn.decode_cached(self.blocks, self.ln_f,
                          lambda: concat(self._prefix(a_p), axis=0).data, step)

@@ -5,8 +5,9 @@ yields stable dotted names, which is what the optimizer and checkpoints key on.
 `positions` and `causal_mask` own the cached, read-only position and mask
 tables, `right_pad` the layout of a right-padded batch and `decode_cached` the
 KV caches of incremental decoding; every caller goes through them.  Cached
-decoding runs on plain arrays: `block_step` is a block's forward composed of
-the tensor ops' own kernels, so it gives the block's bits without a Tensor.
+decoding runs on plain arrays: `block_step` is a self-attention block's
+forward composed of the tensor ops' own kernels, so it gives the block's bits
+without a Tensor; cross-attention blocks run full passes only.
 """
 from __future__ import annotations
 
@@ -188,19 +189,14 @@ def run_blocks(blocks, x: Tensor, *, causal: bool = False, mask: np.ndarray | No
     return x
 
 
-def block_step(w, x, mask, cache, memory=None):
-    """`TransformerBlock.__call__` on arrays, for the block whose `arrays()`
-    is w, its self-attention appending x's keys and values to `cache` and its
-    cross-attention, if it has one, over every row of memory: the same
-    kernels in the same order, so the same bits, with no Tensor made."""
-    ln1, (proj, heads), cross, ln2, (ff1, ff2) = w
+def block_step(w, x, mask, cache):
+    """`TransformerBlock.__call__` on arrays, for the self-attention block
+    whose `arrays()` is w, its attention appending x's keys and values to
+    `cache`: the same kernels in the same order, so the same bits, with no
+    Tensor made."""
+    ln1, (proj, heads), ln2, (ff1, ff2) = w
     h = normalize(x, *ln1)[0]
     x = x + attend(h, h, proj, heads, mask, cache)[0]
-    if cross is not None:
-        if memory is None:
-            raise ValueError("cross-attention block called without memory")
-        ln_x, (proj, heads) = cross
-        x = x + attend(normalize(x, *ln_x)[0], memory, proj, heads, None)[0]
     r = affine(normalize(x, *ln2)[0], *ff1)
     return x + affine(np.where(r > 0, r, 0.0), *ff2)
 
@@ -244,12 +240,6 @@ class MultiHeadAttention(Module):
         proj = [(lin.w, lin.b) for lin in (self.wq, self.wk, self.wv, self.wo)]
         return attention(x, x if memory is None else memory, proj, self._heads, mask)
 
-    def arrays(self) -> tuple:
-        """The (weight, bias) arrays of the four projections, and the head
-        count: what `attend` takes besides its inputs."""
-        proj = [(lin.w.data, lin.b.data) for lin in (self.wq, self.wk, self.wv, self.wo)]
-        return proj, self._heads
-
 
 class FeedForward(Module):
     def __init__(self, d: int, hidden: int, rng: np.random.Generator):
@@ -263,7 +253,8 @@ class FeedForward(Module):
 class TransformerBlock(Module):
     """Pre-norm block: self-attention under `mask`, optional cross-attention
     under `memory_mask`, feed-forward.  `block_step` runs the same forward on
-    arrays, its self-attention through a KVCache."""
+    arrays for a block with no cross-attention, its self-attention through a
+    KVCache."""
 
     def __init__(self, d: int, heads: int, rng: np.random.Generator, cross: bool = False):
         self.ln1 = LayerNorm(d)
@@ -288,11 +279,11 @@ class TransformerBlock(Module):
 
     def arrays(self) -> tuple:
         """This block's weights as the arrays `block_step` reads, in its
-        order: ln1, self-attention, cross-attention (its layer norm and
-        attention, or None), ln2, and the feed-forward's two layers."""
-        def ln(m):
-            return m.g.data, m.b.data
-
-        cross = None if self.cross is None else (ln(self.ln_x), self.cross.arrays())
-        ff = [(lin.w.data, lin.b.data) for lin in (self.ff.w1, self.ff.w2)]
-        return ln(self.ln1), self.attn.arrays(), cross, ln(self.ln2), ff
+        order: ln1, the attention's four projections and head count, ln2, and
+        the feed-forward's two layers.  Raises for a cross-attention block."""
+        if self.cross is not None:
+            raise ValueError("the array step runs self-attention blocks only")
+        a, f = self.attn, self.ff
+        wb = [(m.w.data, m.b.data) for m in (a.wq, a.wk, a.wv, a.wo, f.w1, f.w2)]
+        return ((self.ln1.g.data, self.ln1.b.data), (wb[:4], a._heads),
+                (self.ln2.g.data, self.ln2.b.data), wb[4:])

@@ -132,7 +132,7 @@ def resolve_vocoder(st: CheckpointState) -> TimbreVocoder:
 # everything to the synthetic corpus so the whole pipeline fits a CPU budget.
 
 
-def toy_corpus_config(pairs: int = 550) -> ToyCorpusConfig:
+def toy_corpus_config(pairs: int) -> ToyCorpusConfig:
     return ToyCorpusConfig(pairs=pairs)
 
 
@@ -143,13 +143,13 @@ def toy_tokenizer_config() -> TokenizerConfig:
                            asr_blocks=1, heads=4)
 
 
-def toy_model_config(projector: str = "linear") -> ModelConfig:
+def toy_model_config() -> ModelConfig:
     # group_size matches the corpus rendering (4 frames per symbol), so one
     # decode step spans exactly one symbol block
     return ModelConfig(audio_vocab=toy_tokenizer_config().codebook_size, d_model=96, blocks=2,
-                       heads=4, context=256, group_size=4, projector=projector,
-                       proj_hidden=128, qformer_queries=16, qformer_dim=64, enc_dim=64,
-                       enc_blocks=1, fixed_input_len=32)
+                       heads=4, context=256, group_size=4, proj_hidden=128,
+                       qformer_queries=16, qformer_dim=64, enc_dim=64, enc_blocks=1,
+                       fixed_input_len=32)
 
 
 def toy_vocoder_config() -> VocoderConfig:
@@ -492,9 +492,8 @@ class PipelineRun:
 
 
 def run_toy_pipeline(out_dir=None, *, seed: int = 0, corpus_cfg: ToyCorpusConfig | None = None,
-                     n_train: int = 500, projector: str = "linear",
-                     tokenizer_steps=None, model_steps=None, vocoder_steps=None,
-                     decode_cfg: DecodeConfig | None = None) -> PipelineRun:
+                     n_train: int = 500, tokenizer_steps=None, model_steps=None,
+                     vocoder_steps=None, decode_cfg: DecodeConfig | None = None) -> PipelineRun:
     """Corpus -> tokenizer -> model -> vocoder -> evaluation, one seed throughout.
 
     With out_dir set, writes the stage checkpoints, loss logs, and the report
@@ -530,8 +529,7 @@ def run_toy_pipeline(out_dir=None, *, seed: int = 0, corpus_cfg: ToyCorpusConfig
 
     t0 = time.perf_counter()
     model, model_res = train_model_stage(
-        train_m, val_m, tok, cfg=toy_model_config(projector), seed=seed,
-        max_steps=model_steps,
+        train_m, val_m, tok, seed=seed, max_steps=model_steps,
         checkpoint_path=paths.get("model"), log_path=paths.get("model_log"),
     )
     timings["model"] = time.perf_counter() - t0

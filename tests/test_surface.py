@@ -23,7 +23,7 @@ from minis2st.tokenizer import TokenizerConfig
 from minis2st.training import TrainConfig
 from minis2st.vocoder import VocoderConfig
 
-SETTABLE = 149
+SETTABLE = 145
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -91,6 +91,9 @@ OUT_OF_RANGE = [
     *[(TrainConfig, kw) for kw in (dict(decay_gamma=1.5), dict(lambda_audio=-1.0),
                                    dict(lambda_text=-1.0), dict(min_delta=-1e-3))],
     (DecodeConfig, dict(max_steps=0)),
+    # decoding stops when its step count equals max_steps, which 2.5 never does
+    (DecodeConfig, dict(max_steps=2.5)),
+    (DecodeConfig, dict(max_steps="4")),
     (DecodeConfig, dict(repetition_penalty=0.0)),
 ]
 
@@ -125,9 +128,16 @@ def test_the_benchmark_still_reaches_every_entry_point_it_uses(monkeypatch):
     inspect.signature(pipeline.toy_train_config).bind("model", 0)
     inspect.signature(pipeline.same_speaker_prompts).bind(m)
     inspect.signature(pipeline.toy_corpus_config).bind(550)
+    for preset in ("model", "tokenizer", "vocoder"):
+        inspect.signature(getattr(pipeline, f"toy_{preset}_config")).bind()
+    for cls in (model.TranslationModel, tokenizer.SpeechTokenizer, vocoder.TimbreVocoder):
+        inspect.signature(cls).bind(m, 0)
+    inspect.signature(model.DecodeConfig).bind(max_steps=64)
     inspect.signature(pipeline.split_manifest).bind(m, 500)
     inspect.signature(corpus.generate_toy_corpus).bind(m, 0)
     inspect.signature(tokenizer.token_symbol_alignment).bind(m, m, 4, 20)
     inspect.signature(vocoder.SpeakerEmbedder).bind(8, spk_dim=16, seed=0)
     inspect.signature(model.TranslationModel.translate).bind(m, m, m)
+    inspect.signature(vocoder.SpeakerEmbedder.embed).bind(m, m)
+    inspect.signature(vocoder.TimbreVocoder.synthesize).bind(m, m, m)
     inspect.signature(evaluation.transcribe_frames).bind(m, m, m, 4)

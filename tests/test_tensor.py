@@ -335,52 +335,54 @@ def test_padding_mask_hides_exactly_the_pad_keys():
         np.testing.assert_allclose(out[b, : len(xb)], alone, rtol=1e-12, atol=1e-12)
 
 
-def through_caches(blocks, cache, x, memory=None):
+def through_caches(blocks, cache, x):
     """x's rows, an array, through blocks' array steps after the rows their
     caches hold, one KVCache per block, as `nn.decode_cached` feeds them."""
     mask = causal_mask(x.shape[-2], len(cache[0]))
     for blk, kv in zip(blocks, cache):
-        x = nn.block_step(blk.arrays(), x, mask, kv, memory=memory)
+        x = nn.block_step(blk.arrays(), x, mask, kv)
     return x
 
 
 def test_the_array_step_on_a_fresh_cache_is_the_block_bit_for_bit():
-    # the same kernels in the same order: a self-attention block, and a
-    # cross-attention block over its memory, each alone and in a stack
+    # the same kernels in the same order, a block alone and in a stack
     rng = np.random.default_rng(13)
-    for cross in (False, True):
-        blocks = [TransformerBlock(8, 2, rng, cross=cross) for _ in range(2)]
-        for n in (1, 2, 7):
-            x = rng.normal(size=(n, 8))
-            memory = rng.normal(size=(5, 8)) if cross else None
-            mem = None if memory is None else Tensor(memory)
-            with no_grad():
-                one = blocks[0](Tensor(x), memory=mem, mask=causal_mask(n, 0)).data
-                both = run_blocks(blocks, Tensor(x), causal=True, memory=mem).data
-            np.testing.assert_array_equal(
-                nn.block_step(blocks[0].arrays(), x, causal_mask(n, 0), KVCache(), memory=memory),
-                one)
-            np.testing.assert_array_equal(
-                through_caches(blocks, [KVCache() for _ in blocks], x, memory), both)
+    blocks = [TransformerBlock(8, 2, rng) for _ in range(2)]
+    for n in (1, 2, 7):
+        x = rng.normal(size=(n, 8))
+        with no_grad():
+            one = blocks[0](Tensor(x), mask=causal_mask(n, 0)).data
+            both = run_blocks(blocks, Tensor(x), causal=True).data
+        np.testing.assert_array_equal(
+            nn.block_step(blocks[0].arrays(), x, causal_mask(n, 0), KVCache()), one)
+        np.testing.assert_array_equal(
+            through_caches(blocks, [KVCache() for _ in blocks], x), both)
+
+
+def test_a_cross_attention_block_gives_the_array_step_no_weights():
+    # block_step has no cross-attention: a cross block's arrays would make
+    # it skip one silently
+    blk = TransformerBlock(8, 2, np.random.default_rng(0), cross=True)
+    with pytest.raises(ValueError, match="self-attention blocks only"):
+        blk.arrays()
+    with pytest.raises(ValueError, match="self-attention blocks only"):
+        nn.decode_cached([blk], nn.LayerNorm(8), lambda: np.zeros((1, 8)), lambda last: None)
 
 
 def test_cached_blocks_match_a_full_pass():
     # rows fed in chunks through a KV cache come out as a full causal pass
-    # gives them, also when cross-attention (never cached) reads a memory;
-    # the cached rows skip masked key columns, so sums group differently
+    # gives them; the cached rows skip masked key columns, so sums group
+    # differently
     rng = np.random.default_rng(3)
-    for cross in (False, True):
-        blocks = [TransformerBlock(8, 2, rng, cross=cross) for _ in range(2)]
-        x = rng.normal(size=(11, 8))
-        memory = rng.normal(size=(5, 8)) if cross else None
-        cache = [KVCache() for _ in blocks]
-        with no_grad():
-            full = run_blocks(blocks, Tensor(x), causal=True,
-                              memory=None if memory is None else Tensor(memory)).data
-        parts = [through_caches(blocks, cache, x[lo:hi], memory)
-                 for lo, hi in ((0, 1), (1, 4), (4, 6), (6, 11))]
-        assert [len(c) for c in cache] == [11, 11]
-        np.testing.assert_allclose(np.concatenate(parts), full, rtol=0, atol=1e-12)
+    blocks = [TransformerBlock(8, 2, rng) for _ in range(2)]
+    x = rng.normal(size=(11, 8))
+    cache = [KVCache() for _ in blocks]
+    with no_grad():
+        full = run_blocks(blocks, Tensor(x), causal=True).data
+    parts = [through_caches(blocks, cache, x[lo:hi])
+             for lo, hi in ((0, 1), (1, 4), (4, 6), (6, 11))]
+    assert [len(c) for c in cache] == [11, 11]
+    np.testing.assert_allclose(np.concatenate(parts), full, rtol=0, atol=1e-12)
 
 
 def test_a_growing_cache_is_bit_identical_to_a_concatenating_one():
@@ -447,16 +449,18 @@ def test_a_key_bias_moves_attention_outputs_only_by_rounding():
     # softmax drops it; so key biases stay frozen at zero, out of training
     rng = np.random.default_rng(10)
     blk = TransformerBlock(8, 2, rng, cross=True)
-    biases = [blk.attn.wk.b, blk.cross.wk.b]
+    own = TransformerBlock(8, 2, rng)
+    biases = [blk.attn.wk.b, blk.cross.wk.b, own.attn.wk.b]
     assert not any(b.requires_grad for b in biases)
     x, memory = rng.normal(size=(2, 7, 8)), rng.normal(size=(2, 5, 8))
 
     def outputs():
-        with no_grad():  # a masked batch, then the first sequence through a KV cache
+        # a masked batch through the cross block, then the first sequence
+        # through the self-attention block's KV cache
+        with no_grad():
             full = run_blocks([blk], Tensor(x), causal=True, memory=Tensor(memory)).data
         cache = [KVCache()]
-        parts = [through_caches([blk], cache, x[0, lo:hi], memory[0])
-                 for lo, hi in ((0, 3), (3, 7))]
+        parts = [through_caches([own], cache, x[0, lo:hi]) for lo, hi in ((0, 3), (3, 7))]
         return full, np.concatenate(parts)
 
     before = outputs()

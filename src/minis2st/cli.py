@@ -20,8 +20,6 @@ import time
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .corpus import (
     ParseError,
     ToyCorpusConfig,
@@ -36,8 +34,7 @@ from .corpus import (
     write_frames,
     write_manifest,
 )
-from .evaluation import (EvalReport, EvalRow, corpus_bleu, meteor_lite, speaker_similarity,
-                         translate_records)
+from .evaluation import EvalReport, score_corpus, speaker_similarity, translate_records
 from .model import DecodeConfig, ModelConfig
 from .pipeline import (
     bundle,
@@ -397,14 +394,10 @@ def cmd_eval(args) -> dict:
                          f"for ids: {', '.join(missing[:5])}" + ("..." if len(missing) > 5 else ""))
     hyps = [toks for _, toks in hyp_rows]
     refs = [refs_by_id[rid] for rid, _ in hyp_rows]
-    row = EvalRow(
-        system=eff["system"], count=len(hyps),
-        bleu=corpus_bleu(hyps, refs),
-        meteor=float(np.mean([meteor_lite(h, r) for h, r in zip(hyps, refs)])),
-    )
     inputs = [args.hyp, args.ref, args.ref_manifest]
     if bool(args.gen_frames) != bool(args.prompt_frames):
         raise UsageError("--gen-frames and --prompt-frames go together")
+    sims = None
     if args.gen_frames:
         if not args.embedder_from:
             raise UsageError("--gen-frames needs --embedder-from for the speaker embedder")
@@ -414,8 +407,8 @@ def cmd_eval(args) -> dict:
             gen = read_frames(Path(args.gen_frames) / f"{rid}.ds2f")
             prompt = read_frames(Path(args.prompt_frames) / f"{rid}.ds2f")
             sims.append(speaker_similarity(gen, prompt, embedder))
-        row.speaker_sim = float(np.mean(sims))
         inputs.append(args.embedder_from)
+    row = score_corpus(eff["system"], hyps, refs, sims)
     report = EvalReport(rows=[row], metadata={"hyp": str(args.hyp)})
     outputs = report.write(args.out_dir)
     print(report.render_text(), end="")

@@ -125,6 +125,18 @@ class EvalRow:
             raise ValueError(f"speaker similarity {self.speaker_sim} outside [-1, 1]")
 
 
+def score_corpus(system: str, hyps, refs, sims) -> EvalRow:
+    """The row of a hypothesis corpus: corpus BLEU, mean METEOR-lite, and the
+    mean speaker similarity unless `sims` is None."""
+    return EvalRow(
+        system=system,
+        count=len(hyps),
+        bleu=corpus_bleu(hyps, refs),
+        meteor=float(np.mean([meteor_lite(h, rf) for h, rf in zip(hyps, refs)])),
+        speaker_sim=None if sims is None else float(np.mean(sims)),
+    )
+
+
 @dataclass
 class EvalReport:
     rows: list
@@ -237,14 +249,8 @@ def evaluate_translation(*, model, tokenizer, vocoder, alignment,
         sims.append(speaker_similarity(gen, prompt, vocoder.embedder))
         refs.append(list(r.tgt_text))
         texts.append(list(res.text))
-    row = EvalRow(
-        system=system,
-        count=len(records),
-        bleu=corpus_bleu(hyps, refs),
-        meteor=float(np.mean([meteor_lite(h, rf) for h, rf in zip(hyps, refs)])),
-        speaker_sim=float(np.mean(sims)),
-        extras={"text_bleu": corpus_bleu(texts, refs)},
-    )
+    row = score_corpus(system, hyps, refs, sims)
+    row.extras = {"text_bleu": corpus_bleu(texts, refs)}
     row.validate()
     return row, {"hyps": hyps, "refs": refs, "sims": sims, "texts": texts}
 

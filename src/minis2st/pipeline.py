@@ -220,6 +220,14 @@ def _prompted_examples(m: Manifest, tokenizer: SpeechTokenizer, module: nn.Modul
     return [(r, toks, spk) for r, toks, (_, spk) in zip(m, tokens, module.embedder.prompts(m))]
 
 
+def _check_codebook(stage: str, audio_vocab: int, tokenizer: SpeechTokenizer):
+    """A stage that reads or writes semantic tokens needs the tokenizer's codebook size."""
+    if audio_vocab != tokenizer.cfg.codebook_size:
+        raise ConfigError(
+            f"{stage} audio vocab {audio_vocab} != codebook size {tokenizer.cfg.codebook_size}"
+        )
+
+
 # ------------------------------------------------------------ tokenizer stage
 
 
@@ -320,10 +328,7 @@ def train_model_stage(train_m: Manifest, val_m: Manifest, tokenizer: SpeechToken
                       max_steps=None, loss_trace=None):
     cfg = cfg if cfg is not None else toy_model_config()
     tcfg = tcfg if tcfg is not None else toy_train_config("model", seed)
-    if cfg.audio_vocab != tokenizer.cfg.codebook_size:
-        raise ConfigError(
-            f"model audio vocab {cfg.audio_vocab} != codebook size {tokenizer.cfg.codebook_size}"
-        )
+    _check_codebook("model", cfg.audio_vocab, tokenizer)
     model = TranslationModel(cfg, seed)
     train_ex = build_token_targets(train_m, tokenizer, token_source, text_to_token=text_to_token)
     val_ex = build_token_targets(val_m, tokenizer, token_source, text_to_token=text_to_token)
@@ -361,10 +366,7 @@ def train_vocoder_stage(train_m: Manifest, val_m: Manifest, tokenizer: SpeechTok
                         max_steps=None, loss_trace=None):
     cfg = cfg if cfg is not None else toy_vocoder_config()
     tcfg = tcfg if tcfg is not None else toy_train_config("vocoder", seed)
-    if cfg.audio_vocab != tokenizer.cfg.codebook_size:
-        raise ConfigError(
-            f"vocoder audio vocab {cfg.audio_vocab} != codebook size {tokenizer.cfg.codebook_size}"
-        )
+    _check_codebook("vocoder", cfg.audio_vocab, tokenizer)
     voc = TimbreVocoder(cfg, seed)
     train_ex = _prompted_examples(train_m, tokenizer, voc)
 

@@ -397,6 +397,8 @@ class TextToTokenModel(nn.Module):
         """At most max_len greedy tokens for text; truncated if EOS did not come."""
         if len(text) == 0:
             raise ValueError("text_to_token generation needs non-empty text")
+        if not isinstance(max_len, (int, np.integer)):
+            raise ValueError(f"max_len must be an integer, got {max_len!r}")
         if max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {max_len}")
         banned = np.zeros(self.text_vocab + self.codebook_size + 2)

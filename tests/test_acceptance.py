@@ -16,6 +16,7 @@ import pytest
 
 import oracles
 from minis2st.cli import main as cli_main
+from minis2st.corpus import same_speaker_prompts
 from minis2st.evaluation import (
     corpus_bleu,
     evaluate_translation,
@@ -31,7 +32,7 @@ from minis2st.model import (
     compute_loss,
     make_projector,
 )
-from minis2st.pipeline import run_ablation, same_speaker_prompts, split_manifest
+from minis2st.pipeline import run_ablation, split_manifest
 from minis2st.tensor import Tensor, mean, mul, sub
 from minis2st.tokenizer import Codebook, quantize
 from minis2st.training import TrainConfig, load_checkpoint, train

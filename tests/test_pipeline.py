@@ -1,10 +1,11 @@
 import numpy as np
+import pytest
 
 from minis2st import pipeline
 from minis2st.corpus import ToyCorpusConfig, generate_toy_corpus
 from minis2st.model import ModelConfig
 from minis2st.tokenizer import SpeechTokenizer, TokenizerConfig
-from minis2st.training import TrainConfig, load_checkpoint, save_checkpoint
+from minis2st.training import ConfigError, TrainConfig, load_checkpoint, save_checkpoint
 from minis2st.vocoder import SpeakerEmbedder, VocoderConfig
 
 
@@ -112,6 +113,21 @@ def test_checkpoint_layout_and_rebuild(tmp_path):
     st["model"].tensors[key_bias] = np.ones(16)
     rebuilt = pipeline.rebuild(st["model"], "model")
     np.testing.assert_array_equal(dict(rebuilt.named_tensors())[key_bias].data, np.zeros(16))
+
+
+@pytest.mark.parametrize("stage,cfg", [("model", ModelConfig(**{**MODEL, "audio_vocab": 24})),
+                                       ("vocoder", VocoderConfig(**{**VOC, "audio_vocab": 24}))],
+                         ids=["model", "vocoder"])
+def test_a_stage_whose_audio_vocab_is_not_the_codebook_fails_before_any_step(
+        stage, cfg, monkeypatch):
+    def no_training(**kw):
+        raise AssertionError("the stage trained")
+
+    monkeypatch.setattr(pipeline, "train", no_training)
+    m = generate_toy_corpus(ToyCorpusConfig(pairs=4), 0)
+    tok = SpeechTokenizer(TokenizerConfig(**TOK), 0)
+    with pytest.raises(ConfigError, match=f"^{stage} audio vocab 24 != codebook size 32$"):
+        getattr(pipeline, f"train_{stage}_stage")(m, m, tok, cfg, max_steps=1)
 
 
 def test_toy_run_records_peak_rss_outside_the_total(toy_run):

@@ -5,12 +5,17 @@ A change that adds or removes an option moves this count; it updates
 SETTABLE and says why in CHANGES.md.
 
 Also pinned here: every config checks its own values when it is built, the
-modules import one another in one order only, and the benchmark under
-`bench/`, which a change to the program may not edit, still finds every entry
-point it wraps and calls them as it does.
+modules import one another in one order only, the package root imports none
+of them, so importing one module loads only it and the layers below it, and
+the benchmark under `bench/`, which a change to the program may not edit,
+still finds every entry point it wraps and calls them as it does.
 """
 import ast
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,6 +74,27 @@ def test_each_module_imports_only_the_layers_below_it():
     for i, name in enumerate(LAYERS):
         above = package_imports(pkg / f"{name}.py") - set(LAYERS[:i])
         assert not above, f"{name} imports {sorted(above)}, which come after it"
+
+
+def test_the_package_root_imports_no_package_module():
+    assert not package_imports(Path(minis2st.__file__))
+
+
+def test_importing_one_module_loads_only_it_and_still_pins_blas():
+    pkg = Path(minis2st.__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join([str(pkg.parent), str(Path(__file__).parent)])}
+    # goldens imports the CLI, so the loaded modules are read before it is
+    code = ("import json, sys\n"
+            "import minis2st.tensor\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('minis2st'))\n"
+            "import goldens\n"
+            "print(json.dumps([loaded, goldens.blas_threads()]))\n")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr[-2000:]
+    loaded, threads = json.loads(run.stdout)
+    assert loaded == ["minis2st", "minis2st.tensor"]
+    assert threads == 1
 
 
 OUT_OF_RANGE = [

@@ -479,6 +479,18 @@ def test_text_to_token_generation_rejects_fewer_than_one_token(max_len):
         t2t.generate([0, 2, 1], np.ones(3) / np.sqrt(3), max_len=max_len)
 
 
+# generation stops when it holds max_len tokens, which a fraction never reaches
+@pytest.mark.parametrize("max_len", [2.5, "4"])
+def test_text_to_token_generation_rejects_a_max_len_that_is_not_an_integer(max_len):
+    cfg = tiny_cfg()
+    t2t = TextToTokenModel(cfg.text_vocab, cfg.codebook_size, spk_dim=3, seed=0,
+                           embedder=SpeakerEmbedder(cfg.feat_dim, spk_dim=3))
+    spk = np.ones(3) / np.sqrt(3)
+    with pytest.raises(ValueError, match="max_len must be an integer"):
+        t2t.generate([0, 2, 1], spk, max_len=max_len)
+    assert t2t.generate([0, 2, 1], spk, max_len=np.int64(4)) == t2t.generate([0, 2, 1], spk, 4)
+
+
 def _text_to_token_batch(rng):
     t2t = TextToTokenModel(5, 12, spk_dim=3, seed=2, embedder=SpeakerEmbedder(4, spk_dim=3))
     texts = [[1], [0, 2, 3], [2, 1, 4, 0]]

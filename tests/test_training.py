@@ -7,13 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from minis2st.corpus import ParseError
 from minis2st.tensor import Tensor, _active_tape, mean, mul, sub
 from minis2st.training import (
     Adam,
     CheckpointState,
     ConfigError,
     NumericError,
-    ParseError,
     TrainConfig,
     VersionError,
     _epoch_batches,

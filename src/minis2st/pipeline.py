@@ -40,8 +40,8 @@ from .training import (
     TrainConfig,
     TrainResult,
     VersionError,
-    checkpoint_array,
     expect_kind,
+    load_array,
     train,
 )
 from .vocoder import SpeakerEmbedder, TimbreVocoder, VocoderConfig
@@ -104,7 +104,7 @@ def rebuild(st: CheckpointState, kind: str, key: str | None = None) -> nn.Module
         raise VersionError(f"checkpoint config {where}: {exc}") from None
     for name, t in module.named_tensors():
         if t.requires_grad:  # frozen tensors stay as constructed
-            t.data = checkpoint_array(st.tensors, prefix + name, t.data.shape)
+            load_array(st.tensors, prefix + name, t.data)
     return module
 
 

@@ -48,6 +48,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("batch_size", "warmup_steps", "max_epochs", "validate_every", "patience",
+                     "seed"):  # counts: a fraction would slip past every check below
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if min(self.lr, self.batch_size, self.warmup_steps, self.max_epochs,
                self.validate_every, self.patience) <= 0:
             raise ConfigError("lr, batch_size, warmup_steps, max_epochs, "
@@ -71,7 +75,8 @@ def lr_schedule(step: int, steps_per_epoch: int, cfg: TrainConfig) -> float:
 
 
 class Adam:
-    """Bias-corrected Adam over a named parameter dict."""
+    """Bias-corrected Adam over a named parameter dict; every step updates the
+    moments and the parameter arrays in place, so arrays taken from them stay live."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -87,11 +92,12 @@ class Adam:
         c2 = 1.0 - self.beta2 ** self.t
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
-            mhat = self.m[name] / c1
-            vhat = self.v[name] / c2
-            p.data = p.data - lr * mhat / (np.sqrt(vhat) + self.eps)
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 # -------------------------------------------------------------- checkpoints
@@ -182,14 +188,16 @@ def load_checkpoint(path) -> CheckpointState:
     )
 
 
-def checkpoint_array(tensors: dict, key: str, shape: tuple, what: str = "tensor") -> np.ndarray:
-    """A float copy of checkpoint array `key`; VersionError unless it has `shape`."""
+def load_array(tensors: dict, key: str, into: np.ndarray, what: str = "tensor"):
+    """Copy checkpoint array `key` into the live array `into`; VersionError
+    unless the checkpoint holds it at `into`'s shape."""
     if key not in tensors:
         raise VersionError(f"checkpoint missing {what} {key!r}")
     src = np.asarray(tensors[key], dtype=np.float64)
-    if src.shape != shape:
-        raise VersionError(f"{what} {key!r}: checkpoint shape {src.shape} != model shape {shape}")
-    return src.copy()
+    if src.shape != into.shape:
+        raise VersionError(f"{what} {key!r}: checkpoint shape {src.shape} "
+                           f"!= model shape {into.shape}")
+    into[...] = src
 
 
 def expect_kind(st: CheckpointState, kind: str) -> CheckpointState:
@@ -253,15 +261,16 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
     val_history = []
     epochs_done = 0  # completed on_epoch_end callbacks
     best = resume_from  # checkpoint state at best_step
+    # every array a checkpoint holds, by its key: all live, so nothing rebinds them
+    table = {name: ("parameter", p.data) for name, p in params.items()}
+    for prefix, moments in (("opt.m.", adam.m), ("opt.v.", adam.v)):
+        table.update({prefix + name: ("moment", arr) for name, arr in moments.items()})
+    table.update({f"state.{key}": ("state array", arr) for key, arr in state_arrays.items()})
 
     if resume_from is not None:
         st = resume_from
-        for name, p in params.items():
-            p.data = checkpoint_array(st.tensors, name, p.data.shape, "parameter")
-            adam.m[name] = checkpoint_array(st.tensors, f"opt.m.{name}", p.data.shape, "moment")
-            adam.v[name] = checkpoint_array(st.tensors, f"opt.v.{name}", p.data.shape, "moment")
-        for key, arr in state_arrays.items():
-            arr[...] = checkpoint_array(st.tensors, f"state.{key}", arr.shape, "state array")
+        for key, (what, arr) in table.items():
+            load_array(st.tensors, key, arr, what)
         missing = [k for k in ("adam_t", "best_val", "best_step", "bad", "val_history",
                                "epochs_done") if k not in st.meta]
         if missing:
@@ -277,17 +286,11 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
             rng.bit_generator.state = st.rng_state
 
     def snapshot() -> CheckpointState:
-        tensors = {name: p.data.copy() for name, p in params.items()}
-        for name in params:
-            tensors[f"opt.m.{name}"] = adam.m[name].copy()
-            tensors[f"opt.v.{name}"] = adam.v[name].copy()
-        for key, arr in state_arrays.items():
-            tensors[f"state.{key}"] = np.asarray(arr, dtype=np.float64).copy()
         return CheckpointState(
             kind=kind,
             config=config_snapshot or {},
             step=step,
-            tensors=tensors,
+            tensors={key: np.array(arr, dtype=np.float64) for key, (_, arr) in table.items()},
             rng_state=rng.bit_generator.state,
             meta={
                 "adam_t": adam.t,
@@ -360,12 +363,6 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
             save_checkpoint(checkpoint_path, best)
     else:
         for name, p in params.items():
-            p.data = best.tensors[name].copy()
-    return TrainResult(
-        steps=step,
-        best_val=best_val,
-        val_history=val_history,
-        stopped_early=early,
-        best_step=best_step,
-        state=best,
-    )
+            p.data[...] = best.tensors[name]
+    return TrainResult(steps=step, best_val=best_val, val_history=val_history,
+                       stopped_early=early, best_step=best_step, state=best)

@@ -116,6 +116,9 @@ OUT_OF_RANGE = [
                                       "validate_every", "patience", "decay_gamma")],
     *[(TrainConfig, kw) for kw in (dict(decay_gamma=1.5), dict(lambda_audio=-1.0),
                                    dict(lambda_text=-1.0), dict(min_delta=-1e-3))],
+    # counts: a fraction would validate off schedule, never stop, or fail mid-run
+    *[(TrainConfig, {k: 2.5}) for k in ("batch_size", "warmup_steps", "max_epochs",
+                                        "validate_every", "patience", "seed")],
     (DecodeConfig, dict(max_steps=0)),
     # decoding stops when its step count equals max_steps, which 2.5 never does
     (DecodeConfig, dict(max_steps=2.5)),
@@ -131,6 +134,23 @@ def test_every_config_rejects_an_out_of_range_value_when_built(cls, kw):
     cls()  # the defaults are in range
     with pytest.raises(ValueError):
         cls(**kw)
+
+
+def test_no_module_but_tensor_rebinds_a_tensors_data():
+    # training steps, restores and loads every array in place, so an array
+    # taken from a module stays live; `-=` and subscript writes are in place
+    rebinds = []
+    for path in sorted(Path(minis2st.__file__).parent.glob("*.py")):
+        if path.name == "tensor.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                rebinds += [f"{path.name}:{node.lineno}" for target in targets
+                            for sub in ast.walk(target)
+                            if isinstance(sub, ast.Attribute) and sub.attr == "data"
+                            and isinstance(sub.ctx, ast.Store)]
+    assert rebinds == []
 
 
 def test_the_benchmark_still_reaches_every_entry_point_it_uses(monkeypatch):

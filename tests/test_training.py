@@ -73,6 +73,11 @@ def test_config_accepts_gamma_of_one():
     assert TrainConfig(decay_gamma=1.0).decay_gamma == 1.0
 
 
+def test_config_accepts_numpy_integer_counts():
+    cfg = TrainConfig(batch_size=np.int64(4), patience=np.int32(2), seed=np.int64(3))
+    assert (cfg.batch_size, cfg.patience, cfg.seed) == (4, 2, 3)
+
+
 # -------------------------------------------------------------------- adam
 
 
@@ -101,8 +106,10 @@ def test_adam_matches_hand_stepped_oracle():
         for name, g in (("w", gw), ("b", gb)):
             d, m, v = ref[name]
             ref[name] = _reference_adam_step(d, g, m, v, t, 1e-2)
-    np.testing.assert_allclose(w.data, ref["w"][0], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(b.data, ref["b"][0], rtol=0, atol=1e-15)
+    for name, p in (("w", w), ("b", b)):
+        # the moments are checkpointed, so they must match as well as the weights
+        for got, want in zip((p.data, adam.m[name], adam.v[name]), ref[name]):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
     assert adam.t == 5
 
 
@@ -113,6 +120,16 @@ def test_adam_treats_missing_grad_as_zero():
     w.grad = None
     adam.step(0.1)
     np.testing.assert_array_equal(w.data, before)
+
+
+def test_adam_steps_every_array_in_place():
+    w = Tensor(np.ones(3), requires_grad=True)
+    adam = Adam({"w": w})
+    held = (w.data, adam.m["w"], adam.v["w"])
+    w.grad = np.full(3, 0.5)
+    adam.step(0.1)
+    assert all(now is then for now, then in zip((w.data, adam.m["w"], adam.v["w"]), held))
+    assert not np.array_equal(w.data, np.ones(3))
 
 
 # ------------------------------------------------------------- checkpoints
@@ -412,6 +429,35 @@ def test_resumed_weights_count_as_best_so_far(tmp_path):
     train(params=params, examples=examples, loss_fn=loss_fn,
           val_fn=lambda: next(scripted), cfg=cfg, resume_from=st, max_steps=8)
     np.testing.assert_array_equal(params["w"].data, st.tensors["w"])
+
+
+def test_train_restores_and_resumes_into_the_live_arrays(tmp_path):
+    # an array taken from a parameter before train() holds what it returns
+    params, examples, loss_fn, _ = _make_problem()
+    held = params["w"].data
+    scripted = iter([3.0, 1.0, 2.0, 2.5])  # best at the second of four validations
+    seen = {}
+
+    def val_fn():
+        seen[len(seen) + 1] = held.copy()
+        return next(scripted)
+
+    cfg = TrainConfig(lr=0.05, batch_size=4, warmup_steps=1, max_epochs=50,
+                      validate_every=2, patience=10, seed=4)
+    ckpt = tmp_path / "best.ckpt"
+    train(params=params, examples=examples, loss_fn=loss_fn, val_fn=val_fn, cfg=cfg,
+          checkpoint_path=str(ckpt), max_steps=8)
+    assert params["w"].data is held
+    np.testing.assert_array_equal(held, seen[2])
+
+    st = load_checkpoint(ckpt)
+    params, examples, loss_fn, _ = _make_problem(seed=1)
+    held = params["w"].data
+    scripted = iter([1.5, 2.0])  # no improvement on the resumed best of 1.0
+    train(params=params, examples=examples, loss_fn=loss_fn,
+          val_fn=lambda: next(scripted), cfg=cfg, resume_from=st, max_steps=8)
+    assert params["w"].data is held
+    np.testing.assert_array_equal(held, st.tensors["w"])
 
 
 def test_train_keeps_last_weights_when_no_validation_ran():

@@ -176,8 +176,11 @@ class ToyCorpusConfig:
             raise ValueError(f"bad length range [{self.len_min}, {self.len_max}]")
         if self.pairs < 0 or self.speakers < 1 or self.feat_dim < 1:
             raise ValueError("pairs must be >= 0, speakers and feat_dim >= 1")
-        if self.frames_per_symbol < 1:
-            raise ValueError("frames_per_symbol must be >= 1")
+        if self.frames_per_symbol < 1 or self.frame_rate < 1:
+            raise ValueError("frames_per_symbol and frame_rate must be >= 1")
+        # `not >=` also catches NaN
+        if not (self.noise_std >= 0 and self.speaker_offset_std >= 0):
+            raise ValueError("noise_std and speaker_offset_std must be >= 0")
 
 
 def toy_symbol_map(cfg: ToyCorpusConfig, seed: int) -> list:

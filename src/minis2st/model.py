@@ -266,9 +266,9 @@ class DecoderLM(nn.Module):
 
     Teacher forcing runs a batch's whole sequences through the blocks at
     once, right-padded to a common length.  Greedy decoding hands the prefix
-    to `nn.decode_cached`, which owns the KV caches; what stays here is the
-    context check, the bans, the picks off the two heads and the two rows
-    each step's picks feed back.
+    and its `longest` bound to `nn.decode_cached`, which owns the keys and
+    values; what stays here is the context check, the bans, the picks off
+    the two heads and the two rows each step's picks feed back.
     """
 
     def __init__(self, cfg: ModelConfig, seed: int):
@@ -442,7 +442,7 @@ class DecoderLM(nn.Module):
                 return None
             return self._feed_rows(text_pick, audio_picks)
 
-        nn.decode_cached(self.blocks, self.ln_f,
+        nn.decode_cached(self.blocks, self.ln_f, longest,
                          lambda: concat(self._prefix(a_p), axis=0).data, step)
         return DecodeResult(
             tokens=tokens_out,

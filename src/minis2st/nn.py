@@ -4,8 +4,8 @@ Modules hold Tensors in attributes; named_tensors() walks the attribute tree and
 yields stable dotted names, which is what the optimizer and checkpoints key on.
 `positions` and `causal_mask` own the cached, read-only position and mask
 tables, `right_pad` the layout of a right-padded batch and `decode_cached` the
-KV caches of incremental decoding; every caller goes through them.  Cached
-decoding runs on plain arrays: `block_step` is a self-attention block's
+key and value arrays of incremental decoding; every caller goes through them.
+Cached decoding runs on plain arrays: `block_step` is a self-attention block's
 forward composed of the tensor ops' own kernels, so it gives the block's bits
 without a Tensor; cross-attention blocks run full passes only.
 """
@@ -16,7 +16,6 @@ import math
 import numpy as np
 
 from .tensor import (
-    KVCache,
     Tensor,
     add,
     affine,
@@ -191,9 +190,9 @@ def run_blocks(blocks, x: Tensor, *, causal: bool = False, mask: np.ndarray | No
 
 def block_step(w, x, mask, cache):
     """`TransformerBlock.__call__` on arrays, for the self-attention block
-    whose `arrays()` is w, its attention appending x's keys and values to
-    `cache`: the same kernels in the same order, so the same bits, with no
-    Tensor made."""
+    whose `arrays()` is w, its attention writing x's keys and values into
+    `cache`, `attend`'s (keys, values, held): the same kernels in the same
+    order, so the same bits, with no Tensor made."""
     ln1, (proj, heads), ln2, (ff1, ff2) = w
     h = normalize(x, *ln1)[0]
     x = x + attend(h, h, proj, heads, mask, cache)[0]
@@ -201,24 +200,29 @@ def block_step(w, x, mask, cache):
     return x + affine(np.where(r > 0, r, 0.0), *ff2)
 
 
-def decode_cached(blocks, ln_f, prefix, step):
-    """Causal decoding through self-attention blocks, one KVCache per block,
-    on arrays: the (n, d) rows prefix() gives, then each chunk step returns,
-    go through `block_step` and attend to every row before them; step gets
-    ln_f of the chunk's last output row, a (1, d) array, and returns None to
-    stop.  Each block's weights are gathered once per call.  Nothing is
-    recorded on a tape, the prefix included.  Returns the caches."""
-    cache = [KVCache() for _ in blocks]
+def decode_cached(blocks, ln_f, rows, prefix, step):
+    """Causal decoding through self-attention blocks on arrays: the (n, d)
+    rows prefix() gives, then each chunk step returns, go through
+    `block_step` and attend to every row before them; step gets ln_f of the
+    chunk's last output row, a (1, d) array, and returns None to stop.  The
+    keys and values live in one (len(blocks), rows, d) array each, made once
+    prefix() gives d, so feeding more than `rows` rows in all raises
+    ValueError.  Each block's weights are gathered once per call.  Nothing
+    is recorded on a tape, the prefix included.  Returns the rows fed."""
     weights = [blk.arrays() for blk in blocks]
     gain, bias = ln_f.g.data, ln_f.b.data
+    held = 0
     with no_grad():
-        rows = prefix()
-        while rows is not None:
-            mask = causal_mask(rows.shape[0], len(cache[0]))
-            for w, kv in zip(weights, cache):
-                rows = block_step(w, rows, mask, kv)
-            rows = step(normalize(rows[-1:], gain, bias)[0])
-    return cache
+        x = prefix()
+        keys = np.empty((len(blocks), rows, x.shape[1]))
+        values = np.empty_like(keys)
+        while x is not None:
+            mask = causal_mask(x.shape[0], held)
+            for w, k, v in zip(weights, keys, values):
+                x = block_step(w, x, mask, (k, v, held))
+            held += x.shape[0]
+            x = step(normalize(x[-1:], gain, bias)[0])
+    return held
 
 
 class MultiHeadAttention(Module):
@@ -253,8 +257,8 @@ class FeedForward(Module):
 class TransformerBlock(Module):
     """Pre-norm block: self-attention under `mask`, optional cross-attention
     under `memory_mask`, feed-forward.  `block_step` runs the same forward on
-    arrays for a block with no cross-attention, its self-attention through a
-    KVCache."""
+    arrays for a block with no cross-attention, its self-attention over
+    cached keys and values."""
 
     def __init__(self, d: int, heads: int, rng: np.random.Generator, cross: bool = False):
         self.ln1 = LayerNorm(d)

@@ -41,7 +41,7 @@ from .training import (
     TrainResult,
     VersionError,
     expect_kind,
-    load_array,
+    load_arrays,
     train,
 )
 from .vocoder import SpeakerEmbedder, TimbreVocoder, VocoderConfig
@@ -102,9 +102,9 @@ def rebuild(st: CheckpointState, kind: str, key: str | None = None) -> nn.Module
         module = build(recipe, cls, where, _BESIDE)
     except ValueError as exc:
         raise VersionError(f"checkpoint config {where}: {exc}") from None
-    for name, t in module.named_tensors():
-        if t.requires_grad:  # frozen tensors stay as constructed
-            load_array(st.tensors, prefix + name, t.data)
+    # frozen tensors stay as constructed
+    load_arrays(st.tensors, {prefix + name: ("tensor", t.data)
+                             for name, t in module.named_tensors() if t.requires_grad})
     return module
 
 

@@ -209,38 +209,6 @@ def linear(x, w, b):
     return _make(out_data, (x, w, b), pull)
 
 
-class KVCache:
-    """Projected keys and values of every row one self-attention layer has
-    seen so far, for incremental inference: each `attend` call given the
-    cache appends its new rows' keys and values and attends over all of them.
-    Only cached decoding, which runs on arrays, drives one; no Tensor op
-    takes a cache.  The rows live in one key and one value buffer, written in
-    place and doubled when full, so a step copies only its own rows."""
-
-    __slots__ = ("k", "v", "n")
-
-    def __init__(self):
-        self.k = self.v = None
-        self.n = 0  # rows held; the buffers may have room for more
-
-    def __len__(self):
-        return self.n
-
-    def extend(self, k, v):
-        """Append (n, d) key and value rows; return every row held, as
-        C-ordered (rows, d) views of the buffers."""
-        lo, hi = self.n, self.n + k.shape[0]
-        if self.k is None or hi > self.k.shape[0]:
-            size = max(hi, 2 * lo)
-            k_buf, v_buf = np.empty((size, k.shape[1])), np.empty((size, v.shape[1]))
-            if lo:
-                k_buf[:lo], v_buf[:lo] = self.k[:lo], self.v[:lo]
-            self.k, self.v = k_buf, v_buf
-        self.k[lo:hi], self.v[lo:hi] = k, v
-        self.n = hi
-        return self.k[:hi], self.v[:hi]
-
-
 def attend(x, src, proj, heads, mask, cache=None):
     """The forward of `attention` on arrays: x (B, T, d) attends over src
     (B, S, d), proj holding the (weight, bias) arrays of the query, key,
@@ -249,9 +217,10 @@ def attend(x, src, proj, heads, mask, cache=None):
     values, (B, heads, T, S) probabilities and (B * T, d) context rows that
     the pullback reads.
 
-    With a KVCache, which serves one sequence (B = 1), src's keys and values
-    are appended to it and x attends over every cached row (S is then the
-    cache length).
+    With a cache, which serves one sequence (B = 1) and is the triple
+    (keys, values, held) of two (rows, d) arrays and the count of rows they
+    hold, src's S keys and values are written at rows [held, held + S) and
+    x attends over all held + S rows.
     """
     (wq, bq), (wk, bk), (wv, bv), (wo, bo) = proj
     t, d = x.shape[-2:]
@@ -261,7 +230,10 @@ def attend(x, src, proj, heads, mask, cache=None):
     k_rows = src.reshape(-1, d) @ wk + bk
     v_rows = src.reshape(-1, d) @ wv + bv
     if cache is not None:
-        k_rows, v_rows = cache.extend(k_rows, v_rows)
+        keys, values, held = cache
+        end = held + k_rows.shape[0]
+        keys[held:end], values[held:end] = k_rows, v_rows
+        k_rows, v_rows = keys[:end], values[:end]
     s = k_rows.shape[0] // b
     k = k_rows.reshape(b, s, heads, dh).transpose(0, 2, 3, 1)
     v = v_rows.reshape(b, s, heads, dh).transpose(0, 2, 1, 3)

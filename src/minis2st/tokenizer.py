@@ -422,5 +422,5 @@ class TextToTokenModel(nn.Module):
             at = len(ids) + len(out)  # the slot, ids and earlier picks come first
             return self.embed.data[[nxt]] + positions[at: at + 1]
 
-        nn.decode_cached(self.blocks, self.ln_f, prefix, step)
+        nn.decode_cached(self.blocks, self.ln_f, len(positions), prefix, step)
         return TokenGenResult(out, truncated=len(out) == max_len)

@@ -188,16 +188,21 @@ def load_checkpoint(path) -> CheckpointState:
     )
 
 
-def load_array(tensors: dict, key: str, into: np.ndarray, what: str = "tensor"):
-    """Copy checkpoint array `key` into the live array `into`; VersionError
-    unless the checkpoint holds it at `into`'s shape."""
-    if key not in tensors:
-        raise VersionError(f"checkpoint missing {what} {key!r}")
-    src = np.asarray(tensors[key], dtype=np.float64)
-    if src.shape != into.shape:
-        raise VersionError(f"{what} {key!r}: checkpoint shape {src.shape} "
-                           f"!= model shape {into.shape}")
-    into[...] = src
+def load_arrays(tensors: dict, table: dict):
+    """Copy each checkpoint array into its live array, `table` mapping its
+    key to (what it is, live array); VersionError, before any copy, unless
+    the checkpoint holds every key at its live array's shape."""
+    copies = []
+    for key, (what, into) in table.items():
+        if key not in tensors:
+            raise VersionError(f"checkpoint missing {what} {key!r}")
+        src = np.asarray(tensors[key], dtype=np.float64)
+        if src.shape != into.shape:
+            raise VersionError(f"{what} {key!r}: checkpoint shape {src.shape} "
+                               f"!= model shape {into.shape}")
+        copies.append((into, src))
+    for into, src in copies:
+        into[...] = src
 
 
 def expect_kind(st: CheckpointState, kind: str) -> CheckpointState:
@@ -267,14 +272,13 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
         table.update({prefix + name: ("moment", arr) for name, arr in moments.items()})
     table.update({f"state.{key}": ("state array", arr) for key, arr in state_arrays.items()})
 
-    if resume_from is not None:
+    if resume_from is not None:  # checked whole before anything live changes
         st = resume_from
-        for key, (what, arr) in table.items():
-            load_array(st.tensors, key, arr, what)
         missing = [k for k in ("adam_t", "best_val", "best_step", "bad", "val_history",
                                "epochs_done") if k not in st.meta]
         if missing:
             raise VersionError(f"checkpoint meta missing {missing}")
+        load_arrays(st.tensors, table)
         adam.t = int(st.meta["adam_t"])
         step = st.step
         best_val = float(st.meta["best_val"])

@@ -263,24 +263,6 @@ def attention_reference(x, src, proj, heads, mask=None):
     return ctx @ wo + bo
 
 
-class ConcatKVCache:
-    """A KV cache that concatenates every extend's key and value rows onto
-    the ones it holds, copying them all each time: the reference for
-    `tensor.KVCache`, which `attend` drives through the same `extend`."""
-
-    def __init__(self):
-        self.k = self.v = None
-
-    def __len__(self):
-        return 0 if self.k is None else self.k.shape[0]
-
-    def extend(self, k, v):
-        if self.k is not None:
-            k, v = np.concatenate([self.k, k]), np.concatenate([self.v, v])
-        self.k, self.v = k, v
-        return k, v
-
-
 def _tiny_model_cfg(projector: str) -> ModelConfig:
     return ModelConfig(feat_dim=4, text_vocab=5, audio_vocab=7, d_model=12,
                        blocks=1, heads=2, context=64, group_size=3, prompt_len=2,

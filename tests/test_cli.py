@@ -564,6 +564,14 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_gen_corpus_rejects_a_negative_noise_std(tmp_path, capsys):
+    # a negative standard deviation would render a noise-free corpus
+    out = tmp_path / "m.jsonl"
+    assert main(["gen-corpus", "--out", str(out), "--pairs", "4", "--noise-std=-1"]) == 1
+    assert "noise_std" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -------------------------------------------------------------- token files
 
 

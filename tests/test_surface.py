@@ -28,7 +28,7 @@ from minis2st.tokenizer import TokenizerConfig
 from minis2st.training import TrainConfig
 from minis2st.vocoder import VocoderConfig
 
-SETTABLE = 145
+SETTABLE = 144
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -111,7 +111,10 @@ OUT_OF_RANGE = [
                                        dict(src_vocab=6, tgt_vocab=5), dict(len_min=0),
                                        dict(len_min=5, len_max=2), dict(pairs=-1),
                                        dict(speakers=0), dict(feat_dim=0),
-                                       dict(frames_per_symbol=0))],
+                                       dict(frames_per_symbol=0), dict(frame_rate=0),
+                                       dict(noise_std=-1.0), dict(noise_std=float("nan")),
+                                       dict(speaker_offset_std=-0.3),
+                                       dict(speaker_offset_std=float("nan")))],
     *[(TrainConfig, {k: 0}) for k in ("lr", "batch_size", "warmup_steps", "max_epochs",
                                       "validate_every", "patience", "decay_gamma")],
     *[(TrainConfig, kw) for kw in (dict(decay_gamma=1.5), dict(lambda_audio=-1.0),

@@ -6,7 +6,6 @@ from minis2st import nn
 from minis2st.model import DecodeConfig, DecoderLM, ModelConfig
 from minis2st.nn import TransformerBlock, add_positions, causal_mask, run_blocks
 from minis2st.tensor import (
-    KVCache,
     Tape,
     Tensor,
     add,
@@ -335,17 +334,26 @@ def test_padding_mask_hides_exactly_the_pad_keys():
         np.testing.assert_allclose(out[b, : len(xb)], alone, rtol=1e-12, atol=1e-12)
 
 
-def through_caches(blocks, cache, x):
-    """x's rows, an array, through blocks' array steps after the rows their
-    caches hold, one KVCache per block, as `nn.decode_cached` feeds them."""
-    mask = causal_mask(x.shape[-2], len(cache[0]))
-    for blk, kv in zip(blocks, cache):
-        x = nn.block_step(blk.arrays(), x, mask, kv)
+def kv_arrays(blocks, rows):
+    """The key and value arrays `nn.decode_cached` makes for `rows` rows of
+    each block of width 8, (len(blocks), rows, 8) each, NaN until written."""
+    keys, values = np.full((2, len(blocks), rows, 8), np.nan)
+    return keys, values
+
+
+def through_caches(blocks, keys, values, held, x):
+    """x's rows, an array, through blocks' array steps after the `held` rows
+    whose keys and values the arrays hold, writing x's after them, as
+    `nn.decode_cached` feeds them."""
+    mask = causal_mask(x.shape[-2], held)
+    for blk, k, v in zip(blocks, keys, values):
+        x = nn.block_step(blk.arrays(), x, mask, (k, v, held))
     return x
 
 
 def test_the_array_step_on_a_fresh_cache_is_the_block_bit_for_bit():
-    # the same kernels in the same order, a block alone and in a stack
+    # the same kernels in the same order, a block alone and in a stack, with
+    # arrays sized past the rows fed as decoding sizes them
     rng = np.random.default_rng(13)
     blocks = [TransformerBlock(8, 2, rng) for _ in range(2)]
     for n in (1, 2, 7):
@@ -353,56 +361,42 @@ def test_the_array_step_on_a_fresh_cache_is_the_block_bit_for_bit():
         with no_grad():
             one = blocks[0](Tensor(x), mask=causal_mask(n, 0)).data
             both = run_blocks(blocks, Tensor(x), causal=True).data
+        keys, values = kv_arrays(blocks[:1], n + 3)
         np.testing.assert_array_equal(
-            nn.block_step(blocks[0].arrays(), x, causal_mask(n, 0), KVCache()), one)
+            nn.block_step(blocks[0].arrays(), x, causal_mask(n, 0), (keys[0], values[0], 0)),
+            one)
         np.testing.assert_array_equal(
-            through_caches(blocks, [KVCache() for _ in blocks], x), both)
+            through_caches(blocks, *kv_arrays(blocks, n + 3), 0, x), both)
 
 
 def test_a_cross_attention_block_gives_the_array_step_no_weights():
     # block_step has no cross-attention: a cross block's arrays would make
-    # it skip one silently
+    # it skip one silently, so decoding raises before its prefix or any step
     blk = TransformerBlock(8, 2, np.random.default_rng(0), cross=True)
     with pytest.raises(ValueError, match="self-attention blocks only"):
         blk.arrays()
+    ran = []
     with pytest.raises(ValueError, match="self-attention blocks only"):
-        nn.decode_cached([blk], nn.LayerNorm(8), lambda: np.zeros((1, 8)), lambda last: None)
+        nn.decode_cached([blk], nn.LayerNorm(8), 4,
+                         lambda: ran.append("prefix") or np.zeros((1, 8)), ran.append)
+    assert ran == []
 
 
 def test_cached_blocks_match_a_full_pass():
-    # rows fed in chunks through a KV cache come out as a full causal pass
-    # gives them; the cached rows skip masked key columns, so sums group
-    # differently
+    # rows fed in chunks through the key and value arrays come out as a full
+    # causal pass gives them; the cached rows skip masked key columns, so
+    # sums group differently
     rng = np.random.default_rng(3)
     blocks = [TransformerBlock(8, 2, rng) for _ in range(2)]
     x = rng.normal(size=(11, 8))
-    cache = [KVCache() for _ in blocks]
+    keys, values = kv_arrays(blocks, 11)
     with no_grad():
         full = run_blocks(blocks, Tensor(x), causal=True).data
-    parts = [through_caches(blocks, cache, x[lo:hi])
+    parts = [through_caches(blocks, keys, values, lo, x[lo:hi])
              for lo, hi in ((0, 1), (1, 4), (4, 6), (6, 11))]
-    assert [len(c) for c in cache] == [11, 11]
+    # every row of both arrays of both blocks was written
+    assert not np.isnan(keys).any() and not np.isnan(values).any()
     np.testing.assert_allclose(np.concatenate(parts), full, rtol=0, atol=1e-12)
-
-
-def test_a_growing_cache_is_bit_identical_to_a_concatenating_one():
-    # chunks of 1-3 rows, past several doublings of the buffers
-    rng = np.random.default_rng(11)
-    blocks = [TransformerBlock(8, 2, rng) for _ in range(2)]
-    sizes = rng.integers(1, 4, size=30)
-    x = rng.normal(size=(int(sizes.sum()), 8))
-    grown = [KVCache() for _ in blocks]
-    reference = [oracles.ConcatKVCache() for _ in blocks]
-    capacities = set()
-    fed = 0
-    for n in sizes:
-        chunk = x[fed: fed + n]
-        fed += n
-        np.testing.assert_array_equal(through_caches(blocks, grown, chunk),
-                                      through_caches(blocks, reference, chunk))
-        assert [len(kv) for kv in grown] == [fed, fed]
-        capacities.add(grown[0].k.shape[0])
-    assert len(capacities) >= 3, capacities
 
 
 def test_decode_cached_feeds_chunks_until_step_stops():
@@ -421,16 +415,15 @@ def test_decode_cached_feeds_chunks_until_step_stops():
         return x[lo:hi]
 
     # each chunk's last row is the full causal pass's row at that position
-    cache = nn.decode_cached(blocks, ln_f, lambda: x[:3], step)
+    fed = nn.decode_cached(blocks, ln_f, 11, lambda: x[:3], step)
     with no_grad():
         full = ln_f(run_blocks(blocks, Tensor(x), causal=True)).data
     np.testing.assert_allclose(np.concatenate(lasts), full[[hi - 1 for _, hi in chunks]],
                                rtol=0, atol=1e-12)
-    # the loop stops at the first None, and each cache holds every row fed
+    # the loop stops at the first None, and counts every row fed
     assert len(lasts) == len(chunks)
-    assert [len(kv) for kv in cache] == [11, 11]
-    alone = nn.decode_cached(blocks, ln_f, lambda: x[:3], lambda last: None)
-    assert [len(kv) for kv in alone] == [3, 3]
+    assert fed == 11
+    assert nn.decode_cached(blocks, ln_f, 11, lambda: x[:3], lambda last: None) == 3
     # both greedy decoders record nothing on an open tape, prefix included
     cfg = ModelConfig(feat_dim=4, text_vocab=5, audio_vocab=7, d_model=12, blocks=1, heads=2,
                       context=64, prompt_len=2, enc_dim=6, enc_blocks=1, enc_heads=2,
@@ -442,6 +435,61 @@ def test_decode_cached_feeds_chunks_until_step_stops():
                           DecodeConfig(max_steps=4))
         t2t.generate([0, 2, 1], rng.normal(size=3), max_len=4)
     assert tape.nodes == []
+
+
+@pytest.mark.parametrize("rows,prefix_rows,chunk_rows", [(2, 3, 0), (4, 3, 2), (3, 3, 1)],
+                         ids=["prefix", "chunk", "row"])
+def test_rows_past_the_arrays_raise_rather_than_write(rows, prefix_rows, chunk_rows):
+    # the arrays are sized once: a prefix or step past their rows is a
+    # broadcast error, whether too few rows are free or none are
+    rng = np.random.default_rng(8)
+    blocks = [TransformerBlock(8, 2, rng) for _ in range(2)]
+    x = rng.normal(size=(prefix_rows + chunk_rows, 8))
+    with pytest.raises(ValueError):
+        nn.decode_cached(blocks, nn.LayerNorm(8), rows, lambda: x[:prefix_rows],
+                         lambda last: x[prefix_rows:])
+
+
+def test_both_greedy_decoders_size_the_arrays_by_their_bound(monkeypatch):
+    # (rows, rows fed) of every decode_cached call
+    calls = []
+    real = nn.decode_cached
+
+    def recorded(blocks, ln_f, rows, prefix, step):
+        calls.append((rows, real(blocks, ln_f, rows, prefix, step)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(nn, "decode_cached", recorded)
+    rng = np.random.default_rng(12)
+    cfg = ModelConfig(feat_dim=4, text_vocab=5, audio_vocab=7, d_model=12, blocks=2, heads=2,
+                      context=64, prompt_len=2, enc_dim=6, enc_blocks=1, enc_heads=2,
+                      fixed_input_len=8, proj_hidden=10)
+    dec = DecoderLM(cfg, seed=0)
+    v = dec.vocab
+    # with no EOS on either head every step runs, so the decoder feeds its
+    # prefix (soft prompt, source, BOS) and two rows per later step: exactly
+    # the `longest` of its context check
+    dec.text_head.b.data[v.text_eos_local] = -1e9
+    dec.audio_head.b.data.reshape(-1, v.audio_head_size)[:, v.audio_eos_local] = -1e9
+    a_p = Tensor(rng.normal(size=(3, 12)))
+    for max_steps in (1, 2, 5):
+        assert dec.decode_greedy(a_p, DecodeConfig(max_steps=max_steps)).steps == max_steps
+        longest = cfg.prompt_len + 3 + 1 + 2 * (max_steps - 1)
+        assert calls.pop() == (longest, longest)
+    # generation feeds the speaker slot, BOS and the text, then every pick
+    # but the last: at most len(ids) + max_len rows, ids being BOS and text
+    t2t = TextToTokenModel(5, 12, spk_dim=3, seed=0, embedder=SpeakerEmbedder(4, spk_dim=3))
+    text = [0, 2, 1]
+    for no_eos in (False, True):
+        if no_eos:
+            t2t.head.b.data[t2t.eos] = -1e9
+        for max_len in (1, 4, 9):
+            out = t2t.generate(text, rng.normal(size=3), max_len=max_len)
+            rows, fed = calls.pop()
+            assert rows == 1 + len(text) + max_len
+            assert fed == 2 + len(text) + min(len(out.tokens), max_len - 1) <= rows
+            assert out.truncated or not no_eos
+    assert calls == []
 
 
 def test_a_key_bias_moves_attention_outputs_only_by_rounding():
@@ -456,11 +504,12 @@ def test_a_key_bias_moves_attention_outputs_only_by_rounding():
 
     def outputs():
         # a masked batch through the cross block, then the first sequence
-        # through the self-attention block's KV cache
+        # through the self-attention block's key and value arrays
         with no_grad():
             full = run_blocks([blk], Tensor(x), causal=True, memory=Tensor(memory)).data
-        cache = [KVCache()]
-        parts = [through_caches([own], cache, x[0, lo:hi]) for lo, hi in ((0, 3), (3, 7))]
+        keys, values = kv_arrays([own], 7)
+        parts = [through_caches([own], keys, values, lo, x[0, lo:hi])
+                 for lo, hi in ((0, 3), (3, 7))]
         return full, np.concatenate(parts)
 
     before = outputs()

@@ -535,6 +535,30 @@ def test_resume_missing_parameter_or_state_is_version_error(tmp_path):
                   cfg=cfg, resume_from=replace(st, meta=meta))
 
 
+def test_a_failed_resume_leaves_the_live_arrays_as_they_were(tmp_path):
+    # every checkpoint entry is checked before any is copied, so a resume
+    # whose last-keyed entry is missing or mis-shaped changes nothing
+    params, examples, loss_fn, val_fn = _make_problem()
+    cfg = TrainConfig(lr=1e-2, batch_size=4, warmup_steps=1, max_epochs=4,
+                      validate_every=2, patience=10, seed=4)
+    ckpt = tmp_path / "run.ckpt"
+    train(params=params, examples=examples, loss_fn=loss_fn, val_fn=val_fn,
+          cfg=cfg, checkpoint_path=str(ckpt), max_steps=2)
+    st = load_checkpoint(ckpt)
+    params, examples, loss_fn, val_fn = _make_problem(seed=9)
+    w = params["w"].data.copy()
+    assert not np.array_equal(w, st.tensors["w"])
+    ctr = np.array([5.0])
+    for resumed, match in ((st, "checkpoint missing state array 'state.ctr'"),
+                           (replace(st, tensors={**st.tensors, "state.ctr": np.zeros(2)}),
+                            r"'state.ctr': checkpoint shape \(2,\) != model shape \(1,\)")):
+        with pytest.raises(VersionError, match=match):
+            train(params=params, examples=examples, loss_fn=loss_fn, val_fn=val_fn,
+                  cfg=cfg, resume_from=resumed, state_arrays={"ctr": ctr})
+        np.testing.assert_array_equal(params["w"].data, w)
+        np.testing.assert_array_equal(ctr, [5.0])
+
+
 def test_resume_refuses_a_mis_shaped_array(tmp_path):
     params, examples, loss_fn, val_fn = _make_problem()  # w has shape (4,)
     cfg = TrainConfig(lr=1e-2, batch_size=4, warmup_steps=1, max_epochs=4,

@@ -75,14 +75,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_config_file(path) -> dict:
+    """key=value lines of a UTF-8 file (ParseError naming file and line
+    otherwise); blank lines and # comments are skipped."""
     out = {}
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in text_lines(path):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out

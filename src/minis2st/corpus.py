@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import os
 import struct
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -123,7 +125,10 @@ def filter_by_similarity(m: Manifest, threshold: float = 0.9, inclusive: bool = 
     """Keep records with similarity above the threshold (strictly, by default).
 
     Order-preserving, never mutates records, idempotent at a fixed threshold.
+    A NaN or infinite threshold raises ValueError: it would keep all or none.
     """
+    if not math.isfinite(threshold):
+        raise ValueError(f"similarity threshold must be finite, got {threshold}")
     if inclusive:
         return m.subset([r for r in m.records if r.similarity >= threshold])
     return m.subset([r for r in m.records if r.similarity > threshold])
@@ -347,7 +352,9 @@ _SYMBOLS = (lambda v: type(v) is list and all(type(t) is int and t >= 0 for t in
             "a list of ints >= 0")
 _RECORD_FIELDS = {"id": _STR, "src_text": _SYMBOLS, "tgt_text": _SYMBOLS, "src_frames": _STR,
                   "tgt_frames": _STR, "speaker": _STR,
-                  "similarity": (lambda v: type(v) in (int, float), "a number")}
+                  # json reads NaN and Infinity; exact for any int, however large
+                  "similarity": (lambda v: type(v) in (int, float)
+                                 and abs(v) <= sys.float_info.max, "a finite number")}
 # metadata values the readers use as sizes and rates
 _META_INTS = ("frame_rate", "feat_dim", "tgt_vocab", "frames_per_symbol")
 

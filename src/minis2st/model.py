@@ -15,7 +15,8 @@ Training runs a batch as one graph: every source is cut or padded to the
 encoder's fixed length, so the encoder and projector take (B, T, d) with no
 padding, and `batch_targets` pads the step arrays on the right with PAD to
 the longest utterance.  The causal mask keeps every real row from seeing a
-pad row, and the loss skips PAD targets, so what a pad step holds reaches
+pad row, and `compute_loss` is two `softmax_cross_entropy` calls that keep
+only the positions whose target is not PAD, so what a pad step holds reaches
 neither the loss nor any gradient.
 """
 from __future__ import annotations
@@ -457,45 +458,24 @@ class DecoderLM(nn.Module):
 # ------------------------------------------------------------------- loss
 
 
-def _utterance_mean(targets, pad):
-    """`nn.utterance_rows` of the rows of (B, M) targets that are not PAD."""
-    keep = targets != pad
-    if not keep.any(axis=1).all():
-        raise ValueError("compute_loss: a stream is entirely PAD-masked")
-    return nn.utterance_rows(keep)
-
-
 def compute_loss(audio_logits: Tensor, text_logits: Tensor, audio_targets, text_targets,
                  vocab: AugmentedVocab, lambda_audio: float, lambda_text: float):
     """Joint objective: lambda_a * mean audio CE + lambda_t * mean text CE.
 
     The targets are the (B, L, G) audio and (B, L) text arrays of
-    `batch_targets` (a lone utterance may drop the batch axis), the logits
-    those of `forward_teacher_forced`.  Each mean CE is the mean over
-    utterances of that utterance's mean; PAD positions are excluded from both
-    the sums and the denominators.  Raises if a stream of some utterance has
-    no unmasked position at all.
+    `batch_targets`, the logits those of `forward_teacher_forced`, all with
+    their batch axis.  Each mean CE is one `softmax_cross_entropy` that keeps
+    the positions whose target is not PAD: the mean over utterances of that
+    utterance's mean, PAD excluded from both the sums and the denominators.
+    Raises if a stream of some utterance has no unmasked position at all.
     """
+    if audio_logits.data.ndim != 4 or text_logits.data.ndim != 3:
+        raise ValueError(f"compute_loss takes batches: (B, L, G, V) audio and (B, L, V) text "
+                         f"logits, got {audio_logits.shape} and {text_logits.shape}")
     at = np.asarray(audio_targets, dtype=np.int64)
     tt = np.asarray(text_targets, dtype=np.int64)
-    *lead, s, g, wa = audio_logits.shape
-    if at.shape != (*lead, s, g):
-        raise ValueError(f"audio targets shape {at.shape} != logits steps {(*lead, s, g)}")
-    if tt.shape != text_logits.shape[:-1]:
-        raise ValueError(
-            f"text targets shape {tt.shape} != logits rows {text_logits.shape[:-1]}"
-        )
-    b = int(np.prod(lead))
-    keep_a, w_a = _utterance_mean(at.reshape(b, s * g), vocab.audio_pad_local)
-    keep_t, w_t = _utterance_mean(tt.reshape(b, -1), vocab.text_pad_local)
-    loss_audio = softmax_cross_entropy(
-        embedding_lookup(reshape(audio_logits, (b * s * g, wa)), keep_a),
-        at.reshape(-1)[keep_a], w_a,
-    )
-    loss_text = softmax_cross_entropy(
-        embedding_lookup(reshape(text_logits, (tt.size, text_logits.shape[-1])), keep_t),
-        tt.reshape(-1)[keep_t], w_t,
-    )
+    loss_audio = softmax_cross_entropy(audio_logits, at, at != vocab.audio_pad_local)
+    loss_text = softmax_cross_entropy(text_logits, tt, tt != vocab.text_pad_local)
     total = add(mul(loss_audio, lambda_audio), mul(loss_text, lambda_text))
     return total, loss_audio, loss_text
 

@@ -162,17 +162,6 @@ def right_pad(seqs, fill):
     return out, lengths
 
 
-def utterance_rows(keep):
-    """Flat indices of the kept rows of a (B, n) boolean array, one row of
-    it per utterance, and each kept row's weight 1 / (B * kept rows of its
-    utterance): the weighted sum of per-row losses over them is the mean over
-    utterances of each utterance's mean loss."""
-    keep = np.asarray(keep, dtype=bool)
-    counts = keep.sum(axis=1)
-    weights = np.broadcast_to((1.0 / (len(counts) * counts))[:, None], keep.shape)
-    return np.flatnonzero(keep), weights[keep]
-
-
 def run_blocks(blocks, x: Tensor, *, causal: bool = False, mask: np.ndarray | None = None,
                memory: Tensor | None = None, memory_mask: np.ndarray | None = None):
     """Run x, (T, d) or a batch (B, T, d), through a stack of

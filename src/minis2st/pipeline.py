@@ -6,7 +6,8 @@ the module, whether or not checkpoints are written.  Every stage builds one
 padded graph per batch and validates on its whole held-out set as one batch:
 utterances are right-padded to the longest, a key-padding mask (or the causal
 mask, in the right-padded decoders) keeps pad rows out of every real row's
-view, and each loss is the mean over utterances of each utterance's own mean.
+view, and each loss term is one `softmax_cross_entropy` or `squared_error`
+call, the mean over utterances of each utterance's own mean.
 Checkpoints store only trainable tensors plus each module's recipe, the
 constructor arguments it records as `recipe`; frozen parts (speech encoder,
 frozen text rows, the speaker embedder that the vocoder and text-to-token

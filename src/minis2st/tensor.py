@@ -12,6 +12,12 @@ Outside an active tape nothing is recorded and outputs never require grad, which
 is what full inference passes use.  The fused ops compute their forwards with
 array kernels (`affine`, `normalize`, `attend`); cached decoding runs on arrays
 through those same kernels, so it makes no Tensor and gives the ops' bits.
+
+Every training loss term is one call of a loss op, recorded as one node:
+`softmax_cross_entropy` over batch-shaped logits and a keep mask, or
+`squared_error` against a constant target.  Each is the mean over utterances
+of each utterance's own mean: `utterance_rows` is the one place that writes
+the per-position weight 1 / (B * kept positions of its utterance).
 """
 from __future__ import annotations
 
@@ -66,10 +72,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    def detach(self):
-        t = Tensor(self.data)
-        return t
 
     def _accumulate(self, g):
         if self.grad is None:
@@ -138,19 +140,6 @@ def add(a, b):
             a._accumulate(_unbroadcast(g, a.data.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return _make(out_data, (a, b), pull)
-
-
-def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_data = a.data - b.data
-
-    def pull(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
 
     return _make(out_data, (a, b), pull)
 
@@ -362,19 +351,6 @@ def embedding_lookup(table, indices):
 # --------------------------------------------------------------- reductions
 
 
-def mean(x):
-    """Mean over every entry."""
-    x = _as_tensor(x)
-    out_data = x.data.mean()
-    count = x.data.size
-
-    def pull(g):
-        if x.requires_grad:
-            x._accumulate(np.full_like(x.data, 1.0 / count) * g)
-
-    return _make(out_data, (x,), pull)
-
-
 def weighted_sum(x, weights):
     """Sum of every entry of x times its weight; weights broadcast against x.
     An entry of weight 0 gets a zero gradient."""
@@ -435,28 +411,48 @@ def layernorm(x, gain, bias):
     return _make(out_data, (x, gain, bias), pull)
 
 
-def softmax_cross_entropy(logits, targets, weights):
-    """Sum of each row's cross-entropy of its integer target under
-    softmax(logits), times the row's weight (1 / N each gives the mean).
+# ------------------------------------------------------------------- losses
 
-    logits: (N, V); targets: (N,) ints in [0, V); weights: (N,) floats.
-    Stable via max subtraction.
+
+def utterance_rows(keep):
+    """Flat indices of the kept entries of a (B, n) boolean array, one row of
+    it per utterance, and each kept entry's weight 1 / (B * kept entries of
+    its utterance): the weighted sum of per-entry losses over them is the mean
+    over utterances of each utterance's mean loss.  ValueError for an empty
+    batch or an utterance that keeps nothing."""
+    keep = np.asarray(keep, dtype=bool)
+    counts = keep.sum(axis=1)
+    if counts.size == 0 or not counts.all():
+        raise ValueError("a loss needs at least one kept position in every utterance")
+    weights = np.broadcast_to((1.0 / (len(counts) * counts))[:, None], keep.shape)
+    return np.flatnonzero(keep), weights[keep]
+
+
+def softmax_cross_entropy(logits, targets, keep):
+    """Cross-entropy of integer targets under softmax(logits), the mean over
+    utterances of each utterance's mean over its kept positions.
+
+    logits: (B, ..., V); targets: (B, ...) ints, in [0, V) wherever keep is
+    set (the others are never read); keep: (B, ...) booleans, at least one
+    per utterance.  The kept rows are gathered in row-major order and each
+    weighs 1 / (B * kept positions of its utterance), from `utterance_rows`;
+    every other position gets a zero gradient.  Stable via max subtraction.
     """
     logits = _as_tensor(logits)
+    shape = logits.data.shape
     t = np.asarray(targets, dtype=np.int64)
-    if logits.data.ndim != 2:
-        raise ValueError(f"softmax_cross_entropy expects (N, V) logits, got {logits.data.shape}")
-    n, v = logits.data.shape
-    if t.shape != (n,):
-        raise ValueError(f"softmax_cross_entropy: {t.shape} targets for {n} logit rows")
-    if n == 0:
-        raise ValueError("softmax_cross_entropy over zero positions")
+    keep = np.asarray(keep, dtype=bool)
+    if len(shape) < 2 or t.shape != shape[:-1] or keep.shape != t.shape:
+        raise ValueError(f"softmax_cross_entropy: {t.shape} targets and {keep.shape} keep "
+                         f"mask for {shape} logits")
+    v = shape[-1]
+    rows, weights = utterance_rows(keep.reshape(len(keep), math.prod(shape[1:-1])))
+    t = t.reshape(-1)[rows]
     if t.min() < 0 or t.max() >= v:
-        raise IndexError(f"softmax_cross_entropy: target outside [0, {v})")
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (n,):
-        raise ValueError(f"softmax_cross_entropy: {weights.shape} weights for {n} logit rows")
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
+        raise IndexError(f"softmax_cross_entropy: kept target outside [0, {v})")
+    n = len(rows)
+    x = logits.data.reshape(-1, v)[rows]
+    z = x - x.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     out_data = -((z[np.arange(n), t] - lse[:, 0]) @ weights)
 
@@ -464,9 +460,30 @@ def softmax_cross_entropy(logits, targets, weights):
         if logits.requires_grad:
             p = np.exp(z - lse)
             p[np.arange(n), t] -= 1.0
-            logits._accumulate(p * (g * weights)[:, None])
+            grad = np.zeros((logits.data.size // v, v))
+            grad[rows] = p * (g * weights)[:, None]
+            logits._accumulate(grad.reshape(shape))
 
     return _make(out_data, (logits,), pull)
+
+
+def squared_error(x, target, weights):
+    """Sum of every entry's squared error (x - target)**2 times its weight:
+    target is a constant array of x's shape, and weights broadcast against
+    x.  An entry of weight 0 gets a zero gradient."""
+    x = _as_tensor(x)
+    if np.shape(target) != x.shape:
+        raise ValueError(f"squared_error: target shape {np.shape(target)} != {x.shape}")
+    d = x.data - target
+    w = np.asarray(weights, dtype=np.float64)
+    out_data = (d * d * w).sum()
+
+    def pull(g):
+        if x.requires_grad:
+            gd = (w * g) * d
+            x._accumulate(gd + gd)
+
+    return _make(out_data, (x,), pull)
 
 
 # ----------------------------------------------------------------- seeding

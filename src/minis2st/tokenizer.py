@@ -13,6 +13,7 @@ with no padding and no mask, so every utterance gets the tokens it gets alone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -29,8 +30,8 @@ from .tensor import (
     reshape,
     rng_for,
     softmax_cross_entropy,
-    sub,
-    weighted_sum,
+    squared_error,
+    utterance_rows,
 )
 
 # frames per stage-1 pass of tokenize_many: bounds its (B, heads, T, T)
@@ -55,8 +56,8 @@ class TokenizerConfig:
             raise ValueError("tokenizer config sizes must be >= 1")
         if min(self.enc1_blocks, self.enc2_blocks, self.asr_blocks, self.heads) < 1:
             raise ValueError("tokenizer block/head counts must be >= 1")
-        if self.commitment_beta < 0:
-            raise ValueError("commitment_beta must be >= 0")
+        if not 0 <= self.commitment_beta < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"commitment_beta must be finite and >= 0, got {self.commitment_beta}")
 
 
 class Codebook(nn.Module):
@@ -251,15 +252,13 @@ class SpeechTokenizer(nn.Module):
         mask = nn.padding_mask(lengths)
         h = self.encoder.encode_stage1(f, mask)
         b, t, d = h.shape
-        rows, weights = nn.utterance_rows(np.arange(t) < lengths[:, None])
+        rows, weights = utterance_rows(np.arange(t) < lengths[:, None])
         h_real = embedding_lookup(reshape(h, (b * t, d)), rows)
         tokens = quantize(h_real, self.codebook)
         q = embedding_lookup(self.codebook.entries, tokens)
         w = weights[:, None] / d  # a row's squared error sums d entries
-        diff_cb = sub(q, h_real.detach())
-        codebook_loss = weighted_sum(mul(diff_cb, diff_cb), w)
-        diff_cm = sub(h_real, q.detach())
-        commit_loss = mul(weighted_sum(mul(diff_cm, diff_cm), w), self.cfg.commitment_beta)
+        codebook_loss = squared_error(q, h_real.data, w)
+        commit_loss = mul(squared_error(h_real, q.data, w), self.cfg.commitment_beta)
         # forward: q on real rows, gradient: identity to h
         bypass = np.zeros((b * t, d))
         bypass[rows] = q.data - h_real.data
@@ -267,12 +266,8 @@ class SpeechTokenizer(nn.Module):
         asr = self.asr
         y_in, n_in = nn.right_pad([[asr.bos] + list(text) for text in texts], asr.eos)
         y_tgt, _ = nn.right_pad([list(text) + [asr.eos] for text in texts], asr.eos)
-        logits = asr.logits(h_tilde, y_in, mask)
-        rows, weights = nn.utterance_rows(np.arange(y_in.shape[1]) < n_in[:, None])
-        asr_loss = softmax_cross_entropy(
-            embedding_lookup(reshape(logits, (y_in.size, logits.shape[-1])), rows),
-            y_tgt.reshape(-1)[rows], weights,
-        )
+        asr_loss = softmax_cross_entropy(asr.logits(h_tilde, y_in, mask), y_tgt,
+                                         np.arange(y_in.shape[1]) < n_in[:, None])
         total = add(add(asr_loss, codebook_loss), commit_loss)
         parts = {
             "loss_asr": float(asr_loss.data),
@@ -380,18 +375,17 @@ class TextToTokenModel(nn.Module):
         if any(len(text) == 0 for text in texts):
             raise ValueError("text_to_token loss needs non-empty text")
         tv = self.text_vocab
-        ids, _ = nn.right_pad([[self.bos] + list(text) + [t + tv for t in toks]
-                               for text, toks in zip(texts, tokens)], self.eos)
-        logits = self._forward(ids, spk_embs)
-        # the position of the last text symbol predicts the first token and
-        # the last token's predicts EOS; +1 offsets for the speaker slot
+        seqs = [[self.bos] + list(text) + [t + tv for t in toks] + [self.eos]
+                for text, toks in zip(texts, tokens)]
+        ids, _ = nn.right_pad([seq[:-1] for seq in seqs], self.eos)
+        # position p (the speaker slot first) predicts seq[p]: the last text
+        # symbol's position predicts the first token and the last token's EOS
+        targets, _ = nn.right_pad(seqs, self.eos)
         first = np.array([1 + len(text) for text in texts])[:, None]
         last = first + np.array([len(toks) for toks in tokens])[:, None]
-        at = np.arange(logits.shape[1])
-        rows, weights = nn.utterance_rows((at >= first) & (at <= last))
-        targets = np.concatenate([[t + tv for t in toks] + [self.eos] for toks in tokens])
-        return softmax_cross_entropy(
-            embedding_lookup(reshape(logits, (-1, logits.shape[-1])), rows), targets, weights)
+        at = np.arange(targets.shape[1])
+        return softmax_cross_entropy(self._forward(ids, spk_embs), targets,
+                                     (at >= first) & (at <= last))
 
     def generate(self, text, spk_emb, max_len: int) -> TokenGenResult:
         """At most max_len greedy tokens for text; truncated if EOS did not come."""

@@ -48,6 +48,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("lr", "lambda_audio", "lambda_text", "min_delta"):
+            if not math.isfinite(getattr(self, name)):  # NaN passes every comparison below
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("batch_size", "warmup_steps", "max_epochs", "validate_every", "patience",
                      "seed"):  # counts: a fraction would slip past every check below
             if not isinstance(getattr(self, name), (int, np.integer)):
@@ -247,7 +250,8 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
     epoch, unless an early stop ends the run at its last step.  Improvements
     (by >= min_delta) refresh the best weights (and the best checkpoint, when
     a path is given); `patience` flat validations stop the run; a non-finite
-    loss aborts with NumericError after the best checkpoint is already on disk.
+    loss aborts with NumericError, which names the best checkpoint only if
+    this run wrote one.
     On return `params` hold the best weights (the resumed ones count as best
     so far), or the last weights if no validation improved; the result's
     `state` is that checkpoint state, in memory whether or not it was written.
@@ -266,6 +270,7 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
     val_history = []
     epochs_done = 0  # completed on_epoch_end callbacks
     best = resume_from  # checkpoint state at best_step
+    written = False  # whether this run has saved a checkpoint
     # every array a checkpoint holds, by its key: all live, so nothing rebinds them
     table = {name: ("parameter", p.data) for name, p in params.items()}
     for prefix, moments in (("opt.m.", adam.m), ("opt.v.", adam.v)):
@@ -306,6 +311,11 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
             },
         )
 
+    def diverged(what: str) -> NumericError:
+        kept = (f"best checkpoint (step {best_step}) retained" if written
+                else "no checkpoint written")
+        return NumericError(f"non-finite {what} at step {step}; {kept}")
+
     log_fh = open(log_path, "a" if resume_from is not None else "w") if log_path else None
     early = False
     batches = None
@@ -328,10 +338,7 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
                 loss, extras = loss_fn([examples[i] for i in batch], rng)
             lval = float(loss.data)
             if not np.isfinite(lval):
-                raise NumericError(
-                    f"non-finite training loss at step {step}; "
-                    f"best checkpoint (step {best_step}) retained"
-                )
+                raise diverged("training loss")
             backward(loss, tape)
             adam.step(lr)
             zero_grad(params.values())
@@ -343,10 +350,7 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
             if step % cfg.validate_every == 0:
                 val = float(val_fn())
                 if not np.isfinite(val):
-                    raise NumericError(
-                        f"non-finite validation loss at step {step}; "
-                        f"best checkpoint (step {best_step}) retained"
-                    )
+                    raise diverged("validation loss")
                 val_history.append((step, val))
                 if val <= best_val - cfg.min_delta:
                     best_val = val
@@ -355,6 +359,7 @@ def train(*, params: dict, examples, loss_fn, val_fn, cfg: TrainConfig,
                     best = snapshot()
                     if checkpoint_path:
                         save_checkpoint(checkpoint_path, best)
+                        written = True
                 else:
                     bad += 1
                     early = bad >= cfg.patience

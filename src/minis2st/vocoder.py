@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn
 from .corpus import SpeechFrames, frame_matrix, same_speaker_prompts
-from .tensor import Tensor, concat, embedding_lookup, mul, no_grad, rng_for, sub, weighted_sum
+from .tensor import Tensor, concat, embedding_lookup, no_grad, rng_for, squared_error
 
 
 @dataclass
@@ -129,8 +129,7 @@ class TimbreVocoder(nn.Module):
         out = self.forward_frames(ids, spks, nn.padding_mask(n_tok))
         real = np.arange(target.shape[1]) < n_rows[:, None]
         w = real / (len(n_rows) * n_rows[:, None] * self.cfg.feat_dim)
-        d = sub(out, Tensor(target))
-        return weighted_sum(mul(d, d), w[:, :, None])
+        return squared_error(out, target, w[:, :, None])
 
     def synthesize(self, tokens, spk: np.ndarray) -> SpeechFrames:
         with no_grad():

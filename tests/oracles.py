@@ -12,7 +12,8 @@ from collections import Counter
 import numpy as np
 
 from minis2st.model import ModelConfig
-from minis2st.tensor import Tape, Tensor, backward, mean, mul, no_grad, sub, zero_grad
+from minis2st.tensor import (Tape, Tensor, backward, mul, no_grad, squared_error,
+                             weighted_sum, zero_grad)
 from minis2st.tokenizer import quantize
 
 # ------------------------------------------------------- finite differences
@@ -111,10 +112,8 @@ def run_op_gradient_trials(trials: int, seed: int = 0):
     (op name, worst relative error) pairs, one per op."""
     from minis2st.nn import causal_mask, padding_mask
     from minis2st.tensor import (add, attention, concat, embedding_lookup, layernorm,
-                                 linear, relu, reshape, softmax_cross_entropy, weighted_sum)
-    from minis2st.tensor import mean as t_mean
+                                 linear, relu, reshape, softmax_cross_entropy)
     from minis2st.tensor import mul as t_mul
-    from minis2st.tensor import sub as t_sub
 
     rng = np.random.default_rng(seed)
 
@@ -136,33 +135,31 @@ def run_op_gradient_trials(trials: int, seed: int = 0):
                 a, b = t(4, 5), t(5)
             else:
                 a, b = t(4, 5), t(4, 5)
-            w = Tensor(rng.normal(size=(4, 5)))
-            return (lambda: t_mean(t_mul(op(a, b), w))), [a, b]
+            w = rng.normal(size=(4, 5))
+            return (lambda: weighted_sum(op(a, b), w)), [a, b]
         return make
 
     run("add", case_binary(add))
     run("add_broadcast", case_binary(add, broadcast=True))
-    run("sub", case_binary(t_sub))
-    run("sub_broadcast", case_binary(t_sub, broadcast=True))
     run("mul", case_binary(t_mul))
     run("mul_broadcast", case_binary(t_mul, broadcast=True))
 
     def case_mul_scalar():
         a = t(3, 4)
         s = float(rng.normal())
-        return (lambda: t_mean(t_mul(a, s))), [a]
+        return (lambda: weighted_sum(t_mul(a, s), 1.0)), [a]
     run("mul_scalar", case_mul_scalar)
 
     def case_linear():
         a, w, b = t(3, 4), t(4, 2), t(2)
-        c = Tensor(rng.normal(size=(3, 2)))
-        return (lambda: t_mean(t_mul(linear(a, w, b), c))), [a, w, b]
+        c = rng.normal(size=(3, 2))
+        return (lambda: weighted_sum(linear(a, w, b), c)), [a, w, b]
     run("linear", case_linear)
 
     def case_linear_batched():
         a, w, b = t(2, 3, 4), t(4, 2), t(2)
-        c = Tensor(rng.normal(size=(2, 3, 2)))
-        return (lambda: t_mean(t_mul(linear(a, w, b), c))), [a, w, b]
+        c = rng.normal(size=(2, 3, 2))
+        return (lambda: weighted_sum(linear(a, w, b), c)), [a, w, b]
     run("linear_batched", case_linear_batched)
 
     def case_attention(t_len, s_len, masked, lead=()):
@@ -176,9 +173,9 @@ def run_op_gradient_trials(trials: int, seed: int = 0):
                 mask = padding_mask(src.shape[-2] - np.arange(lead[0]))
             else:
                 mask = causal_mask(t_len, 0) if masked else None
-            c = Tensor(rng.normal(size=(*lead, t_len, d)))
+            c = rng.normal(size=(*lead, t_len, d))
             tensors = [x] + ([] if s_len is None else [src]) + [p for wb in proj for p in wb]
-            return (lambda: t_mean(t_mul(attention(x, src, proj, heads, mask), c))), tensors
+            return (lambda: weighted_sum(attention(x, src, proj, heads, mask), c)), tensors
         return make
     run("attention_self_masked", case_attention(5, None, masked=True))
     run("attention_cross", case_attention(3, 5, masked=False))
@@ -189,35 +186,30 @@ def run_op_gradient_trials(trials: int, seed: int = 0):
 
     def case_relu():
         a = Tensor(_away_from_kink(rng.normal(size=(4, 5))), requires_grad=True)
-        w = Tensor(rng.normal(size=(4, 5)))
-        return (lambda: t_mean(t_mul(relu(a), w))), [a]
+        w = rng.normal(size=(4, 5))
+        return (lambda: weighted_sum(relu(a), w)), [a]
     run("relu", case_relu)
 
     def case_reshape():
         a = t(3, 4)
-        w = Tensor(rng.normal(size=(2, 6)))
-        return (lambda: t_mean(t_mul(reshape(a, (2, 6)), w))), [a]
+        w = rng.normal(size=(2, 6))
+        return (lambda: weighted_sum(reshape(a, (2, 6)), w)), [a]
     run("reshape", case_reshape)
 
     def case_concat():
         axis = int(rng.integers(0, 2))
         a, b = t(3, 4), (t(2, 4) if axis == 0 else t(3, 2))
         out_shape = (5, 4) if axis == 0 else (3, 6)
-        w = Tensor(rng.normal(size=out_shape))
-        return (lambda: t_mean(t_mul(concat([a, b], axis=axis), w))), [a, b]
+        w = rng.normal(size=out_shape)
+        return (lambda: weighted_sum(concat([a, b], axis=axis), w)), [a, b]
     run("concat", case_concat)
 
     def case_embedding():
         table = t(6, 4)
         idx = rng.integers(0, 6, size=5)  # repeats exercise accumulation
-        w = Tensor(rng.normal(size=(5, 4)))
-        return (lambda: t_mean(t_mul(embedding_lookup(table, idx), w))), [table]
+        w = rng.normal(size=(5, 4))
+        return (lambda: weighted_sum(embedding_lookup(table, idx), w)), [table]
     run("embedding_lookup", case_embedding)
-
-    def case_mean():
-        a = t(4, 5)
-        return (lambda: t_mean(a)), [a]
-    run("mean", case_mean)
 
     def case_weighted_sum():
         a = t(3, 4, 5)
@@ -227,18 +219,66 @@ def run_op_gradient_trials(trials: int, seed: int = 0):
 
     def case_layernorm():
         a, gain, bias = t(4, 6), t(6), t(6)
-        w = Tensor(rng.normal(size=(4, 6)))
-        return (lambda: t_mean(t_mul(layernorm(a, gain, bias), w))), [a, gain, bias]
+        w = rng.normal(size=(4, 6))
+        return (lambda: weighted_sum(layernorm(a, gain, bias), w)), [a, gain, bias]
     run("layernorm", case_layernorm)
 
     def case_ce():
-        logits = t(5, 7)
-        targets = rng.integers(0, 7, size=5)
-        weights = rng.uniform(0.1, 1.0, size=5)
-        return (lambda: softmax_cross_entropy(logits, targets, weights)), [logits]
+        logits = t(3, 4, 2, 7)
+        targets, keep = ragged_targets(rng, logits.shape)
+        return (lambda: softmax_cross_entropy(logits, targets, keep)), [logits]
     run("softmax_cross_entropy", case_ce)
 
+    def case_squared_error():
+        a = t(3, 4, 5)
+        target = rng.normal(size=(3, 4, 5))
+        w = rng.uniform(0.1, 1.0, size=(3, 4, 1)) * (rng.random(size=(3, 4, 1)) < 0.7)
+        return (lambda: squared_error(a, target, w)), [a]
+    run("squared_error", case_squared_error)
+
     return results
+
+
+def ragged_targets(rng, shape):
+    """Targets and a keep mask for (B, ..., V) logits: ids in [0, V), and
+    each utterance keeping its first 1 to all of its positions, row-major."""
+    b, v = shape[0], shape[-1]
+    n = math.prod(shape[1:-1])
+    targets = rng.integers(0, v, size=shape[:-1])
+    kept = rng.integers(1, n + 1, size=b)
+    keep = (np.arange(n) < kept[:, None]).reshape(shape[:-1])
+    return targets, keep
+
+
+def cross_entropy_gather_reference(logits, targets, keep):
+    """Value and logits gradient of the cross-entropy as the loss sites once
+    built it, on arrays: the kept rows of (B, ..., V) logits gathered in
+    row-major order into (N, V), each weighing 1 / (B * kept rows of its
+    utterance), their weighted softmax cross-entropy summed, and the rows'
+    gradient scatter-added back into zeros."""
+    b, v = logits.shape[0], logits.shape[-1]
+    keep = keep.reshape(b, -1)
+    counts = keep.sum(axis=1)
+    rows = np.flatnonzero(keep)
+    weights = np.repeat(1.0 / (b * counts), counts)
+    x = logits.reshape(-1, v)[rows]
+    t = targets.reshape(-1)[rows]
+    n = len(rows)
+    z = x - x.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    value = -((z[np.arange(n), t] - lse[:, 0]) @ weights)
+    p = np.exp(z - lse)
+    p[np.arange(n), t] -= 1.0
+    grad = np.zeros((logits.size // v, v))
+    np.add.at(grad, rows, p * weights[:, None])
+    return value, grad.reshape(logits.shape)
+
+
+def squared_error_reference(x, target, weights):
+    """Value and gradient of sum(w * (x - target)**2) on arrays, as the
+    subtract, square and weighted-sum chain computed it."""
+    d = x - target
+    return (d * d * weights).sum(), 2.0 * (np.broadcast_to(weights, d.shape) * d)
 
 
 def attention_reference(x, src, proj, heads, mask=None):
@@ -295,7 +335,7 @@ def run_module_gradient_trials(trials: int, seed: int = 0):
 
         def build():
             p = proj.project(a_f)
-            return mean(mul(p, p))
+            return weighted_sum(mul(p, p), 1.0)
 
         worst = max(worst, probe_some(build, [a_f] + list(proj.trainable().values())))
     results.append(("projectors", worst))
@@ -305,12 +345,12 @@ def run_module_gradient_trials(trials: int, seed: int = 0):
         cfg = _tiny_model_cfg("linear")
         dec = DecoderLM(cfg, seed=int(rng.integers(1 << 30)))
         v = dec.vocab
-        a_p = Tensor(rng.normal(0.0, 0.3, size=(3, cfg.d_model)), requires_grad=True)
+        a_p = Tensor(rng.normal(0.0, 0.3, size=(1, 3, cfg.d_model)), requires_grad=True)
         n_text = int(rng.integers(1, 4))
         n_audio = int(rng.integers(1, 6))
         text = rng.integers(0, v.text_size, size=n_text)
         tokens = rng.integers(0, v.audio_size, size=n_audio)
-        tt, at = dec.make_targets(text, tokens)
+        tt, at = dec.batch_targets([text], [tokens])
 
         def build():
             al, tl = dec.forward_teacher_forced(a_p, tt, at)
@@ -330,11 +370,10 @@ def run_module_gradient_trials(trials: int, seed: int = 0):
         tokens = [int(x) for x in rng.integers(0, cfg.audio_vocab, size=n)]
         spk = rng.normal(size=cfg.spk_dim)
         spk = spk / np.linalg.norm(spk)
-        target = Tensor(rng.normal(size=(n, cfg.feat_dim)))
+        target = rng.normal(size=(n, cfg.feat_dim))
 
         def build():
-            d = sub(voc.forward_frames(tokens, spk, None), target)
-            return mean(mul(d, d))
+            return squared_error(voc.forward_frames(tokens, spk, None), target, 1.0)
 
         worst = max(worst, probe_some(build, list(voc.trainable().values())))
     results.append(("vocoder", worst))

@@ -33,7 +33,7 @@ from minis2st.model import (
     make_projector,
 )
 from minis2st.pipeline import run_ablation, split_manifest
-from minis2st.tensor import Tensor, mean, mul, sub
+from minis2st.tensor import Tensor, squared_error
 from minis2st.tokenizer import Codebook, quantize
 from minis2st.training import TrainConfig, load_checkpoint, train
 
@@ -99,10 +99,10 @@ def test_03_loss_identities():
         dec = DecoderLM(cfg, seed=0)
         v = dec.vocab
         g = cfg.group_size
-        al = Tensor(np.zeros((2, g, v.audio_head_size)))
-        tl = Tensor(np.zeros((2, v.text_head_size)))
-        at = [[0, 1, v.audio_eos_local], [v.audio_pad_local] * g]
-        tt = [3, v.text_eos_local]
+        al = Tensor(np.zeros((1, 2, g, v.audio_head_size)))
+        tl = Tensor(np.zeros((1, 2, v.text_head_size)))
+        at = [[[0, 1, v.audio_eos_local], [v.audio_pad_local] * g]]
+        tt = [[3, v.text_eos_local]]
         _, la, lt = compute_loss(al, tl, at, tt, v, 1.0, 1.0)
         assert abs(float(la.data) - math.log(v.audio_head_size)) <= 1e-9
         assert abs(float(lt.data) - math.log(v.text_head_size)) <= 1e-9
@@ -116,7 +116,7 @@ def test_03_loss_identities():
 
         base = [float(x.data) for x in compute_loss(al_r, tl_r, at, tt, v, 1.0, 1.0)]
         al_p = Tensor(al_r.data.copy())
-        al_p.data[1, :, :] = 1e6  # every masked PAD position
+        al_p.data[0, 1, :, :] = 1e6  # every masked PAD position
         pert = [float(x.data) for x in compute_loss(al_p, tl_r, at, tt, v, 1.0, 1.0)]
         assert pert == base
 
@@ -323,8 +323,7 @@ def test_12_determinism_and_resume(tmp_path, capsys):
 
             def loss_fn(batch, rng):
                 t = target + rng.standard_normal(4) * 0.1
-                d = sub(w, Tensor(t))
-                return mean(mul(d, d)), {}
+                return squared_error(w, t, 1.0 / t.size), {}
 
             return {"w": w}, list(range(8)), loss_fn, \
                 (lambda: float(np.sum(w.data ** 2)))

@@ -478,6 +478,18 @@ def test_input_that_is_not_utf8_exits_two_naming_file_and_line(tmp_path, capsys)
         assert err.startswith(f"parse error: {where}: not UTF-8 text") and "0xff" in err, err
 
 
+def test_manifest_similarity_that_is_nan_or_infinite_exits_two(tmp_path, capsys):
+    m = tmp_path / "m.jsonl"
+    write_manifest(generate_toy_corpus(ToyCorpusConfig(pairs=4), 0), m)
+    good = m.read_text()
+    for token in ("NaN", "Infinity", "-Infinity"):
+        m.write_text(good.replace('"similarity": 1.0', f'"similarity": {token}', 2))
+        assert main(["filter", "--in", str(m), "--out", str(tmp_path / "kept.jsonl")]) == 2
+        assert (f"parse error: {m}:2: field 'similarity' is not a finite number\n"
+                == capsys.readouterr().err)
+    assert not (tmp_path / "kept.jsonl").exists()
+
+
 def test_frame_file_holding_nan_or_inf_exits_two_naming_it(tmp_path, capsys):
     # a frame file, here a synthesize prompt, and a manifest record's frames
     voc = _tiny_vocoder()
@@ -562,6 +574,33 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
                  "--config", str(cfg)])
     assert code == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_utf8_exits_two_naming_file_and_line(tmp_path, capsys):
+    m = tmp_path / "m.jsonl"
+    write_manifest(generate_toy_corpus(ToyCorpusConfig(pairs=2), 0), m)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"# filter\nthreshold=0.5\xff\n")
+    assert main(["filter", "--in", str(m), "--out", str(tmp_path / "kept.jsonl"),
+                 "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: {cfg}:2: not UTF-8 text") and "0xff" in err, err
+
+
+def test_non_finite_float_settings_exit_one(tmp_path, capsys):
+    chain = cli_chain(tmp_path)
+    assert main(chain[0]) == 0
+    tok = Path(chain[2][chain[2].index("--out") + 1])
+    for flag, value in (("--lr", "nan"), ("--lr", "inf"), ("--min-delta", "nan"),
+                        ("--commitment-beta", "inf")):
+        capsys.readouterr()
+        assert main([*chain[2], flag, value]) == 1, flag
+        assert f"{flag[2:].replace('-', '_')} must be finite" in capsys.readouterr().err
+        assert not tok.exists()
+    for value in ("nan", "inf", "-inf"):
+        assert main([*chain[1], f"--threshold={value}"]) == 1
+        assert "threshold must be finite" in capsys.readouterr().err
+    assert not Path(chain[1][chain[1].index("--out") + 1]).exists()
 
 
 def test_gen_corpus_rejects_a_negative_noise_std(tmp_path, capsys):

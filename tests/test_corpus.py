@@ -1,5 +1,6 @@
 import base64
 import json
+import math
 import struct
 
 import numpy as np
@@ -198,7 +199,10 @@ def test_manifest_reader_errors(tmp_path):
     for key, value in (("id", 3), ("speaker", None), ("src_frames", 5),
                        ("tgt_frames", ["a.tgt.ds2f"]), ("src_text", "12"),
                        ("tgt_text", [2.0]), ("tgt_text", [True]),
-                       ("similarity", "high"), ("similarity", [1.0])):
+                       ("similarity", "high"), ("similarity", [1.0]),
+                       # json reads the NaN and Infinity tokens, and ints of any size
+                       ("similarity", math.nan), ("similarity", math.inf),
+                       ("similarity", -math.inf), ("similarity", 10 ** 400)):
         typed.write_text('{"manifest": {}}\n' + json.dumps({**record, key: value}) + "\n")
         with pytest.raises(ParseError, match=f"typed.jsonl:2: field '{key}'"):
             read_manifest(typed)

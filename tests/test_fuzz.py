@@ -8,6 +8,11 @@ commands that read that kind of file.  A mutant may still be well formed, so
 a run may succeed (exit 0), and a checkpoint whose recipe no longer rebuilds
 exits 4; anything else must be refused as a corrupt file (exit 2) with one
 line on stderr.  No mutant may exit 1 or print a traceback.
+
+A small `--config` file is truncated at every offset and each of its bytes
+flipped with a seeded mask, and each mutant is fed to `filter`.  A config
+file that is still UTF-8 may hold a key or value the command refuses (exit
+1); one that is not UTF-8 must exit 2.
 """
 import functools
 import struct
@@ -108,3 +113,34 @@ def test_mutated_inputs_exit_zero_two_or_four(files, monkeypatch, capsys):
         path.write_bytes(data)
     assert runs > 1000
     assert not bad, f"{len(bad)} of {runs} runs:\n" + "\n".join(bad[:20])
+
+
+def test_mutated_config_files_exit_zero_one_or_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(minis2st.cli, "build_parser", functools.cache(minis2st.cli.build_parser))
+    m = tmp_path / "m.jsonl"
+    write_manifest(generate_toy_corpus(ToyCorpusConfig(pairs=2, len_max=4), 0), m)
+    cfg = tmp_path / "run.cfg"
+    data = b"# keep close pairs\nthreshold = 0.5\ninclusive=true\n"
+    argv = ["filter", "--in", str(m), "--out", str(tmp_path / "kept.jsonl"), "--config", str(cfg)]
+    masks = np.random.default_rng(SEED).integers(1, 256, size=len(data)).tolist()
+    mutants = [(f"cut at {n}", data[:n]) for n in range(len(data))]
+    for i, mask in enumerate(masks):
+        flipped = bytearray(data)
+        flipped[i] ^= mask
+        mutants.append((f"byte {i} ^ {mask:#04x}", bytes(flipped)))
+    bad, not_utf8 = [], 0
+    for what, mutant in mutants:
+        cfg.write_bytes(mutant)
+        code = main(argv)
+        err = capsys.readouterr().err
+        try:
+            mutant.decode("utf-8")
+            allowed = (0, 1, 2)
+        except UnicodeDecodeError:
+            not_utf8 += 1
+            allowed = (2,)
+        one_line = err.count("\n") == 1 and err.endswith("\n")
+        if code not in allowed or (one_line if code == 0 else not one_line) or "Traceback" in err:
+            bad.append(f"{what}: exit {code}: {err!r:.300}")
+    assert not_utf8 > 10
+    assert not bad, f"{len(bad)} of {len(mutants)} runs:\n" + "\n".join(bad[:20])

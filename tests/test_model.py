@@ -20,9 +20,9 @@ from minis2st.tensor import (
     add,
     backward,
     embedding_lookup,
-    mean,
     mul,
     reshape,
+    weighted_sum,
     zero_grad,
 )
 
@@ -117,10 +117,10 @@ def _uniform_case(cfg):
     dec = DecoderLM(cfg, seed=0)
     v = dec.vocab
     s, g = 2, cfg.group_size
-    audio_logits = Tensor(np.zeros((s, g, v.audio_head_size)))
-    text_logits = Tensor(np.zeros((s, v.text_head_size)))
-    at = [[0, 1, v.audio_eos_local], [v.audio_pad_local] * g]
-    tt = [3, v.text_eos_local]
+    audio_logits = Tensor(np.zeros((1, s, g, v.audio_head_size)))
+    text_logits = Tensor(np.zeros((1, s, v.text_head_size)))
+    at = [[[0, 1, v.audio_eos_local], [v.audio_pad_local] * g]]
+    tt = [[3, v.text_eos_local]]
     return v, audio_logits, text_logits, at, tt
 
 
@@ -152,7 +152,7 @@ def test_pad_positions_are_excluded_from_loss():
     base = [float(x.data) for x in compute_loss(al, tl, at, tt, v, 1.0, 1.0)]
     # blast the logits at every PAD-masked position; nothing may move
     al2 = Tensor(al.data.copy())
-    al2.data[1, :, :] = 1e6  # the all-PAD group
+    al2.data[0, 1, :, :] = 1e6  # the all-PAD group
     tl2 = Tensor(tl.data.copy())
     perturbed = [float(x.data) for x in compute_loss(al2, tl2, at, tt, v, 1.0, 1.0)]
     assert perturbed == pytest.approx(base, rel=1e-15)
@@ -164,16 +164,16 @@ def test_pad_positions_are_excluded_from_denominator():
     v = dec.vocab
     g = cfg.group_size
     rng = np.random.default_rng(2)
-    logits_row = rng.normal(size=(1, g, v.audio_head_size))
+    logits_row = rng.normal(size=(1, 1, g, v.audio_head_size))
     # one real token + padding vs the same token alone in a 1-group: if PAD
     # were averaged into the denominator the two losses would differ
-    at_padded = [[4, v.audio_pad_local, v.audio_pad_local]]
-    tlg = Tensor(rng.normal(size=(1, v.text_head_size)))
-    tt = [1]
+    at_padded = [[[4, v.audio_pad_local, v.audio_pad_local]]]
+    tlg = Tensor(rng.normal(size=(1, 1, v.text_head_size)))
+    tt = [[1]]
     _, la_padded, _ = compute_loss(Tensor(logits_row), tlg, at_padded, tt, v, 1.0, 1.0)
-    z = logits_row[0, 0][None, None, :]
+    z = logits_row[:, :, :1]
     ref_cfg_loss = compute_loss(
-        Tensor(np.concatenate([z, z, z], axis=1)), tlg, [[4, 4, 4]], tt, v, 1.0, 1.0
+        Tensor(np.concatenate([z, z, z], axis=2)), tlg, [[[4, 4, 4]]], tt, v, 1.0, 1.0
     )[1]
     assert float(la_padded.data) == pytest.approx(float(ref_cfg_loss.data), rel=1e-12)
 
@@ -181,20 +181,22 @@ def test_pad_positions_are_excluded_from_denominator():
 def test_fully_masked_stream_raises():
     cfg = tiny_cfg()
     v, al, tl, _, tt = _uniform_case(cfg)
-    all_pad = [[v.audio_pad_local] * cfg.group_size] * 2
+    all_pad = [[[v.audio_pad_local] * cfg.group_size] * 2]
     with pytest.raises(ValueError):
         compute_loss(al, tl, all_pad, tt, v, 1.0, 1.0)
     with pytest.raises(ValueError):
-        compute_loss(al, tl, [[0, 1, 2], [3, 4, 5]], [v.text_pad_local] * 2, v, 1.0, 1.0)
+        compute_loss(al, tl, [[[0, 1, 2], [3, 4, 5]]], [[v.text_pad_local] * 2], v, 1.0, 1.0)
 
 
 def test_loss_shape_validation():
     cfg = tiny_cfg()
     v, al, tl, at, tt = _uniform_case(cfg)
     with pytest.raises(ValueError):
-        compute_loss(al, tl, at[:1], tt, v, 1.0, 1.0)
+        compute_loss(al, tl, [at[0][:1]], tt, v, 1.0, 1.0)
     with pytest.raises(ValueError):
-        compute_loss(al, tl, at, tt + [0], v, 1.0, 1.0)
+        compute_loss(al, tl, at, [tt[0] + [0]], v, 1.0, 1.0)
+    with pytest.raises(ValueError, match="takes batches"):  # a lone utterance's arrays
+        compute_loss(Tensor(al.data[0]), Tensor(tl.data[0]), at[0], tt[0], v, 1.0, 1.0)
 
 
 # ------------------------------------------------------ repetition penalty
@@ -552,13 +554,13 @@ def test_embed_reads_each_id_from_its_own_table_bit_for_bit():
     cases = [rng.integers(0, v.total, size=shape) for shape in [(9,), (3, 4), (2, 3, 5)]]
     cases += [rng.integers(0, v.text_size, size=6), rng.integers(v.text_size, v.total, size=6)]
     for ids in cases:
-        w = Tensor(rng.normal(size=ids.shape + (d,)))
+        w = rng.normal(size=ids.shape + (d,))
         runs = []
         for embed in (dec._embed, masked):
             zero_grad([dec.text_embed, dec.aux_embed])
             with Tape() as tape:
                 out = embed(ids)
-                loss = mean(mul(out, w))
+                loss = weighted_sum(out, w)
             backward(loss, tape)
             runs.append([out.data] + [np.zeros_like(t.data) if t.grad is None else t.grad
                                       for t in (dec.text_embed, dec.aux_embed)])

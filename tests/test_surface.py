@@ -105,6 +105,7 @@ OUT_OF_RANGE = [
     *[(TokenizerConfig, {k: 0}) for k in ("feat_dim", "text_vocab", "dim", "codebook_size",
                                           "enc1_blocks", "enc2_blocks", "asr_blocks", "heads")],
     (TokenizerConfig, dict(commitment_beta=-0.1)),
+    *[(TokenizerConfig, dict(commitment_beta=float(v))) for v in ("nan", "inf")],
     *[(VocoderConfig, {k: 0}) for k in ("feat_dim", "audio_vocab", "token_dim", "d_model",
                                         "blocks", "heads", "spk_dim")],
     *[(ToyCorpusConfig, kw) for kw in (dict(src_vocab=0), dict(tgt_vocab=0),
@@ -119,6 +120,10 @@ OUT_OF_RANGE = [
                                       "validate_every", "patience", "decay_gamma")],
     *[(TrainConfig, kw) for kw in (dict(decay_gamma=1.5), dict(lambda_audio=-1.0),
                                    dict(lambda_text=-1.0), dict(min_delta=-1e-3))],
+    # NaN passes every comparison, and an infinite rate or weight diverges
+    *[(TrainConfig, {k: float(v)}) for k, v in (("lr", "nan"), ("lr", "inf"),
+                                               ("lambda_audio", "nan"), ("lambda_text", "inf"),
+                                               ("min_delta", "nan"))],
     # counts: a fraction would validate off schedule, never stop, or fail mid-run
     *[(TrainConfig, {k: 2.5}) for k in ("batch_size", "warmup_steps", "max_epochs",
                                         "validate_every", "patience", "seed")],

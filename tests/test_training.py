@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from minis2st.corpus import ParseError
-from minis2st.tensor import Tensor, _active_tape, mean, mul, sub
+from minis2st.tensor import Tensor, _active_tape, squared_error
 from minis2st.training import (
     Adam,
     CheckpointState,
@@ -250,8 +250,7 @@ def _make_problem(seed=0, n=8, dim=4, noisy=False):
 
     def loss_fn(batch, rng):
         t = target + (rng.standard_normal(dim) * 0.1 if noisy else 0.0)
-        diff = sub(w, Tensor(t))
-        return mean(mul(diff, diff)), {"batch_n": float(len(batch))}
+        return squared_error(w, t, 1.0 / dim), {"batch_n": float(len(batch))}
 
     def val_fn():
         return float(np.mean((w.data - target) ** 2))
@@ -372,6 +371,25 @@ def test_nan_loss_raises_and_keeps_best_checkpoint(tmp_path):
     # the improvement at step 2 was flushed to disk before the blow-up
     assert ckpt.exists()
     assert load_checkpoint(ckpt).step == 2
+
+
+@pytest.mark.parametrize("with_path", [False, True])
+def test_nan_loss_before_any_validation_names_no_checkpoint(tmp_path, with_path):
+    params, examples, good_loss, _ = _make_problem()
+    calls = {"n": 0}
+
+    def loss_fn(batch, rng):
+        calls["n"] += 1
+        return (Tensor(np.array(math.nan)), {}) if calls["n"] == 3 else good_loss(batch, rng)
+
+    cfg = TrainConfig(lr=1e-3, batch_size=4, warmup_steps=1, max_epochs=50,
+                      validate_every=10, patience=10)
+    ckpt = tmp_path / "best.ckpt"
+    with pytest.raises(NumericError) as err:
+        train(params=params, examples=examples, loss_fn=loss_fn, val_fn=lambda: 1.0,
+              cfg=cfg, checkpoint_path=str(ckpt) if with_path else None)
+    assert str(err.value) == "non-finite training loss at step 3; no checkpoint written"
+    assert not ckpt.exists()
 
 
 def test_nan_validation_raises_numeric_error():

@@ -53,7 +53,6 @@ from .pipeline import (
 )
 from .tokenizer import TokenizerConfig, token_symbol_alignment
 from .training import (
-    ConfigError,
     NumericError,
     TrainConfig,
     VersionError,
@@ -119,9 +118,9 @@ def _layer(defaults: dict, args) -> dict:
     return eff
 
 
-def _add_layered(sp, command: str, skip=()):
+def _add_layered(sp, command: str):
     for key, value in _DEFAULTS[command]().items():
-        if key == "seed" or key in skip:  # every subcommand has its own --seed
+        if key == "seed":  # every subcommand has its own --seed
             continue
         flag = "--" + key.replace("_", "-")
         if isinstance(value, bool):
@@ -317,8 +316,7 @@ def cmd_train_model(args) -> dict:
 
     if eff["with_vocoder"]:
         voc_cfg = replace(toy_vocoder_config(), feat_dim=tok.cfg.feat_dim,
-                          audio_vocab=tok.cfg.codebook_size,
-                          frame_rate=meta.get("frame_rate", 50))
+                          audio_vocab=tok.cfg.codebook_size)
         voc, voc_result = train_vocoder_stage(
             train_m, val_m, tok, voc_cfg, seed=eff["seed"], max_steps=max_steps,
         )
@@ -365,7 +363,7 @@ def cmd_synthesize(args) -> dict:
         if not all(0 <= t < voc.cfg.audio_vocab for t in tokens):
             raise ParseError(f"{args.tokens}: {rid!r} holds a token outside the vocoder's "
                              f"codebook of size {voc.cfg.audio_vocab}")
-    prompt = read_frames(args.prompt, frame_rate=voc.cfg.frame_rate)
+    prompt = read_frames(args.prompt)
     spk = voc.embedder.embed(prompt)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -460,7 +458,7 @@ def build_parser() -> _Parser:
     sp = new("gen-corpus", cmd_gen_corpus, "generate the synthetic parallel corpus")
     sp.add_argument("--out", required=True, help="manifest path to write")
     sp.add_argument("--val-out", default=None, help="held-out manifest path")
-    _add_layered(sp, "gen-corpus", skip=("name", "language_pair"))
+    _add_layered(sp, "gen-corpus")
 
     sp = new("filter", cmd_filter, "drop records below the similarity threshold")
     sp.add_argument("--in", dest="infile", required=True, help="input manifest")
@@ -552,7 +550,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError, KeyError, IndexError) as exc:
+    except (ValueError, KeyError, IndexError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 import base64
 import json
 import math
+import numbers
 import os
 import struct
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,12 +29,35 @@ class ParseError(ValueError):
     """Malformed manifest or frame file; message carries file and line."""
 
 
+class ConfigError(ValueError):
+    """A setting out of range: a `*Config` field, or a value a stage needs."""
+
+
+def check_settings(cfg, floors: dict):
+    """The rule every `*Config` checks first: ConfigError unless each `int`
+    field of the dataclass `cfg` holds an integer at or above its floor, 1
+    unless `floors` maps the field to another (None: no floor), and each
+    `float` field a number v with 0 <= v < inf, which NaN fails."""
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        if f.type in ("int", int):
+            floor = floors.get(f.name, 1)
+            if not isinstance(v, numbers.Integral):
+                raise ConfigError(f"{f.name} must be an integer, got {v!r}")
+            if floor is not None and v < floor:
+                raise ConfigError(f"{f.name} must be >= {floor}, got {v}")
+        elif f.type in ("float", float):
+            if not (isinstance(v, numbers.Real) and 0 <= v < math.inf):
+                raise ConfigError(f"{f.name} must be finite and >= 0, got {v!r}")
+
+
 @dataclass
 class SpeechFrames:
-    """A (T, F) float64 feature matrix at a nominal frame rate (default 50 Hz)."""
+    """A (T, F) float64 feature matrix: T frames of F finite features each.
+    Frame files and manifest records hold the matrix alone; the nominal frame
+    rate is manifest metadata."""
 
     frames: np.ndarray
-    frame_rate: int = 50
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
@@ -41,8 +65,6 @@ class SpeechFrames:
             raise ValueError(f"frames must be 2-d (T, F), got shape {self.frames.shape}")
         if not np.isfinite(self.frames).all():
             raise ValueError("frames contain non-finite values")
-        if self.frame_rate <= 0:
-            raise ValueError(f"frame_rate must be positive, got {self.frame_rate}")
 
     @property
     def length(self) -> int:
@@ -55,7 +77,7 @@ class SpeechFrames:
     def __eq__(self, other):
         if not isinstance(other, SpeechFrames):
             return NotImplemented
-        return self.frame_rate == other.frame_rate and np.array_equal(self.frames, other.frames)
+        return np.array_equal(self.frames, other.frames)
 
 
 def frame_matrix(frames, width: int, what: str) -> np.ndarray:
@@ -166,26 +188,16 @@ class ToyCorpusConfig:
     noise_std: float = 0.05
     speaker_offset_std: float = 0.3
     frame_rate: int = 50
-    name: str = "toy"
-    language_pair: str = "src-tgt"
 
     def __post_init__(self):
-        if self.src_vocab < 1 or self.tgt_vocab < 1:
-            raise ValueError("vocab sizes must be >= 1")
+        check_settings(self, {"pairs": 0})
         if self.tgt_vocab < self.src_vocab:
-            raise ValueError(
+            raise ConfigError(
                 f"invertible symbol map needs tgt_vocab >= src_vocab "
                 f"({self.tgt_vocab} < {self.src_vocab})"
             )
-        if not (1 <= self.len_min <= self.len_max):
-            raise ValueError(f"bad length range [{self.len_min}, {self.len_max}]")
-        if self.pairs < 0 or self.speakers < 1 or self.feat_dim < 1:
-            raise ValueError("pairs must be >= 0, speakers and feat_dim >= 1")
-        if self.frames_per_symbol < 1 or self.frame_rate < 1:
-            raise ValueError("frames_per_symbol and frame_rate must be >= 1")
-        # `not >=` also catches NaN
-        if not (self.noise_std >= 0 and self.speaker_offset_std >= 0):
-            raise ValueError("noise_std and speaker_offset_std must be >= 0")
+        if self.len_min > self.len_max:
+            raise ConfigError(f"bad length range [{self.len_min}, {self.len_max}]")
 
 
 def toy_symbol_map(cfg: ToyCorpusConfig, seed: int) -> list:
@@ -238,16 +250,16 @@ def generate_toy_corpus(cfg: ToyCorpusConfig, seed: int) -> Manifest:
                 id=f"utt{i:05d}",
                 src_text=src,
                 tgt_text=tgt,
-                src_frames=SpeechFrames(src_frames, cfg.frame_rate),
-                tgt_frames=SpeechFrames(tgt_frames, cfg.frame_rate),
+                src_frames=SpeechFrames(src_frames),
+                tgt_frames=SpeechFrames(tgt_frames),
                 speaker=f"spk{spk}",
                 similarity=1.0,
             )
         )
 
     metadata = {
-        "name": cfg.name,
-        "language_pair": cfg.language_pair,
+        "name": "toy",
+        "language_pair": "src-tgt",
         "frame_rate": cfg.frame_rate,
         "frame_count": int(sum(r.src_frames.length for r in records)),
         "src_vocab": cfg.src_vocab,
@@ -304,7 +316,7 @@ def encode_frames(sf: SpeechFrames) -> bytes:
     return FRAME_MAGIC + struct.pack("<III", FRAME_VERSION, *data.shape) + data.tobytes()
 
 
-def parse_frames(data: bytes, frame_rate: int, where: str) -> SpeechFrames:
+def parse_frames(data: bytes, where: str) -> SpeechFrames:
     """The frames `encode_frames` wrote into `data`; ParseError starting with
     `where` for a bad magic, version or size, or a NaN or infinite value."""
     if data[:4] != FRAME_MAGIC:
@@ -320,15 +332,15 @@ def parse_frames(data: bytes, frame_rate: int, where: str) -> SpeechFrames:
     frames = np.frombuffer(data, dtype="<f8", offset=16).reshape(t, f).astype(np.float64)
     if not np.isfinite(frames).all():
         raise ParseError(f"{where}: frames contain non-finite values")
-    return SpeechFrames(frames, frame_rate)
+    return SpeechFrames(frames)
 
 
 def write_frames(path, sf: SpeechFrames):
     atomic_write(path, [encode_frames(sf)])
 
 
-def read_frames(path, frame_rate: int = 50) -> SpeechFrames:
-    return parse_frames(Path(path).read_bytes(), frame_rate, str(path))
+def read_frames(path) -> SpeechFrames:
+    return parse_frames(Path(path).read_bytes(), str(path))
 
 
 def write_manifest(m: Manifest, path):
@@ -412,7 +424,7 @@ def read_manifest(path) -> Manifest:
                 data = base64.b64decode(obj[key], validate=True)
             except ValueError as exc:  # binascii.Error, or a character beyond ASCII
                 raise ParseError(f"{where}: not base64 ({exc})") from None
-            f = parse_frames(data, metadata.get("frame_rate", 50), where)
+            f = parse_frames(data, where)
             if f.feat_dim != metadata.get("feat_dim", f.feat_dim):
                 raise ParseError(f"{where}: {f.feat_dim} features, "
                                  f"metadata 'feat_dim' is {metadata['feat_dim']}")

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import nn
-from .corpus import frame_matrix
+from .corpus import ConfigError, check_settings, frame_matrix
 from .tensor import (
     Tensor,
     add,
@@ -66,13 +66,9 @@ class ModelConfig:
     freeze_text_embed: bool = True
 
     def __post_init__(self):
+        check_settings(self, {"prompt_len": 0})
         if self.projector not in PROJECTORS:
-            raise ValueError(f"unknown projector kind {self.projector!r}")
-        if min(self.text_vocab, self.audio_vocab, self.d_model, self.blocks, self.heads,
-               self.group_size, self.group_frames, self.fixed_input_len) < 1:
-            raise ValueError("model config sizes must be >= 1")
-        if self.prompt_len < 0:
-            raise ValueError("prompt_len must be >= 0")
+            raise ConfigError(f"unknown projector kind {self.projector!r}")
 
 
 class AugmentedVocab:
@@ -224,12 +220,9 @@ class DecodeConfig:
     repetition_penalty: float = 1.2
 
     def __post_init__(self):
-        if not isinstance(self.max_steps, (int, np.integer)):
-            raise ValueError(f"max_steps must be an integer, got {self.max_steps!r}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        check_settings(self, {})
         if not self.repetition_penalty > 0:
-            raise ValueError(f"repetition_penalty must be positive, got {self.repetition_penalty}")
+            raise ConfigError(f"repetition_penalty must be positive, got {self.repetition_penalty}")
 
 
 @dataclass
@@ -413,6 +406,8 @@ class DecoderLM(nn.Module):
         text_ban[v.text_eos_local] = 0.0
         audio_ban = np.zeros(v.audio_head_size)
         audio_ban[v.audio_pad_local] = -1e30
+        text_w, text_b = self.text_head.w.data, self.text_head.b.data
+        audio_w, audio_b = self.audio_head.w.data, self.audio_head.b.data
         text_out, tokens_out = [], []
         text_done = audio_done = False
         steps = token_steps = 0
@@ -422,7 +417,7 @@ class DecoderLM(nn.Module):
             text_pick = v.text_pad_local
             audio_picks = np.full(g, v.audio_pad_local)
             if not text_done:
-                tl = self.text_head(last).data[0] + text_ban
+                tl = affine(last, text_w, text_b)[0] + text_ban
                 tl = apply_repetition_penalty(tl, text_out, cfg.repetition_penalty)
                 text_pick = int(tl.argmax())
                 if text_pick == v.text_eos_local:
@@ -430,7 +425,7 @@ class DecoderLM(nn.Module):
                 else:
                     text_out.append(text_pick)
             if not audio_done:
-                al = self.audio_head(last).data.reshape(g, v.audio_head_size) + audio_ban
+                al = affine(last, audio_w, audio_b).reshape(g, v.audio_head_size) + audio_ban
                 picks = al.argmax(axis=1)
                 ends = (picks == v.audio_eos_local).nonzero()[0]
                 k = int(ends[0]) if ends.size else g

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import evaluation, nn
-from .corpus import Manifest, SpeechFrames, ToyCorpusConfig, generate_toy_corpus
+from .corpus import ConfigError, Manifest, SpeechFrames, ToyCorpusConfig, generate_toy_corpus
 from .corpus import same_speaker_prompts  # unused here: bench/ calls it as pipeline's
 from .model import DecodeConfig, ModelConfig, TranslationModel
 from .tensor import no_grad
@@ -37,7 +37,6 @@ from .tokenizer import (
 )
 from .training import (
     CheckpointState,
-    ConfigError,
     TrainConfig,
     TrainResult,
     VersionError,
@@ -340,8 +339,8 @@ def train_model_stage(train_m: Manifest, val_m: Manifest, tokenizer: SpeechToken
             # fresh jitter per visit, drawn example by example: cheap
             # augmentation against memorizing the fixed training renderings
             # (validation stays clean)
-            sources = [SpeechFrames(src.frames + rng.normal(0.0, 0.1, src.frames.shape),
-                                    src.frame_rate) for src in sources]
+            sources = [SpeechFrames(src.frames + rng.normal(0.0, 0.1, src.frames.shape))
+                       for src in sources]
         total, loss_a, loss_t = model.loss_for(
             sources, [r.tgt_text for r, _ in batch], [tokens for _, tokens in batch],
             lambda_audio=tcfg.lambda_audio, lambda_text=tcfg.lambda_text,

@@ -13,16 +13,16 @@ with no padding and no mask, so every utterance gets the tokens it gets alone.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import nn
-from .corpus import Manifest, frame_matrix
+from .corpus import Manifest, check_settings, frame_matrix
 from .tensor import (
     Tensor,
     add,
+    affine,
     concat,
     embedding_lookup,
     mul,
@@ -52,12 +52,7 @@ class TokenizerConfig:
     commitment_beta: float = 0.25
 
     def __post_init__(self):
-        if min(self.feat_dim, self.text_vocab, self.dim, self.codebook_size) < 1:
-            raise ValueError("tokenizer config sizes must be >= 1")
-        if min(self.enc1_blocks, self.enc2_blocks, self.asr_blocks, self.heads) < 1:
-            raise ValueError("tokenizer block/head counts must be >= 1")
-        if not 0 <= self.commitment_beta < math.inf:  # NaN fails both comparisons
-            raise ValueError(f"commitment_beta must be finite and >= 0, got {self.commitment_beta}")
+        check_settings(self, {})
 
 
 class Codebook(nn.Module):
@@ -401,13 +396,14 @@ class TextToTokenModel(nn.Module):
         ids = [self.bos] + list(text)
         # the longest input: speaker slot, ids, then max_len - 1 fed-back picks
         positions = nn.positions(len(ids) + max_len, self.embed.shape[1])
+        head_w, head_b = self.head.w.data, self.head.b.data
         out = []
 
         def prefix():  # the speaker slot, then ids
             return add(self._inputs(ids, spk_emb), Tensor(positions[: 1 + len(ids)])).data
 
         def step(last):
-            nxt = int((self.head(last).data[0] + banned).argmax())
+            nxt = int((affine(last, head_w, head_b)[0] + banned).argmax())
             if nxt == self.eos:
                 return None
             out.append(nxt - self.text_vocab)

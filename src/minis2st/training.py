@@ -17,7 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from .corpus import ParseError, atomic_write
+from .corpus import ConfigError, ParseError, atomic_write, check_settings
 from .tensor import Tape, backward, rng_for, seed_for, zero_grad
 
 
@@ -27,10 +27,6 @@ class NumericError(RuntimeError):
 
 class VersionError(RuntimeError):
     """Checkpoint version or kind does not match what the reader expects."""
-
-
-class ConfigError(ValueError):
-    """Invalid training configuration."""
 
 
 @dataclass
@@ -48,23 +44,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("lr", "lambda_audio", "lambda_text", "min_delta"):
-            if not math.isfinite(getattr(self, name)):  # NaN passes every comparison below
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
-        for name in ("batch_size", "warmup_steps", "max_epochs", "validate_every", "patience",
-                     "seed"):  # counts: a fraction would slip past every check below
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if min(self.lr, self.batch_size, self.warmup_steps, self.max_epochs,
-               self.validate_every, self.patience) <= 0:
-            raise ConfigError("lr, batch_size, warmup_steps, max_epochs, "
-                              "validate_every and patience must all be positive")
-        if not (0.0 < self.decay_gamma <= 1.0):
+        check_settings(self, {"seed": None})
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.decay_gamma <= 1:
             raise ConfigError(f"decay_gamma must be in (0, 1], got {self.decay_gamma}")
-        if self.lambda_audio < 0 or self.lambda_text < 0:
-            raise ConfigError("loss weights must be >= 0")
-        if self.min_delta < 0:
-            raise ConfigError("min_delta must be >= 0")
 
 
 def lr_schedule(step: int, steps_per_epoch: int, cfg: TrainConfig) -> float:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import nn
-from .corpus import SpeechFrames, frame_matrix, same_speaker_prompts
+from .corpus import ConfigError, SpeechFrames, check_settings, frame_matrix, same_speaker_prompts
 from .tensor import Tensor, concat, embedding_lookup, no_grad, rng_for, squared_error
 
 
@@ -28,18 +28,18 @@ class VocoderConfig:
     blocks: int = 2
     heads: int = 4
     spk_dim: int = 16
-    frame_rate: int = 50
 
     def __post_init__(self):
-        if min(self.feat_dim, self.audio_vocab, self.token_dim, self.d_model,
-               self.blocks, self.heads, self.spk_dim) < 1:
-            raise ValueError("vocoder config sizes must be >= 1")
+        check_settings(self, {})
 
 
 class SpeakerEmbedder:
     """Deterministic frames -> unit-norm speaker vector. Fixed weights, no grads."""
 
     def __init__(self, feat_dim: int, spk_dim: int = 16, seed: int = 0):
+        if min(feat_dim, spk_dim) < 1:  # before any draw: 1 / sqrt(feat_dim) needs feat_dim >= 1
+            raise ConfigError(f"speaker embedder sizes must be >= 1, got feat_dim {feat_dim}, "
+                              f"spk_dim {spk_dim}")
         hidden = 32
         rng = rng_for(seed, "speaker_embedder")
         self.w1 = rng.normal(0.0, 1.0 / np.sqrt(feat_dim), size=(feat_dim, hidden))
@@ -134,4 +134,4 @@ class TimbreVocoder(nn.Module):
     def synthesize(self, tokens, spk: np.ndarray) -> SpeechFrames:
         with no_grad():
             frames = self.forward_frames(list(tokens), spk, None)
-        return SpeechFrames(frames.data, self.cfg.frame_rate)
+        return SpeechFrames(frames.data)

@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 
 from minis2st.model import ModelConfig
-from minis2st.tensor import (Tape, Tensor, backward, mul, no_grad, squared_error,
+from minis2st.tensor import (Tape, Tensor, affine, backward, mul, no_grad, squared_error,
                              weighted_sum, zero_grad)
 from minis2st.tokenizer import quantize
 
@@ -386,6 +386,28 @@ def run_module_gradient_trials(trials: int, seed: int = 0):
 # runs the whole input so far through the blocks and reads the last position.
 # They reuse the model's layers and its input-row functions, since what they
 # check is the cache, not the layers.
+
+
+def record_head_products(monkeypatch, module, heads: dict) -> list:
+    """Make every product by the weights of one of `heads` (name -> Linear)
+    append (name, a copy of its output) to the returned list: the `linear`
+    calls the recompute decoders make and the `affine` calls by which
+    `module` decodes on arrays, both of which run `tensor.affine`.  Each
+    call replaces the recorder of the one before."""
+    from minis2st import tensor
+
+    names = {id(lin.w.data): name for name, lin in heads.items()}
+    seen = []
+
+    def recording(x, w, b):
+        out = affine(x, w, b)
+        if id(w) in names:
+            seen.append((names[id(w)], out.copy()))
+        return out
+
+    monkeypatch.setattr(tensor, "affine", recording)
+    monkeypatch.setattr(module, "affine", recording)
+    return seen
 
 
 def repetition_penalty_loop(logits, emitted, rho):

@@ -6,6 +6,7 @@ import re
 import shlex
 import shutil
 import struct
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -180,11 +181,14 @@ def test_unbuildable_checkpoint_config_exits_four(tmp_path, capsys):
 
 def test_recipes_holding_a_removed_field_exit_four_naming_it(tmp_path, capsys):
     # fields older builds recorded: the vocoder's upsample, the embedder's
-    # hidden width and the text-to-token model's sizes, now constants
+    # hidden width and the text-to-token model's sizes, now constants, and the
+    # vocoder's frame rate, which nothing read
     ckpt = tmp_path / "x.ckpt"
     voc = _tiny_vocoder()
     for config, where, name in (
         ({**voc.recipe, "cfg": {**voc.recipe["cfg"], "upsample": 1}}, "vocoder.cfg", "upsample"),
+        ({**voc.recipe, "cfg": {**voc.recipe["cfg"], "frame_rate": 50}}, "vocoder.cfg",
+         "frame_rate"),
         ({**voc.recipe, "embedder": {**voc.recipe["embedder"], "hidden": 32}},
          "vocoder.embedder", "hidden"),
     ):
@@ -242,7 +246,7 @@ def test_a_model_checkpoint_without_a_vocoder_says_so(tmp_path, capsys):
                                               tensors=_trainable(tok)))
     tokens, prompt = tmp_path / "t.tok", tmp_path / "p.ds2f"
     write_token_file(tokens, [("utt00000", [1, 2])])
-    write_frames(prompt, SpeechFrames(np.ones((3, 8)), 50))
+    write_frames(prompt, SpeechFrames(np.ones((3, 8))))
     for argv in (
         ["synthesize", "--ckpt", model_ckpt, "--tokens", tokens, "--prompt", prompt,
          "--out-dir", tmp_path / "s"],
@@ -426,7 +430,7 @@ def test_synthesize_refuses_a_token_file_id_that_cannot_name_a_file(tmp_path, ca
     save_checkpoint(ckpt, CheckpointState(kind="vocoder", config=voc.recipe, step=0,
                                           tensors=_trainable(voc)))
     write_token_file(tokens, [("../x", [1, 2])])
-    write_frames(prompt, SpeechFrames(np.zeros((5, 8)), 50))
+    write_frames(prompt, SpeechFrames(np.zeros((5, 8))))
     before = set(tmp_path.rglob("*"))
     assert main(["synthesize", "--ckpt", str(ckpt), "--tokens", str(tokens),
                  "--prompt", str(prompt), "--out-dir", str(tmp_path / "out")]) == 2
@@ -440,7 +444,7 @@ def test_synthesize_refuses_a_token_outside_the_codebook(tmp_path, capsys):
     save_checkpoint(ckpt, CheckpointState(kind="vocoder", config=voc.recipe, step=0,
                                           tensors=_trainable(voc)))
     write_token_file(tokens, [("u0", [1, 2]), ("u1", [3, 8])])
-    write_frames(prompt, SpeechFrames(np.zeros((5, 8)), 50))
+    write_frames(prompt, SpeechFrames(np.zeros((5, 8))))
     before = set(tmp_path.rglob("*"))
     assert main(["synthesize", "--ckpt", str(ckpt), "--tokens", str(tokens),
                  "--prompt", str(prompt), "--out-dir", str(tmp_path / "out")]) == 2
@@ -609,6 +613,57 @@ def test_gen_corpus_rejects_a_negative_noise_std(tmp_path, capsys):
     assert main(["gen-corpus", "--out", str(out), "--pairs", "4", "--noise-std=-1"]) == 1
     assert "noise_std" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _exit_and_stderr(capsys, argv) -> tuple:
+    """main(argv)'s exit code and its stderr lines, each warning counted as
+    the line a run outside pytest prints for it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([str(a) for a in argv])
+    return code, capsys.readouterr().err.splitlines() + [str(w.message) for w in caught]
+
+
+def test_settings_the_rule_refuses_exit_with_one_line(tmp_path, capsys):
+    # as a flag a refused setting is a usage error (1); recorded in a
+    # checkpoint's recipe, one this build cannot construct (4)
+    m, tok_ckpt, model_ckpt = tmp_path / "m.jsonl", tmp_path / "tok", tmp_path / "model.ckpt"
+    write_manifest(generate_toy_corpus(ToyCorpusConfig(pairs=2), 0), m)
+    tok = SpeechTokenizer(TokenizerConfig(codebook_size=8, dim=8, heads=2), 0)
+    save_checkpoint(tok_ckpt, CheckpointState(kind="tokenizer", config=tok.recipe, step=0,
+                                              tensors=_trainable(tok)))
+    assert _exit_and_stderr(capsys, [
+        "train-model", "--train", m, "--val", m, "--tokenizer", tok_ckpt, "--out", model_ckpt,
+        "--enc-heads", "0"]) == (1, ["error: enc_heads must be >= 1, got 0"])
+    assert not model_ckpt.exists()
+
+    model = _tiny_model()
+    save_checkpoint(model_ckpt, CheckpointState(
+        kind="model", step=0, tensors=_trainable(model),
+        config={**model.recipe, "cfg": {**model.recipe["cfg"], "enc_heads": 0}}))
+    translate = ["translate", "--ckpt", model_ckpt, "--in", m, "--out-dir", tmp_path / "out"]
+    assert _exit_and_stderr(capsys, translate) == (
+        4, ["version mismatch: checkpoint config model: enc_heads must be >= 1, got 0"])
+    _model_with_vocoder(model_ckpt)
+    assert _exit_and_stderr(capsys, [*translate, "--repetition-penalty", "inf"]) == (
+        1, ["error: repetition_penalty must be finite and >= 0, got inf"])
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_embedder_recipe_below_one_feature_exits_four_before_any_draw(tmp_path, capsys):
+    # 1 / sqrt(feat_dim) would warn first, were the weights drawn before the check
+    voc, ckpt, tokens, prompt = _tiny_vocoder(), tmp_path / "v.ckpt", tmp_path / "t", tmp_path / "p"
+    write_token_file(tokens, [("utt00000", [1, 2])])
+    write_frames(prompt, SpeechFrames(np.ones((3, 8))))
+    for feat_dim in (0, -1):
+        save_checkpoint(ckpt, CheckpointState(
+            kind="vocoder", step=0, tensors=_trainable(voc),
+            config={**voc.recipe, "embedder": {**voc.recipe["embedder"], "feat_dim": feat_dim}}))
+        assert _exit_and_stderr(capsys, [
+            "synthesize", "--ckpt", ckpt, "--tokens", tokens, "--prompt", prompt,
+            "--out-dir", tmp_path / "s"]) == (4, [
+                "version mismatch: checkpoint config vocoder: speaker embedder sizes must be "
+                f">= 1, got feat_dim {feat_dim}, spk_dim 16"])
 
 
 # -------------------------------------------------------------- token files
@@ -817,7 +872,7 @@ def test_eval_scores_an_empty_synthesis_at_zero_similarity(chain_dir, tmp_path, 
     shutil.copytree(chain_dir, d)
     frames, prompts = d / "translate" / "frames", d / "translate" / "prompts"
     ids = [rid for rid, _ in read_token_file(d / "translate" / "translations.text")]
-    write_frames(frames / f"{ids[0]}.ds2f", SpeechFrames(np.zeros((0, 8)), 50))
+    write_frames(frames / f"{ids[0]}.ds2f", SpeechFrames(np.zeros((0, 8))))
     assert main(next(argv for argv in cli_chain(d) if argv[0] == "eval")) == 0
     capsys.readouterr()
     embed = resolve_vocoder(load_checkpoint(d / "model.ckpt")).embedder.embed

@@ -135,7 +135,7 @@ def test_filter_by_similarity_threshold_modes():
 
 def test_frames_roundtrip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
-    sf = SpeechFrames(rng.normal(size=(9, 4)), 50)
+    sf = SpeechFrames(rng.normal(size=(9, 4)))
     p = tmp_path / "x.ds2f"
     write_frames(p, sf)
     back = read_frames(p)
@@ -145,7 +145,7 @@ def test_frames_roundtrip_is_bit_exact(tmp_path):
 
 def test_frames_reader_rejects_corruption(tmp_path):
     p = tmp_path / "x.ds2f"
-    write_frames(p, SpeechFrames(np.zeros((3, 2)), 50))
+    write_frames(p, SpeechFrames(np.zeros((3, 2))))
     raw = p.read_bytes()
     (tmp_path / "magic.ds2f").write_bytes(b"XXXX" + raw[4:])
     with pytest.raises(ParseError):
@@ -219,7 +219,7 @@ def test_manifest_reader_errors(tmp_path):
     def b64(data: bytes) -> str:
         return base64.b64encode(data).decode("ascii")
 
-    narrow, wide = (encode_frames(SpeechFrames(np.zeros((3, f)), 50)) for f in (4, 5))
+    narrow, wide = (encode_frames(SpeechFrames(np.zeros((3, f)))) for f in (4, 5))
     record = {**record, "src_frames": b64(narrow), "tgt_frames": b64(narrow)}
     for meta, key, value, message in (
         ({}, "src_frames", "a.src.ds2f", "not base64"),  # a manifest of an earlier build
@@ -239,7 +239,7 @@ def test_manifest_reader_errors(tmp_path):
 
 
 def test_manifest_reader_rejects_symbols_outside_the_vocabulary(tmp_path):
-    frames = base64.b64encode(encode_frames(SpeechFrames(np.zeros((3, 4)), 50))).decode()
+    frames = base64.b64encode(encode_frames(SpeechFrames(np.zeros((3, 4))))).decode()
     record = {"id": "a", "speaker": "s", "similarity": 1.0, "src_text": [1],
               "tgt_text": [2], "src_frames": frames, "tgt_frames": frames}
     m = tmp_path / "m.jsonl"
@@ -295,9 +295,7 @@ def test_empty_manifest_stats_and_filter():
 
 def test_speech_frames_validation():
     with pytest.raises(ValueError):
-        SpeechFrames(np.zeros(5), 50)  # 1-D rejected
-    with pytest.raises(ValueError):
-        SpeechFrames(np.zeros((4, 3)), 0)  # nonpositive rate
+        SpeechFrames(np.zeros(5))  # 1-D rejected
 
 
 def test_utterance_pair_text_is_symbol_list():

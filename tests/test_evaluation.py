@@ -105,15 +105,15 @@ def test_meteor_fragmentation_penalty_lowers_score():
 
 def test_speaker_similarity_of_identical_frames_is_one(rng):
     emb = SpeakerEmbedder(feat_dim=4, spk_dim=8, seed=0)
-    f = SpeechFrames(frames=rng.standard_normal((12, 4)), frame_rate=50)
+    f = SpeechFrames(frames=rng.standard_normal((12, 4)))
     assert speaker_similarity(f, f, emb) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_speaker_similarity_of_an_empty_generation_is_zero(rng):
     # no audio tokens decoded means no frames: scored 0.0, not an error
     emb = SpeakerEmbedder(feat_dim=4, spk_dim=8, seed=0)
-    prompt = SpeechFrames(frames=rng.standard_normal((12, 4)), frame_rate=50)
-    assert speaker_similarity(SpeechFrames(np.zeros((0, 4)), 50), prompt, emb) == 0.0
+    prompt = SpeechFrames(frames=rng.standard_normal((12, 4)))
+    assert speaker_similarity(SpeechFrames(np.zeros((0, 4))), prompt, emb) == 0.0
     assert speaker_similarity(np.zeros((0, 4)), prompt, emb) == 0.0
     with pytest.raises(ValueError, match="4-wide frames, got 5-wide"):
         speaker_similarity(np.zeros((0, 5)), prompt, emb)
@@ -281,8 +281,7 @@ class _EchoVocoder:
         self.embedder = embedder
 
     def synthesize(self, tokens, spk):
-        return SpeechFrames(frames=np.asarray(spk, dtype=np.float64)[None, :],
-                            frame_rate=50)
+        return SpeechFrames(frames=np.asarray(spk, dtype=np.float64)[None, :])
 
 
 class _MeanEmbedder:
@@ -298,10 +297,10 @@ def test_timbre_separation_counts_matched_wins(rng):
     recs, matched, mismatched = [], {}, {}
     for i in range(10):
         base = rng.standard_normal((4, 6)) + 3.0
-        recs.append(_Rec(f"u{i}", SpeechFrames(frames=base, frame_rate=50)))
-        matched[f"u{i}"] = _Rec(None, SpeechFrames(frames=base + 0.1, frame_rate=50))
+        recs.append(_Rec(f"u{i}", SpeechFrames(frames=base)))
+        matched[f"u{i}"] = _Rec(None, SpeechFrames(frames=base + 0.1))
         mismatched[f"u{i}"] = _Rec(None, SpeechFrames(
-            frames=rng.standard_normal((4, 6)) - 3.0, frame_rate=50))
+            frames=rng.standard_normal((4, 6)) - 3.0))
     frac = timbre_separation(
         vocoder=_EchoVocoder(_MeanEmbedder()),
         tokenizer=_FixedTokenizer([0, 1]), records=recs,

@@ -58,7 +58,7 @@ def files(tmp_path):
     tokens = tmp_path / "t.tok"
     write_token_file(tokens, [("utt00000", [1, 7, 3]), ("utt00001", [4, 0])])
     frames = tmp_path / "p.ds2f"
-    write_frames(frames, SpeechFrames(np.random.default_rng(SEED).normal(size=(12, 8)), 50))
+    write_frames(frames, SpeechFrames(np.random.default_rng(SEED).normal(size=(12, 8))))
     out = tmp_path / "out"
     tokenize = ["tokenize", "--ckpt", tok, "--in", m, "--out", out / "t.tok"]
     synthesize = ["synthesize", "--ckpt", voc, "--tokens", tokens, "--prompt", frames,

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
+from minis2st import model as model_module
+from minis2st import nn
 from minis2st.model import (
     AugmentedVocab,
     DecodeConfig,
@@ -25,6 +27,8 @@ from minis2st.tensor import (
     weighted_sum,
     zero_grad,
 )
+from minis2st.tokenizer import TextToTokenModel
+from minis2st.vocoder import SpeakerEmbedder
 
 
 def tiny_cfg(**kw):
@@ -283,16 +287,11 @@ def test_decode_config_rejects_fewer_than_one_step(max_steps):
         DecodeConfig(max_steps=max_steps)
 
 
-def _record_heads(dec):
-    """Make dec's heads append (head name, logits) to the returned list."""
-    seen = []
-    for name in ("text_head", "audio_head"):
-        def call(x, head=getattr(dec, name), name=name):
-            out = head(x)
-            seen.append((name, out.data.copy()))
-            return out
-        setattr(dec, name, call)
-    return seen
+def _record_heads(dec, monkeypatch):
+    """Make dec's heads append (head name, logits) to the returned list,
+    whether `linear` or decoding's own `affine` runs them."""
+    return oracles.record_head_products(
+        monkeypatch, model_module, {n: getattr(dec, n) for n in ("text_head", "audio_head")})
 
 
 def test_feed_rows_are_one_step_of_step_rows_bit_for_bit():
@@ -319,7 +318,7 @@ def test_feed_rows_are_one_step_of_step_rows_bit_for_bit():
                 np.testing.assert_array_equal(got, dec._step_rows(t[None], a[None]).data)
 
 
-def test_cached_decoding_matches_the_recompute_oracle():
+def test_cached_decoding_matches_the_recompute_oracle(monkeypatch):
     # the cached rows skip masked key columns, whose softmax weight is exactly
     # 0, so sums group their terms differently: logits agree to 1e-9, not bitwise
     rng = np.random.default_rng(10)
@@ -333,13 +332,13 @@ def test_cached_decoding_matches_the_recompute_oracle():
         a_p = Tensor(model.project_source([frames]).data[0])
         dcfg = DecodeConfig(max_steps=int(rng.integers(1, 13)),
                             repetition_penalty=float(rng.uniform(1.0, 2.0)))
-        seen = _record_heads(model.decoder)
+        seen = _record_heads(model.decoder, monkeypatch)
         got = model.decoder.decode_greedy(a_p, dcfg)
         cached = list(seen)
         seen.clear()
         want = oracles.decode_greedy_recompute(model.decoder, a_p, dcfg)
         assert got == want, trial
-        assert [n for n, _ in cached] == [n for n, _ in seen], trial
+        assert cached and [n for n, _ in cached] == [n for n, _ in seen], trial
         for (_, a), (_, b) in zip(cached, seen):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
         ended += int(not (got.truncated_text and got.truncated_audio))
@@ -347,13 +346,43 @@ def test_cached_decoding_matches_the_recompute_oracle():
     assert ended >= 20 and truncated >= 20, (ended, truncated)
 
 
-def test_decode_checks_the_context_before_the_first_step():
+def test_decode_steps_build_no_tensor(monkeypatch):
+    # decode_cached hands each step arrays, and a step stays on arrays: both
+    # decoders' heads run as `affine`, not as Tensor ops
+    init, steps = Tensor.__init__, []
+
+    def refuse(*args, **kw):
+        raise AssertionError("a decode step built a Tensor")
+
+    def watching(blocks, ln_f, rows, prefix, step, decode=nn.decode_cached):
+        def watched(last):
+            steps.append(last.shape)
+            monkeypatch.setattr(Tensor, "__init__", refuse)
+            try:
+                return step(last)
+            finally:
+                monkeypatch.setattr(Tensor, "__init__", init)
+        return decode(blocks, ln_f, rows, prefix, watched)
+
+    monkeypatch.setattr(nn, "decode_cached", watching)
+    cfg = tiny_cfg()
+    model = TranslationModel(cfg, seed=1)
+    frames = np.random.default_rng(3).normal(size=(6, cfg.feat_dim))
+    assert model.translate(frames, DecodeConfig(max_steps=8)).steps == len(steps)
+    steps.clear()
+    t2t = TextToTokenModel(5, 12, spk_dim=3, seed=2, embedder=SpeakerEmbedder(4, spk_dim=3))
+    spk = np.random.default_rng(4).normal(size=3)
+    generated = t2t.generate([1, 2, 3], spk / np.linalg.norm(spk), max_len=8)
+    assert len(steps) == len(generated.tokens) + (not generated.truncated)
+
+
+def test_decode_checks_the_context_before_the_first_step(monkeypatch):
     cfg = tiny_cfg(context=20)
     dec = DecoderLM(cfg, seed=0)
     a_p = Tensor(np.random.default_rng(2).normal(size=(3, cfg.d_model)))
     # prompt 2 + source 3 + BOS + 2 * (max_steps - 1) rows at the last step
     dec.decode_greedy(a_p, DecodeConfig(max_steps=8))
-    seen = _record_heads(dec)
+    seen = _record_heads(dec, monkeypatch)
     with pytest.raises(ValueError, match="decoding 9 steps needs 22 positions, more than "
                                          "context 20"):
         dec.decode_greedy(a_p, DecodeConfig(max_steps=9))

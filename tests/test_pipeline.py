@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from minis2st import pipeline
-from minis2st.corpus import ToyCorpusConfig, generate_toy_corpus
+from minis2st.corpus import ConfigError, ToyCorpusConfig, generate_toy_corpus
 from minis2st.model import ModelConfig
 from minis2st.tokenizer import SpeechTokenizer, TokenizerConfig
-from minis2st.training import ConfigError, TrainConfig, load_checkpoint, save_checkpoint
+from minis2st.training import TrainConfig, load_checkpoint, save_checkpoint
 from minis2st.vocoder import SpeakerEmbedder, VocoderConfig
 
 
@@ -37,7 +37,7 @@ MODEL = {"feat_dim": 8, "text_vocab": 20, "audio_vocab": 32, "d_model": 16, "blo
          "qformer_blocks": 1, "enc_dim": 16, "enc_blocks": 1, "enc_heads": 2,
          "fixed_input_len": 16, "freeze_text_embed": True}
 VOC = {"feat_dim": 8, "audio_vocab": 32, "token_dim": 8, "d_model": 16, "blocks": 1,
-       "heads": 2, "spk_dim": 16, "frame_rate": 50}
+       "heads": 2, "spk_dim": 16}
 
 
 def _embedder(seed):

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from minis2st import nn
+from minis2st import tokenizer as tokenizer_module
 from minis2st.corpus import SpeechFrames, generate_toy_corpus, ToyCorpusConfig
 from minis2st.tensor import Tape, Tensor, backward, embedding_lookup, no_grad, weighted_sum
 from minis2st.tokenizer import (
@@ -197,7 +198,7 @@ def test_training_losses_parts_sum_and_shapes():
     cfg = tiny_cfg()
     tok = SpeechTokenizer(cfg, seed=0)
     rng = np.random.default_rng(5)
-    frames = SpeechFrames(rng.normal(size=(9, cfg.feat_dim)), 50)
+    frames = SpeechFrames(rng.normal(size=(9, cfg.feat_dim)))
     text = [0, 3, 1]
     total, parts, tokens = tok.training_losses([frames], [text])
     assert set(parts) == {"loss_asr", "loss_codebook", "loss_commit"}
@@ -211,7 +212,7 @@ def test_training_losses_parts_sum_and_shapes():
 
 def test_commitment_term_scales_with_beta():
     rng = np.random.default_rng(6)
-    frames = SpeechFrames(rng.normal(size=(6, 4)), 50)
+    frames = SpeechFrames(rng.normal(size=(6, 4)))
     l1 = SpeechTokenizer(tiny_cfg(commitment_beta=0.25), 0).training_losses([frames], [[1]])[1]
     l2 = SpeechTokenizer(tiny_cfg(commitment_beta=0.5), 0).training_losses([frames], [[1]])[1]
     assert l2["loss_commit"] == pytest.approx(2.0 * l1["loss_commit"], rel=1e-12)
@@ -221,7 +222,7 @@ def test_commitment_term_scales_with_beta():
 def test_tokenize_is_deterministic_and_grad_free():
     cfg = tiny_cfg()
     tok = SpeechTokenizer(cfg, seed=2)
-    frames = SpeechFrames(np.random.default_rng(0).normal(size=(7, cfg.feat_dim)), 50)
+    frames = SpeechFrames(np.random.default_rng(0).normal(size=(7, cfg.feat_dim)))
     with Tape() as tape:
         a = tok.tokenize(frames)
         assert tape.nodes == []  # inference records nothing
@@ -251,7 +252,7 @@ def test_tokenize_many_equals_tokenizing_alone_in_input_order(monkeypatch):
     # utterance longer than a pass, which runs alone
     lengths = [5] * (rows // 5 + 7) + [9] * 4 + [13] + [rows + 1]
     rng.shuffle(lengths)
-    utts = [SpeechFrames(rng.normal(size=(n, cfg.feat_dim)), 50) for n in lengths]
+    utts = [SpeechFrames(rng.normal(size=(n, cfg.feat_dim))) for n in lengths]
     shapes = _recording_stage1(tok, monkeypatch)
     got = tok.tokenize_many(utts)
     passes = sorted(shapes)
@@ -266,7 +267,7 @@ def test_tokenize_many_equals_tokenizing_alone_in_input_order(monkeypatch):
 def test_tokenize_many_checks_every_utterance_before_any_pass(monkeypatch):
     cfg = tiny_cfg()
     tok = SpeechTokenizer(cfg, seed=3)
-    good = SpeechFrames(np.ones((6, cfg.feat_dim)), 50)
+    good = SpeechFrames(np.ones((6, cfg.feat_dim)))
     shapes = _recording_stage1(tok, monkeypatch)
     for bad in (np.zeros((0, cfg.feat_dim)), np.zeros((6, cfg.feat_dim + 1))):
         with pytest.raises(ValueError) as alone:
@@ -280,7 +281,7 @@ def test_tokenize_many_checks_every_utterance_before_any_pass(monkeypatch):
 def _ragged_batch(cfg, rng):
     """Three utterances of 5, 9 and 12 frames and 1, 3 and 4 symbols, so
     two of them are padded on both the frame and the text side."""
-    frames = [SpeechFrames(rng.normal(size=(n, cfg.feat_dim)), 50) for n in (5, 9, 12)]
+    frames = [SpeechFrames(rng.normal(size=(n, cfg.feat_dim))) for n in (5, 9, 12)]
     return frames, [[1], [0, 2, 3], [2, 1, 4, 0]]
 
 
@@ -364,7 +365,7 @@ def test_straight_through_carries_asr_gradient_to_stage1():
     # the biased path must still deliver a nonzero training signal upstream
     cfg = tiny_cfg()
     tok = SpeechTokenizer(cfg, seed=4)
-    frames = SpeechFrames(np.random.default_rng(8).normal(size=(5, cfg.feat_dim)), 50)
+    frames = SpeechFrames(np.random.default_rng(8).normal(size=(5, cfg.feat_dim)))
     from minis2st.tensor import zero_grad
 
     params = tok.trainable()
@@ -520,7 +521,7 @@ def test_text_to_token_padding_is_inert(monkeypatch):
             np.testing.assert_array_equal(g, base_grads[name], err_msg=name)
 
 
-def test_cached_generation_matches_the_recompute_oracle():
+def test_cached_generation_matches_the_recompute_oracle(monkeypatch):
     rng = np.random.default_rng(12)
     for trial in range(200):
         spk_dim = 3
@@ -528,21 +529,15 @@ def test_cached_generation_matches_the_recompute_oracle():
                                embedder=SpeakerEmbedder(4, spk_dim=spk_dim))
         text = rng.integers(0, 5, size=int(rng.integers(1, 6))).tolist()
         spk = rng.normal(size=spk_dim)
-        last_rows = []
-
-        def head(x, linear=t2t.head):
-            out = linear(x)
-            last_rows.append(out.data[-1].copy())
-            return out
-
-        t2t.head = head
+        seen = oracles.record_head_products(monkeypatch, tokenizer_module, {"head": t2t.head})
         max_len = int(rng.integers(1, 16))
         got = t2t.generate(text, spk, max_len=max_len)
-        cached = list(last_rows)
-        last_rows.clear()
+        cached = [out[-1] for _, out in seen]
+        seen.clear()
         want = oracles.generate_recompute(t2t, text, spk, max_len)
+        last_rows = [out[-1] for _, out in seen]
         assert (got.tokens, got.truncated) == (want.tokens, want.truncated), trial
-        assert len(cached) == len(last_rows)
+        assert len(cached) == len(last_rows) > 0
         np.testing.assert_allclose(cached, last_rows, rtol=0, atol=1e-9)
 
 

@@ -7,12 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from minis2st.corpus import ParseError
+from minis2st.corpus import ConfigError, ParseError
 from minis2st.tensor import Tensor, _active_tape, squared_error
 from minis2st.training import (
     Adam,
     CheckpointState,
-    ConfigError,
     NumericError,
     TrainConfig,
     VersionError,

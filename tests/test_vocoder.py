@@ -26,7 +26,7 @@ def unit(rng, d):
 def test_embedder_output_is_unit_norm_and_deterministic():
     e = SpeakerEmbedder(feat_dim=4, spk_dim=6, seed=0)
     rng = np.random.default_rng(0)
-    frames = SpeechFrames(rng.normal(size=(11, 4)), 50)
+    frames = SpeechFrames(rng.normal(size=(11, 4)))
     a = e.embed(frames)
     b = e.embed(frames)
     assert a.shape == (6,)

@@ -1,8 +1,9 @@
 """Command-line entry point covering the whole pipeline.
 
 Subcommands: gen-corpus, filter, train-tokenizer, tokenize, train-model,
-translate, synthesize, eval, ablate.  Option values layer as defaults (from
-the desk-scale presets and, where sensible, manifest metadata) < config file
+translate, synthesize, eval, ablate.  Option values layer as defaults (the
+config dataclasses' defaults, each stage's training settings from
+`toy_train_config`, and, where sensible, manifest metadata) < config file
 (key=value lines) < explicit flags.  Every successful run writes a run
 manifest recording the effective config, seed, input content hashes, and wall
 time; it is metadata, not a comparable artifact.
@@ -17,7 +18,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .corpus import (
@@ -42,10 +43,7 @@ from .pipeline import (
     resolve_vocoder,
     run_ablation,
     split_manifest,
-    toy_model_config,
-    toy_tokenizer_config,
     toy_train_config,
-    toy_vocoder_config,
     train_model_stage,
     train_text_to_token_stage,
     train_tokenizer_stage,
@@ -59,6 +57,7 @@ from .training import (
     load_checkpoint,
     save_checkpoint,
 )
+from .vocoder import VocoderConfig
 
 
 class UsageError(Exception):
@@ -141,11 +140,11 @@ def _pick(eff: dict, cls):
 _DEFAULTS = {
     "gen-corpus": lambda: {**asdict(ToyCorpusConfig()), "seed": 0, "val_pairs": 0},
     "filter": lambda: {"threshold": 0.9, "inclusive": False},
-    "train-tokenizer": lambda: {**asdict(toy_tokenizer_config()),
+    "train-tokenizer": lambda: {**asdict(TokenizerConfig()),
                                 **{k: v for k, v in asdict(toy_train_config("tokenizer")).items()
                                    if k not in ("lambda_audio", "lambda_text")},  # model-only
                                 "max_steps": 0, "with_text_to_token": False},
-    "train-model": lambda: {**asdict(toy_model_config()), **asdict(toy_train_config("model")),
+    "train-model": lambda: {**asdict(ModelConfig()), **asdict(toy_train_config("model")),
                             "max_steps": 0, "token_source": "speech", "with_vocoder": True},
     "translate": lambda: {"decode_max_steps": DecodeConfig().max_steps,
                           "repetition_penalty": DecodeConfig().repetition_penalty},
@@ -315,8 +314,7 @@ def cmd_train_model(args) -> dict:
     _print_stage("model", result)
 
     if eff["with_vocoder"]:
-        voc_cfg = replace(toy_vocoder_config(), feat_dim=tok.cfg.feat_dim,
-                          audio_vocab=tok.cfg.codebook_size)
+        voc_cfg = VocoderConfig(feat_dim=tok.cfg.feat_dim, audio_vocab=tok.cfg.codebook_size)
         voc, voc_result = train_vocoder_stage(
             train_m, val_m, tok, voc_cfg, seed=eff["seed"], max_steps=max_steps,
         )

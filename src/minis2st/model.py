@@ -46,23 +46,24 @@ from .tensor import (
 class ModelConfig:
     feat_dim: int = 8
     text_vocab: int = 20
-    audio_vocab: int = 4096
-    d_model: int = 128
-    blocks: int = 4
+    audio_vocab: int = 384
+    d_model: int = 96
+    blocks: int = 2
     heads: int = 4
-    context: int = 512
-    group_size: int = 3
+    context: int = 256
+    # the corpus renders 4 frames per symbol, so one decode step spans one symbol block
+    group_size: int = 4
     prompt_len: int = 4
     projector: str = "linear"  # linear | conv1d | qformer
     group_frames: int = 4      # k: source frames merged per projected position
     proj_hidden: int = 128
-    qformer_queries: int = 32
-    qformer_dim: int = 128
+    qformer_queries: int = 16
+    qformer_dim: int = 64
     qformer_blocks: int = 2
     enc_dim: int = 64
-    enc_blocks: int = 2
+    enc_blocks: int = 1
     enc_heads: int = 4
-    fixed_input_len: int = 48
+    fixed_input_len: int = 32
     freeze_text_embed: bool = True
 
     def __post_init__(self):

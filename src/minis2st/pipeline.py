@@ -14,6 +14,9 @@ frozen text rows, the speaker embedder that the vocoder and text-to-token
 model carry) are regenerated from the recorded seeds, so `rebuild` returns
 one whole module.  The ablation suites train model-stage variants under one
 seed and score each with `evaluation.evaluate_translation`.
+Every setting lives in a config dataclass, and a stage given no config runs
+its defaults; the training settings, which differ stage by stage, are
+`toy_train_config`'s.
 """
 from __future__ import annotations
 
@@ -127,36 +130,22 @@ def resolve_vocoder(st: CheckpointState) -> TimbreVocoder:
     return rebuild(st, "model", "vocoder") if st.kind == "model" else rebuild(st, "vocoder")
 
 
-# ------------------------------------------------------------------- presets
-# Constructor defaults carry the full-scale settings; these presets shrink
-# everything to the synthetic corpus so the whole pipeline fits a CPU budget.
+# ------------------------------------------------------------------ settings
+# Each module runs its config dataclass's defaults.  bench/ calls these four
+# names as pipeline's, and bench/ may not change with the program; nothing
+# else calls them.
 
 
 def toy_corpus_config(pairs: int) -> ToyCorpusConfig:
     return ToyCorpusConfig(pairs=pairs)
 
 
-# codes must resolve symbol x speaker x context clusters, so the toy codebook
-# is sized well above the 20-symbol alphabet
-def toy_tokenizer_config() -> TokenizerConfig:
-    return TokenizerConfig(dim=32, codebook_size=384, enc1_blocks=1, enc2_blocks=1,
-                           asr_blocks=1, heads=4)
+toy_tokenizer_config = TokenizerConfig
+toy_model_config = ModelConfig
+toy_vocoder_config = VocoderConfig
 
 
-def toy_model_config() -> ModelConfig:
-    # group_size matches the corpus rendering (4 frames per symbol), so one
-    # decode step spans exactly one symbol block
-    return ModelConfig(audio_vocab=toy_tokenizer_config().codebook_size, d_model=96, blocks=2,
-                       heads=4, context=256, group_size=4, proj_hidden=128,
-                       qformer_queries=16, qformer_dim=64, enc_dim=64, enc_blocks=1,
-                       fixed_input_len=32)
-
-
-def toy_vocoder_config() -> VocoderConfig:
-    return VocoderConfig(audio_vocab=toy_tokenizer_config().codebook_size, token_dim=16,
-                         d_model=32, blocks=1, heads=4)
-
-
+# the stages train with different settings, so no TrainConfig default serves them all
 def toy_train_config(stage: str, seed: int = 0) -> TrainConfig:
     if stage == "tokenizer":
         return TrainConfig(lr=2e-3, batch_size=8, warmup_steps=30, decay_gamma=0.97,
@@ -236,7 +225,7 @@ def train_tokenizer_stage(train_m: Manifest, val_m: Manifest,
                           tcfg: TrainConfig | None = None, *, seed: int = 0,
                           checkpoint_path=None, log_path=None,
                           max_steps=None, loss_trace=None):
-    cfg = cfg if cfg is not None else toy_tokenizer_config()
+    cfg = cfg if cfg is not None else TokenizerConfig()
     tcfg = tcfg if tcfg is not None else toy_train_config("tokenizer", seed)
     tok = SpeechTokenizer(cfg, seed)
     records = list(train_m)
@@ -326,7 +315,7 @@ def train_model_stage(train_m: Manifest, val_m: Manifest, tokenizer: SpeechToken
                       text_to_token: TextToTokenModel | None = None,
                       checkpoint_path=None, log_path=None,
                       max_steps=None, loss_trace=None):
-    cfg = cfg if cfg is not None else toy_model_config()
+    cfg = cfg if cfg is not None else ModelConfig()
     tcfg = tcfg if tcfg is not None else toy_train_config("model", seed)
     _check_codebook("model", cfg.audio_vocab, tokenizer)
     model = TranslationModel(cfg, seed)
@@ -364,7 +353,7 @@ def train_vocoder_stage(train_m: Manifest, val_m: Manifest, tokenizer: SpeechTok
                         cfg: VocoderConfig | None = None, tcfg: TrainConfig | None = None,
                         *, seed: int = 0, checkpoint_path=None, log_path=None,
                         max_steps=None, loss_trace=None):
-    cfg = cfg if cfg is not None else toy_vocoder_config()
+    cfg = cfg if cfg is not None else VocoderConfig()
     tcfg = tcfg if tcfg is not None else toy_train_config("vocoder", seed)
     _check_codebook("vocoder", cfg.audio_vocab, tokenizer)
     voc = TimbreVocoder(cfg, seed)
@@ -398,7 +387,7 @@ def run_ablation(suite: str, *, train_m: Manifest, val_m: Manifest, eval_m: Mani
     rest proceed.  Returns (EvalReport, {variant: per-step loss trace}).
     """
     fps = train_m.metadata.get("frames_per_symbol", 4)
-    base_cfg = toy_model_config()
+    base_cfg = ModelConfig()
     rows, curves, notes = [], {}, []
 
     def variant(name: str, stage_kw):
@@ -515,7 +504,7 @@ def run_toy_pipeline(out_dir=None, *, seed: int = 0, corpus_cfg: ToyCorpusConfig
 
     timings = {}
     t0 = time.perf_counter()
-    corpus_cfg = corpus_cfg if corpus_cfg is not None else toy_corpus_config(n_train + 50)
+    corpus_cfg = corpus_cfg if corpus_cfg is not None else ToyCorpusConfig(pairs=n_train + 50)
     full = generate_toy_corpus(corpus_cfg, seed)
     train_m, val_m = split_manifest(full, n_train)
     fps = int(full.metadata["frames_per_symbol"])

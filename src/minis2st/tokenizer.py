@@ -43,11 +43,13 @@ TOKENIZE_ROWS = 512
 class TokenizerConfig:
     feat_dim: int = 8
     text_vocab: int = 20
-    dim: int = 64
-    codebook_size: int = 4096
-    enc1_blocks: int = 2
-    enc2_blocks: int = 2
-    asr_blocks: int = 2
+    dim: int = 32
+    # codes must resolve symbol x speaker x context clusters, so the codebook
+    # is sized well above the 20-symbol alphabet
+    codebook_size: int = 384
+    enc1_blocks: int = 1
+    enc2_blocks: int = 1
+    asr_blocks: int = 1
     heads: int = 4
     commitment_beta: float = 0.25
 

@@ -123,7 +123,8 @@ def save_checkpoint(path, st: CheckpointState):
 
 def load_checkpoint(path) -> CheckpointState:
     """Read a checkpoint; a file that does not hold exactly what its header
-    declares raises ParseError, before any tensor is allocated."""
+    declares raises ParseError, before any tensor is allocated, and so does a
+    tensor holding a NaN or infinite value, naming it."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
@@ -164,6 +165,8 @@ def load_checkpoint(path) -> CheckpointState:
         tensors = {}
         for entry, count in zip(entries, counts):
             data = np.frombuffer(fh.read(8 * count), dtype="<f8")
+            if not np.isfinite(data).all():
+                raise ParseError(f"{path}: tensor {entry['name']!r} holds non-finite values")
             tensors[entry["name"]] = data.reshape(entry["shape"]).copy()
     return CheckpointState(
         kind=header["kind"],

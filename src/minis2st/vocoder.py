@@ -22,10 +22,10 @@ from .tensor import Tensor, concat, embedding_lookup, no_grad, rng_for, squared_
 @dataclass
 class VocoderConfig:
     feat_dim: int = 8
-    audio_vocab: int = 64
-    token_dim: int = 32
-    d_model: int = 64
-    blocks: int = 2
+    audio_vocab: int = 384
+    token_dim: int = 16
+    d_model: int = 32
+    blocks: int = 1
     heads: int = 4
     spk_dim: int = 16
 

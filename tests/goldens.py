@@ -29,9 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from minis2st.cli import main
-from minis2st.corpus import read_frames, read_manifest
+from minis2st.corpus import ToyCorpusConfig, read_frames, read_manifest
 from minis2st.model import DecodeConfig
-from minis2st.pipeline import run_toy_pipeline, toy_corpus_config
+from minis2st.pipeline import run_toy_pipeline
 from minis2st.training import load_checkpoint
 
 GOLDEN_PATH = Path(__file__).with_name("goldens.json")
@@ -77,7 +77,7 @@ def run_chain(root: Path) -> None:
         if main(argv) != 0:
             raise RuntimeError(f"chain command failed: {argv}")
     run_toy_pipeline(out_dir=str(root / "toy"), seed=0, n_train=16,
-                     corpus_cfg=toy_corpus_config(24), tokenizer_steps=8,
+                     corpus_cfg=ToyCorpusConfig(pairs=24), tokenizer_steps=8,
                      model_steps=8, vocoder_steps=8, decode_cfg=DecodeConfig(max_steps=4))
 
 

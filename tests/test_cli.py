@@ -521,6 +521,25 @@ def test_frame_file_holding_nan_or_inf_exits_two_naming_it(tmp_path, capsys):
                     == capsys.readouterr().err)
 
 
+def test_checkpoint_tensor_holding_nan_or_inf_exits_two_naming_it(tmp_path, capsys):
+    # were they loaded, a NaN codebook and one inf weight would each make
+    # tokenize exit 0 with all-zero tokens
+    m, ckpt = tmp_path / "m.jsonl", tmp_path / "tok.ckpt"
+    write_manifest(generate_toy_corpus(ToyCorpusConfig(pairs=2), 0), m)
+    tok = SpeechTokenizer(TokenizerConfig(codebook_size=8, dim=8, heads=2), 0)
+    for name, at, value in (("codebook.entries", ..., np.nan),
+                            ("encoder.enc1.0.attn.wk.w", (1, 2), np.inf)):
+        tensors = {k: v.copy() for k, v in _trainable(tok).items()}
+        tensors[name][at] = value
+        save_checkpoint(ckpt, CheckpointState(kind="tokenizer", config=tok.recipe, step=0,
+                                              tensors=tensors))
+        assert main(["tokenize", "--ckpt", str(ckpt), "--in", str(m),
+                     "--out", str(tmp_path / "t.tok")]) == 2
+        assert (f"parse error: {ckpt}: tensor {name!r} holds non-finite values\n"
+                == capsys.readouterr().err)
+        assert not (tmp_path / "t.tok").exists()
+
+
 # ------------------------------------------------------------------ coerce
 
 

@@ -3,11 +3,15 @@
 Small checkpoint, frame, manifest and token files are truncated at every
 offset of their header and at a seeded sample of payload offsets, and each
 header byte is flipped with a seeded mask, as are seeded bytes of a
-manifest's records, where its frames are; every mutant is fed to the
-commands that read that kind of file.  A mutant may still be well formed, so
-a run may succeed (exit 0), and a checkpoint whose recipe no longer rebuilds
-exits 4; anything else must be refused as a corrupt file (exit 2) with one
-line on stderr.  No mutant may exit 1 or print a traceback.
+manifest's records, where its frames are.  In checkpoint and frame files the
+exponent byte of seeded payload floats is flipped with a seeded mask, and
+then the float's exponent bits are all set, which makes it inf or NaN.
+Every mutant is fed to the commands that read that kind of file.  A mutant
+may still be well formed, so a run may succeed (exit 0), and a checkpoint
+whose recipe no longer rebuilds exits 4; anything else must be refused as a
+corrupt file (exit 2) with one line on stderr, and a mutant holding a
+non-finite payload float always is.  No mutant may exit 1 or print a
+traceback.
 
 A small `--config` file is truncated at every offset and each of its bytes
 flipped with a seeded mask, and each mutant is fed to `filter`.  A config
@@ -36,6 +40,7 @@ from minis2st.vocoder import TimbreVocoder, VocoderConfig
 SEED = 20261019
 PAYLOAD_CUTS = 6  # sampled truncation offsets past the header, per file
 RECORD_FLIPS = 64  # sampled byte flips in a manifest's records
+FLOAT_FLIPS = 8  # sampled payload floats of a checkpoint or frame file
 
 
 def _save_module(path, kind, module):
@@ -60,12 +65,13 @@ def files(tmp_path):
     frames = tmp_path / "p.ds2f"
     write_frames(frames, SpeechFrames(np.random.default_rng(SEED).normal(size=(12, 8))))
     out = tmp_path / "out"
+    out.mkdir()  # so a mutant tokenize reads whole can write its tokens
     tokenize = ["tokenize", "--ckpt", tok, "--in", m, "--out", out / "t.tok"]
     synthesize = ["synthesize", "--ckpt", voc, "--tokens", tokens, "--prompt", frames,
                   "--out-dir", out / "synth"]
     filter_ = ["filter", "--in", m, "--out", out / "kept.jsonl"]
     eval_ = ["eval", "--hyp", tokens, "--ref-manifest", m, "--out-dir", out / "eval"]
-    return {tok: [tokenize], frames: [synthesize], m: [filter_],
+    return {tok: [tokenize], voc: [synthesize], frames: [synthesize], m: [filter_],
             tokens: [synthesize, eval_]}
 
 
@@ -78,19 +84,33 @@ def _header_len(path, data: bytes) -> int:
 
 
 def _mutants(path, data: bytes, rng):
-    """(what, bytes) for every truncation and flip of `data`."""
+    """(what, bytes, whether a payload float is non-finite) for every
+    truncation and flip of `data`."""
     head = _header_len(path, data)
     cuts = sorted({*range(head + 1),
                    *rng.integers(head + 1, len(data), size=PAYLOAD_CUTS).tolist()})
     for n in cuts:
-        yield f"cut at {n}", data[:n]
+        yield f"cut at {n}", data[:n], False
     flips = list(range(head))
     if path.suffix == ".jsonl":
         flips += rng.integers(head, len(data), size=RECORD_FLIPS).tolist()
     for i, mask in zip(flips, rng.integers(1, 256, size=len(flips)).tolist()):
         flipped = bytearray(data)
         flipped[i] ^= mask
-        yield f"byte {i} ^ {mask:#04x}", bytes(flipped)
+        yield f"byte {i} ^ {mask:#04x}", bytes(flipped), False
+    if path.suffix not in (".ckpt", ".ds2f"):
+        return
+    # a little-endian float64's last byte holds its sign and seven high
+    # exponent bits, the byte before it the four low ones
+    starts = head + 8 * rng.choice((len(data) - head) // 8, size=FLOAT_FLIPS, replace=False)
+    for at, mask in zip(starts.tolist(), rng.integers(1, 256, size=FLOAT_FLIPS).tolist()):
+        flipped = bytearray(data)
+        flipped[at + 7] ^= mask
+        value = np.frombuffer(flipped, "<f8", count=1, offset=at)[0]
+        yield f"byte {at + 7} ^ {mask:#04x}", bytes(flipped), not np.isfinite(value)
+        flipped[at + 7] |= 0x7F
+        flipped[at + 6] |= 0xF0
+        yield f"float at {at} made inf or NaN", bytes(flipped), True
 
 
 def test_mutated_inputs_exit_zero_two_or_four(files, monkeypatch, capsys):
@@ -100,9 +120,10 @@ def test_mutated_inputs_exit_zero_two_or_four(files, monkeypatch, capsys):
     bad, runs = [], 0
     for path, commands in files.items():
         data = path.read_bytes()
-        allowed = (0, 2, 4) if path.suffix == ".ckpt" else (0, 2)
-        for what, mutant in _mutants(path, data, rng):
+        for what, mutant, non_finite in _mutants(path, data, rng):
             path.write_bytes(mutant)
+            allowed = ((2,) if non_finite else (0, 2, 4) if path.suffix == ".ckpt"
+                       else (0, 2))
             for argv in commands:
                 code = main([str(a) for a in argv])
                 err = capsys.readouterr().err

@@ -9,10 +9,19 @@ from minis2st.training import TrainConfig, load_checkpoint, save_checkpoint
 from minis2st.vocoder import SpeakerEmbedder, VocoderConfig
 
 
+def test_the_config_defaults_compose_into_one_chain():
+    corpus, tok, model, voc = ToyCorpusConfig(), TokenizerConfig(), ModelConfig(), VocoderConfig()
+    assert tok.codebook_size == model.audio_vocab == voc.audio_vocab
+    assert corpus.feat_dim == tok.feat_dim == model.feat_dim == voc.feat_dim
+    assert tok.text_vocab == model.text_vocab == corpus.tgt_vocab
+    # one decode step spans one rendered symbol
+    assert model.group_size == corpus.frames_per_symbol
+
+
 def test_stage_weights_do_not_depend_on_checkpoint_path(tmp_path):
-    full = generate_toy_corpus(pipeline.toy_corpus_config(60), 0)
+    full = generate_toy_corpus(ToyCorpusConfig(pairs=60), 0)
     train_m, val_m = pipeline.split_manifest(full, 50)
-    tok = SpeechTokenizer(pipeline.toy_tokenizer_config(), 0)
+    tok = SpeechTokenizer(TokenizerConfig(), 0)
     # large steps and a coarse min_delta put the best validation before the end
     tcfg = TrainConfig(lr=3e-2, batch_size=8, warmup_steps=5, max_epochs=20,
                        validate_every=5, patience=50, min_delta=0.1)

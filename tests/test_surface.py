@@ -9,7 +9,8 @@ settings rule or its own checks refuse, no module imports a name it does not
 use, the modules import one another in one order only, the package root
 imports none of them, so importing one module loads only it and the layers
 below it, and the benchmark under `bench/`, which a change to the program may
-not edit, still finds every entry point it wraps and calls them as it does.
+not edit, still finds every entry point it wraps and calls them as it does,
+while no module or other test references the names kept for it alone.
 """
 import ast
 import dataclasses
@@ -164,6 +165,31 @@ def test_no_module_imports_a_name_it_does_not_use():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused |= {(path.stem, name) for name in bound.keys() - used}
     assert unused == UNUSED_IMPORTS
+
+
+# names pipeline keeps for bench/ alone: nothing else may call them, so a
+# second path of settings beside the config defaults cannot grow back
+BENCH_ONLY = {"toy_corpus_config", "toy_tokenizer_config", "toy_model_config",
+              "toy_vocoder_config"}
+
+
+def test_only_the_benchmark_references_the_names_kept_for_it():
+    here = Path(__file__)
+    paths = [*Path(minis2st.__file__).parent.glob("*.py"),
+             *(p for p in here.parent.glob("*.py") if p != here)]
+    found = []
+    for path in sorted(paths):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {n}" for n in names if n in BENCH_ONLY]
+    assert found == []
 
 
 def test_no_module_but_tensor_rebinds_a_tensors_data():

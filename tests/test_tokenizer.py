@@ -153,14 +153,14 @@ def test_quantize_one_dimensional_codes():
     check_quantize(rng.normal(scale=3.0, size=(30, 1)), cb)
 
 
-def test_quantize_many_rows_on_the_default_codebook():
+def test_quantize_many_rows_on_a_paper_scale_codebook():
+    # 4096 codes of width 64: `_direct_nearest` settles rows in chunks at this size
     rng = np.random.default_rng(16)
-    cfg = TokenizerConfig()
-    cb = Codebook(cfg.codebook_size, cfg.dim, rng)
+    cb = Codebook(4096, 64, rng)
     e = cb.entries.data
     e[4000] = e[17]
-    pairs = rng.integers(0, cfg.codebook_size, size=(10, 2))
-    rows = np.vstack([rng.normal(size=(60, cfg.dim)), e[[17, 4000]],
+    pairs = rng.integers(0, 4096, size=(10, 2))
+    rows = np.vstack([rng.normal(size=(60, 64)), e[[17, 4000]],
                       (e[pairs[:, 0]] + e[pairs[:, 1]]) / 2])
     assert rows.shape[0] > 64
     check_quantize(rows, cb)

@@ -22,6 +22,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from .corpus import (
+    NumericError,
     ParseError,
     ToyCorpusConfig,
     atomic_write,
@@ -51,7 +52,6 @@ from .pipeline import (
 )
 from .tokenizer import TokenizerConfig, token_symbol_alignment
 from .training import (
-    NumericError,
     TrainConfig,
     VersionError,
     load_checkpoint,

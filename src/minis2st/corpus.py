@@ -14,6 +14,7 @@ import numbers
 import os
 import struct
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -31,6 +32,22 @@ class ParseError(ValueError):
 
 class ConfigError(ValueError):
     """A setting out of range: a `*Config` field, or a value a stage needs."""
+
+
+class NumericError(RuntimeError):
+    """A loss, a validation or a model output went non-finite (NaN/inf)."""
+
+
+@contextmanager
+def finite_outputs(what: str):
+    """Run a block with NumPy's float overflow, invalid-operation and
+    divide-by-zero errors raised, each as one NumericError naming `what`
+    instead of a RuntimeWarning and a non-finite result."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericError(f"non-finite {what}: {exc}") from None
 
 
 def check_settings(cfg, floors: dict):

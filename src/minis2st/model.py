@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import nn
-from .corpus import ConfigError, check_settings, frame_matrix
+from .corpus import ConfigError, check_settings, finite_outputs, frame_matrix
 from .tensor import (
     Tensor,
     add,
@@ -34,7 +34,6 @@ from .tensor import (
     concat,
     embedding_lookup,
     mul,
-    no_grad,
     relu,
     reshape,
     rng_for,
@@ -131,9 +130,8 @@ class FrozenSpeechEncoder(nn.Module):
             # decoding sees stable offsets
             rows = frame_matrix(frames, self.feat_dim, "speech encoder")[:t]
             f[i, t - len(rows):] = rows
-        with no_grad():
-            x = nn.add_positions(self.in_proj(Tensor(f)))
-            return self.ln(nn.run_blocks(self.blocks, x))
+        x = nn.add_positions(self.in_proj(Tensor(f)))
+        return self.ln(nn.run_blocks(self.blocks, x))
 
 
 # -------------------------------------------------------------- projectors
@@ -440,7 +438,7 @@ class DecoderLM(nn.Module):
             return self._feed_rows(text_pick, audio_picks)
 
         nn.decode_cached(self.blocks, self.ln_f, longest,
-                         lambda: concat(self._prefix(a_p), axis=0).data, step)
+                         concat(self._prefix(a_p), axis=0).data, step)
         return DecodeResult(
             tokens=tokens_out,
             text=text_out,
@@ -506,6 +504,8 @@ class TranslationModel(nn.Module):
                             self.decoder.vocab, lambda_audio, lambda_text)
 
     def translate(self, frames, decode_cfg: DecodeConfig | None = None) -> DecodeResult:
-        a_p = self.project_source([frames])
-        return self.decoder.decode_greedy(reshape(a_p, a_p.shape[1:]),
-                                          decode_cfg or DecodeConfig())
+        """Greedy decoding of one utterance; NumericError on a non-finite value."""
+        with finite_outputs("translation"):
+            a_p = self.project_source([frames])
+            return self.decoder.decode_greedy(reshape(a_p, a_p.shape[1:]),
+                                              decode_cfg or DecodeConfig())

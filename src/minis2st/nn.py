@@ -23,7 +23,6 @@ from .tensor import (
     attention,
     layernorm,
     linear,
-    no_grad,
     normalize,
     relu,
 )
@@ -191,26 +190,23 @@ def block_step(w, x, mask, cache):
 
 def decode_cached(blocks, ln_f, rows, prefix, step):
     """Causal decoding through self-attention blocks on arrays: the (n, d)
-    rows prefix() gives, then each chunk step returns, go through
-    `block_step` and attend to every row before them; step gets ln_f of the
-    chunk's last output row, a (1, d) array, and returns None to stop.  The
-    keys and values live in one (len(blocks), rows, d) array each, made once
-    prefix() gives d, so feeding more than `rows` rows in all raises
-    ValueError.  Each block's weights are gathered once per call.  Nothing
-    is recorded on a tape, the prefix included.  Returns the rows fed."""
+    prefix rows, then each chunk step returns, go through `block_step` and
+    attend to every row before them; step gets ln_f of the chunk's last
+    output row, a (1, d) array, and returns None to stop.  The keys and
+    values live in one (len(blocks), rows, d) array each, so feeding more
+    than `rows` rows in all raises ValueError.  Each block's weights are
+    gathered once per call.  Returns the rows fed."""
     weights = [blk.arrays() for blk in blocks]
     gain, bias = ln_f.g.data, ln_f.b.data
-    held = 0
-    with no_grad():
-        x = prefix()
-        keys = np.empty((len(blocks), rows, x.shape[1]))
-        values = np.empty_like(keys)
-        while x is not None:
-            mask = causal_mask(x.shape[0], held)
-            for w, k, v in zip(weights, keys, values):
-                x = block_step(w, x, mask, (k, v, held))
-            held += x.shape[0]
-            x = step(normalize(x[-1:], gain, bias)[0])
+    keys = np.empty((len(blocks), rows, prefix.shape[1]))
+    values = np.empty_like(keys)
+    held, x = 0, prefix
+    while x is not None:
+        mask = causal_mask(x.shape[0], held)
+        for w, k, v in zip(weights, keys, values):
+            x = block_step(w, x, mask, (k, v, held))
+        held += x.shape[0]
+        x = step(normalize(x[-1:], gain, bias)[0])
     return held
 
 

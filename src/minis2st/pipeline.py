@@ -31,7 +31,6 @@ from . import evaluation, nn
 from .corpus import ConfigError, Manifest, SpeechFrames, ToyCorpusConfig, generate_toy_corpus
 from .corpus import same_speaker_prompts  # unused here: bench/ calls it as pipeline's
 from .model import DecodeConfig, ModelConfig, TranslationModel
-from .tensor import no_grad
 from .tokenizer import (
     SpeechTokenizer,
     TextToTokenModel,
@@ -183,7 +182,7 @@ def _run_stage(kind: str, module: nn.Module, train_ex, val_ex, batch_loss,
     batch_loss(examples, rng) returns (scalar loss Tensor, {name: float}
     parts) of a list of examples; rng is None while validating, so
     training-only work (augmentation, usage counts) keys on it.  The loss of
-    the whole validation set, computed under no_grad, is the validation loss.
+    the whole validation set, computed outside the tape, is the validation loss.
     train() leaves the best validated weights in `module`.
     """
     if not val_ex:
@@ -196,8 +195,7 @@ def _run_stage(kind: str, module: nn.Module, train_ex, val_ex, batch_loss,
         return total, parts
 
     def val_fn():
-        with no_grad():
-            return float(batch_loss(val_ex, None)[0].data)
+        return float(batch_loss(val_ex, None)[0].data)
 
     return train(params=dict(module.trainable()), examples=train_ex, loss_fn=loss_fn,
                  val_fn=val_fn, cfg=tcfg, kind=kind, **train_kw)
@@ -243,8 +241,7 @@ def train_tokenizer_stage(train_m: Manifest, val_m: Manifest,
         dead = np.nonzero(usage == 0)[0]
         if dead.size:
             r = records[int(rng.integers(len(records)))]
-            with no_grad():
-                h = tok.encoder.encode_stage1(r.tgt_frames.frames, None).data
+            h = tok.encoder.encode_stage1(r.tgt_frames.frames, None).data
             rows = rng.integers(0, h.shape[0], size=dead.size)
             tok.codebook.entries.data[dead] = h[rows]
         usage[:] = 0.0

@@ -8,10 +8,13 @@ with requires_grad set and the tape ends empty, its graph freed on the way.
 Gradients add across uses and across repeated backward calls; callers reset
 with zero_grad().
 
-Outside an active tape nothing is recorded and outputs never require grad, which
-is what full inference passes use.  The fused ops compute their forwards with
-array kernels (`affine`, `normalize`, `attend`); cached decoding runs on arrays
-through those same kernels, so it makes no Tensor and gives the ops' bits.
+The open Tape is the one recording rule: there is no switch that suspends it.
+Inside it an op records when any input requires grad, so frozen weights on
+constant inputs record nothing; outside it nothing is recorded and outputs
+never require grad, which is what full inference passes use.  The fused ops
+compute their forwards with array kernels (`affine`, `normalize`, `attend`);
+cached decoding runs on arrays through those same kernels, so it makes no
+Tensor and gives the ops' bits.
 
 Every training loss term is one call of a loss op, recorded as one node:
 `softmax_cross_entropy` over batch-shaped logits and a keep mask, or
@@ -22,43 +25,33 @@ the per-position weight 1 / (B * kept positions of its utterance).
 from __future__ import annotations
 
 import math
-import threading
-from contextlib import contextmanager
 
 import numpy as np
 
-_state = threading.local()
+_tape = None  # the open Tape, if any
 
 
 def _active_tape():
-    return getattr(_state, "tape", None)
+    return _tape
 
 
 class Tape:
-    """Append-only record of executed ops, single-threaded by construction."""
+    """Append-only record of executed ops, single-threaded by construction:
+    the open tape is one module-level value, set on entry and restored on
+    exit."""
 
     def __init__(self):
         self.nodes = []  # list of (out Tensor, pullback fn)
 
     def __enter__(self):
-        self._outer = _active_tape()
-        _state.tape = self
+        global _tape
+        self._outer, _tape = _tape, self
         return self
 
     def __exit__(self, *exc):
-        _state.tape = self._outer
+        global _tape
+        _tape = self._outer
         return False
-
-
-@contextmanager
-def no_grad():
-    """Suspend recording; ops inside produce constant tensors."""
-    outer = _active_tape()
-    _state.tape = None
-    try:
-        yield
-    finally:
-        _state.tape = outer
 
 
 class Tensor:
@@ -91,10 +84,9 @@ def _as_tensor(x):
 def _make(out_data, inputs, pullback):
     """Wrap an op result; record it if a tape is active and any input needs grad."""
     out = Tensor(out_data)
-    tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if _tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tape.nodes.append((out, pullback))
+        _tape.nodes.append((out, pullback))
     return out
 
 

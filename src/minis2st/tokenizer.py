@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import nn
-from .corpus import Manifest, check_settings, frame_matrix
+from .corpus import Manifest, check_settings, finite_outputs, frame_matrix
 from .tensor import (
     Tensor,
     add,
@@ -26,7 +26,6 @@ from .tensor import (
     concat,
     embedding_lookup,
     mul,
-    no_grad,
     reshape,
     rng_for,
     softmax_cross_entropy,
@@ -215,14 +214,15 @@ class SpeechTokenizer(nn.Module):
         frame count T are stacked into (B, T, feat_dim) stage-1 passes of at
         most TOKENIZE_ROWS frames, or of one utterance when T alone exceeds
         that.  Equal lengths need no padding and no mask, so each utterance's
-        tokens are those it gets alone.
+        tokens are those it gets alone.  NumericError if an encoding or its
+        distances to the codes go non-finite.
         """
         frames = [self._frames(u) for u in utterances]
         by_length: dict = {}
         for i, f in enumerate(frames):
             by_length.setdefault(f.shape[0], []).append(i)
         out = [None] * len(frames)
-        with no_grad():
+        with finite_outputs("tokenizer encoding"):
             for t, group in by_length.items():
                 per_pass = max(1, TOKENIZE_ROWS // t)
                 for lo in range(0, len(group), per_pass):
@@ -401,9 +401,6 @@ class TextToTokenModel(nn.Module):
         head_w, head_b = self.head.w.data, self.head.b.data
         out = []
 
-        def prefix():  # the speaker slot, then ids
-            return add(self._inputs(ids, spk_emb), Tensor(positions[: 1 + len(ids)])).data
-
         def step(last):
             nxt = int((affine(last, head_w, head_b)[0] + banned).argmax())
             if nxt == self.eos:
@@ -414,5 +411,7 @@ class TextToTokenModel(nn.Module):
             at = len(ids) + len(out)  # the slot, ids and earlier picks come first
             return self.embed.data[[nxt]] + positions[at: at + 1]
 
-        nn.decode_cached(self.blocks, self.ln_f, len(positions), prefix, step)
+        with finite_outputs("token generation"):
+            prefix = self._inputs(ids, spk_emb).data + positions[: 1 + len(ids)]  # slot, then ids
+            nn.decode_cached(self.blocks, self.ln_f, len(positions), prefix, step)
         return TokenGenResult(out, truncated=len(out) == max_len)

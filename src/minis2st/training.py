@@ -17,12 +17,8 @@ from itertools import chain
 
 import numpy as np
 
-from .corpus import ConfigError, ParseError, atomic_write, check_settings
+from .corpus import ConfigError, NumericError, ParseError, atomic_write, check_settings
 from .tensor import Tape, backward, rng_for, seed_for, zero_grad
-
-
-class NumericError(RuntimeError):
-    """Loss or validation diverged (NaN/inf)."""
 
 
 class VersionError(RuntimeError):

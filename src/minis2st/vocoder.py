@@ -15,8 +15,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import nn
-from .corpus import ConfigError, SpeechFrames, check_settings, frame_matrix, same_speaker_prompts
-from .tensor import Tensor, concat, embedding_lookup, no_grad, rng_for, squared_error
+from .corpus import (ConfigError, SpeechFrames, check_settings, finite_outputs, frame_matrix,
+                     same_speaker_prompts)
+from .tensor import Tensor, concat, embedding_lookup, rng_for, squared_error
 
 
 @dataclass
@@ -132,6 +133,6 @@ class TimbreVocoder(nn.Module):
         return squared_error(out, target, w[:, :, None])
 
     def synthesize(self, tokens, spk: np.ndarray) -> SpeechFrames:
-        with no_grad():
-            frames = self.forward_frames(list(tokens), spk, None)
-        return SpeechFrames(frames.data)
+        """One frame per token in `spk`'s voice; NumericError on a non-finite value."""
+        with finite_outputs("synthesis"):
+            return SpeechFrames(self.forward_frames(list(tokens), spk, None).data)

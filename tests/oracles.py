@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 
 from minis2st.model import ModelConfig
-from minis2st.tensor import (Tape, Tensor, affine, backward, mul, no_grad, squared_error,
+from minis2st.tensor import (Tape, Tensor, affine, backward, mul, squared_error,
                              weighted_sum, zero_grad)
 from minis2st.tokenizer import quantize
 
@@ -46,11 +46,9 @@ def fd_gradcheck(build_loss, tensors, rng, probes: int = 2,
         for idx in rng.choice(flat.size, size=k, replace=False):
             orig = flat[idx]
             flat[idx] = orig + h
-            with no_grad():
-                fp = float(build_loss().data)
+            fp = float(build_loss().data)
             flat[idx] = orig - h
-            with no_grad():
-                fm = float(build_loss().data)
+            fm = float(build_loss().data)
             flat[idx] = orig
             fd = (fp - fm) / (2.0 * h)
             err = abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx]), floor)
@@ -438,32 +436,31 @@ def decode_greedy_recompute(dec, a_p, cfg):
     text, tokens = [], []
     text_done = audio_done = False
     steps = token_steps = 0
-    with no_grad():
-        while steps < cfg.max_steps and not (text_done and audio_done):
-            parts = dec._prefix(a_p)
-            if steps:
-                parts.append(dec._step_rows(text_local[:steps], audio_local[:steps]))
-            x = dec.ln_f(run_blocks(dec.blocks, concat(parts, axis=0), causal=True))
-            last = embedding_lookup(x, [x.shape[0] - 1])
-            if not text_done:
-                logits = repetition_penalty_loop(dec.text_head(last).data[0] + text_ban, text,
-                                                 cfg.repetition_penalty)
-                pick = int(np.argmax(logits))
-                text_local[steps] = pick
-                if pick == v.text_eos_local:
-                    text_done = True
-                else:
-                    text.append(pick)
-            if not audio_done:
-                logits = reshape(dec.audio_head(last), (g, v.audio_head_size)).data + audio_ban
-                for j, pick in enumerate(int(p) for p in np.argmax(logits, axis=1)):
-                    audio_local[steps, j] = pick
-                    if pick == v.audio_eos_local:
-                        audio_done = True
-                        break
-                    tokens.append(pick)
-                    token_steps += int(j == 0)
-            steps += 1
+    while steps < cfg.max_steps and not (text_done and audio_done):
+        parts = dec._prefix(a_p)
+        if steps:
+            parts.append(dec._step_rows(text_local[:steps], audio_local[:steps]))
+        x = dec.ln_f(run_blocks(dec.blocks, concat(parts, axis=0), causal=True))
+        last = embedding_lookup(x, [x.shape[0] - 1])
+        if not text_done:
+            logits = repetition_penalty_loop(dec.text_head(last).data[0] + text_ban, text,
+                                             cfg.repetition_penalty)
+            pick = int(np.argmax(logits))
+            text_local[steps] = pick
+            if pick == v.text_eos_local:
+                text_done = True
+            else:
+                text.append(pick)
+        if not audio_done:
+            logits = reshape(dec.audio_head(last), (g, v.audio_head_size)).data + audio_ban
+            for j, pick in enumerate(int(p) for p in np.argmax(logits, axis=1)):
+                audio_local[steps, j] = pick
+                if pick == v.audio_eos_local:
+                    audio_done = True
+                    break
+                tokens.append(pick)
+                token_steps += int(j == 0)
+        steps += 1
     return DecodeResult(tokens=tokens, text=text, steps=steps, token_steps=token_steps,
                         truncated_text=not text_done, truncated_audio=not audio_done)
 
@@ -477,13 +474,12 @@ def generate_recompute(t2t, text, spk_emb, max_len):
     banned[: t2t.text_vocab] = -1e30
     banned[t2t.bos] = -1e30
     out = []
-    with no_grad():
-        for _ in range(max_len):
-            ids = [t2t.bos] + list(text) + [t + t2t.text_vocab for t in out]
-            nxt = int(np.argmax(t2t._forward(ids, spk_emb).data[-1] + banned))
-            if nxt == t2t.eos:
-                return TokenGenResult(out, truncated=False)
-            out.append(nxt - t2t.text_vocab)
+    for _ in range(max_len):
+        ids = [t2t.bos] + list(text) + [t + t2t.text_vocab for t in out]
+        nxt = int(np.argmax(t2t._forward(ids, spk_emb).data[-1] + banned))
+        if nxt == t2t.eos:
+            return TokenGenResult(out, truncated=False)
+        out.append(nxt - t2t.text_vocab)
     return TokenGenResult(out, truncated=True)
 
 
@@ -494,8 +490,7 @@ def tokenize_alone(tok, frames) -> list:
     """One utterance's tokens from a stage-1 pass of its own (T, feat_dim)
     frames, then `quantize`: tokenizing as it was before utterances of equal
     length shared passes."""
-    with no_grad():
-        h = tok.encoder.encode_stage1(frames.frames, None)
+    h = tok.encoder.encode_stage1(frames.frames, None)
     return quantize(h, tok.codebook)
 
 

@@ -7,11 +7,16 @@ manifest's records, where its frames are.  In checkpoint and frame files the
 exponent byte of seeded payload floats is flipped with a seeded mask, and
 then the float's exponent bits are all set, which makes it inf or NaN.
 Every mutant is fed to the commands that read that kind of file.  A mutant
-may still be well formed, so a run may succeed (exit 0), and a checkpoint
-whose recipe no longer rebuilds exits 4; anything else must be refused as a
+may still be well formed, so a run may succeed (exit 0), a checkpoint whose
+recipe no longer rebuilds exits 4, and one whose finite weights overflow its
+output is a numeric failure (exit 3); anything else must be refused as a
 corrupt file (exit 2) with one line on stderr, and a mutant holding a
-non-finite payload float always is.  No mutant may exit 1 or print a
-traceback.
+non-finite payload float always is.  No mutant may exit 1, print a
+traceback or emit a NumPy RuntimeWarning.
+
+Three probes hold the numeric-failure exit to one weight each: 1e300 in the
+first layer-norm gain of a tokenizer's stage-1 encoder, a vocoder or a
+model's decoder makes `tokenize`, `synthesize` or `translate` exit 3.
 
 A small `--config` file is truncated at every offset and each of its bytes
 flipped with a seeded mask, and each mutant is fed to `filter`.  A config
@@ -20,6 +25,7 @@ file that is still UTF-8 may hold a key or value the command refuses (exit
 """
 import functools
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -33,8 +39,9 @@ from minis2st.corpus import (
     write_frames,
     write_manifest,
 )
+from minis2st.model import ModelConfig, TranslationModel
 from minis2st.tokenizer import SpeechTokenizer, TokenizerConfig
-from minis2st.training import CheckpointState, save_checkpoint
+from minis2st.training import CheckpointState, load_checkpoint, save_checkpoint
 from minis2st.vocoder import TimbreVocoder, VocoderConfig
 
 SEED = 20261019
@@ -113,7 +120,15 @@ def _mutants(path, data: bytes, rng):
         yield f"float at {at} made inf or NaN", bytes(flipped), True
 
 
-def test_mutated_inputs_exit_zero_two_or_four(files, monkeypatch, capsys):
+def _run(argv):
+    """main's exit code on argv and the RuntimeWarnings the run emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([str(a) for a in argv])
+    return code, [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_mutated_inputs_exit_zero_two_three_or_four(files, monkeypatch, capsys):
     # building the parser is most of a refused run's time; it reads no file
     monkeypatch.setattr(minis2st.cli, "build_parser", functools.cache(minis2st.cli.build_parser))
     rng = np.random.default_rng(SEED)
@@ -122,18 +137,45 @@ def test_mutated_inputs_exit_zero_two_or_four(files, monkeypatch, capsys):
         data = path.read_bytes()
         for what, mutant, non_finite in _mutants(path, data, rng):
             path.write_bytes(mutant)
-            allowed = ((2,) if non_finite else (0, 2, 4) if path.suffix == ".ckpt"
+            allowed = ((2,) if non_finite else (0, 2, 3, 4) if path.suffix == ".ckpt"
                        else (0, 2))
             for argv in commands:
-                code = main([str(a) for a in argv])
+                code, warned = _run(argv)
                 err = capsys.readouterr().err
                 runs += 1
                 one_line = err.count("\n") == 1 and err.endswith("\n")
-                if code not in allowed or (code and not one_line) or "Traceback" in err:
-                    bad.append(f"{argv[0]} on {path.name} {what}: exit {code}: {err!r:.300}")
+                if (code not in allowed or (code and not one_line) or "Traceback" in err
+                        or (code == 3 and not err.startswith("numeric failure: ")) or warned):
+                    bad.append(f"{argv[0]} on {path.name} {what}: exit {code}: {err!r:.300}"
+                               f" {warned}")
         path.write_bytes(data)
     assert runs > 1000
     assert not bad, f"{len(bad)} of {runs} runs:\n" + "\n".join(bad[:20])
+
+
+@pytest.mark.parametrize("command,ckpt,gain", [
+    ("tokenize", "tok.ckpt", "encoder.enc1.0.ln1.g"),
+    ("synthesize", "voc.ckpt", "blocks.0.ln1.g"),
+    ("translate", "model.ckpt", "decoder.blocks.0.ln1.g"),
+])
+def test_a_huge_finite_weight_is_a_numeric_failure(files, tmp_path, capsys, command, ckpt, gain):
+    # the weight loads (it is finite) and its overflow is refused where the
+    # output is made, not written out as NaN frames or all-zero tokens
+    model = TranslationModel(ModelConfig(audio_vocab=8, d_model=8, blocks=1, heads=2,
+                                         context=64, prompt_len=1, proj_hidden=8, enc_dim=8,
+                                         enc_blocks=1, enc_heads=2, fixed_input_len=8), 0)
+    _save_module(tmp_path / "model.ckpt", "model", model)
+    path = tmp_path / ckpt
+    st = load_checkpoint(path)
+    st.tensors[gain][0] = 1e300
+    save_checkpoint(path, st)
+    argv = {cmd[0]: cmd for cmds in files.values() for cmd in cmds}
+    argv["translate"] = ["translate", "--ckpt", path, "--in", tmp_path / "m.jsonl",
+                         "--out-dir", tmp_path / "out" / "translate", "--decode-max-steps", "4"]
+    code, warned = _run(argv[command])
+    err = capsys.readouterr().err
+    assert (code, warned) == (3, [])
+    assert err.startswith("numeric failure: non-finite ") and err.count("\n") == 1
 
 
 def test_mutated_config_files_exit_zero_one_or_two(tmp_path, monkeypatch, capsys):

@@ -3,7 +3,8 @@ import pytest
 
 from minis2st import pipeline
 from minis2st.corpus import ConfigError, ToyCorpusConfig, generate_toy_corpus
-from minis2st.model import ModelConfig
+from minis2st.model import ModelConfig, TranslationModel
+from minis2st.tensor import Tape, _active_tape
 from minis2st.tokenizer import SpeechTokenizer, TokenizerConfig
 from minis2st.training import TrainConfig, load_checkpoint, save_checkpoint
 from minis2st.vocoder import SpeakerEmbedder, VocoderConfig
@@ -144,3 +145,32 @@ def test_toy_run_records_peak_rss_outside_the_total(toy_run):
     assert t["peak_rss_mb"] > 0
     stages = ("corpus", "tokenizer", "model", "vocoder", "evaluation")
     assert t["total"] == sum(t[k] for k in stages)
+
+
+def test_only_what_trains_records_on_the_open_tape(monkeypatch):
+    # the open tape is the one recording rule: the frozen speech encoder on
+    # constant frames records nothing inside it, and each stage's batch-8
+    # loss records the same graph it did while an ambient switch existed
+    full = generate_toy_corpus(ToyCorpusConfig(pairs=24), 0)
+    train_m, val_m = pipeline.split_manifest(full, 16)
+    encoder = TranslationModel(ModelConfig(), 0).encoder
+    with Tape() as tape:
+        encoder.encode([r.src_frames for r in train_m])
+    assert tape.nodes == []
+
+    nodes, train = {}, pipeline.train
+
+    def counting(*, loss_fn, kind, **kw):
+        def counted(batch, rng):
+            out = loss_fn(batch, rng)
+            nodes.setdefault(kind, (len(batch), len(_active_tape().nodes)))
+            return out
+        return train(loss_fn=counted, kind=kind, **kw)
+
+    monkeypatch.setattr(pipeline, "train", counting)
+    tok, _ = pipeline.train_tokenizer_stage(train_m, val_m, max_steps=1)
+    pipeline.train_model_stage(train_m, val_m, tok, max_steps=1)
+    pipeline.train_vocoder_stage(train_m, val_m, tok, max_steps=1)
+    pipeline.train_text_to_token_stage(train_m, val_m, tok, max_steps=1)
+    assert nodes == {"tokenizer": (8, 46), "model": (8, 41), "vocoder": (8, 15),
+                     "text_to_token": (8, 23)}

@@ -16,7 +16,6 @@ from minis2st.tensor import (
     layernorm,
     linear,
     mul,
-    no_grad,
     reshape,
     rng_for,
     seed_for,
@@ -59,18 +58,6 @@ def test_gradients_accumulate_across_backward_calls():
     np.testing.assert_allclose(x.grad, [7.0])
     zero_grad([x])
     assert x.grad is None
-
-
-def test_no_grad_suspends_recording():
-    x = Tensor([1.0, 2.0], requires_grad=True)
-    with Tape() as tape:
-        with no_grad():
-            y = mul(x, 3.0)
-        assert not y.requires_grad
-        z = total(mul(x, y))
-    backward(z, tape)
-    # y acted as a constant: dz/dx = y = 3x
-    np.testing.assert_allclose(x.grad, [3.0, 6.0])
 
 
 def test_backward_without_tape_raises():
@@ -349,9 +336,8 @@ def test_the_array_step_on_a_fresh_cache_is_the_block_bit_for_bit():
     blocks = [TransformerBlock(8, 2, rng) for _ in range(2)]
     for n in (1, 2, 7):
         x = rng.normal(size=(n, 8))
-        with no_grad():
-            one = blocks[0](Tensor(x), mask=causal_mask(n, 0)).data
-            both = run_blocks(blocks, Tensor(x), causal=True).data
+        one = blocks[0](Tensor(x), mask=causal_mask(n, 0)).data
+        both = run_blocks(blocks, Tensor(x), causal=True).data
         keys, values = kv_arrays(blocks[:1], n + 3)
         np.testing.assert_array_equal(
             nn.block_step(blocks[0].arrays(), x, causal_mask(n, 0), (keys[0], values[0], 0)),
@@ -362,14 +348,13 @@ def test_the_array_step_on_a_fresh_cache_is_the_block_bit_for_bit():
 
 def test_a_cross_attention_block_gives_the_array_step_no_weights():
     # block_step has no cross-attention: a cross block's arrays would make
-    # it skip one silently, so decoding raises before its prefix or any step
+    # it skip one silently, so decoding raises before any step
     blk = TransformerBlock(8, 2, np.random.default_rng(0), cross=True)
     with pytest.raises(ValueError, match="self-attention blocks only"):
         blk.arrays()
     ran = []
     with pytest.raises(ValueError, match="self-attention blocks only"):
-        nn.decode_cached([blk], nn.LayerNorm(8), 4,
-                         lambda: ran.append("prefix") or np.zeros((1, 8)), ran.append)
+        nn.decode_cached([blk], nn.LayerNorm(8), 4, np.zeros((1, 8)), ran.append)
     assert ran == []
 
 
@@ -381,8 +366,7 @@ def test_cached_blocks_match_a_full_pass():
     blocks = [TransformerBlock(8, 2, rng) for _ in range(2)]
     x = rng.normal(size=(11, 8))
     keys, values = kv_arrays(blocks, 11)
-    with no_grad():
-        full = run_blocks(blocks, Tensor(x), causal=True).data
+    full = run_blocks(blocks, Tensor(x), causal=True).data
     parts = [through_caches(blocks, keys, values, lo, x[lo:hi])
              for lo, hi in ((0, 1), (1, 4), (4, 6), (6, 11))]
     # every row of both arrays of both blocks was written
@@ -406,26 +390,14 @@ def test_decode_cached_feeds_chunks_until_step_stops():
         return x[lo:hi]
 
     # each chunk's last row is the full causal pass's row at that position
-    fed = nn.decode_cached(blocks, ln_f, 11, lambda: x[:3], step)
-    with no_grad():
-        full = ln_f(run_blocks(blocks, Tensor(x), causal=True)).data
+    fed = nn.decode_cached(blocks, ln_f, 11, x[:3], step)
+    full = ln_f(run_blocks(blocks, Tensor(x), causal=True)).data
     np.testing.assert_allclose(np.concatenate(lasts), full[[hi - 1 for _, hi in chunks]],
                                rtol=0, atol=1e-12)
     # the loop stops at the first None, and counts every row fed
     assert len(lasts) == len(chunks)
     assert fed == 11
-    assert nn.decode_cached(blocks, ln_f, 11, lambda: x[:3], lambda last: None) == 3
-    # both greedy decoders record nothing on an open tape, prefix included
-    cfg = ModelConfig(feat_dim=4, text_vocab=5, audio_vocab=7, d_model=12, blocks=1, heads=2,
-                      context=64, prompt_len=2, enc_dim=6, enc_blocks=1, enc_heads=2,
-                      fixed_input_len=8, proj_hidden=10)
-    dec = DecoderLM(cfg, seed=0)
-    t2t = TextToTokenModel(5, 12, spk_dim=3, seed=0, embedder=SpeakerEmbedder(4, spk_dim=3))
-    with Tape() as tape:
-        dec.decode_greedy(Tensor(rng.normal(size=(2, 12)), requires_grad=True),
-                          DecodeConfig(max_steps=4))
-        t2t.generate([0, 2, 1], rng.normal(size=3), max_len=4)
-    assert tape.nodes == []
+    assert nn.decode_cached(blocks, ln_f, 11, x[:3], lambda last: None) == 3
 
 
 @pytest.mark.parametrize("rows,prefix_rows,chunk_rows", [(2, 3, 0), (4, 3, 2), (3, 3, 1)],
@@ -437,7 +409,7 @@ def test_rows_past_the_arrays_raise_rather_than_write(rows, prefix_rows, chunk_r
     blocks = [TransformerBlock(8, 2, rng) for _ in range(2)]
     x = rng.normal(size=(prefix_rows + chunk_rows, 8))
     with pytest.raises(ValueError):
-        nn.decode_cached(blocks, nn.LayerNorm(8), rows, lambda: x[:prefix_rows],
+        nn.decode_cached(blocks, nn.LayerNorm(8), rows, x[:prefix_rows],
                          lambda last: x[prefix_rows:])
 
 
@@ -496,8 +468,7 @@ def test_a_key_bias_moves_attention_outputs_only_by_rounding():
     def outputs():
         # a masked batch through the cross block, then the first sequence
         # through the self-attention block's key and value arrays
-        with no_grad():
-            full = run_blocks([blk], Tensor(x), causal=True, memory=Tensor(memory)).data
+        full = run_blocks([blk], Tensor(x), causal=True, memory=Tensor(memory)).data
         keys, values = kv_arrays([own], 7)
         parts = [through_caches([own], keys, values, lo, x[0, lo:hi])
                  for lo, hi in ((0, 3), (3, 7))]
